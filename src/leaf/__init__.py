@@ -11,6 +11,7 @@ from .tensor import (
     ShapeError,
     GraphError,
     DegenerateVectorError,
+    NumericalError,
 )
 from .encoder import (
     EncoderConfig,
@@ -28,9 +29,7 @@ from .encoder import (
 from .moe import (
     LoraExpert,
     ExpertPool,
-    RoutingDecision,
     init_pools,
-    score,
     select_topk,
     combine_weights,
     route_instance,
@@ -88,14 +87,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "Adam", "no_grad", "grad_enabled", "grad_check",
-    "ShapeError", "GraphError", "DegenerateVectorError",
+    "ShapeError", "GraphError", "DegenerateVectorError", "NumericalError",
     "EncoderConfig", "EncoderWeights", "Vocab", "tokenize",
     "encode_base", "encode_with_experts", "init_encoder_weights",
     "train_base_task", "save_weights", "load_weights",
     "WEIGHTS_FORMAT_VERSION",
-    "LoraExpert", "ExpertPool", "RoutingDecision", "init_pools",
-    "score", "select_topk", "combine_weights", "route_instance",
-    "router_loss",
+    "LoraExpert", "ExpertPool", "init_pools",
+    "select_topk", "combine_weights", "route_instance", "router_loss",
     "LossWeights", "LossBreakdown", "DetectorHead", "ce_loss",
     "label_contrastive_loss", "feature_distill_loss",
     "prediction_distill_loss", "total_loss",

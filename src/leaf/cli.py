@@ -16,6 +16,7 @@ import sys
 
 from . import config as cfgmod
 from . import data_synth, descriptions, encoder, harness, metrics
+from .tensor import NumericalError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -224,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
-    p.add_argument("--config", required=False, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--corrupt-gradient", action="store_true",
                    help="deliberately break a gradient rule (negative test)")
@@ -248,16 +248,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (cfgmod.ConfigError,) as exc:
+    except cfgmod.ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_USAGE
-    except (FloatingPointError,) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except ValueError as exc:
-        if "NaN" in str(exc):
-            _log(f"numerical failure: {exc}")
-            return EXIT_NUMERICAL
         _log(f"error: {exc}")
         return EXIT_RUNTIME
     except OSError as exc:

@@ -11,7 +11,7 @@ import json
 
 from .continual import TrainConfig
 from .data_synth import GeneratorSpec
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, atomic_open
 from .objectives import LossWeights
 
 
@@ -137,7 +137,7 @@ def parse_config(path, schema=SCHEMA) -> dict:
 
 
 def write_snapshot(resolved: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

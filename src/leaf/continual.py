@@ -72,7 +72,6 @@ class MemoryBuffer:
 class Snapshot:
     pools: dict
     head: obj.DetectorHead
-    class_order: list[int]
 
 
 @dataclass
@@ -122,6 +121,11 @@ class ModelState:
     opt: T.Adam = None
     loss_rows: list[dict] = field(default_factory=list)
     _step: int = 0
+    # Per-run caches keyed by instance text; the encoder is frozen, so a
+    # text's ids and its noise-free [CLS] vector never change within a run.
+    token_cache: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict,
+                                                                 repr=False)
+    cls_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.opt is None:
@@ -185,9 +189,43 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 
 
 def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
-    cfg = state.weights.config
-    pairs = [enc.tokenize(inst.text, state.vocab, cfg.max_seq_len) for inst in instances]
+    cache = state.token_cache
+    for inst in instances:
+        if inst.text not in cache:
+            cache[inst.text] = enc.tokenize(inst.text, state.vocab,
+                                            state.weights.config.max_seq_len)
+    pairs = [cache[inst.text] for inst in instances]
     return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def _frozen_cls(state: ModelState, instances, ids, mask,
+                embed_noise: np.ndarray | None) -> np.ndarray:
+    """[B, d] frozen-backbone [CLS] rows. Only rows whose text is not cached
+    yet, and rows with non-zero noise, go through the encoder; noisy rows
+    are never cached."""
+    n = len(instances)
+    noisy = (np.zeros(n, dtype=bool) if embed_noise is None
+             else embed_noise.reshape(n, -1).any(axis=1))
+    cache = state.cls_cache
+    rows, fresh = [], {}  # batch rows to encode; uncached text -> its slot in rows
+    for i, inst in enumerate(instances):
+        if noisy[i] or (inst.text not in cache and inst.text not in fresh):
+            if not noisy[i]:
+                fresh[inst.text] = len(rows)
+            rows.append(i)
+    out = np.empty((n, state.weights.config.model_dim))
+    if rows:
+        with T.no_grad():
+            cls = enc.encode_base(ids[rows], mask[rows], state.weights,
+                                  embed_noise=None if embed_noise is None
+                                  else embed_noise[rows]).cls.data
+        out[rows] = cls
+        for text, j in fresh.items():
+            cache[text] = cls[j]
+    for i, inst in enumerate(instances):
+        if not noisy[i]:
+            out[i] = cache[inst.text]
+    return out
 
 
 def _noise_for(state: ModelState, instances, ids_shape) -> np.ndarray | None:
@@ -205,9 +243,12 @@ def _noise_for(state: ModelState, instances, ids_shape) -> np.ndarray | None:
 
 
 def forward_features(state: ModelState, instances, pools=None,
-                     embed_noise: np.ndarray | None = None):
+                     embed_noise: np.ndarray | None = None,
+                     cls: np.ndarray | None = None):
     """Two-stage forward for a batch: frozen [CLS] -> routing -> expert
-    forward. Returns (features [B, d] Tensor, routing decisions)."""
+    forward. Returns (features [B, d] Tensor, per-pool routing records,
+    frozen [CLS] rows or None under token routing). A caller that already
+    has the [CLS] rows of this batch and noise passes them as `cls`."""
     cfg = state.config
     pools = state.pools if pools is None else pools
     ids, mask = _batch_arrays(state, instances)
@@ -215,15 +256,13 @@ def forward_features(state: ModelState, instances, pools=None,
         out = enc.encode_with_experts(ids, mask, state.weights, pools, None,
                                       embed_noise=embed_noise, token_topk=cfg.topk,
                                       combine_mode=cfg.combine_mode)
-        return out.cls, out.token_decisions
-    with T.no_grad():
-        base = enc.encode_base(ids, mask, state.weights, embed_noise=embed_noise)
-    cls_np = base.cls.data
-    decisions = [moe.route_instance(pools, Tensor(cls_np[i]), cfg.topk, cfg.combine_mode)
-                 for i in range(len(instances))]
-    out = enc.encode_with_experts(ids, mask, state.weights, pools, decisions,
+        return out.cls, out.token_decisions, None
+    if cls is None:
+        cls = _frozen_cls(state, instances, ids, mask, embed_noise)
+    mix, records = moe.route_instance(pools, cls, cfg.topk, cfg.combine_mode)
+    out = enc.encode_with_experts(ids, mask, state.weights, pools, mix,
                                   embed_noise=embed_noise)
-    return out.cls, decisions
+    return out.cls, records, cls
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +278,7 @@ def select_exemplar(state: ModelState, instances_by_label: dict[int, list[Instan
         if not group:
             raise ValueError(f"no instances for label {y}")
         with T.no_grad():
-            feats, _ = forward_features(state, group)
+            feats, _, _ = forward_features(state, group)
         f = feats.data
         mean = f.mean(axis=0)
         norm_m = max(np.linalg.norm(mean), 1e-12)
@@ -259,8 +298,7 @@ def augment_memory(buffer: MemoryBuffer, copies: int) -> list[Instance]:
 
 def snapshot_model(state: ModelState) -> Snapshot:
     """Immutable deep copy of the trainable parts."""
-    return Snapshot(pools=moe.copy_pools(state.pools), head=state.head.copy(),
-                    class_order=list(state.head.class_order))
+    return Snapshot(pools=moe.copy_pools(state.pools), head=state.head.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +333,20 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             ids_shape = (len(batch), state.weights.config.max_seq_len)
             noise = _noise_for(state, batch, ids_shape)
-            feats, decisions = forward_features(state, batch, embed_noise=noise)
+            feats, routing, cls = forward_features(state, batch, embed_noise=noise)
             gold = [inst.label for inst in batch]
             parts = {"ce": obj.ce_loss(state.head, feats, gold)}
             if w.alpha_router > 0:
-                parts["router"] = moe.router_loss(decisions)
+                parts["router"] = moe.router_loss(routing)
             if w.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
                 parts["label"] = obj.label_contrastive_loss(
                     feats, gold, state.bank, seen,
                     scale_by_sqrt_d=cfg.label_scale, infonce=cfg.label_infonce)
             if t > 0 and distill_on:
                 with T.no_grad():
-                    prev_feats, _ = forward_features(state, batch,
-                                                     pools=state.snapshot.pools,
-                                                     embed_noise=noise)
+                    prev_feats, _, _ = forward_features(state, batch,
+                                                        pools=state.snapshot.pools,
+                                                        embed_noise=noise, cls=cls)
                 prev_np = prev_feats.data
                 old_labels = stream.seen_labels(t - 1)
                 if w.alpha_fd > 0:
@@ -319,6 +357,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
                         old_labels, temperature=cfg.temperature)
             total, breakdown = obj.total_loss(parts, w)
             total.backward()
+            _check_finite(total, state.opt.params, t, state._step + 1)
             state.opt.step()
             state._step += 1
             state.loss_rows.append({
@@ -336,13 +375,22 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     state.snapshot = snapshot_model(state)
 
 
+def _check_finite(total: Tensor, params, t: int, step: int) -> None:
+    """Stop before the optimizer applies a non-finite loss or gradient."""
+    if not np.isfinite(total.data).all():
+        raise T.NumericalError(f"non-finite loss {total.item()} at task {t + 1}, step {step}")
+    for p in params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise T.NumericalError(f"non-finite gradient at task {t + 1}, step {step}")
+
+
 def predict(state: ModelState, instances, chunk: int = 32) -> list[int]:
     """Inference path: deterministic, no jitter, argmax over all head rows."""
     preds = []
     for start in range(0, len(instances), chunk):
         batch = instances[start:start + chunk]
         with T.no_grad():
-            feats, _ = forward_features(state, batch)
+            feats, _, _ = forward_features(state, batch)
             logits = state.head.logits(feats).data
         rows = np.argmax(logits, axis=1)
         preds.extend(state.head.class_order[int(r)] for r in rows)

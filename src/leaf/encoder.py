@@ -8,8 +8,10 @@ weights are frozen and every later stage treats them as constants.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -94,6 +96,7 @@ class SentenceEncoding:
     token_states: Tensor      # [..., seq, d]
     cls: Tensor               # [..., d] = position 0 of the final layer
     attention_mask: np.ndarray
+    token_decisions: list = field(default_factory=list)  # per-token routing records
 
 
 @dataclass
@@ -232,62 +235,40 @@ def encode_base(ids, mask, weights: EncoderWeights,
     return _forward(ids, mask, weights, lora_delta=None, embed_noise=embed_noise)
 
 
-def encode_with_experts(ids, mask, weights: EncoderWeights, pools, decisions,
+def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
                         embed_noise: np.ndarray | None = None,
                         token_topk: int | None = None,
                         combine_mode: str = "softmax") -> SentenceEncoding:
     """Forward with LoRA expert deltas on the adapted projections.
 
-    `decisions` is one RoutingDecision per batch row (instance-level
-    routing). When `token_topk` is given, decisions are ignored and
-    routing is recomputed per token inside each block.
+    `mix` maps each pool key to its [B, M] instance-level mix weights
+    (from `moe.route_instance`). When `token_topk` is given, `mix` is
+    ignored and routing is recomputed per token inside each block; the
+    per-pool routing records land in `token_decisions`.
     """
     from . import moe  # local import to avoid a cycle
 
     if token_topk is None:
-        if decisions is None:
-            raise ValueError("instance-level forward requires routing decisions")
-        if not isinstance(decisions, (list, tuple)):
-            decisions = [decisions]
-        ids_arr = np.asarray(ids)
-        bsz = 1 if ids_arr.ndim == 1 else ids_arr.shape[0]
-        if len(decisions) != bsz:
-            raise ValueError(f"got {len(decisions)} routing decisions for batch of {bsz}")
-        for key in pools:
-            for dec in decisions:
-                if key not in dec.entries:
-                    raise ValueError(f"routing decision missing pool {key}")
-        mix = moe.instance_mix_weights(pools, decisions)
-
-        def lora_delta(x, layer, tag):
-            pool = pools.get((layer, tag))
-            if pool is None:
-                return None
-            return moe.pool_delta(pool, x, mix[(layer, tag)], batched=ids_arr.ndim > 1)
-
-        return _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
-
+        if mix is None:
+            raise ValueError("instance-level forward requires routing mix weights")
+        missing = sorted(set(pools) - set(mix))
+        if missing:
+            raise ValueError(f"routing mix missing pool {missing[0]}")
     token_decisions = []
 
     def lora_delta(x, layer, tag):
         pool = pools.get((layer, tag))
         if pool is None:
             return None
-        mix, dec = moe.token_mix_weights(pool, x, token_topk, combine_mode)
-        token_decisions.append(dec)
-        return moe.pool_delta(pool, x, mix, batched=True, per_token=True)
+        if token_topk is None:
+            return moe.pool_delta(pool, x, mix[(layer, tag)])
+        token_mix, record = moe.token_mix_weights(pool, x, token_topk, combine_mode)
+        token_decisions.append(record)
+        return moe.pool_delta(pool, x, token_mix)
 
-    ids_arr = np.asarray(ids)
-    squeeze = ids_arr.ndim == 1
-    enc = _forward(ids_arr[None] if squeeze else ids_arr,
-                   np.asarray(mask)[None] if squeeze else mask,
-                   weights, lora_delta=lora_delta, embed_noise=embed_noise)
-    if squeeze:
-        enc = SentenceEncoding(token_states=T.select_index(enc.token_states, 0, axis=0),
-                               cls=T.select_index(enc.cls, 0, axis=0),
-                               attention_mask=enc.attention_mask[0])
-    enc.token_decisions = token_decisions  # type: ignore[attr-defined]
-    return enc
+    out = _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
+    out.token_decisions = token_decisions
+    return out
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
@@ -349,8 +330,24 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
 _MAGIC = b"LEAFWT\x00"
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temporary sibling of `path` that replaces `path` only once
+    the block completes; on error the temporary file is removed."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(tensors: dict[str, np.ndarray], path, meta: dict | None = None) -> None:
-    """Write named float64 arrays in the versioned container format."""
+    """Write named float64 arrays in the versioned container format (atomically)."""
     names = sorted(tensors)
     header = {
         "version": WEIGHTS_FORMAT_VERSION,
@@ -358,7 +355,7 @@ def save_tensors(tensors: dict[str, np.ndarray], path, meta: dict | None = None)
         "shapes": {name: list(np.asarray(tensors[name]).shape) for name in names},
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(hbytes)))
         fh.write(hbytes)

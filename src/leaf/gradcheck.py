@@ -70,37 +70,28 @@ def build_tiny_problem(seed: int = 7, corrupt: bool = False, poison_nan: bool = 
         weights.tensors["tok_emb"].data[:, 0] = np.nan
 
     with T.no_grad():
-        cls_np = enc.encode_base(ids, mask, weights).cls.data.copy()
-    fixed_idx = {}
-    for key in sorted(pools):
-        fixed_idx[key] = [moe.select_topk(pools[key].routing.data @ cls_np[i], tc.topk)
-                          for i in range(len(gold))]
+        cls = enc.encode_base(ids, mask, weights).cls.detach()
+    fixed = {key: moe.select_topk(cls.data @ pools[key].routing.data.T, tc.topk)
+             for key in pools}
 
     lw = obj.LossWeights(alpha_router=0.05, alpha_label=0.2, alpha_fd=1.0, alpha_pd=1.0)
 
     def loss_fn() -> Tensor:
-        decisions = []
-        for i in range(len(gold)):
-            dec = moe.RoutingDecision()
-            for key in sorted(pools):
-                s = moe.score(pools[key], Tensor(cls_np[i]))
-                idx = fixed_idx[key][i]
-                w, _ = moe.combine_weights(s, idx)
-                dec.entries[key] = {"indices": idx, "scores": s, "weights": w,
-                                    "fallback": False}
-            decisions.append(dec)
-        out = enc.encode_with_experts(ids, mask, weights, pools, decisions)
-        feats = out.cls
+        mix, records = {}, []
+        for key in sorted(pools):
+            scores = T.matmul(cls, T.transpose(pools[key].routing))
+            mix[key], _ = moe.combine_weights(scores, fixed[key])
+            records.append({"scores": scores, "selected": fixed[key], "key": key})
+        feats = enc.encode_with_experts(ids, mask, weights, pools, mix).cls
         if np.isnan(feats.data).any():
-            raise ValueError("NaN features in gradcheck forward")
-        snap_decisions = [moe.route_instance(snap_pools, Tensor(cls_np[i]), tc.topk)
-                          for i in range(len(gold))]
+            raise T.NumericalError("NaN features in gradcheck forward")
         with T.no_grad():
+            snap_mix, _ = moe.route_instance(snap_pools, cls, tc.topk)
             prev = enc.encode_with_experts(ids, mask, weights, snap_pools,
-                                           snap_decisions).cls.data.copy()
+                                           snap_mix).cls.data.copy()
         parts = {
             "ce": obj.ce_loss(head, feats, gold),
-            "router": moe.router_loss(decisions),
+            "router": moe.router_loss(records),
             "label": obj.label_contrastive_loss(feats, gold, bank, labels),
             "fd": obj.feature_distill_loss(prev, feats),
             "pd": obj.prediction_distill_loss(snap_head, prev, head, feats, labels),

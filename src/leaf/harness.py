@@ -131,10 +131,8 @@ def run_once(dataset, desc_raw, weights, vocab, base_names, resolved, seed,
 
 
 def _atomic_write(path, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with encoder.atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_run_dir(out_dir, resolved, seed, matrix: metrics.MetricMatrix,
@@ -186,6 +184,9 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
             tensors[f"{base}/expert{m}.B"] = e.B.data
     tensors["head/weight"] = state.head.weight.data
     tensors["head/bias"] = state.head.bias.data
+    if state.head.hidden:
+        tensors["head/h_weight"] = state.head.h_weight.data
+        tensors["head/h_bias"] = state.head.h_bias.data
     encoder.save_tensors(tensors, path, meta={"class_order": state.head.class_order})
 
 

@@ -4,13 +4,15 @@ Each adapted attention projection carries a pool of M low-rank experts
 plus an M x d routing matrix. Scores are dot products between routing
 rows and the frozen-backbone [CLS] vector; the top-K experts by score
 are combined with normalized weights. A per-token routing mode is kept
-around as a comparison baseline.
+around as a comparison baseline. Both route a whole batch at once: one
+score matmul, top-K mask and combine per pool, on [B, d] [CLS] rows or
+[B, S, d] hidden states alike.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +51,6 @@ class ExpertPool:
             out.extend([e.A, e.B])
         out.append(self.routing)
         return out
-
-
-@dataclass
-class RoutingDecision:
-    """Per (layer, projection): selected indices, raw scores, weights."""
-    entries: dict[tuple[int, str], dict] = field(default_factory=dict)
-
-    def indices(self, key) -> list[int]:
-        return self.entries[key]["indices"]
-
-    def weights(self, key) -> Tensor:
-        return self.entries[key]["weights"]
-
-    def raw_scores(self, key) -> Tensor:
-        return self.entries[key]["scores"]
 
 
 def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
@@ -114,68 +101,69 @@ def copy_pools(pools) -> dict[tuple[int, str], ExpertPool]:
     return out
 
 
-def score(pool: ExpertPool, cls) -> Tensor:
-    """s_k = <routing row k, cls> for each expert."""
-    cls = T.as_tensor(cls)
-    if cls.shape[-1] != pool.routing.shape[1]:
-        raise T.ShapeError(
-            f"cls dim {cls.shape[-1]} != routing dim {pool.routing.shape[1]}")
-    return T.matmul(pool.routing, cls)
-
-
-def select_topk(scores, K: int) -> list[int]:
-    """Indices of the K largest scores (equivalently, the size-K subset with
-    maximal score sum). Ties break toward the smaller index; sorted output."""
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    M = s.shape[0]
+def select_topk(scores, K: int) -> np.ndarray:
+    """Boolean [..., M] mask of the K largest scores along the last axis
+    (equivalently, the size-K subset with maximal score sum) of every row.
+    Ties break toward the smaller index."""
+    s = np.asarray(scores.data if isinstance(scores, Tensor) else scores, dtype=np.float64)
+    M = s.shape[-1]
     if not 1 <= K <= M:
         raise ValueError(f"K={K} out of range for {M} experts")
-    order = np.argsort(-s, kind="stable")  # stable keeps lower index first on ties
-    return sorted(int(i) for i in order[:K])
+    order = np.argsort(-s, axis=-1, kind="stable")  # stable keeps lower index first on ties
+    selected = np.zeros(s.shape, dtype=bool)
+    np.put_along_axis(selected, order[..., :K], True, axis=-1)
+    return selected
 
 
-def combine_weights(scores: Tensor, indices, mode: str = "softmax") -> tuple[Tensor, bool]:
-    """Normalize the selected raw scores into combination weights.
+def combine_weights(scores: Tensor, selected: np.ndarray,
+                    mode: str = "softmax") -> tuple[Tensor, np.ndarray]:
+    """Normalize the selected raw scores of every row into mix weights,
+    zero off the selection.
 
-    "softmax": softmax over the K selected scores. "paper-literal":
-    s_k / sum(s_k'), falling back to softmax when any selected score is
-    <= 0 or the denominator is tiny. Returns (weights, fallback_used).
+    "softmax": softmax over the selected scores. "paper-literal":
+    s_k / sum(s_k'), falling back to softmax for a row when any of its
+    selected scores is <= 0 or the denominator is tiny. Returns
+    (mix [..., M], per-row fallback flags [...]).
     """
-    selected = T.take(scores, np.asarray(indices, dtype=np.int64))
-    if mode == "paper-literal":
-        vals = selected.data
-        denom = float(vals.sum())
-        if (vals <= 0).any() or denom < 1e-6:
-            logger.info("paper-literal normalizer degenerate (scores=%s); using softmax fallback",
-                        np.array2string(vals, precision=4))
-            return T.softmax(selected, axis=-1), True
-        return T.div(selected, T.tsum(selected)), False
-    if mode != "softmax":
+    if mode not in ("softmax", "paper-literal"):
         raise ValueError(f"unknown combine mode {mode!r}")
-    return T.softmax(selected, axis=-1), False
+    soft = T.softmax(T.add(scores, Tensor(np.where(selected, 0.0, -1e30))), axis=-1)
+    if mode == "softmax":
+        return soft, np.zeros(selected.shape[:-1], dtype=bool)
+    s = scores.data
+    sums = np.where(selected, s, 0.0).sum(axis=-1, keepdims=True)
+    ok = ~((np.where(selected, s, np.inf) <= 0).any(axis=-1, keepdims=True) | (sums < 1e-6))
+    if not ok.all():
+        logger.info("paper-literal normalizer degenerate for %d rows; softmax fallback",
+                    int((~ok).sum()))
+    # zero out degenerate rows before dividing so no NaN enters the graph
+    fallback = Tensor(1.0 - ok.astype(float))
+    numer = T.mul(scores, Tensor((selected & ok).astype(float)))
+    denom = T.add(T.tsum(numer, axis=-1, keepdims=True), fallback)
+    mix = T.add(T.div(numer, denom), T.mul(soft, fallback))
+    return mix, ~ok[..., 0]
 
 
-def route_instance(pools, cls, K: int, mode: str = "softmax") -> RoutingDecision:
-    """Score -> top-K -> weights for every pool, from one frozen [CLS] vector."""
-    decision = RoutingDecision()
+def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict]:
+    scores = T.matmul(h, T.transpose(pool.routing))  # [..., M]
+    selected = select_topk(scores, K)
+    mix, _ = combine_weights(scores, selected, mode)
+    return mix, {"scores": scores, "selected": selected,
+                 "key": (pool.layer_index, pool.projection_tag)}
+
+
+def route_instance(pools, cls, K: int, mode: str = "softmax") -> tuple[dict, list[dict]]:
+    """Score -> top-K -> weights for every pool from the frozen [CLS] rows.
+
+    cls is [B, d]; returns per pool a [B, M] mix tensor, and one record of
+    the raw scores and selections per pool for the router loss.
+    """
+    cls = T.as_tensor(cls)
+    mix, records = {}, []
     for key in sorted(pools):
-        pool = pools[key]
-        s = score(pool, cls)
-        idx = select_topk(s, K)
-        w, fallback = combine_weights(s, idx, mode=mode)
-        decision.entries[key] = {"indices": idx, "scores": s, "weights": w,
-                                 "fallback": fallback}
-    return decision
-
-
-def instance_mix_weights(pools, decisions) -> dict[tuple[int, str], Tensor]:
-    """Per pool, a [B, M] tensor of combination weights (zero off-selection)."""
-    mix = {}
-    for key in sorted(pools):
-        M = pools[key].num_experts
-        rows = [T.scatter1d(dec.weights(key), dec.indices(key), M) for dec in decisions]
-        mix[key] = T.stack_rows(rows)
-    return mix
+        mix[key], record = _route(pools[key], cls, K, mode)
+        records.append(record)
+    return mix, records
 
 
 def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
@@ -185,81 +173,37 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
     x is [B, S, d]; returns a [B, S, M] mix tensor plus a record of the
     raw scores and per-token selections for the router loss.
     """
-    scores = T.matmul(x, T.transpose(pool.routing))  # [B, S, M]
-    s = scores.data
-    M = pool.num_experts
-    if not 1 <= K <= M:
-        raise ValueError(f"K={K} out of range for {M} experts")
-    order = np.argsort(-s, axis=-1, kind="stable")
-    sel = np.zeros_like(s, dtype=bool)
-    np.put_along_axis(sel, order[..., :K], True, axis=-1)
-    if mode == "paper-literal":
-        sums = np.where(sel, s, 0.0).sum(axis=-1, keepdims=True)
-        ok = ~((np.where(sel, s, np.inf) <= 0).any(axis=-1, keepdims=True)
-               | (sums < 1e-6))
-        if not ok.all():
-            logger.info("paper-literal normalizer degenerate for %d tokens; softmax fallback",
-                        int((~ok).sum()))
-        soft = T.softmax(T.add(scores, Tensor(np.where(sel, 0.0, -1e30))), axis=-1)
-        # zero out degenerate rows before dividing so no NaN enters the graph
-        ok_sel = Tensor((sel & ok).astype(float))
-        numer = T.mul(scores, ok_sel)
-        denom = T.add(T.tsum(numer, axis=-1, keepdims=True), Tensor(1.0 - ok.astype(float)))
-        literal = T.div(numer, denom)
-        mix = T.add(literal, T.mul(soft, Tensor(1.0 - ok.astype(float))))
-    else:
-        if mode != "softmax":
-            raise ValueError(f"unknown combine mode {mode!r}")
-        masked = T.add(scores, Tensor(np.where(sel, 0.0, -1e30)))
-        mix = T.softmax(masked, axis=-1)
-    record = {"scores": scores, "selected": sel,
-              "key": (pool.layer_index, pool.projection_tag)}
-    return mix, record
+    return _route(pool, x, K, mode)
 
 
-def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor,
-               batched: bool = True, per_token: bool = False) -> Tensor:
-    """Weighted sum of expert outputs: sum_m mix[.., m] * (x B_m^T) A_m^T."""
+def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
+    """Weighted sum of expert outputs: sum_m mix[.., m] * (x B_m^T) A_m^T.
+
+    mix is [B, M] (one weight per instance) or [B, S, M] (per token).
+    """
     delta = None
     for m, expert in enumerate(pool.experts):
-        if not per_token and not T.grad_enabled() and float(np.abs(mix.data[..., m]).max(initial=0.0)) == 0.0:
-            continue
+        if not T.grad_enabled() and not mix.data[..., m].any():
+            continue  # no row selected this expert: its term is exactly zero
         term = T.matmul(T.matmul(x, T.transpose(expert.B)), T.transpose(expert.A))
         col = T.select_index(mix, m, axis=-1)
-        if per_token:
-            w = T.reshape(col, col.shape + (1,))
-        elif batched:
-            w = T.reshape(col, (col.shape[0], 1, 1))
-        else:
-            w = col
+        w = T.reshape(col, col.shape + (1,) * (x.data.ndim - col.data.ndim))
         term = T.mul(term, w)
         delta = term if delta is None else T.add(delta, term)
     return delta
 
 
-def router_loss(decisions) -> Tensor:
-    """Negative mean (over instances and pools) of summed selected scores.
-
-    Accepts instance-level RoutingDecisions or token-level records from
-    token_mix_weights; gradient pushes selected scores upward.
+def router_loss(records) -> Tensor:
+    """Negative mean over pools of the summed selected scores, averaged
+    over the rows (instances or tokens) of each pool's routing record;
+    the gradient pushes selected scores upward.
     """
-    terms = []
-    n_pools = 0
-    for dec in decisions:
-        if isinstance(dec, RoutingDecision):
-            n_pools = max(n_pools, len(dec.entries))
-            for key in sorted(dec.entries):
-                sel = T.take(dec.raw_scores(key), dec.indices(key))
-                terms.append(T.tsum(sel))
-        else:  # token-level record: mean over tokens of summed selected scores
-            n_pools = max(n_pools, 1)
-            sel_mask = Tensor(dec["selected"].astype(float))
-            per_token = T.tsum(T.mul(dec["scores"], sel_mask), axis=-1)
-            terms.append(T.tmean(per_token))
-    if not terms:
+    if not records:
         return Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    n_inst = len(decisions)
-    return T.mul(total, -1.0 / (n_inst * max(n_pools, 1)))
+    total = None
+    for record in records:
+        per_row = T.tsum(T.mul(record["scores"], Tensor(record["selected"].astype(float))),
+                         axis=-1)
+        term = T.tmean(per_row)
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, -1.0 / len(records))

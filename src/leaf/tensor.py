@@ -30,6 +30,10 @@ class DegenerateVectorError(ValueError):
     """Raised when a vector is too short for a norm-dependent op."""
 
 
+class NumericalError(ValueError):
+    """Raised when a value that must be finite (input, loss, gradient) is not."""
+
+
 _grad_enabled = True
 
 
@@ -399,31 +403,6 @@ def select_index(a, index: int, axis: int) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=0)
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            t.accumulate_grad(g[i])
-
-    return _node(data, tuple(tensors), bw)
-
-
-def scatter1d(values, indices, size: int) -> Tensor:
-    """Place a K-vector into a zero vector of length `size` at `indices`."""
-    values = as_tensor(values)
-    idx = np.asarray(indices, dtype=np.int64)
-    data = np.zeros(size, dtype=np.float64)
-    data[idx] = values.data
-
-    def bw(g):
-        values.accumulate_grad(np.asarray(g)[idx])
-
-    return _node(data, (values,), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions with stability guards
 
@@ -431,7 +410,7 @@ def scatter1d(values, indices, size: int) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     if np.isnan(a.data).any():
-        raise ValueError("softmax received NaN input")
+        raise NumericalError("softmax received NaN input")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
@@ -446,7 +425,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     if np.isnan(a.data).any():
-        raise ValueError("log_softmax received NaN input")
+        raise NumericalError("log_softmax received NaN input")
     m = a.data.max(axis=axis, keepdims=True)
     shifted = a.data - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -592,7 +571,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
         p.grad = None
     loss = f()
     if np.isnan(loss.data).any():
-        raise ValueError("grad_check: f returned NaN")
+        raise NumericalError("grad_check: f returned NaN")
     loss.backward()
     analytic = {id(p): (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for p in params}

@@ -50,7 +50,7 @@ def test_acceptance_2_routing_selection_oracle():
         M = int(rng.integers(2, 9))
         scores = Tensor(rng.normal(0.0, 1.0, M))
         for K in range(1, M + 1):
-            got = sorted(moe.select_topk(scores, K))
+            got = np.flatnonzero(moe.select_topk(scores, K)).tolist()
             best = max(itertools.combinations(range(M), K),
                        key=lambda c: (scores.data[list(c)].sum(), [-j for j in c]))
             if got != sorted(best):
@@ -77,8 +77,8 @@ def test_acceptance_3_zero_delta_equivalence():
             text = " ".join(f"w{rng.integers(60)}" for _ in range(n))
             ids, mask = encoder.tokenize(text, vocab, cfg.max_seq_len)
             base = encoder.encode_base(ids, mask, weights)
-            dec = moe.route_instance(pools, base.cls, 2)
-            out = encoder.encode_with_experts(ids, mask, weights, pools, dec)
+            mix, _ = moe.route_instance(pools, base.cls, 2)
+            out = encoder.encode_with_experts(ids, mask, weights, pools, mix)
             worst = max(worst,
                         float(np.abs(out.cls.data - base.cls.data).max()),
                         float(np.abs(out.token_states.data - base.token_states.data).max()))
@@ -118,8 +118,8 @@ def test_acceptance_4_single_expert_weight_merge():
             text = " ".join(f"w{rng.integers(40)}" for _ in range(n))
             ids, mask = encoder.tokenize(text, vocab, cfg.max_seq_len)
             cls = encoder.encode_base(ids, mask, weights).cls
-            dec = moe.route_instance(pools, cls, 1)
-            expert_out = encoder.encode_with_experts(ids, mask, weights, pools, dec)
+            mix, _ = moe.route_instance(pools, cls, 1)
+            expert_out = encoder.encode_with_experts(ids, mask, weights, pools, mix)
             merged_out = encoder.encode_base(ids, mask, merged)
             worst = max(worst, float(np.abs(expert_out.cls.data
                                             - merged_out.cls.data).max()))

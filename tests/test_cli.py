@@ -152,6 +152,19 @@ class TestTrain:
         assert (env_out / "metrics.json").read_bytes() == \
             (root / "det_a" / "metrics.json").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_loss_is_numerical_error(self, workspace, monkeypatch, capsys):
+        from leaf import objectives
+        from leaf import tensor as T
+
+        root, cfg = workspace
+        real_ce = objectives.ce_loss
+        monkeypatch.setattr(objectives, "ce_loss",
+                            lambda *a, **kw: T.mul(real_ce(*a, **kw), float("inf")))
+        assert main(["train", "--config", str(cfg), "--mode", "leaf",
+                     "--out", str(root / "inf_loss"), "--seed", "0"]) == 3
+        assert "task 1, step 1" in capsys.readouterr().err
+
     def test_bad_env_seed_is_usage_error(self, workspace, monkeypatch):
         root, cfg = workspace
         monkeypatch.setenv("LEAF_SEED", "seven")
@@ -186,6 +199,9 @@ class TestAblate:
 class TestGradcheckAndReport:
     def test_poisoned_input_is_numerical_error(self):
         assert main(["gradcheck", "--poison-nan"]) == 3
+
+    def test_gradcheck_rejects_config_flag(self):
+        assert main(["gradcheck", "--config", "x.ini"]) == 2
 
     def test_report_aggregates_runs(self, workspace, capsys):
         root, cfg = workspace

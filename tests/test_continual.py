@@ -9,6 +9,7 @@ from leaf import continual as C
 from leaf import data_synth as DS
 from leaf import descriptions as D
 from leaf import encoder as E
+from leaf import harness
 from leaf import objectives as obj
 
 
@@ -118,7 +119,7 @@ class TestMemoryBuffer:
         picked = C.select_exemplar(state, {0: group})
         assert picked[0] in group
         # oracle: recompute features directly and compare cosine-to-mean argmax
-        feats, _ = C.forward_features(state, group)
+        feats, _, _ = C.forward_features(state, group)
         f = feats.data
         mean = f.mean(axis=0)
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * np.linalg.norm(mean))
@@ -139,7 +140,7 @@ class TestSnapshotAndHead:
         state.pools[key].experts[0].A.data[0, 0] += 1.0
         assert snap.pools[key].experts[0].A.data[0, 0] != \
             state.pools[key].experts[0].A.data[0, 0]
-        assert snap.class_order == [0, 1]
+        assert snap.head.class_order == [0, 1]
         assert all(not p.requires_grad for p in snap.head.params())
 
     def test_head_growth_preserves_old_rows(self):
@@ -152,6 +153,99 @@ class TestSnapshotAndHead:
         state.head.grow([2, 3])
         np.testing.assert_array_equal(state.head.weight.data[:2], old)
         assert state.head.class_order == [0, 1, 2, 3]
+
+
+# ------------------------------------------------------ per-run frozen cache
+
+class TestFrozenCache:
+    def test_fresh_state_starts_empty(self):
+        ds = tiny_dataset()
+        state = tiny_state(ds)
+        C.forward_features(state, [DS.Instance(text=t, label=0) for t in ds.train[0][:3]])
+        assert len(state.cls_cache) == 3 and len(state.token_cache) == 3
+        again = C.init_state(state.weights, state.vocab, state.bank, state.config)
+        assert again.cls_cache == {} and again.token_cache == {}
+
+    def test_cold_and_warm_features_byte_identical(self):
+        ds = tiny_dataset()
+        batch = [DS.Instance(text=t, label=y) for y in (0, 1) for t in ds.train[y][:3]]
+        cold = tiny_state(ds)
+        feats_cold, _, cls_cold = C.forward_features(cold, batch)
+        warm = tiny_state(ds)
+        C.forward_features(warm, batch[3:][::-1])  # half the batch cached, other order
+        feats_warm, _, cls_warm = C.forward_features(warm, batch)
+        assert cls_warm.tobytes() == cls_cold.tobytes()
+        ids, mask = C._batch_arrays(cold, batch)
+        direct = E.encode_base(ids, mask, cold.weights).cls.data
+        assert cls_cold.tobytes() == direct.tobytes()
+        assert feats_warm.data.tobytes() == feats_cold.data.tobytes()
+        feats_hot, _, _ = C.forward_features(cold, batch)
+        assert feats_hot.data.tobytes() == feats_cold.data.tobytes()
+
+    def test_augmented_rows_never_cached(self):
+        ds = tiny_dataset()
+        state = tiny_state(ds, augment=True)
+        clean = [DS.Instance(text=t, label=0) for t in ds.train[0][:2]]
+        noisy = [DS.Instance(text=t, label=1, source="augmented") for t in ds.train[1][:2]]
+        batch = clean + noisy
+        noise = C._noise_for(state, batch, (len(batch), state.weights.config.max_seq_len))
+        _, _, cls = C.forward_features(state, batch, embed_noise=noise)
+        assert set(state.cls_cache) == {i.text for i in clean}
+        _, _, cls_clean = C.forward_features(state, noisy)
+        assert np.abs(cls[2:] - cls_clean).max() > 0.0
+
+    def test_teacher_call_does_not_encode(self, monkeypatch):
+        ds = tiny_dataset()
+        state = tiny_state(ds, augment=True)
+        stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
+        C.train_task(0, stream, state)
+        real_forward, real_encode = C.forward_features, E.encode_base
+        roles, called, encodes = [], set(), []
+
+        def forward(st, instances, pools=None, **kw):
+            roles.append("teacher" if pools is st.snapshot.pools else "student")
+            called.add(roles[-1])
+            try:
+                return real_forward(st, instances, pools=pools, **kw)
+            finally:
+                roles.pop()
+
+        def encode(*args, **kw):
+            encodes.append(roles[-1] if roles else None)
+            return real_encode(*args, **kw)
+
+        monkeypatch.setattr(C, "forward_features", forward)
+        monkeypatch.setattr(E, "encode_base", encode)
+        C.train_task(1, stream, state)
+        assert called == {"student", "teacher"}
+        assert "student" in encodes  # augmented rows are encoded every step
+        assert "teacher" not in encodes
+
+
+# --------------------------------------------------------------- checkpoints
+
+class TestCheckpoint:
+    def test_hidden_head_saved_and_no_tmp_left(self, tmp_path):
+        ds = tiny_dataset()
+        state = tiny_state(ds, mlp_head=True)
+        state.head.grow([0, 1])
+        path = tmp_path / "task_1.bin"
+        harness._save_checkpoint(state, path)
+        tensors, meta = E.load_tensors(path)
+        np.testing.assert_array_equal(tensors["head/h_weight"], state.head.h_weight.data)
+        np.testing.assert_array_equal(tensors["head/h_bias"], state.head.h_bias.data)
+        assert meta["class_order"] == [0, 1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["task_1.bin"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with E.atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 # --------------------------------------------------------------- train loop
@@ -190,7 +284,7 @@ class TestTraining:
         assert snap0 is not None
         C.train_task(1, stream, state)
         assert state.snapshot is not snap0
-        assert state.snapshot.class_order == stream.seen_labels(1)
+        assert state.snapshot.head.class_order == stream.seen_labels(1)
 
     def test_missing_snapshot_with_distillation_raises(self):
         _, state, stream = self.make_run()

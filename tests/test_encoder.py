@@ -146,8 +146,8 @@ class TestExpertForward:
                                rank=4, rng=np.random.default_rng(1))
         ids, mask = E.tokenize("alpha beta gamma", vocab, cfg.max_seq_len)
         cls = E.encode_base(ids, mask, w).cls
-        decision = moe.route_instance(pools, cls, K=2)
-        out = E.encode_with_experts(ids, mask, w, pools, decision)
+        mix, _ = moe.route_instance(pools, cls, K=2)
+        out = E.encode_with_experts(ids, mask, w, pools, mix)
         np.testing.assert_allclose(out.cls.data, cls.data, atol=1e-12)
 
     def test_nonzero_experts_change_output(self):
@@ -159,8 +159,8 @@ class TestExpertForward:
                 ex.B.data[:] = rng.normal(0, 0.05, ex.B.data.shape)
         ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
         cls = E.encode_base(ids, mask, w).cls
-        decision = moe.route_instance(pools, cls, K=2)
-        out = E.encode_with_experts(ids, mask, w, pools, decision)
+        mix, _ = moe.route_instance(pools, cls, K=2)
+        out = E.encode_with_experts(ids, mask, w, pools, mix)
         assert np.abs(out.cls.data - cls.data).max() > 1e-8
 
     def test_missing_decision_raises(self):

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leaf.moe as moe
 import leaf.tensor as T
@@ -80,16 +82,18 @@ def test_select_topk_matches_exhaustive_on_random_vectors():
         M = int(rng.integers(2, 9))
         s = rng.normal(size=M)
         for K in range(1, M + 1):
-            assert moe.select_topk(s, K) == exhaustive_best_subset(s, K)
+            assert np.flatnonzero(moe.select_topk(s, K)).tolist() == exhaustive_best_subset(s, K)
 
 
 def test_select_topk_tie_breaks_to_lower_index():
-    assert moe.select_topk(np.array([0.5, 0.5, 0.5]), 2) == [0, 1]
-    assert moe.select_topk(np.array([0.1, 0.5, 0.5]), 1) == [1]
+    assert moe.select_topk(np.array([0.5, 0.5, 0.5]), 2).tolist() == [True, True, False]
+    assert moe.select_topk(np.array([0.1, 0.5, 0.5]), 1).tolist() == [False, True, False]
 
 
 def test_select_topk_output_sorted_and_validated():
-    assert moe.select_topk(np.array([0.1, 0.9, 0.5]), 2) == [1, 2]
+    # one boolean mask per row, rows selected independently
+    got = moe.select_topk(np.array([[0.1, 0.9, 0.5], [0.7, 0.2, 0.3]]), 2)
+    assert got.tolist() == [[False, True, True], [True, False, True]]
     with pytest.raises(ValueError):
         moe.select_topk(np.array([1.0, 2.0]), 3)
     with pytest.raises(ValueError):
@@ -101,56 +105,64 @@ def test_select_topk_output_sorted_and_validated():
 
 def test_combine_weights_softmax_oracle():
     scores = Tensor(np.array([0.9, 0.1, 0.5]))
-    w, fallback = moe.combine_weights(scores, [0, 2], mode="softmax")
+    w, fallback = moe.combine_weights(scores, np.array([True, False, True]), mode="softmax")
     e = np.exp([0.9, 0.5])
-    np.testing.assert_allclose(w.data, e / e.sum(), atol=1e-12)
+    np.testing.assert_allclose(w.data, [e[0] / e.sum(), 0.0, e[1] / e.sum()], atol=1e-12)
     assert not fallback
 
 
 def test_combine_weights_paper_literal():
     scores = Tensor(np.array([3.0, 1.0, 4.0]))
-    w, fallback = moe.combine_weights(scores, [0, 2], mode="paper-literal")
-    np.testing.assert_allclose(w.data, [3 / 7, 4 / 7], atol=1e-12)
+    w, fallback = moe.combine_weights(scores, np.array([True, False, True]),
+                                      mode="paper-literal")
+    np.testing.assert_allclose(w.data, [3 / 7, 0.0, 4 / 7], atol=1e-12)
     assert not fallback
 
 
 def test_combine_weights_paper_literal_fallback_on_nonpositive():
-    scores = Tensor(np.array([-1.0, 2.0]))
-    w, fallback = moe.combine_weights(scores, [0, 1], mode="paper-literal")
-    assert fallback
-    np.testing.assert_allclose(w.data.sum(), 1.0, atol=1e-12)
+    scores = Tensor(np.array([[-1.0, 2.0], [1.0, 3.0]]))
+    w, fallback = moe.combine_weights(scores, np.ones((2, 2), dtype=bool),
+                                      mode="paper-literal")
+    assert fallback.tolist() == [True, False]
+    e = np.exp([-1.0, 2.0])
+    np.testing.assert_allclose(w.data[0], e / e.sum(), atol=1e-12)
+    np.testing.assert_allclose(w.data[1], [0.25, 0.75], atol=1e-12)
 
 
 def test_combine_weights_unknown_mode():
     with pytest.raises(ValueError):
-        moe.combine_weights(Tensor(np.ones(2)), [0], mode="mystery")
+        moe.combine_weights(Tensor(np.ones(2)), np.array([True, False]), mode="mystery")
 
 
 def test_route_instance_entries():
     pools = moe.init_pools(2, 6, 4, 2, np.random.default_rng(0))
-    cls = Tensor(RNG.normal(size=6))
-    dec = moe.route_instance(pools, cls, K=2)
-    assert set(dec.entries) == set(pools)
-    for key in pools:
-        idx = dec.indices(key)
-        assert len(idx) == 2 and idx == sorted(idx)
-        np.testing.assert_allclose(dec.weights(key).data.sum(), 1.0, atol=1e-12)
-        expected = pools[key].routing.data @ cls.data
-        np.testing.assert_allclose(dec.raw_scores(key).data, expected, atol=1e-12)
+    cls = RNG.normal(size=(3, 6))
+    mix, records = moe.route_instance(pools, cls, K=2)
+    assert set(mix) == set(pools)
+    assert [r["key"] for r in records] == sorted(pools)
+    for record in records:
+        key = record["key"]
+        assert mix[key].shape == (3, 4)
+        assert record["selected"].sum(axis=-1).tolist() == [2, 2, 2]
+        np.testing.assert_allclose(mix[key].data.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(mix[key].data[~record["selected"]], 0.0)
+        expected = cls @ pools[key].routing.data.T
+        np.testing.assert_allclose(record["scores"].data, expected, atol=1e-12)
 
 
 def test_instance_mix_weights_scatter():
     pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0))
-    cls_a = Tensor(RNG.normal(size=6))
-    cls_b = Tensor(RNG.normal(size=6))
-    decs = [moe.route_instance(pools, c, K=2) for c in (cls_a, cls_b)]
-    mix = moe.instance_mix_weights(pools, decs)[(0, "q")]
-    assert mix.shape == (2, 4)
-    for row, dec in zip(mix.data, decs):
-        idx = dec.indices((0, "q"))
-        np.testing.assert_allclose(row[idx], dec.weights((0, "q")).data, atol=1e-12)
+    cls = RNG.normal(size=(2, 6))
+    mix, records = moe.route_instance(pools, cls, K=2)
+    row_mix = mix[(0, "q")].data
+    assert row_mix.shape == (2, 4)
+    for b in range(2):
+        s = pools[(0, "q")].routing.data @ cls[b]
+        idx = exhaustive_best_subset(s, 2)
+        e = np.exp(s[idx] - s[idx].max())
+        np.testing.assert_allclose(row_mix[b, idx], e / e.sum(), atol=1e-12)
         off = [m for m in range(4) if m not in idx]
-        np.testing.assert_array_equal(row[off], 0.0)
+        np.testing.assert_array_equal(row_mix[b, off], 0.0)
 
 
 # ---------------------------------------------------------------- deltas
@@ -194,26 +206,27 @@ def test_token_mix_weights_shape_and_selection():
 
 def test_router_loss_oracle():
     pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0))
-    cls = [Tensor(RNG.normal(size=6)) for _ in range(3)]
-    decs = [moe.route_instance(pools, c, K=2) for c in cls]
-    loss = float(moe.router_loss(decs).data)
+    cls = RNG.normal(size=(3, 6))
+    _, records = moe.route_instance(pools, cls, K=2)
+    loss = float(moe.router_loss(records).data)
     expected = 0.0
-    for dec in decs:
-        for key in sorted(dec.entries):
-            expected += dec.raw_scores(key).data[dec.indices(key)].sum()
+    for key in sorted(pools):
+        for b in range(3):
+            s = pools[key].routing.data @ cls[b]
+            expected += s[exhaustive_best_subset(s, 2)].sum()
     expected *= -1.0 / (3 * 2)  # 3 instances, 2 pools
     assert abs(loss - expected) <= 1e-12
 
 
 def test_router_loss_gradient_raises_selected_scores():
     pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0))
-    cls = Tensor(RNG.normal(size=6))
-    dec = moe.route_instance(pools, cls, K=2)
-    loss = moe.router_loss([dec])
+    cls = RNG.normal(size=(1, 6))
+    _, records = moe.route_instance(pools, cls, K=2)
+    loss = moe.router_loss(records)
     loss.backward()
     routing = pools[(0, "q")].routing
     g = routing.grad
-    idx = dec.indices((0, "q"))
+    idx = np.flatnonzero(records[0]["selected"][0])
     # gradient descent on -sum(selected) increases selected scores only
     for m in range(4):
         if m in idx:
@@ -224,3 +237,41 @@ def test_router_loss_gradient_raises_selected_scores():
 
 def test_router_loss_empty():
     assert float(moe.router_loss([]).data) == 0.0
+
+
+# ---------------------------------------------------------------- properties
+
+
+def _row_oracle(s, K, mode):
+    """Per-row reference: exhaustive top-K, then softmax or s/sum with the
+    softmax fallback, scattered into a length-M row."""
+    idx = exhaustive_best_subset(s, K)
+    sel = s[idx]
+    soft = np.exp(sel - sel.max())
+    soft /= soft.sum()
+    fallback = mode == "paper-literal" and ((sel <= 0).any() or sel.sum() < 1e-6)
+    w = sel / sel.sum() if mode == "paper-literal" and not fallback else soft
+    row = np.zeros(len(s))
+    row[idx] = w
+    return idx, row, fallback
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["softmax", "paper-literal"]))
+def test_batched_router_matches_per_row_oracle(data, mode):
+    B = data.draw(st.integers(1, 6), label="B")
+    M = data.draw(st.integers(1, 6), label="M")
+    K = data.draw(st.integers(1, M), label="K")
+    # a few coarse values, so rows carry ties and non-positive scores
+    scores = np.array(data.draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                                                  min_size=M, max_size=M),
+                                         min_size=B, max_size=B), label="scores"))
+    pool = make_pool(M=M, d=M, r=1)
+    pool.routing.data[...] = np.eye(M)  # scores = cls exactly
+    mix, records = moe.route_instance({(0, "q"): pool}, scores, K, mode)
+    _, fallback = moe.combine_weights(records[0]["scores"], records[0]["selected"], mode)
+    for b in range(B):
+        idx, row, fb = _row_oracle(scores[b], K, mode)
+        assert np.flatnonzero(records[0]["selected"][b]).tolist() == idx
+        np.testing.assert_allclose(mix[(0, "q")].data[b], row, rtol=0.0, atol=1e-12)
+        assert bool(fallback[b]) == fb

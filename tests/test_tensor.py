@@ -79,6 +79,14 @@ def test_softmax_hand_value():
     np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
 
+def test_nan_input_raises_numerical_error():
+    x = Tensor(np.array([0.0, np.nan]))
+    with pytest.raises(T.NumericalError):
+        T.softmax(x)
+    with pytest.raises(T.NumericalError):
+        T.log_softmax(x)
+
+
 def test_softmax_shift_invariance():
     x = RNG.normal(size=(3, 6))
     np.testing.assert_allclose(
@@ -129,12 +137,10 @@ def test_gelu_erf_reference():
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, ref, atol=1e-12)
 
 
-def test_scatter1d_and_take_roundtrip():
-    vals = Tensor(np.array([0.7, 0.3]), requires_grad=True)
-    out = T.scatter1d(vals, [3, 1], 5)
-    np.testing.assert_allclose(out.data, [0.0, 0.3, 0.0, 0.7, 0.0], atol=1e-15)
-    back = T.take(out, [3, 1])
-    np.testing.assert_allclose(back.data, vals.data, atol=1e-15)
+def test_take_gathers_along_axis():
+    a = Tensor(np.arange(10.0).reshape(2, 5))
+    np.testing.assert_array_equal(T.take(a, [3, 1], axis=1).data, [[3.0, 1.0], [8.0, 6.0]])
+    np.testing.assert_array_equal(T.take(a, [1], axis=0).data, [[5.0, 6.0, 7.0, 8.0, 9.0]])
 
 
 def test_embedding_lookup():
@@ -205,14 +211,14 @@ def test_grad_gelu_tanh_relu_exp_log_sqrt_div():
     assert_grads_match(f, [x, y], tol=1e-5)
 
 
-def test_grad_cosine_and_stack_scatter():
+def test_grad_cosine_and_take():
     u = Tensor(RNG.normal(size=4), requires_grad=True)
     v = Tensor(RNG.normal(size=4), requires_grad=True)
 
     def f():
-        rows = T.stack_rows([T.scatter1d(u, [0, 2, 1, 3], 4), v])
+        picked = T.take(u, [0, 2, 2, 3])  # a repeated index accumulates
         return T.add(T.cosine_similarity(u, v),
-                     T.tsum(T.mul(rows, rows)))
+                     T.tsum(T.mul(picked, v)))
 
     assert_grads_match(f, [u, v], tol=1e-5)
 
