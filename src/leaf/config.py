@@ -1,17 +1,19 @@
 """Run configuration: INI-style key=value sections with a fixed schema.
 
-Unknown sections or keys are rejected; every run writes its fully
-resolved configuration to the run directory so it can be replayed.
+Unknown sections or keys, enum values outside their set and out-of-range
+numbers are rejected at parse time; every run writes its fully resolved
+configuration to the run directory so it can be replayed.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 
 from .continual import TrainConfig
 from .data_synth import GeneratorSpec
-from .encoder import EncoderConfig, atomic_open
+from .encoder import PROJECTION_TAGS, EncoderConfig, atomic_open
 from .objectives import LossWeights
 
 
@@ -36,6 +38,28 @@ def _str_list(s):
     return [p.strip() for p in str(s).split(",") if p.strip()]
 
 
+def _choice(*allowed):
+    def conv(s):
+        if s not in allowed:
+            raise ConfigError(f"must be one of {', '.join(allowed)}")
+        return s
+    return conv
+
+
+def _projections(s):
+    tags = _str_list(s)
+    if not tags or not set(tags) <= set(PROJECTION_TAGS):
+        raise ConfigError(f"must be a non-empty list of {', '.join(PROJECTION_TAGS)}")
+    return tags
+
+
+def _nonneg_float(s):
+    v = float(s)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ConfigError("must be finite and >= 0")
+    return v
+
+
 # section -> key -> (converter, default)
 SCHEMA = {
     "encoder": {
@@ -50,9 +74,9 @@ SCHEMA = {
         "num_experts": (int, 4),
         "topk": (int, 2),
         "rank": (int, 8),
-        "projections": (_str_list, ["q", "v"]),
-        "combine_mode": (str, "softmax"),
-        "routing": (str, "instance"),
+        "projections": (_projections, ["q", "v"]),
+        "combine_mode": (_choice("softmax", "paper-literal"), "softmax"),
+        "routing": (_choice("instance", "token"), "instance"),
         "routing_l2": (float, 1e-4),
     },
     "losses": {
@@ -73,7 +97,7 @@ SCHEMA = {
         "batch_size": (int, 8),
         "lr": (float, 1e-3),
         "augment": (_bool, False),
-        "sigma_aug": (float, 0.05),
+        "sigma_aug": (_nonneg_float, 0.05),
         "aug_copies": (int, 4),
         "n_descriptions": (int, 3),
     },

@@ -181,7 +181,12 @@ def _project(x: Tensor, weights: EncoderWeights, layer: int, tag: str,
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
              lora_delta=None, embed_noise: np.ndarray | None = None) -> SentenceEncoding:
     """Shared forward; `lora_delta(x, layer, tag) -> Tensor|None` hooks the
-    attention projections. ids/mask may carry leading batch dims."""
+    attention projections. ids/mask may carry a leading batch dim.
+
+    Padded keys get exactly zero attention (MASK_BIAS), so trailing columns
+    that are padding in every row cannot reach a real position: the batch
+    is cut to its last real column before the embedding lookup, and
+    `token_states`/`attention_mask` come back at that length."""
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
@@ -190,7 +195,12 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
     squeeze = ids.ndim == 1
     if squeeze:
         ids, mask = ids[None, :], mask[None, :]
-    bsz, seq = ids.shape
+        embed_noise = None if embed_noise is None else embed_noise[None]
+    seq = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    ids, mask = ids[:, :seq], mask[:, :seq]
+    if embed_noise is not None:
+        embed_noise = embed_noise[:, :seq]
+    bsz = ids.shape[0]
     h_dim = cfg.model_dim // cfg.num_heads
 
     x = T.add(T.embedding(weights.tensors["tok_emb"], ids),
@@ -244,7 +254,8 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     `mix` maps each pool key to its [B, M] instance-level mix weights
     (from `moe.route_instance`). When `token_topk` is given, `mix` is
     ignored and routing is recomputed per token inside each block; the
-    per-pool routing records land in `token_decisions`.
+    per-pool routing records land in `token_decisions`, each with the
+    (trimmed) attention mask as its row mask.
     """
     from . import moe  # local import to avoid a cycle
 
@@ -267,6 +278,8 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
         return moe.pool_delta(pool, x, token_mix)
 
     out = _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
+    for record in token_decisions:
+        record["mask"] = out.attention_mask  # the router loss averages real tokens only
     out.token_decisions = token_decisions
     return out
 

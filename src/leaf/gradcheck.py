@@ -2,9 +2,11 @@
 
 Builds a 2-layer / d=16 encoder with expert pools, evaluates the full
 combined objective (all terms active, distillation against a perturbed
-snapshot) on one synthetic batch, and compares analytic gradients with
-central finite differences. Expert selection is fixed once up front so
-the check differentiates the smooth branch of the piecewise objective.
+snapshot) on one synthetic batch of ragged sentences (2-6 words, so the
+trimmed forward keeps padding inside the batch), and compares analytic
+gradients with central finite differences. Expert selection is fixed once
+up front so the check differentiates the smooth branch of the piecewise
+objective.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ def build_tiny_problem(seed: int = 7, corrupt: bool = False, poison_nan: bool = 
         bank.texts[y] = [f"desc {y} a", f"desc {y} b"]
         bank._vectors[y] = [rng.normal(0.0, 0.5, cfg.model_dim) for _ in range(2)]
 
-    batch_texts = [" ".join(rng.choice([f"w{i}" for i in range(n_words)], size=6))
-                   for _ in range(4)]
+    # ragged lengths: the trimmed batch keeps padding inside its shorter rows
+    batch_texts = [" ".join(rng.choice([f"w{i}" for i in range(n_words)], size=n))
+                   for n in (2, 6, 3, 5)]
     gold = [0, 1, 2, 3]
     encoded = [enc.tokenize(t, vocab, cfg.max_seq_len) for t in batch_texts]
     ids = np.stack([e[0] for e in encoded])
@@ -81,7 +84,8 @@ def build_tiny_problem(seed: int = 7, corrupt: bool = False, poison_nan: bool = 
         for key in sorted(pools):
             scores = T.matmul(cls, T.transpose(pools[key].routing))
             mix[key], _ = moe.combine_weights(scores, fixed[key])
-            records.append({"scores": scores, "selected": fixed[key], "key": key})
+            records.append({"scores": scores, "selected": fixed[key],
+                            "mask": np.ones(len(gold)), "key": key})
         feats = enc.encode_with_experts(ids, mask, weights, pools, mix).cls
         if np.isnan(feats.data).any():
             raise T.NumericalError("NaN features in gradcheck forward")

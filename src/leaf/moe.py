@@ -149,6 +149,7 @@ def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict
     selected = select_topk(scores, K)
     mix, _ = combine_weights(scores, selected, mode)
     return mix, {"scores": scores, "selected": selected,
+                 "mask": np.ones(selected.shape[:-1]),
                  "key": (pool.layer_index, pool.projection_tag)}
 
 
@@ -195,15 +196,17 @@ def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
 
 def router_loss(records) -> Tensor:
     """Negative mean over pools of the summed selected scores, averaged
-    over the rows (instances or tokens) of each pool's routing record;
-    the gradient pushes selected scores upward.
+    over the real rows of each pool's routing record: its `mask` is 1 for
+    every instance, and for real (not padded) tokens under token routing.
+    The gradient pushes selected scores upward.
     """
     if not records:
         return Tensor(0.0)
     total = None
     for record in records:
-        per_row = T.tsum(T.mul(record["scores"], Tensor(record["selected"].astype(float))),
-                         axis=-1)
-        term = T.tmean(per_row)
+        mask = record["mask"]
+        weights = record["selected"] * mask[..., None]
+        per_row = T.tsum(T.mul(record["scores"], Tensor(weights)), axis=-1)
+        term = T.mul(T.tsum(per_row), 1.0 / mask.sum())
         total = term if total is None else T.add(total, term)
     return T.mul(total, -1.0 / len(records))

@@ -159,18 +159,18 @@ def label_contrastive_loss(features: Tensor, gold, bank, seen_labels,
 
 
 def feature_distill_loss(prev_features: np.ndarray, curr_features: Tensor) -> Tensor:
-    """Mean (1 - cosine(prev, curr)); prev rows are detached constants."""
+    """Mean (1 - cosine(prev, curr)) over rows, computed as 0.5 |u - v|^2 of
+    the unit-normalized rows, so it is >= 0 by construction and exactly 0
+    where curr equals prev; prev rows are detached constants."""
     prev = np.asarray(prev_features, dtype=np.float64)
-    n = prev.shape[0]
-    losses = []
-    for i in range(n):
-        curr_i = T.select_index(curr_features, i, axis=0)
-        cos = T.cosine_similarity(Tensor(prev[i]), curr_i)
-        losses.append(T.add(Tensor(1.0), T.mul(cos, -1.0)))
-    total = losses[0]
-    for item in losses[1:]:
-        total = T.add(total, item)
-    return T.mul(total, 1.0 / n)
+    prev_norm = np.sqrt((prev * prev).sum(axis=-1, keepdims=True))
+    curr_norm = T.sqrt(T.tsum(T.mul(curr_features, curr_features), axis=-1, keepdims=True))
+    if prev_norm.min() < T.EPS_NORM or curr_norm.data.min() < T.EPS_NORM:
+        raise T.DegenerateVectorError(
+            f"feature_distill_loss: row norm below {T.EPS_NORM} "
+            f"(min |prev|={prev_norm.min():.3g}, min |curr|={curr_norm.data.min():.3g})")
+    diff = T.add(T.div(curr_features, curr_norm), Tensor(-(prev / prev_norm)))
+    return T.mul(T.tsum(T.mul(diff, diff)), 0.5 / prev.shape[0])
 
 
 def prediction_distill_loss(prev_head: DetectorHead, prev_features: np.ndarray,

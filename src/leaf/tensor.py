@@ -248,26 +248,6 @@ def sqrt(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * (1.0 - data ** 2))
-
-    return _node(data, (a,), bw)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        a.accumulate_grad(g * (a.data > 0))
-
-    return _node(data, (a,), bw)
-
-
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU."""
     a = as_tensor(a)
@@ -350,12 +330,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         a.accumulate_grad(np.broadcast_to(gg, a.shape))
 
     return _node(data, (a,), bw)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def take(a, indices, axis: int = 0) -> Tensor:

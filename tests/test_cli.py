@@ -165,6 +165,19 @@ class TestTrain:
                      "--out", str(root / "inf_loss"), "--seed", "0"]) == 3
         assert "task 1, step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,line", [
+        ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
+        ("moe", "projections = x, y"), ("continual", "sigma_aug = -1")])
+    def test_bad_config_value_is_usage_error(self, workspace, section, line, capsys):
+        root, cfg = workspace
+        bad = root / "bad.ini"
+        bad.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        out = root / "bad_run"
+        assert main(["train", "--config", str(bad), "--mode", "leaf",
+                     "--out", str(out), "--seed", "0"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_env_seed_is_usage_error(self, workspace, monkeypatch):
         root, cfg = workspace
         monkeypatch.setenv("LEAF_SEED", "seven")

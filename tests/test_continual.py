@@ -194,6 +194,25 @@ class TestFrozenCache:
         _, _, cls_clean = C.forward_features(state, noisy)
         assert np.abs(cls[2:] - cls_clean).max() > 0.0
 
+    def test_noise_keeps_full_width_rng_stream(self):
+        # one [max_seq_len, d] draw per augmented row, whatever the batch's
+        # real length: the forward trims the block, the RNG stream is unchanged
+        ds = tiny_dataset()
+        state = tiny_state(ds, augment=True)
+        cfg = state.weights.config
+        batch = [DS.Instance(text=ds.train[0][0], label=0),
+                 DS.Instance(text="a", label=1, source="augmented"),
+                 DS.Instance(text=ds.train[1][0], label=1, source="augmented")]
+        ref = np.random.default_rng()
+        ref.bit_generator.state = state.rng.bit_generator.state
+        noise = C._noise_for(state, batch, (len(batch), cfg.max_seq_len))
+        assert noise.shape == (3, cfg.max_seq_len, cfg.model_dim)
+        assert not noise[0].any()
+        for i in (1, 2):
+            expected = ref.normal(0.0, state.config.sigma_aug, (cfg.max_seq_len, cfg.model_dim))
+            assert noise[i].tobytes() == expected.tobytes()
+        assert state.rng.bit_generator.state == ref.bit_generator.state
+
     def test_teacher_call_does_not_encode(self, monkeypatch):
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)

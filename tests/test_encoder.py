@@ -3,9 +3,12 @@ base-task training, and the versioned weight container."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaf import encoder as E
 from leaf import moe
+from leaf import tensor as T
 from leaf.tensor import Tensor
 
 
@@ -92,7 +95,9 @@ class TestForward:
         ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
         enc = E.encode_base(ids, mask, w)
         assert enc.cls.data.shape == (cfg.model_dim,)
-        assert enc.token_states.data.shape == (cfg.max_seq_len, cfg.model_dim)
+        # trimmed to the real length: [CLS] alpha beta
+        assert enc.token_states.data.shape == (3, cfg.model_dim)
+        assert enc.attention_mask.tolist() == [1, 1, 1]
 
         bid = np.stack([ids, ids])
         bma = np.stack([mask, mask])
@@ -179,6 +184,95 @@ class TestExpertForward:
         out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
         assert out.cls.data.shape == (cfg.model_dim,)
         assert len(out.token_decisions) == len(pools)
+
+
+# ------------------------------------------------------- padding is trimmed
+
+
+def live_pools(cfg, seed=1):
+    """Pools whose experts change the output (B != 0)."""
+    rng = np.random.default_rng(seed)
+    pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
+    for pool in pools.values():
+        for ex in pool.experts:
+            ex.B.data[:] = rng.normal(0, 0.05, ex.B.data.shape)
+    return pools
+
+
+def padded(rows, width):
+    """ids/mask of token-id rows padded to `width` columns."""
+    ids = np.full((len(rows), width), E.PAD_ID)
+    mask = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+        mask[i, :len(row)] = 1
+    return ids, mask
+
+
+def encodings(rows, width, w, pools, noise):
+    """[CLS] rows of the base, instance-routed and token-routed forwards,
+    and the token-routing router loss, for `rows` padded to `width`."""
+    ids, mask = padded(rows, width)
+    n = noise[:, :width]
+    with T.no_grad():
+        base = E.encode_base(ids, mask, w, embed_noise=n).cls
+        mix, _ = moe.route_instance(pools, base, K=2)
+        inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=n).cls
+        tok = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=n, token_topk=2)
+        loss = float(moe.router_loss(tok.token_decisions).data)
+    return base.data, inst.data, tok.cls.data, loss
+
+
+class TestTrimmedPadding:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_padding_width_changes_nothing(self, data):
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        pools = live_pools(cfg)
+        lengths = data.draw(st.lists(st.integers(1, cfg.max_seq_len), min_size=1,
+                                     max_size=4), label="lengths")
+        rows = [[E.CLS_ID] + data.draw(st.lists(st.integers(3, len(vocab) - 1),
+                                                min_size=n - 1, max_size=n - 1))
+                for n in lengths]
+        longest = max(lengths)
+        extra = data.draw(st.integers(longest, cfg.max_seq_len), label="extra width")
+        noise = np.random.default_rng(len(rows)).normal(
+            0.0, 0.05, (len(rows), cfg.max_seq_len, cfg.model_dim))
+        noise[data.draw(st.integers(0, len(rows) - 1))] = 0.0  # clean and noisy rows
+        results = [encodings(rows, width, w, pools, noise)
+                   for width in (longest, cfg.max_seq_len, extra)]
+        for base, inst, tok, loss in results[1:]:
+            for got, ref in zip((base, inst, tok), results[0][:3]):
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            assert abs(loss - results[0][3]) <= 1e-12
+        # against each row encoded alone, with no padding at all: the
+        # token router loss is the real-token-weighted mean of the rows' losses
+        solo = [encodings([row], len(row), w, pools, noise[i:i + 1])
+                for i, row in enumerate(rows)]
+        for k in range(3):
+            np.testing.assert_allclose(np.concatenate([r[k] for r in solo]),
+                                       results[0][k], rtol=0.0, atol=1e-12)
+        oracle = np.dot(lengths, [r[3] for r in solo]) / sum(lengths)
+        assert abs(results[0][3] - oracle) <= 1e-12
+
+    def test_token_routing_ragged_gradcheck(self):
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        w.freeze()
+        pools = live_pools(cfg)
+        rng = np.random.default_rng(3)
+        rows = [[E.CLS_ID] + list(rng.integers(3, len(vocab), n - 1)) for n in (2, 7, 4)]
+        ids, mask = padded(rows, cfg.max_seq_len)
+        target = rng.normal(size=(len(rows), cfg.model_dim))
+
+        def loss_fn():
+            out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            assert out.attention_mask.shape == (3, 7)
+            fit = T.tsum(T.mul(T.add(out.cls, Tensor(-target)), T.add(out.cls, Tensor(-target))))
+            return T.add(fit, moe.router_loss(out.token_decisions))
+
+        err = T.grad_check(loss_fn, moe.pool_params(pools), max_coords=12,
+                           rng=np.random.default_rng(0))
+        assert err < 1e-6
 
 
 # ----------------------------------------------------------- base training

@@ -3,6 +3,8 @@ feature/prediction distillation, weighted total, and the growing head."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import leaf.objectives as obj
 import leaf.tensor as T
@@ -147,7 +149,7 @@ def test_label_loss_requires_two_labels():
 def test_feature_distill_zero_on_identical_features():
     feats = RNG.normal(size=(4, 6))
     loss = float(obj.feature_distill_loss(feats, Tensor(feats.copy())).data)
-    assert abs(loss) <= 1e-12
+    assert loss == 0.0
 
 
 def test_feature_distill_orthogonal_gives_one():
@@ -161,6 +163,46 @@ def test_feature_distill_scale_invariance():
     prev = RNG.normal(size=(3, 5))
     loss = float(obj.feature_distill_loss(prev, Tensor(prev * 7.5)).data)
     assert abs(loss) <= 1e-12
+
+
+def test_feature_distill_rejects_degenerate_rows():
+    prev = RNG.normal(size=(2, 3))
+    curr = RNG.normal(size=(2, 3))
+    for a, b in ((prev, curr), (curr, prev)):
+        bad = a.copy()
+        bad[1] = 0.0
+        with pytest.raises(T.DegenerateVectorError):
+            obj.feature_distill_loss(bad, Tensor(b))
+        with pytest.raises(T.DegenerateVectorError):
+            obj.feature_distill_loss(b, Tensor(bad))
+
+
+def test_feature_distill_gradient():
+    prev = RNG.normal(size=(3, 5))
+    curr = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
+    err = T.grad_check(lambda: obj.feature_distill_loss(prev, curr), [curr])
+    assert err < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_feature_distill_nonnegative_and_matches_cosine_oracle(data):
+    B = data.draw(st.integers(1, 5), label="B")
+    d = data.draw(st.integers(1, 6), label="d")
+    rows = st.lists(st.lists(st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-3),
+                             min_size=d, max_size=d), min_size=B, max_size=B)
+    prev = np.array(data.draw(rows, label="prev"))
+    # curr is prev scaled per row plus an optional perturbation, so the
+    # fixed point (where 1 - cos rounds below zero) is drawn often
+    scale = np.array(data.draw(st.lists(st.floats(1e-2, 1e2), min_size=B, max_size=B)))
+    noise = np.array(data.draw(rows, label="noise"))
+    curr = prev * scale[:, None] + data.draw(st.sampled_from([0.0, 1e-9, 1.0])) * noise
+    assume(np.linalg.norm(curr, axis=1).min() > 1e-3)
+    loss = float(obj.feature_distill_loss(prev, Tensor(curr)).data)
+    assert loss >= 0.0
+    oracle = np.mean([1.0 - float(T.cosine_similarity(Tensor(p), Tensor(c)).data)
+                      for p, c in zip(prev, curr)])
+    assert abs(loss - oracle) <= 1e-12
 
 
 def test_prediction_distill_self_equals_teacher_entropy():
