@@ -27,7 +27,6 @@ from .encoder import (
     WEIGHTS_FORMAT_VERSION,
 )
 from .moe import (
-    LoraExpert,
     ExpertPool,
     init_pools,
     select_topk,
@@ -92,7 +91,7 @@ __all__ = [
     "encode_base", "encode_with_experts", "init_encoder_weights",
     "train_base_task", "save_weights", "load_weights",
     "WEIGHTS_FORMAT_VERSION",
-    "LoraExpert", "ExpertPool", "init_pools",
+    "ExpertPool", "init_pools",
     "select_topk", "combine_weights", "route_instance", "router_loss",
     "LossWeights", "LossBreakdown", "DetectorHead", "ce_loss",
     "label_contrastive_loss", "feature_distill_loss",

@@ -85,9 +85,6 @@ SCHEMA = {
         "alpha_fd": (float, 1.0),
         "alpha_pd": (float, 1.0),
         "temperature": (float, 1.0),
-        "label_scale": (_bool, False),
-        "label_infonce": (_bool, False),
-        "mlp_head": (_bool, False),
     },
     "continual": {
         "n_way": (int, 4),
@@ -185,8 +182,7 @@ def train_config(resolved: dict, seed: int | None = None) -> TrainConfig:
         projections=tuple(m["projections"]), combine_mode=m["combine_mode"],
         routing=m["routing"], routing_l2=m["routing_l2"],
         augment=c["augment"], sigma_aug=c["sigma_aug"], aug_copies=c["aug_copies"],
-        temperature=lo["temperature"], label_scale=lo["label_scale"],
-        label_infonce=lo["label_infonce"], mlp_head=lo["mlp_head"],
+        temperature=lo["temperature"],
         seed=resolved["run"]["seed"] if seed is None else seed)
 
 

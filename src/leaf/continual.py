@@ -94,9 +94,6 @@ class TrainConfig:
     sigma_aug: float = 0.05
     aug_copies: int = 4
     temperature: float = 1.0
-    label_scale: bool = False
-    label_infonce: bool = False
-    mlp_head: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -148,7 +145,7 @@ def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
     pools = moe.init_pools(weights.config.num_layers, weights.config.model_dim,
                            config.num_experts, config.rank, rng,
                            projections=config.projections)
-    head = obj.DetectorHead(weights.config.model_dim, rng, hidden=config.mlp_head)
+    head = obj.DetectorHead(weights.config.model_dim, rng)
     return ModelState(weights=weights, vocab=vocab, pools=pools, head=head,
                       bank=bank, config=config, rng=rng)
 
@@ -339,9 +336,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
             if w.alpha_router > 0:
                 parts["router"] = moe.router_loss(routing)
             if w.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
-                parts["label"] = obj.label_contrastive_loss(
-                    feats, gold, state.bank, seen,
-                    scale_by_sqrt_d=cfg.label_scale, infonce=cfg.label_infonce)
+                parts["label"] = obj.label_contrastive_loss(feats, gold, state.bank, seen)
             if t > 0 and distill_on:
                 with T.no_grad():
                     prev_feats, _, _ = forward_features(state, batch,

@@ -42,8 +42,7 @@ def build_tiny_problem(seed: int = 7, corrupt: bool = False, poison_nan: bool = 
     # B=0 gives structurally zero gradients in places; start from a
     # generic point so every path is exercised
     for pool in pools.values():
-        for e in pool.experts:
-            e.B.data[...] = rng.normal(0.0, 0.05, e.B.shape)
+        pool.B.data[...] = rng.normal(0.0, 0.05, pool.B.shape)
 
     labels = [0, 1, 2, 3]
     head = obj.DetectorHead(cfg.model_dim, rng)
@@ -51,9 +50,8 @@ def build_tiny_problem(seed: int = 7, corrupt: bool = False, poison_nan: bool = 
 
     snap_pools = moe.copy_pools(pools)
     for pool in snap_pools.values():
-        for e in pool.experts:
-            e.A.data += rng.normal(0.0, 0.02, e.A.shape)
-            e.B.data += rng.normal(0.0, 0.02, e.B.shape)
+        pool.A.data += rng.normal(0.0, 0.02, pool.A.shape)
+        pool.B.data += rng.normal(0.0, 0.02, pool.B.shape)
     snap_head = head.copy()
     snap_head.weight.data += rng.normal(0.0, 0.05, snap_head.weight.shape)
 

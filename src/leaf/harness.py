@@ -178,15 +178,11 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
     for key in sorted(state.pools):
         pool = state.pools[key]
         base = f"pool/{key[0]}.{key[1]}"
+        tensors[f"{base}/A"] = pool.A.data
+        tensors[f"{base}/B"] = pool.B.data
         tensors[f"{base}/routing"] = pool.routing.data
-        for m, e in enumerate(pool.experts):
-            tensors[f"{base}/expert{m}.A"] = e.A.data
-            tensors[f"{base}/expert{m}.B"] = e.B.data
     tensors["head/weight"] = state.head.weight.data
     tensors["head/bias"] = state.head.bias.data
-    if state.head.hidden:
-        tensors["head/h_weight"] = state.head.h_weight.data
-        tensors["head/h_bias"] = state.head.h_bias.data
     encoder.save_tensors(tensors, path, meta={"class_order": state.head.class_order})
 
 

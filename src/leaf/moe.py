@@ -25,32 +25,15 @@ INIT_SD = 0.02  # A factors and routing rows; B stays zero so the initial delta 
 
 
 @dataclass
-class LoraExpert:
-    A: Tensor  # [d_out, r]
-    B: Tensor  # [r, d]
-
-    @property
-    def rank(self) -> int:
-        return self.A.shape[1]
-
-
-@dataclass
 class ExpertPool:
-    experts: list[LoraExpert]
+    A: Tensor        # [M, d_out, r], expert m's up-projection is A[m]
+    B: Tensor        # [M, r, d], expert m's down-projection is B[m]
     routing: Tensor  # [M, d], row k scores expert k
     layer_index: int
     projection_tag: str
 
-    @property
-    def num_experts(self) -> int:
-        return len(self.experts)
-
     def params(self) -> list[Tensor]:
-        out = []
-        for e in self.experts:
-            out.extend([e.A, e.B])
-        out.append(self.routing)
-        return out
+        return [self.A, self.B, self.routing]
 
 
 def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
@@ -63,15 +46,10 @@ def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
     pools = {}
     for l in range(num_layers):
         for tag in projections:
-            experts = [
-                LoraExpert(
-                    A=Tensor(rng.normal(0.0, INIT_SD, (d_out, rank)), requires_grad=True),
-                    B=Tensor(np.zeros((rank, d)), requires_grad=True),
-                )
-                for _ in range(num_experts)
-            ]
+            A = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d_out, rank)), requires_grad=True)
+            B = Tensor(np.zeros((num_experts, rank, d)), requires_grad=True)
             routing = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d)), requires_grad=True)
-            pools[(l, tag)] = ExpertPool(experts=experts, routing=routing,
+            pools[(l, tag)] = ExpertPool(A=A, B=B, routing=routing,
                                          layer_index=l, projection_tag=tag)
     return pools
 
@@ -89,16 +67,10 @@ def routing_params(pools) -> list[Tensor]:
 
 def copy_pools(pools) -> dict[tuple[int, str], ExpertPool]:
     """Deep copy with gradients detached (requires_grad stays False)."""
-    out = {}
-    for key, pool in pools.items():
-        out[key] = ExpertPool(
-            experts=[LoraExpert(A=Tensor(e.A.data.copy()), B=Tensor(e.B.data.copy()))
-                     for e in pool.experts],
-            routing=Tensor(pool.routing.data.copy()),
-            layer_index=pool.layer_index,
-            projection_tag=pool.projection_tag,
-        )
-    return out
+    return {key: ExpertPool(A=Tensor(pool.A.data.copy()), B=Tensor(pool.B.data.copy()),
+                            routing=Tensor(pool.routing.data.copy()),
+                            layer_index=pool.layer_index, projection_tag=pool.projection_tag)
+            for key, pool in pools.items()}
 
 
 def select_topk(scores, K: int) -> np.ndarray:
@@ -180,18 +152,19 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
 def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
     """Weighted sum of expert outputs: sum_m mix[.., m] * (x B_m^T) A_m^T.
 
-    mix is [B, M] (one weight per instance) or [B, S, M] (per token).
+    mix is [B, M] (one weight per instance; [M] for one unbatched
+    sentence) or [B, S, M] (per token). All M experts run as two matmuls:
+    x goes down to the M*r rank space through the stacked B, each expert's
+    r columns are scaled by its mix weight, and the stacked A maps the sum
+    back up.
     """
-    delta = None
-    for m, expert in enumerate(pool.experts):
-        if not T.grad_enabled() and not mix.data[..., m].any():
-            continue  # no row selected this expert: its term is exactly zero
-        term = T.matmul(T.matmul(x, T.transpose(expert.B)), T.transpose(expert.A))
-        col = T.select_index(mix, m, axis=-1)
-        w = T.reshape(col, col.shape + (1,) * (x.data.ndim - col.data.ndim))
-        term = T.mul(term, w)
-        delta = term if delta is None else T.add(delta, term)
-    return delta
+    M, d_out, r = pool.A.shape
+    down = T.reshape(pool.B, (M * r, -1))                               # [M*r, d]
+    up = T.reshape(T.transpose(pool.A, (1, 0, 2)), (d_out, M * r))      # [d_out, M*r]
+    low = T.matmul(x, T.transpose(down))                                # [B, S, M*r]
+    w = T.reshape(mix, (x.shape[0], -1, M, 1))                          # [B, 1|S, M, 1]
+    scaled = T.mul(T.reshape(low, low.shape[:-1] + (M, r)), w)          # [B, S, M, r]
+    return T.matmul(T.reshape(scaled, low.shape), T.transpose(up))
 
 
 def router_loss(records) -> Tensor:

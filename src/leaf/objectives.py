@@ -40,21 +40,15 @@ class LossBreakdown:
 
 
 class DetectorHead:
-    """Linear (optionally one-hidden-layer MLP) classifier over growing
-    global label ids. Rows for old classes are copied verbatim on growth."""
+    """Linear classifier over growing global label ids. Rows for old
+    classes are copied verbatim on growth."""
 
-    def __init__(self, model_dim: int, rng: np.random.Generator,
-                 hidden: bool = False):
+    def __init__(self, model_dim: int, rng: np.random.Generator):
         self.model_dim = model_dim
-        self.hidden = hidden
         self.class_order: list[int] = []
         self._row: dict[int, int] = {}
         self.weight = Tensor(np.zeros((0, model_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(0), requires_grad=True)
-        if hidden:
-            self.h_weight = Tensor(rng.normal(0.0, 0.02, (model_dim, model_dim)),
-                                   requires_grad=True)
-            self.h_bias = Tensor(np.zeros(model_dim), requires_grad=True)
         self._rng = rng
 
     @property
@@ -62,10 +56,7 @@ class DetectorHead:
         return len(self.class_order)
 
     def params(self) -> list[Tensor]:
-        ps = [self.weight, self.bias]
-        if self.hidden:
-            ps += [self.h_weight, self.h_bias]
-        return ps
+        return [self.weight, self.bias]
 
     def row_of(self, label: int) -> int:
         if label not in self._row:
@@ -88,22 +79,15 @@ class DetectorHead:
             self.class_order.append(y)
 
     def logits(self, features: Tensor) -> Tensor:
-        x = features
-        if self.hidden:
-            x = T.gelu(T.add(T.matmul(x, T.transpose(self.h_weight)), self.h_bias))
-        return T.add(T.matmul(x, T.transpose(self.weight)), self.bias)
+        return T.add(T.matmul(features, T.transpose(self.weight)), self.bias)
 
     def copy(self) -> "DetectorHead":
         dup = DetectorHead.__new__(DetectorHead)
         dup.model_dim = self.model_dim
-        dup.hidden = self.hidden
         dup.class_order = list(self.class_order)
         dup._row = dict(self._row)
         dup.weight = Tensor(self.weight.data.copy())
         dup.bias = Tensor(self.bias.data.copy())
-        if self.hidden:
-            dup.h_weight = Tensor(self.h_weight.data.copy())
-            dup.h_bias = Tensor(self.h_bias.data.copy())
         dup._rng = self._rng
         return dup
 
@@ -118,15 +102,13 @@ def ce_loss(head: DetectorHead, features: Tensor, gold) -> Tensor:
     return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), -1.0 / len(rows))
 
 
-def label_contrastive_loss(features: Tensor, gold, bank, seen_labels,
-                           scale_by_sqrt_d: bool = False,
-                           infonce: bool = False) -> Tensor:
+def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
     """Alignment of features with their label's description vectors.
 
     Per instance: -log[ sum_{z in Z_gold} exp(f.z) / D ] where D sums
     exp(f.z') over the OTHER labels' descriptions (so the loss can go
-    negative). With infonce=True the gold descriptions are included in
-    the denominator as well.
+    negative). All rows at once: both log-sums run over the [B, n_desc]
+    similarities, each with the other side masked out.
     """
     seen = sorted(int(y) for y in seen_labels)
     if len(seen) < 2:
@@ -139,23 +121,15 @@ def label_contrastive_loss(features: Tensor, gold, bank, seen_labels,
             owner.append(y)
     Z = Tensor(np.stack(vec_list, axis=0))          # [n_desc, d]
     owner = np.asarray(owner)
+    gold = np.asarray([int(y) for y in gold])
+    missing = np.setdiff1d(gold, owner)
+    if missing.size:
+        raise ValueError(f"label {int(missing[0])} has no description vectors")
     sims = T.matmul(features, T.transpose(Z))       # [B, n_desc]
-    if scale_by_sqrt_d:
-        sims = T.mul(sims, 1.0 / np.sqrt(features.shape[-1]))
-    losses = []
-    for i, y in enumerate(gold):
-        row = T.select_index(sims, i, axis=0)
-        pos = np.flatnonzero(owner == int(y))
-        neg = np.flatnonzero(owner != int(y)) if not infonce else np.arange(len(owner))
-        if pos.size == 0:
-            raise ValueError(f"label {int(y)} has no description vectors")
-        num = T.logsumexp(T.take(row, pos))
-        den = T.logsumexp(T.take(row, neg))
-        losses.append(T.add(den, T.mul(num, -1.0)))
-    total = losses[0]
-    for item in losses[1:]:
-        total = T.add(total, item)
-    return T.mul(total, 1.0 / len(losses))
+    is_gold = owner[None, :] == gold[:, None]
+    num = T.logsumexp(T.add(sims, Tensor(np.where(is_gold, 0.0, -1e30))), axis=-1)
+    den = T.logsumexp(T.add(sims, Tensor(np.where(is_gold, -1e30, 0.0))), axis=-1)
+    return T.mul(T.tsum(T.add(den, T.mul(num, -1.0))), 1.0 / len(gold))
 
 
 def feature_distill_loss(prev_features: np.ndarray, curr_features: Tensor) -> Tensor:

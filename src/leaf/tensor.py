@@ -79,9 +79,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
@@ -489,19 +486,17 @@ class Adam:
         self._m = {id(p): np.zeros_like(p.data) for p in self.params}
         self._v = {id(p): np.zeros_like(p.data) for p in self.params}
 
-    def add_param(self, p: Tensor, decay: bool = False) -> None:
+    def add_param(self, p: Tensor) -> None:
         self.params.append(p)
         self._m[id(p)] = np.zeros_like(p.data)
         self._v[id(p)] = np.zeros_like(p.data)
-        if decay:
-            self._decay_ids.add(id(p))
 
-    def replace_param(self, old: Tensor, new: Tensor, decay: bool = False) -> None:
+    def replace_param(self, old: Tensor, new: Tensor) -> None:
         self.params = [p for p in self.params if p is not old]
         self._m.pop(id(old), None)
         self._v.pop(id(old), None)
         self._decay_ids.discard(id(old))
-        self.add_param(new, decay=decay)
+        self.add_param(new)
 
     def step(self) -> None:
         self.step_count += 1
@@ -519,10 +514,6 @@ class Adam:
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None
 
 

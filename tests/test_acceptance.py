@@ -99,16 +99,14 @@ def test_acceptance_4_single_expert_weight_merge():
     pools = moe.init_pools(cfg.num_layers, cfg.model_dim, num_experts=1,
                            rank=4, rng=rng)
     for pool in pools.values():
-        for e in pool.experts:
-            e.B.data[:] = rng.normal(0.0, 0.05, e.B.data.shape)
+        pool.B.data[:] = rng.normal(0.0, 0.05, pool.B.shape)
 
     merged = encoder.EncoderWeights(
         config=cfg,
         tensors={k: Tensor(v.data.copy(), requires_grad=True)
                  for k, v in weights.tensors.items()})
     for (layer, tag), pool in pools.items():
-        e = pool.experts[0]
-        merged.tensors[f"layer{layer}.{tag}.weight"].data += e.A.data @ e.B.data
+        merged.tensors[f"layer{layer}.{tag}.weight"].data += pool.A.data[0] @ pool.B.data[0]
     merged.freeze()
 
     worst = 0.0
@@ -405,9 +403,8 @@ def test_acceptance_10_protocol_invariants():
         # snapshot zero-gradient: detached parameters, no grads accumulate
         snap = state.snapshot
         for pool in snap.pools.values():
-            for e in pool.experts:
-                assert not e.A.requires_grad and e.A.grad is None
-                assert not e.B.requires_grad and e.B.grad is None
+            for p in pool.params():
+                assert not p.requires_grad and p.grad is None
         for p in snap.head.params():
             assert not p.requires_grad and p.grad is None
     assert len(state.buffer) == n_way * stream.num_tasks

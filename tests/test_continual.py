@@ -135,11 +135,10 @@ class TestSnapshotAndHead:
         state.head.grow([0, 1])
         snap = C.snapshot_model(state)
         key = next(iter(state.pools))
-        np.testing.assert_array_equal(snap.pools[key].experts[0].A.data,
-                                      state.pools[key].experts[0].A.data)
-        state.pools[key].experts[0].A.data[0, 0] += 1.0
-        assert snap.pools[key].experts[0].A.data[0, 0] != \
-            state.pools[key].experts[0].A.data[0, 0]
+        np.testing.assert_array_equal(snap.pools[key].A.data[0],
+                                      state.pools[key].A.data[0])
+        state.pools[key].A.data[0, 0, 0] += 1.0
+        assert snap.pools[key].A.data[0, 0, 0] != state.pools[key].A.data[0, 0, 0]
         assert snap.head.class_order == [0, 1]
         assert all(not p.requires_grad for p in snap.head.params())
 
@@ -244,15 +243,22 @@ class TestFrozenCache:
 # --------------------------------------------------------------- checkpoints
 
 class TestCheckpoint:
-    def test_hidden_head_saved_and_no_tmp_left(self, tmp_path):
+    def test_pools_and_head_saved_and_no_tmp_left(self, tmp_path):
         ds = tiny_dataset()
-        state = tiny_state(ds, mlp_head=True)
+        state = tiny_state(ds)
         state.head.grow([0, 1])
+        for pool in state.pools.values():  # B is zero at init; make it tell
+            pool.B.data[...] = state.rng.normal(size=pool.B.shape)
         path = tmp_path / "task_1.bin"
         harness._save_checkpoint(state, path)
         tensors, meta = E.load_tensors(path)
-        np.testing.assert_array_equal(tensors["head/h_weight"], state.head.h_weight.data)
-        np.testing.assert_array_equal(tensors["head/h_bias"], state.head.h_bias.data)
+        expected = {"head/weight": state.head.weight.data, "head/bias": state.head.bias.data}
+        for (layer, tag), pool in state.pools.items():
+            for name in ("A", "B", "routing"):
+                expected[f"pool/{layer}.{tag}/{name}"] = getattr(pool, name).data
+        assert sorted(tensors) == sorted(expected)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(tensors[name], value)
         assert meta["class_order"] == [0, 1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["task_1.bin"]
 

@@ -54,6 +54,23 @@ class TestTokenize:
         with pytest.raises(E.TokenizeError):
             E.tokenize("   ", E.Vocab(), max_len=4)
 
+    @settings(max_examples=200)
+    @given(words=st.lists(st.tuples(st.sampled_from(["alpha", "beta", "gamma", "zork", "qux"]),
+                                    st.booleans()), min_size=1, max_size=12),
+           max_len=st.integers(1, 10))
+    def test_tokenize_layout(self, words, max_len):
+        vocab = E.Vocab(["alpha", "beta", "gamma"])
+        text = " ".join(w.upper() if shout else w for w, shout in words)
+        ids, mask = E.tokenize(text, vocab, max_len)
+        n = min(len(words) + 1, max_len)
+        assert ids.shape == mask.shape == (max_len,)
+        assert ids[0] == E.CLS_ID
+        assert mask.tolist() == [1] * n + [0] * (max_len - n)
+        assert ids[n:].tolist() == [E.PAD_ID] * (max_len - n)
+        known = {"alpha", "beta", "gamma"}
+        assert ids[1:n].tolist() == [vocab.get(w) if w in known else E.UNK_ID
+                                     for w, _ in words[:n - 1]]
+
 
 class TestVocab:
     def test_reserved_ids(self):
@@ -160,8 +177,7 @@ class TestExpertForward:
         rng = np.random.default_rng(1)
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
         for pool in pools.values():
-            for ex in pool.experts:
-                ex.B.data[:] = rng.normal(0, 0.05, ex.B.data.shape)
+            pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
         ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
         cls = E.encode_base(ids, mask, w).cls
         mix, _ = moe.route_instance(pools, cls, K=2)
@@ -194,8 +210,7 @@ def live_pools(cfg, seed=1):
     rng = np.random.default_rng(seed)
     pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
     for pool in pools.values():
-        for ex in pool.experts:
-            ex.B.data[:] = rng.normal(0, 0.05, ex.B.data.shape)
+        pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
     return pools
 
 
@@ -224,7 +239,7 @@ def encodings(rows, width, w, pools, noise):
 
 
 class TestTrimmedPadding:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_padding_width_changes_nothing(self, data):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])

@@ -27,13 +27,18 @@ def make_pool(M=4, d=6, r=2, rng=None):
 def test_init_pools_shapes_and_zero_B():
     pools = moe.init_pools(2, 8, 4, 3, np.random.default_rng(0))
     assert set(pools) == {(0, "q"), (0, "v"), (1, "q"), (1, "v")}
-    for pool in pools.values():
+    # the stacked draw is the per-expert draw stream: for each pool in
+    # order, one [d_out, r] A per expert, then the routing rows
+    rng = np.random.default_rng(0)
+    for key in [(0, "q"), (0, "v"), (1, "q"), (1, "v")]:
+        pool = pools[key]
+        assert pool.A.shape == (4, 8, 3)
+        assert pool.B.shape == (4, 3, 8)
         assert pool.routing.shape == (4, 8)
-        for e in pool.experts:
-            assert e.A.shape == (8, 3)
-            assert e.B.shape == (3, 8)
-            np.testing.assert_array_equal(e.B.data, 0.0)
-            assert e.rank == 3
+        np.testing.assert_array_equal(pool.B.data, 0.0)
+        for m in range(4):
+            np.testing.assert_array_equal(pool.A.data[m], rng.normal(0.0, moe.INIT_SD, (8, 3)))
+        np.testing.assert_array_equal(pool.routing.data, rng.normal(0.0, moe.INIT_SD, (4, 8)))
 
 
 def test_init_pools_rejects_oversized_rank():
@@ -48,15 +53,17 @@ def test_copy_pools_is_detached_deep_copy():
     dup = copied[(0, "q")]
     np.testing.assert_array_equal(src.routing.data, dup.routing.data)
     assert not dup.routing.requires_grad
-    dup.experts[0].A.data[:] = 99.0
-    assert not np.any(src.experts[0].A.data == 99.0)
+    assert not dup.A.requires_grad and not dup.B.requires_grad
+    dup.A.data[0] = 99.0
+    dup.B.data[0] = 99.0
+    assert not np.any(src.A.data == 99.0) and not np.any(src.B.data == 99.0)
 
 
 def test_pool_params_order_is_stable():
     pools = moe.init_pools(2, 4, 2, 2, np.random.default_rng(0))
     params = moe.pool_params(pools)
-    # 2 layers x 2 tags x (2 experts x 2 factors + routing)
-    assert len(params) == 2 * 2 * (2 * 2 + 1)
+    # 2 layers x 2 tags x (stacked A, stacked B, routing)
+    assert len(params) == 2 * 2 * 3
     assert params is not moe.pool_params(pools)
     assert [id(p) for p in params] == [id(p) for p in moe.pool_params(pools)]
 
@@ -168,18 +175,44 @@ def test_instance_mix_weights_scatter():
 # ---------------------------------------------------------------- deltas
 
 
+def live_pool(M=3, d=5, r=2):
+    pool = make_pool(M=M, d=d, r=r)
+    pool.B.data[:] = RNG.normal(size=pool.B.shape)  # init is zero
+    return pool
+
+
+def pool_delta_oracle(pool, x, mix):
+    """Per-row, per-expert loop: mix weight times (x B_m^T) A_m^T."""
+    ref = np.zeros(x.shape[:-1] + (pool.A.shape[1],))
+    for b in range(x.shape[0]):
+        for m in range(pool.A.shape[0]):
+            w = mix[b, ..., m, None]  # scalar per instance, [S, 1] per token
+            ref[b] += w * (x[b] @ pool.B.data[m].T @ pool.A.data[m].T)
+    return ref
+
+
 def test_pool_delta_matches_numpy_reference():
-    pool = make_pool(M=3, d=5, r=2)
-    for e in pool.experts:  # give B real values; init is zero
-        e.B.data[:] = RNG.normal(size=e.B.shape)
+    pool = live_pool(M=3, d=5, r=2)
     x = RNG.normal(size=(2, 4, 5))
-    mix = RNG.random(size=(2, 3))
-    out = moe.pool_delta(pool, Tensor(x), Tensor(mix)).data
-    ref = np.zeros_like(x)
-    for b in range(2):
-        for m, e in enumerate(pool.experts):
-            ref[b] += mix[b, m] * (x[b] @ e.B.data.T @ e.A.data.T)
-    np.testing.assert_allclose(out, ref, atol=1e-12)
+    for mix_shape in [(2, 3), (2, 4, 3)]:  # per instance, per token
+        mix = RNG.random(size=mix_shape)
+        mix[..., 1] = 0.0  # an expert no row selected
+        out = moe.pool_delta(pool, Tensor(x), Tensor(mix)).data
+        np.testing.assert_allclose(out, pool_delta_oracle(pool, x, mix), atol=1e-12)
+
+
+@pytest.mark.parametrize("mix_shape", [(2, 3), (2, 4, 3)])
+def test_pool_delta_gradcheck(mix_shape):
+    pool = live_pool(M=3, d=5, r=2)
+    x = Tensor(RNG.normal(size=(2, 4, 5)))
+    mix = Tensor(RNG.random(size=mix_shape), requires_grad=True)
+    probe = RNG.normal(size=(2, 4, 5))
+
+    def f():
+        return T.tsum(T.mul(moe.pool_delta(pool, x, mix), Tensor(probe)))
+
+    err = T.grad_check(f, [pool.A, pool.B, mix], rng=np.random.default_rng(0))
+    assert err < 1e-7
 
 
 def test_pool_delta_zero_when_B_zero():
@@ -256,7 +289,7 @@ def _row_oracle(s, K, mode):
     return idx, row, fallback
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data(), mode=st.sampled_from(["softmax", "paper-literal"]))
 def test_batched_router_matches_per_row_oracle(data, mode):
     B = data.draw(st.integers(1, 6), label="B")

@@ -137,6 +137,12 @@ def test_label_loss_numpy_reference():
     assert abs(loss - ref) <= 1e-12
 
 
+def test_label_loss_rejects_gold_label_without_descriptions():
+    bank = StubBank({0: [np.ones(3)], 1: [-np.ones(3)], 2: []})
+    with pytest.raises(ValueError, match="label 2 has no description vectors"):
+        obj.label_contrastive_loss(Tensor(np.ones((2, 3))), [0, 2], bank, [0, 1, 2])
+
+
 def test_label_loss_requires_two_labels():
     bank = StubBank({0: [np.ones(3)]})
     with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ def test_feature_distill_gradient():
     assert err < 1e-6
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_feature_distill_nonnegative_and_matches_cosine_oracle(data):
     B = data.draw(st.integers(1, 5), label="B")
