@@ -1,8 +1,9 @@
 """Run configuration: INI-style key=value sections with a fixed schema.
 
-Unknown sections or keys, enum values outside their set and out-of-range
-numbers are rejected at parse time; every run writes its fully resolved
-configuration to the run directory so it can be replayed.
+Unknown sections or keys, enum values outside their set, out-of-range
+numbers and combinations the run's dataclasses refuse are rejected at
+parse time; every run writes its fully resolved configuration to the run
+directory so it can be replayed.
 """
 
 from __future__ import annotations
@@ -53,11 +54,22 @@ def _projections(s):
     return tags
 
 
-def _nonneg_float(s):
-    v = float(s)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ConfigError("must be finite and >= 0")
-    return v
+def _at_least(cast, low, strict=False):
+    """Converter to a finite number >= low (> low when strict)."""
+    def conv(s):
+        v = cast(s)
+        if not (low < v < math.inf if strict else low <= v < math.inf):  # NaN fails too
+            raise ConfigError(f"must be finite and {'>' if strict else '>='} {low}")
+        return v
+    return conv
+
+
+# Ranges of the values no dataclass checks; the dataclasses that
+# `parse_config` builds check the rest.
+_nonneg_float = _at_least(float, 0.0)
+_pos_float = _at_least(float, 0.0, strict=True)
+_nonneg_int = _at_least(int, 0)
+_pos_int = _at_least(int, 1)
 
 
 # section -> key -> (converter, default)
@@ -68,7 +80,7 @@ SCHEMA = {
         "num_heads": (int, 4),
         "ffn_dim": (int, 128),
         "max_seq_len": (int, 24),
-        "layernorm_eps": (float, 1e-5),
+        "layernorm_eps": (_pos_float, 1e-5),
     },
     "moe": {
         "num_experts": (int, 4),
@@ -77,33 +89,33 @@ SCHEMA = {
         "projections": (_projections, ["q", "v"]),
         "combine_mode": (_choice("softmax", "paper-literal"), "softmax"),
         "routing": (_choice("instance", "token"), "instance"),
-        "routing_l2": (float, 1e-4),
+        "routing_l2": (_nonneg_float, 1e-4),
     },
     "losses": {
         "alpha_router": (float, 0.01),
         "alpha_label": (float, 0.1),
         "alpha_fd": (float, 1.0),
         "alpha_pd": (float, 1.0),
-        "temperature": (float, 1.0),
+        "temperature": (_pos_float, 1.0),
     },
     "continual": {
-        "n_way": (int, 4),
-        "k_shot": (int, 5),
-        "num_tasks": (int, 5),
+        "n_way": (_pos_int, 4),
+        "k_shot": (_pos_int, 5),
+        "num_tasks": (_pos_int, 5),
         "epochs": (int, 30),
         "batch_size": (int, 8),
-        "lr": (float, 1e-3),
+        "lr": (_pos_float, 1e-3),
         "augment": (_bool, False),
         "sigma_aug": (_nonneg_float, 0.05),
-        "aug_copies": (int, 4),
-        "n_descriptions": (int, 3),
+        "aug_copies": (_nonneg_int, 4),
+        "n_descriptions": (_pos_int, 3),
     },
     "run": {
-        "seed": (int, 0),
-        "n_seeds": (int, 5),
-        "base_epochs": (int, 12),
-        "base_lr": (float, 3e-4),
-        "n_base_labels": (int, 8),
+        "seed": (_nonneg_int, 0),
+        "n_seeds": (_pos_int, 5),
+        "base_epochs": (_nonneg_int, 12),
+        "base_lr": (_pos_float, 3e-4),
+        "n_base_labels": (_pos_int, 8),
     },
     "paths": {
         "dataset": (str, ""),
@@ -114,19 +126,19 @@ SCHEMA = {
 
 GENERATOR_SCHEMA = {
     "generator": {
-        "n_labels": (int, 28),
-        "instances_per_label": (int, 40),
-        "test_per_label": (int, 12),
-        "vocab_size": (int, 2000),
-        "trigger_words_per_label": (int, 5),
+        "n_labels": (_pos_int, 28),
+        "instances_per_label": (_pos_int, 40),
+        "test_per_label": (_pos_int, 12),
+        "vocab_size": (_pos_int, 2000),
+        "trigger_words_per_label": (_pos_int, 5),
         "confusability": (float, 0.5),
-        "context_pool_size": (int, 30),
+        "context_pool_size": (_pos_int, 30),
         "sentence_len_min": (int, 5),
         "sentence_len_max": (int, 8),
         "triggers_min": (int, 2),
         "triggers_max": (int, 4),
         "descriptions_per_label": (int, 6),
-        "seed": (int, 0),
+        "seed": (_nonneg_int, 0),
     },
 }
 
@@ -139,7 +151,10 @@ def defaults(schema=SCHEMA) -> dict:
 def parse_config(path, schema=SCHEMA) -> dict:
     """Read and validate an INI config; missing keys take defaults."""
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # duplicate keys or sections, syntax
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     resolved = defaults(schema)
@@ -154,7 +169,24 @@ def parse_config(path, schema=SCHEMA) -> dict:
                 resolved[sec][key] = conv(value)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad value for [{sec}] {key}: {value!r} ({exc})") from exc
+    try:
+        _build(resolved)
+    except ValueError as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
     return resolved
+
+
+def _build(resolved: dict) -> None:
+    """Build the dataclasses a resolved config feeds, so that their checks
+    run at parse time; raises ValueError."""
+    if "generator" in resolved:
+        generator_spec(resolved)
+        return
+    encoder_config(resolved, vocab_size=0)  # the vocabulary comes with the data
+    train_config(resolved)
+    rank, dim = resolved["moe"]["rank"], resolved["encoder"]["model_dim"]
+    if rank > dim:
+        raise ValueError(f"[moe] rank {rank} exceeds [encoder] model_dim {dim}")
 
 
 def write_snapshot(resolved: dict, path) -> None:

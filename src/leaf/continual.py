@@ -117,7 +117,6 @@ class ModelState:
     snapshot: Snapshot | None = None
     opt: T.Adam = None
     loss_rows: list[dict] = field(default_factory=list)
-    _step: int = 0
     # Per-run caches keyed by instance text; the encoder is frozen, so a
     # text's ids and its noise-free [CLS] vector never change within a run.
     token_cache: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict,
@@ -352,11 +351,10 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
                         old_labels, temperature=cfg.temperature)
             total, breakdown = obj.total_loss(parts, w)
             total.backward()
-            _check_finite(total, state.opt.params, t, state._step + 1)
+            _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()
-            state._step += 1
             state.loss_rows.append({
-                "step": state._step, "task": t + 1, "epoch": epoch + 1,
+                "step": state.opt.step_count, "task": t + 1, "epoch": epoch + 1,
                 "ce": breakdown.ce, "router": breakdown.router,
                 "label": breakdown.label, "fd": breakdown.fd,
                 "pd": breakdown.pd, "total": breakdown.total,
@@ -386,9 +384,7 @@ def predict(state: ModelState, instances, chunk: int = 32) -> list[int]:
         batch = instances[start:start + chunk]
         with T.no_grad():
             feats, _, _ = forward_features(state, batch)
-            logits = state.head.logits(feats).data
-        rows = np.argmax(logits, axis=1)
-        preds.extend(state.head.class_order[int(r)] for r in rows)
+        preds.extend(state.head.predict(feats).tolist())
     return preds
 
 

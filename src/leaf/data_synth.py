@@ -48,6 +48,10 @@ class GeneratorSpec:
             raise ValueError("triggers_per_sentence must leave room for context words")
         if self.descriptions_per_label < 5:
             raise ValueError("need >= 5 descriptions per label for the 1/3/5 sweep")
+        need = self.n_labels * (self.trigger_words_per_label + self.context_pool_size) \
+            + self.context_pool_size  # triggers, own context pools, one shared pool
+        if need > self.vocab_size:
+            raise ValueError(f"vocab_size {self.vocab_size} too small: pools need {need} words")
 
 
 @dataclass
@@ -69,9 +73,6 @@ class Dataset:
     def n_labels(self) -> int:
         return len(self.label_names)
 
-    def label_id(self, name: str) -> int:
-        return self.label_names.index(name)
-
 
 _DESCRIPTION_TEMPLATES = (
     "events involving {a} or {b} and related happenings",
@@ -88,10 +89,6 @@ def generate(spec: GeneratorSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_labels
     shared_size = spec.context_pool_size
-    need = n * spec.trigger_words_per_label + shared_size + n * spec.context_pool_size
-    if need > spec.vocab_size:
-        raise ValueError(
-            f"vocab_size {spec.vocab_size} too small: pools need {need} words")
     words = [f"w{i:04d}" for i in range(spec.vocab_size)]
     order = rng.permutation(spec.vocab_size)
     cursor = 0

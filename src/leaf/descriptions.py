@@ -93,7 +93,7 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 logger.warning("description for %r exceeds max_seq_len; truncated", label)
             ids, mask = enc.tokenize(text, vocab, max_len)
             with T.no_grad():
-                vecs.append(enc.encode_base(ids, mask, weights).cls.data.copy())
+                vecs.append(enc.encode_base(ids[None], mask[None], weights).cls.data[0])
         bank._vectors[lid] = vecs
     return bank
 

@@ -152,8 +152,7 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
 def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
     """Weighted sum of expert outputs: sum_m mix[.., m] * (x B_m^T) A_m^T.
 
-    mix is [B, M] (one weight per instance; [M] for one unbatched
-    sentence) or [B, S, M] (per token). All M experts run as two matmuls:
+    mix is [B, M] (one weight per instance) or [B, S, M] (per token). All M experts run as two matmuls:
     x goes down to the M*r rank space through the stacked B, each expert's
     r columns are scaled by its mix weight, and the stacked A maps the sum
     back up.

@@ -81,6 +81,12 @@ class DetectorHead:
     def logits(self, features: Tensor) -> Tensor:
         return T.add(T.matmul(features, T.transpose(self.weight)), self.bias)
 
+    def predict(self, features) -> np.ndarray:
+        """Label id of the highest-scoring row for every feature row."""
+        with T.no_grad():
+            rows = np.argmax(self.logits(features).data, axis=1)
+        return np.asarray(self.class_order, dtype=np.int64)[rows]
+
     def copy(self) -> "DetectorHead":
         dup = DetectorHead.__new__(DetectorHead)
         dup.model_dim = self.model_dim
@@ -161,9 +167,6 @@ def prediction_distill_loss(prev_head: DetectorHead, prev_features: np.ndarray,
         raise ValueError("prediction distillation needs a non-empty old label set")
     prev_rows = [prev_head.row_of(y) for y in old]
     curr_rows = [curr_head.row_of(y) for y in old]
-    for y in old:
-        if prev_head.class_order[prev_head.row_of(y)] != curr_head.class_order[curr_head.row_of(y)]:
-            raise ValueError("class order mismatch between snapshot and current heads")
     with T.no_grad():
         prev_logits = prev_head.logits(Tensor(np.asarray(prev_features))).data[:, prev_rows]
     shifted = prev_logits / temperature

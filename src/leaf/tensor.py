@@ -263,31 +263,18 @@ def gelu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matrix product of operands with at least 2 dims each; leading
+    (batch) dims broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul requires arrays, got scalar operand")
-    if a.shape[-1] != (b.shape[-2] if b.data.ndim > 1 else b.shape[0]):
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul requires operands of at least 2 dims: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
 
     def bw(g):
-        g = np.asarray(g)
-        if a.data.ndim == 1 and b.data.ndim == 1:
-            ga, gb = g * b.data, g * a.data
-        elif b.data.ndim == 1:
-            # a[..., m, k] @ b[k] -> g[..., m]
-            ga = g[..., None] * b.data
-            gb = (a.data * g[..., None]).reshape(-1, a.shape[-1]).sum(axis=0)
-        elif a.data.ndim == 1:
-            # a[k] @ b[..., k, n] -> g[..., n]
-            ga = np.matmul(b.data, g[..., None])[..., 0]
-            ga = ga.reshape(-1, a.shape[0]).sum(axis=0)
-            gb = a.data[:, None] * g[..., None, :]
-        else:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        a.accumulate_grad(_unbroadcast(np.asarray(ga), a.shape))
-        b.accumulate_grad(_unbroadcast(np.asarray(gb), b.shape))
+        a.accumulate_grad(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        b.accumulate_grad(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -330,45 +317,18 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def take(a, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis (1-D integer indices)."""
+    """Gather along an axis, as np.take: an int index drops the axis, an
+    integer array of any shape takes its place. Repeated indices accumulate
+    their gradients."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("take supports 1-D indices only")
+    axis = axis % a.data.ndim
     data = np.take(a.data, idx, axis=axis)
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(np.asarray(g), axis, 0))
-        a.accumulate_grad(ga)
-
-    return _node(data, (a,), bw)
-
-
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...], :]."""
-    table = as_tensor(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    data = table.data[ids]
-
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), np.asarray(g).reshape(-1, table.shape[-1]))
-        table.accumulate_grad(gt)
-
-    return _node(data, (table,), bw)
-
-
-def select_index(a, index: int, axis: int) -> Tensor:
-    """Pick one slice along an axis (drops that axis)."""
-    a = as_tensor(a)
-    data = np.take(a.data, index, axis=axis)
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        ga[tuple(sl)] = g
+        g = np.moveaxis(g, list(range(axis, axis + idx.ndim)), list(range(idx.ndim)))
+        np.add.at(np.moveaxis(ga, axis, 0), idx, g)
         a.accumulate_grad(ga)
 
     return _node(data, (a,), bw)

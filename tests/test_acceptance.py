@@ -75,7 +75,7 @@ def test_acceptance_3_zero_delta_equivalence():
         for _ in range(100):
             n = int(rng.integers(3, 9))
             text = " ".join(f"w{rng.integers(60)}" for _ in range(n))
-            ids, mask = encoder.tokenize(text, vocab, cfg.max_seq_len)
+            ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
             base = encoder.encode_base(ids, mask, weights)
             mix, _ = moe.route_instance(pools, base.cls, 2)
             out = encoder.encode_with_experts(ids, mask, weights, pools, mix)
@@ -114,7 +114,7 @@ def test_acceptance_4_single_expert_weight_merge():
         for _ in range(20):
             n = int(rng.integers(3, 8))
             text = " ".join(f"w{rng.integers(40)}" for _ in range(n))
-            ids, mask = encoder.tokenize(text, vocab, cfg.max_seq_len)
+            ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
             cls = encoder.encode_base(ids, mask, weights).cls
             mix, _ = moe.route_instance(pools, cls, 1)
             expert_out = encoder.encode_with_experts(ids, mask, weights, pools, mix)

@@ -167,11 +167,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("section,line", [
         ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
-        ("moe", "projections = x, y"), ("continual", "sigma_aug = -1")])
+        ("moe", "projections = x, y"), ("continual", "sigma_aug = -1"),
+        ("losses", "temperature = 0"), ("moe", "topk = 5")])
     def test_bad_config_value_is_usage_error(self, workspace, section, line, capsys):
         root, cfg = workspace
         bad = root / "bad.ini"
-        bad.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in cfg.read_text().splitlines() if ln.split("=")[0].strip() != key]
+        text = "\n".join(kept) + "\n"
+        if f"[{section}]" not in text:
+            text += f"[{section}]\n"
+        bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         out = root / "bad_run"
         assert main(["train", "--config", str(bad), "--mode", "leaf",
                      "--out", str(out), "--seed", "0"]) == 2

@@ -1,5 +1,6 @@
-"""Config parser: schema defaults, and rejection of enum values outside
-their set and out-of-range numbers at parse time."""
+"""Config parser: schema defaults, and rejection at parse time of enum
+values outside their set, out-of-range numbers and combinations the run's
+dataclasses refuse."""
 
 import string
 
@@ -21,6 +22,36 @@ BAD_VALUES = [
     ("continual", "sigma_aug", "-1e-9"),
     ("continual", "sigma_aug", "nan"),
     ("continual", "sigma_aug", "inf"),
+    ("losses", "temperature", "0"),
+    ("losses", "temperature", "-2"),
+    ("continual", "lr", "nan"),
+    ("continual", "lr", "0"),
+    ("continual", "aug_copies", "-1"),
+    ("continual", "n_descriptions", "0"),
+    ("continual", "k_shot", "0"),
+    ("encoder", "layernorm_eps", "0"),
+    ("moe", "routing_l2", "-1e-4"),
+    ("run", "base_lr", "inf"),
+    ("run", "seed", "-1"),
+    ("run", "n_seeds", "0"),
+]
+
+# whole INI texts that every key accepts alone, but the dataclasses built
+# from the resolved config refuse; (schema, text, message)
+BAD_COMBINATIONS = [
+    (cfgmod.SCHEMA, "[moe]\ntopk = 5", "topk cannot exceed num_experts"),
+    (cfgmod.SCHEMA, "[moe]\nnum_experts = 1", "topk cannot exceed num_experts"),
+    (cfgmod.SCHEMA, "[moe]\nrank = 100", r"\[moe\] rank 100 exceeds \[encoder\] model_dim 64"),
+    (cfgmod.SCHEMA, "[encoder]\nmodel_dim = 4", "rank 8 exceeds"),
+    (cfgmod.SCHEMA, "[encoder]\nnum_heads = 5", "divisible by num_heads"),
+    (cfgmod.SCHEMA, "[encoder]\nmax_seq_len = 1", "max_seq_len"),
+    (cfgmod.SCHEMA, "[continual]\nepochs = 0", "epochs must be positive"),
+    (cfgmod.SCHEMA, "[continual]\nbatch_size = -3", "batch_size must be positive"),
+    (cfgmod.SCHEMA, "[losses]\nalpha_fd = -1", "alpha_fd must be finite and >= 0"),
+    (cfgmod.SCHEMA, "[losses]\nalpha_label = nan", "alpha_label must be finite"),
+    (cfgmod.GENERATOR_SCHEMA, "[generator]\nvocab_size = 50", "vocab_size 50 too small"),
+    (cfgmod.GENERATOR_SCHEMA, "[generator]\ntriggers_max = 9", "triggers_per_sentence"),
+    (cfgmod.GENERATOR_SCHEMA, "[generator]\nconfusability = 1.5", "confusability"),
 ]
 
 GOOD_VALUES = [
@@ -31,6 +62,10 @@ GOOD_VALUES = [
     ("moe", "projections", "v", ["v"]),
     ("continual", "sigma_aug", "0", 0.0),
     ("continual", "sigma_aug", "0.3", 0.3),
+    ("continual", "aug_copies", "0", 0),
+    ("run", "base_epochs", "0", 0),
+    ("moe", "rank", "64", 64),
+    ("moe", "topk", "4", 4),
 ]
 
 
@@ -52,6 +87,21 @@ def test_bad_value_rejected_at_parse_time(tmp_path, section, key, value):
         cfgmod.parse_config(write_ini(tmp_path, section, key, value))
 
 
+@pytest.mark.parametrize("schema,text,message", BAD_COMBINATIONS)
+def test_bad_combination_rejected_at_parse_time(tmp_path, schema, text, message):
+    path = tmp_path / "c.ini"
+    path.write_text(text + "\n")
+    with pytest.raises(cfgmod.ConfigError, match=message):
+        cfgmod.parse_config(path, schema=schema)
+
+
+def test_duplicate_key_is_config_error(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[moe]\ntopk = 1\ntopk = 2\n")
+    with pytest.raises(cfgmod.ConfigError, match="malformed config"):
+        cfgmod.parse_config(path)
+
+
 @pytest.mark.parametrize("section,key,value,parsed", GOOD_VALUES)
 def test_good_value_accepted(tmp_path, section, key, value, parsed):
     resolved = cfgmod.parse_config(write_ini(tmp_path, section, key, value))
@@ -67,20 +117,54 @@ def test_removed_option_is_unknown_key(tmp_path, key):
 # -------------------------------------------------------------- round trip
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# value strategy and INI spelling per converter; keys whose converter is
-# a closure (enum choices) are listed by name
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# value strategy and INI spelling per converter
 BY_CONVERTER = {
-    int: (st.integers(-10**9, 10**9), str),
-    float: (FINITE, repr),
     str: (st.text(string.ascii_letters + string.digits + "/._-", max_size=20), str),
     cfgmod._bool: (st.booleans(), {True: "yes", False: "off"}.get),
     cfgmod._nonneg_float: (FINITE.map(abs), repr),
+    cfgmod._pos_float: (POSITIVE, repr),
+    cfgmod._nonneg_int: (st.integers(0, 10**9), str),
+    cfgmod._pos_int: (st.integers(1, 10**9), str),
     cfgmod._projections: (st.lists(st.sampled_from(PROJECTION_TAGS), min_size=1, max_size=4),
                           ", ".join),
 }
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi), str
+
+
+# Keys whose converter is an enum closure, and keys a dataclass checks
+# against other keys: their ranges are chosen so that any subset of them,
+# with defaults for the rest, is a valid config (e.g. topk <= 4 <= num_experts,
+# num_heads divides model_dim, rank <= model_dim, the generator's word
+# pools fit its vocabulary and its trigger counts leave room for context).
 BY_KEY = {
     "combine_mode": (st.sampled_from(["softmax", "paper-literal"]), str),
     "routing": (st.sampled_from(["instance", "token"]), str),
+    "num_layers": ints(1, 4),
+    "model_dim": (st.sampled_from([16, 32, 64]), str),
+    "num_heads": (st.sampled_from([1, 2, 4]), str),
+    "ffn_dim": ints(1, 10**9),
+    "max_seq_len": ints(2, 10**9),
+    "num_experts": ints(4, 10**9),
+    "topk": ints(1, 4),
+    "rank": ints(1, 16),
+    "epochs": ints(1, 10**9),
+    "batch_size": ints(1, 10**9),
+    **{k: (FINITE.map(abs), repr)
+       for k in ("alpha_router", "alpha_label", "alpha_fd", "alpha_pd")},
+    "n_labels": ints(1, 28),
+    "trigger_words_per_label": ints(4, 10),
+    "context_pool_size": ints(1, 30),
+    "vocab_size": ints(28 * (10 + 30) + 30, 10**9),
+    "confusability": (st.floats(0.0, 1.0), repr),
+    "sentence_len_min": ints(5, 8),
+    "sentence_len_max": ints(8, 12),
+    "triggers_min": ints(1, 2),
+    "triggers_max": ints(2, 4),
+    "descriptions_per_label": ints(5, 10**9),
 }
 
 

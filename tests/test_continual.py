@@ -348,7 +348,7 @@ class TestTraining:
         n_data = len(stream.tasks[0].train)
         steps_per_epoch = -(-n_data // state.config.batch_size)
         assert len(state.loss_rows) == state.config.epochs * steps_per_epoch
-        assert state.loss_rows[-1]["step"] == state._step
+        assert state.loss_rows[-1]["step"] == state.opt.step_count
 
     def test_unfrozen_encoder_rejected(self):
         ds = tiny_dataset()

@@ -71,7 +71,7 @@ class TestEncodeBank:
         raw = {"move": ["sudden shift in ownership"], "bang": ["loud noise"]}
         bank = D.encode_bank(raw, w, vocab, {"move": 0, "bang": 1})
         ids, mask = E.tokenize("loud noise", vocab, w.config.max_seq_len)
-        expected = E.encode_base(ids, mask, w).cls.data
+        expected = E.encode_base(ids[None], mask[None], w).cls.data[0]
         np.testing.assert_allclose(bank.vectors(1)[0], expected, atol=1e-12)
         assert bank.labels() == [0, 1]
         assert bank.texts[0] == ["sudden shift in ownership"]

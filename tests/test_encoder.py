@@ -24,6 +24,12 @@ def make_weights(seed=0, vocab_tokens=("alpha", "beta", "gamma", "delta")):
     return w, vocab, cfg
 
 
+def batch_of_one(text, vocab, cfg):
+    """[1, S] ids and mask: the encoder takes batches only."""
+    ids, mask = E.tokenize(text, vocab, cfg.max_seq_len)
+    return ids[None], mask[None]
+
+
 # ---------------------------------------------------------------- tokenizer
 
 class TestTokenize:
@@ -109,29 +115,42 @@ class TestConfigValidation:
 class TestForward:
     def test_shapes_single_and_batch(self):
         w, vocab, cfg = make_weights()
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         enc = E.encode_base(ids, mask, w)
-        assert enc.cls.data.shape == (cfg.model_dim,)
+        assert enc.cls.data.shape == (1, cfg.model_dim)
         # trimmed to the real length: [CLS] alpha beta
-        assert enc.token_states.data.shape == (3, cfg.model_dim)
-        assert enc.attention_mask.tolist() == [1, 1, 1]
+        assert enc.token_states.data.shape == (1, 3, cfg.model_dim)
+        assert enc.attention_mask.tolist() == [[1, 1, 1]]
 
-        bid = np.stack([ids, ids])
-        bma = np.stack([mask, mask])
+        bid = np.concatenate([ids, ids])
+        bma = np.concatenate([mask, mask])
         benc = E.encode_base(bid, bma, w)
         assert benc.cls.data.shape == (2, cfg.model_dim)
 
+    @pytest.mark.parametrize("lead", [(), (1, 1)])
+    def test_ids_must_be_a_batch(self, lead):
+        # a single sentence is a batch of one; 1-D (or 3-D) ids are refused
+        w, vocab, cfg = make_weights()
+        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = ids.reshape(lead + ids.shape), mask.reshape(lead + mask.shape)
+        with pytest.raises(T.ShapeError, match=r"\[B, S\]"):
+            E.encode_base(ids, mask, w)
+        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
+        with pytest.raises(T.ShapeError, match=r"\[B, S\]"):
+            E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+
     def test_batch_row_matches_single(self):
         w, vocab, cfg = make_weights()
-        a = E.tokenize("alpha beta gamma", vocab, cfg.max_seq_len)
-        b = E.tokenize("delta", vocab, cfg.max_seq_len)
-        single = E.encode_base(a[0], a[1], w).cls.data
-        batch = E.encode_base(np.stack([a[0], b[0]]), np.stack([a[1], b[1]]), w).cls.data
+        a = batch_of_one("alpha beta gamma", vocab, cfg)
+        b = batch_of_one("delta", vocab, cfg)
+        single = E.encode_base(a[0], a[1], w).cls.data[0]
+        batch = E.encode_base(np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]),
+                              w).cls.data
         np.testing.assert_allclose(batch[0], single, atol=1e-12)
 
     def test_padding_content_does_not_affect_cls(self):
         w, vocab, cfg = make_weights()
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         base = E.encode_base(ids, mask, w).cls.data
         ids2 = ids.copy()
         ids2[mask == 0] = vocab.get("gamma")  # rewrite padded positions
@@ -139,23 +158,23 @@ class TestForward:
 
     def test_deterministic(self):
         w, vocab, cfg = make_weights()
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         c1 = E.encode_base(ids, mask, w).cls.data
         c2 = E.encode_base(ids, mask, w).cls.data
         np.testing.assert_array_equal(c1, c2)
 
     def test_embed_noise_changes_cls(self):
         w, vocab, cfg = make_weights()
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         base = E.encode_base(ids, mask, w).cls.data
-        noise = np.full((cfg.max_seq_len, cfg.model_dim), 0.1)
+        noise = np.full((1, cfg.max_seq_len, cfg.model_dim), 0.1)
         noisy = E.encode_base(ids, mask, w, embed_noise=noise).cls.data
         assert np.abs(noisy - base).max() > 1e-6
 
     def test_out_of_range_token_id_raises(self):
         w, vocab, cfg = make_weights()
-        ids, mask = E.tokenize("alpha", vocab, cfg.max_seq_len)
-        ids[1] = cfg.vocab_size + 5
+        ids, mask = batch_of_one("alpha", vocab, cfg)
+        ids[0, 1] = cfg.vocab_size + 5
         with pytest.raises(ValueError):
             E.encode_base(ids, mask, w)
 
@@ -166,7 +185,7 @@ class TestExpertForward:
         w, vocab, cfg = make_weights()
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, num_experts=4,
                                rank=4, rng=np.random.default_rng(1))
-        ids, mask = E.tokenize("alpha beta gamma", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta gamma", vocab, cfg)
         cls = E.encode_base(ids, mask, w).cls
         mix, _ = moe.route_instance(pools, cls, K=2)
         out = E.encode_with_experts(ids, mask, w, pools, mix)
@@ -178,7 +197,7 @@ class TestExpertForward:
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
         for pool in pools.values():
             pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         cls = E.encode_base(ids, mask, w).cls
         mix, _ = moe.route_instance(pools, cls, K=2)
         out = E.encode_with_experts(ids, mask, w, pools, mix)
@@ -188,7 +207,7 @@ class TestExpertForward:
         w, vocab, cfg = make_weights()
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
                                np.random.default_rng(1))
-        ids, mask = E.tokenize("alpha", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha", vocab, cfg)
         with pytest.raises(ValueError):
             E.encode_with_experts(ids, mask, w, pools, None)
 
@@ -196,9 +215,9 @@ class TestExpertForward:
         w, vocab, cfg = make_weights()
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
                                np.random.default_rng(1))
-        ids, mask = E.tokenize("alpha beta", vocab, cfg.max_seq_len)
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
         out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-        assert out.cls.data.shape == (cfg.model_dim,)
+        assert out.cls.data.shape == (1, cfg.model_dim)
         assert len(out.token_decisions) == len(pools)
 
 

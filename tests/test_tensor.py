@@ -3,6 +3,9 @@ finite-difference verification, graph bookkeeping, and the optimizer."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 import leaf.tensor as T
 from leaf.tensor import Tensor
@@ -68,6 +71,13 @@ def test_matmul_batched():
 def test_matmul_shape_error():
     with pytest.raises(T.ShapeError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,)),
+                                             ((), (2, 2))])
+def test_matmul_rejects_operand_below_2_dims(a_shape, b_shape):
+    with pytest.raises(T.ShapeError, match="at least 2 dims"):
+        T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 def test_softmax_hand_value():
@@ -146,7 +156,7 @@ def test_take_gathers_along_axis():
 def test_embedding_lookup():
     table = Tensor(RNG.normal(size=(10, 4)), requires_grad=True)
     ids = np.array([[1, 1, 7], [0, 9, 2]])
-    out = T.embedding(table, ids)
+    out = T.take(table, ids)
     np.testing.assert_allclose(out.data, table.data[ids], atol=1e-15)
 
 
@@ -168,7 +178,7 @@ def test_grad_matmul():
 def test_grad_softmax_hand_derived():
     # For f = softmax(x)[0] with x = [0.9, 0.5]: df/dx = p0*(1-p0), -p0*p1
     x = Tensor(np.array([0.9, 0.5]), requires_grad=True)
-    out = T.select_index(T.softmax(x), 0, axis=0)
+    out = T.take(T.softmax(x), 0)
     out.backward()
     e = np.exp([0.9, 0.5])
     p = e / e.sum()
@@ -180,7 +190,7 @@ def test_grad_log_softmax_and_embedding():
     ids = np.array([[2, 2, 5]])
 
     def f():
-        emb = T.embedding(table, ids)
+        emb = T.take(table, ids)
         return T.tsum(T.log_softmax(T.tsum(emb, axis=1), axis=-1))
 
     assert_grads_match(f, [table])
@@ -220,6 +230,80 @@ def test_grad_cosine_and_take():
                      T.tsum(T.mul(picked, v)))
 
     assert_grads_match(f, [u, v], tol=1e-5)
+
+
+# Random shapes: every property checks the analytic gradient of a weighted
+# sum of the op's output (so each output element has its own weight) by
+# central differences.
+
+
+def weighted_sum(out: Tensor, seed: int) -> Tensor:
+    w = np.random.default_rng(seed).normal(size=out.shape)
+    return T.tsum(T.mul(out, Tensor(w)))
+
+
+def random_param(shape, seed: int, away_from_zero: bool = False) -> Tensor:
+    x = np.random.default_rng(seed).normal(size=shape)
+    if away_from_zero:
+        x = np.sign(x) * (0.5 + np.abs(x)) + (x == 0)
+    return Tensor(x, requires_grad=True)
+
+
+@settings(max_examples=60)
+@given(shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=3),
+       op=st.sampled_from(["add", "mul", "div"]), seed=st.integers(0, 2**16))
+def test_grad_elementwise_under_broadcasting(shapes, op, seed):
+    a_shape, b_shape = shapes.input_shapes
+    a = random_param(a_shape, seed)
+    b = random_param(b_shape, seed + 1, away_from_zero=op == "div")
+    fn = getattr(T, op)
+    out = fn(a, b)
+    assert out.shape == shapes.result_shape
+    assert T.grad_check(lambda: weighted_sum(fn(a, b), seed), [a, b]) <= 1e-6
+    assert a.grad is None and b.grad is None
+
+
+@settings(max_examples=40)
+@given(batch=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2, max_side=3),
+       mkn=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**16))
+def test_grad_batched_matmul_with_broadcast_batch(batch, mkn, seed):
+    m, k, n = mkn
+    a_batch, b_batch = batch.input_shapes
+    a = random_param(a_batch + (m, k), seed)
+    b = random_param(b_batch + (k, n), seed + 1)
+    out = T.matmul(a, b)
+    np.testing.assert_allclose(out.data, a.data @ b.data, rtol=0.0, atol=1e-12)
+    assert out.shape == batch.result_shape + (m, n)
+    assert T.grad_check(lambda: weighted_sum(T.matmul(a, b), seed), [a, b]) <= 1e-6
+
+
+@st.composite
+def take_cases(draw):
+    """(shape, axis, indices): axis may be negative; indices are an int, a
+    1-D list with a repeat, or an N-D integer array."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    n = shape[axis]
+    kind = draw(st.sampled_from(["int", "repeated", "nd"]))
+    if kind == "int":
+        return shape, axis, draw(st.integers(0, n - 1))
+    if kind == "repeated":
+        head = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        return shape, axis, head + [head[0]]
+    idx_shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=int(np.prod(idx_shape)),
+                         max_size=int(np.prod(idx_shape))))
+    return shape, axis, np.asarray(flat).reshape(idx_shape)
+
+
+@settings(max_examples=60)
+@given(case=take_cases(), seed=st.integers(0, 2**16))
+def test_take_matches_np_take_and_grad(case, seed):
+    shape, axis, idx = case
+    a = random_param(shape, seed)
+    out = T.take(a, idx, axis=axis)
+    np.testing.assert_array_equal(out.data, np.take(a.data, idx, axis=axis))
+    assert T.grad_check(lambda: weighted_sum(T.take(a, idx, axis=axis), seed), [a]) <= 1e-6
 
 
 def test_grad_check_utility_on_composite():
