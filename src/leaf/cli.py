@@ -1,9 +1,10 @@
 """Command-line surface: data generation, base pretraining, continual
 runs, ablation sweeps, gradient checking, and report aggregation.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error,
-3 numerical failure. The LEAF_SEED environment variable overrides the
-config seed; an explicit --seed flag overrides both.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error (also a
+seed that is negative or not an integer, and a config value the dataset
+cannot satisfy), 3 numerical failure. The LEAF_SEED environment variable
+overrides the config seed; an explicit --seed flag overrides both.
 """
 
 from __future__ import annotations
@@ -28,15 +29,20 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _seed(source: str, value) -> int:
+    """A seed from `source` through the same check as the [run] seed key."""
+    try:
+        return cfgmod.SCHEMA["run"]["seed"][0](value)
+    except ValueError as exc:  # ConfigError is one
+        raise cfgmod.ConfigError(f"bad {source} {value!r} ({exc})") from exc
+
+
 def _resolve_seed(resolved: dict, flag_seed: int | None) -> int:
     if flag_seed is not None:
-        return flag_seed
+        return _seed("--seed", flag_seed)
     env = os.environ.get("LEAF_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise cfgmod.ConfigError(f"LEAF_SEED is not an integer: {env!r}") from exc
+        return _seed("LEAF_SEED", env)
     return resolved["run"]["seed"]
 
 
@@ -71,13 +77,10 @@ def _load_inputs(resolved):
 def cmd_pretrain_base(args) -> int:
     resolved = cfgmod.parse_config(args.config)
     seed = _resolve_seed(resolved, args.seed)
-    ds, desc_raw = _load_inputs(resolved)
-    for name in ds.label_names:
-        if name not in desc_raw:
-            raise cfgmod.ConfigError(f"label {name!r} has no descriptions")
-    os.makedirs(args.out, exist_ok=True)
+    ds, _ = _load_inputs(resolved)
     _log(f"pretraining base encoder (seed {seed})...")
     weights, vocab, base_names = harness.pretrain_base(ds, resolved, seed)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "base_weights.bin")
     encoder.save_weights(weights, path, vocab=vocab,
                          extra_meta={"base_labels": base_names, "seed": seed})
@@ -135,6 +138,8 @@ def cmd_ablate(args) -> int:
             settings.append((f"{n}_experts", cfg))
     else:
         raise cfgmod.ConfigError(f"unknown ablation axis {args.axis!r}")
+    for _, cfg in settings:
+        harness.check_data(cfg, ds, desc_raw, base_seed, base_names)
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
@@ -164,8 +169,7 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
-    err = run_gradcheck(seed=args.seed if args.seed is not None else 7,
-                        corrupt=args.corrupt_gradient,
+    err = run_gradcheck(seed=7 if args.seed is None else _seed("--seed", args.seed),
                         poison_nan=args.poison_nan)
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err <= 1e-4 else EXIT_RUNTIME
@@ -176,20 +180,13 @@ def cmd_report(args) -> int:
     for run_dir in args.runs:
         payloads.append(harness.load_run_metrics(run_dir))
     mats = [metrics.MetricMatrix.from_dict(p["matrix"]) for p in payloads]
-    agg = metrics.aggregate_runs(mats)
-    T_ = mats[0].num_tasks
-    fields = [f"task_{i + 1}" for i in range(T_)] + ["cumulative_micro"]
+    row = metrics.final_row_cells(mats)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
-        cells = [metrics.format_cell(float(agg.mean_micro[T_ - 1, i]),
-                                     float(agg.std_micro[T_ - 1, i]))
-                 for i in range(T_)]
-        cells.append(metrics.format_cell(float(agg.mean_cumulative[-1]),
-                                         float(agg.std_cumulative[-1])))
-        writer.writerow(cells)
+        writer.writerow(row)
+        writer.writerow(row.values())
     print("final-row F1 (mean±std over "
-          f"{len(mats)} runs): " + "  ".join(cells))
+          f"{len(mats)} runs): " + "  ".join(row.values()))
     return EXIT_OK
 
 
@@ -226,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corrupt-gradient", action="store_true",
-                   help="deliberately break a gradient rule (negative test)")
     p.add_argument("--poison-nan", action="store_true",
                    help="inject NaN into the inputs (error-path test)")
     p.set_defaults(fn=cmd_gradcheck)

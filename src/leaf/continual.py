@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import encoder as enc
-from . import moe
+from . import metrics, moe
 from . import objectives as obj
 from . import tensor as T
 from .data_synth import Dataset, Instance
@@ -79,9 +79,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     loss_weights: obj.LossWeights = field(default_factory=obj.LossWeights)
     topk: int = 2
     num_experts: int = 4
@@ -127,8 +124,7 @@ class ModelState:
         if self.opt is None:
             cfg = self.config
             params = moe.pool_params(self.pools)
-            self.opt = T.Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                              eps=cfg.adam_eps, weight_decay=cfg.routing_l2,
+            self.opt = T.Adam(params, lr=cfg.lr, weight_decay=cfg.routing_l2,
                               decay=moe.routing_params(self.pools))
             for p in self.head.params():
                 self.opt.add_param(p)
@@ -151,19 +147,11 @@ def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
 
 def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
                  seed: int, labels: list[int] | None = None) -> TaskStream:
-    """Seeded disjoint partition of labels into tasks with K-shot train sets."""
+    """Seeded disjoint partition of labels into tasks with K-shot train sets.
+    The labels must be able to fill them; `harness.check_data` checks that."""
     rng = np.random.default_rng(seed)
     pool = sorted(dataset.train) if labels is None else sorted(labels)
     need = n_way * num_tasks
-    if len(pool) < need:
-        raise ValueError(f"need {need} labels for {num_tasks} x {n_way}-way tasks, "
-                         f"have {len(pool)}")
-    for y in pool:
-        if len(dataset.train.get(y, [])) < k_shot:
-            raise ValueError(f"label {y} has {len(dataset.train.get(y, []))} train "
-                             f"instances, need {k_shot}")
-        if not dataset.test.get(y):
-            raise ValueError(f"label {y} has no test instances")
     chosen = list(rng.permutation(pool))[:need]
     tasks = []
     for t in range(num_tasks):
@@ -394,9 +382,7 @@ def run_experiment(stream: TaskStream, state: ModelState, after_task=None):
 
     `after_task(t, state)`, when given, runs once per completed task
     (used for checkpointing)."""
-    from .metrics import MetricMatrix, macro_f1, micro_f1
-
-    matrix = MetricMatrix(num_tasks=stream.num_tasks)
+    matrix = metrics.MetricMatrix(num_tasks=stream.num_tasks)
     for t in range(stream.num_tasks):
         train_task(t, stream, state)
         if after_task is not None:
@@ -408,11 +394,11 @@ def run_experiment(stream: TaskStream, state: ModelState, after_task=None):
             gold = [inst.label for inst in test]
             pred = predict(state, test)
             matrix.record(t, i,
-                          micro_f1(gold, pred, seen),
-                          macro_f1(gold, pred, set(stream.tasks[i].labels)))
+                          metrics.micro_f1(gold, pred, seen),
+                          metrics.macro_f1(gold, pred, set(stream.tasks[i].labels)))
             pooled_gold.extend(gold)
             pooled_pred.extend(pred)
         matrix.record_cumulative(t,
-                                 micro_f1(pooled_gold, pooled_pred, seen),
-                                 macro_f1(pooled_gold, pooled_pred, seen))
+                                 metrics.micro_f1(pooled_gold, pooled_pred, seen),
+                                 metrics.macro_f1(pooled_gold, pooled_pred, seen))
     return matrix

@@ -201,38 +201,3 @@ def build_vocab_tokens(ds: Dataset) -> list[str]:
         for t in descs:
             toks.update(t.lower().split())
     return sorted(toks)
-
-
-def classifier_separability_probe(ds: Dataset, n_shots: int = 5, seed: int = 0) -> float:
-    """Few-shot nearest-centroid bag-of-words probe; returns test accuracy.
-
-    A linear classifier over token counts, deliberately trained on only
-    n_shots instances per label so that accuracy tracks how much the
-    context words (the part rho controls) help beyond the triggers.
-    """
-    rng = np.random.default_rng(seed)
-    vocab = {t: i for i, t in enumerate(build_vocab_tokens(ds))}
-
-    def bow(text):
-        v = np.zeros(len(vocab))
-        for tok in text.lower().split():
-            if tok in vocab:
-                v[vocab[tok]] += 1.0
-        return v
-
-    centroids = {}
-    for y in sorted(ds.train):
-        texts = ds.train[y]
-        picks = rng.choice(len(texts), size=min(n_shots, len(texts)), replace=False)
-        c = np.sum([bow(texts[i]) for i in picks], axis=0)
-        centroids[y] = c / max(np.linalg.norm(c), 1e-12)
-    labels = sorted(centroids)
-    C = np.stack([centroids[y] for y in labels])
-    correct = total = 0
-    for y in sorted(ds.test):
-        for text in ds.test[y]:
-            sims = C @ bow(text)
-            pred = labels[int(np.argmax(sims))]
-            correct += int(pred == y)
-            total += 1
-    return correct / total

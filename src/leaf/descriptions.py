@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -99,22 +98,13 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
 
 
 def subset_bank(bank: DescriptionBank, n_descriptions: int, seed: int) -> DescriptionBank:
-    """Seeded uniform sample of exactly n descriptions per label."""
+    """Seeded uniform sample of exactly n descriptions per label; every
+    label must have n (`harness.check_data` checks that)."""
     rng = np.random.default_rng(seed)
     out = DescriptionBank(encoder_fingerprint=bank.encoder_fingerprint)
     for label in bank.labels():
         texts = bank.texts[label]
-        if n_descriptions > len(texts):
-            raise ValueError(
-                f"label {label} has only {len(texts)} descriptions, need {n_descriptions}")
         pick = sorted(rng.choice(len(texts), size=n_descriptions, replace=False).tolist())
         out.texts[label] = [texts[i] for i in pick]
         out._vectors[label] = [bank._vectors[label][i] for i in pick]
     return out
-
-
-def export_prompt_template(event_label: str, n: int) -> str:
-    """The shipped description-generation prompt with label and count filled in."""
-    template = resources.files("leaf.assets").joinpath(
-        "prompt_label_description.txt").read_text(encoding="utf-8")
-    return template.format(event=event_label.replace("_", " "), n=n)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moe
 from . import tensor as T
 from .objectives import DetectorHead, ce_loss
 from .tensor import Tensor
@@ -253,8 +254,6 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     per-pool routing records land in `token_decisions`, each with the
     (trimmed) attention mask as its row mask.
     """
-    from . import moe  # local import to avoid a cycle
-
     if token_topk is None:
         if mix is None:
             raise ValueError("instance-level forward requires routing mix weights")

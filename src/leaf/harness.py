@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from . import config as cfgmod
-from . import continual, descriptions, encoder, metrics
+from . import continual, data_synth, descriptions, encoder, metrics
 
 MODES = ("leaf", "baseline-single-lora", "mole-token")
 
@@ -69,10 +69,49 @@ def apply_ladder_step(resolved: dict, step: str) -> dict:
 def pick_base_labels(dataset, n_base: int, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     names = list(dataset.label_names)
-    if n_base >= len(names):
-        raise ValueError(f"n_base_labels {n_base} >= total labels {len(names)}")
     picks = rng.choice(len(names), size=n_base, replace=False)
     return sorted(names[i] for i in picks)
+
+
+def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: int,
+               base_names: list[str] | None = None) -> None:
+    """Raise ConfigError for the config values only the data can refute.
+
+    `base_names` are a frozen encoder's base labels; without them, the
+    labels `pretrain_base` picks for `seed` stand in, and there must be
+    fewer of them than labels. The labels left must fill n_way x num_tasks,
+    and each must have k_shot train instances and a test instance. Every
+    label must have n_descriptions descriptions.
+    """
+    names = dataset.label_names
+    cont = resolved["continual"]
+    if base_names is None:
+        n_base = resolved["run"]["n_base_labels"]
+        if n_base >= len(names):
+            raise cfgmod.ConfigError(
+                f"[run] n_base_labels {n_base} >= the {len(names)} labels of the dataset")
+        base_names = pick_base_labels(dataset, n_base, seed)
+    base = set(base_names)
+    left = [y for y, name in enumerate(names) if name not in base]
+    need = cont["n_way"] * cont["num_tasks"]
+    if need > len(left):
+        raise cfgmod.ConfigError(
+            f"[continual] n_way x num_tasks = {need} exceeds the {len(left)} labels "
+            "left after the base split")
+    for y in left:
+        n_train = len(dataset.train.get(y, []))
+        if n_train < cont["k_shot"]:
+            raise cfgmod.ConfigError(
+                f"[continual] k_shot {cont['k_shot']} exceeds the {n_train} train "
+                f"instances of label {names[y]!r}")
+        if not dataset.test.get(y):
+            raise cfgmod.ConfigError(f"label {names[y]!r} has no test instances")
+    for name in names:
+        n_desc = len(desc_raw.get(name, []))
+        if n_desc < cont["n_descriptions"]:
+            raise cfgmod.ConfigError(
+                f"[continual] n_descriptions {cont['n_descriptions']} exceeds the "
+                f"{n_desc} descriptions of label {name!r}")
 
 
 def pretrain_base(dataset, resolved: dict, seed: int):
@@ -80,9 +119,8 @@ def pretrain_base(dataset, resolved: dict, seed: int):
 
     Returns (weights, vocab, base_label_names).
     """
-    from .data_synth import build_vocab_tokens
-
-    vocab = encoder.Vocab(build_vocab_tokens(dataset))
+    check_data(resolved, dataset, dataset.descriptions, seed)
+    vocab = encoder.Vocab(data_synth.build_vocab_tokens(dataset))
     base_names = pick_base_labels(dataset, resolved["run"]["n_base_labels"], seed)
     name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
     pairs = []
@@ -99,6 +137,7 @@ def pretrain_base(dataset, resolved: dict, seed: int):
 
 def setup_run(dataset, desc_raw, weights, vocab, base_names, resolved, seed):
     """Build the stream, description bank, and fresh model state for one run."""
+    check_data(resolved, dataset, desc_raw, seed, base_names)
     name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
     stream_labels = [name_to_id[n] for n in dataset.label_names if n not in set(base_names)]
     cont = resolved["continual"]
@@ -209,12 +248,4 @@ def write_summary_csv(path, by_setting: dict[str, list[metrics.MetricMatrix]],
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for setting, mats in by_setting.items():
-            agg = metrics.aggregate_runs(mats)
-            row = {"setting": setting}
-            T_ = num_tasks
-            for i in range(T_):
-                row[f"task_{i + 1}"] = metrics.format_cell(
-                    float(agg.mean_micro[T_ - 1, i]), float(agg.std_micro[T_ - 1, i]))
-            row["cumulative_micro"] = metrics.format_cell(
-                float(agg.mean_cumulative[-1]), float(agg.std_cumulative[-1]))
-            writer.writerow(row)
+            writer.writerow({"setting": setting, **metrics.final_row_cells(mats)})

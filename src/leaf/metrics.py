@@ -147,3 +147,17 @@ def format_cell(mean: float, std: float) -> str:
     """Render a fraction pair the way the report tables print it, e.g.
     (0.512, 0.006) -> '51.2±0.6'."""
     return f"{mean * 100:.1f}±{std * 100:.1f}"
+
+
+def final_row_cells(matrices: list[MetricMatrix]) -> dict[str, str]:
+    """The report-table row of a set of runs: mean±std over runs of each
+    task's micro-F1 after the last task, then of the cumulative micro-F1,
+    keyed task_1 .. task_T, cumulative_micro."""
+    agg = aggregate_runs(matrices)
+    last = agg.mean_micro.shape[0] - 1
+    cells = {f"task_{i + 1}": format_cell(float(agg.mean_micro[last, i]),
+                                          float(agg.std_micro[last, i]))
+             for i in range(last + 1)}
+    cells["cumulative_micro"] = format_cell(float(agg.mean_cumulative[-1]),
+                                            float(agg.std_cumulative[-1]))
+    return cells

@@ -26,7 +26,7 @@ INIT_SD = 0.02  # A factors and routing rows; B stays zero so the initial delta 
 
 @dataclass
 class ExpertPool:
-    A: Tensor        # [M, d_out, r], expert m's up-projection is A[m]
+    A: Tensor        # [M, d, r], expert m's up-projection is A[m]
     B: Tensor        # [M, r, d], expert m's down-projection is B[m]
     routing: Tensor  # [M, d], row k scores expert k
     layer_index: int
@@ -37,16 +37,16 @@ class ExpertPool:
 
 
 def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
-               rng: np.random.Generator, d_out: int | None = None,
+               rng: np.random.Generator,
                projections=("q", "v")) -> dict[tuple[int, str], ExpertPool]:
-    """One pool per (layer, adapted projection); B=0 so deltas start at zero."""
-    d_out = d if d_out is None else d_out
-    if rank > min(d_out, d):
-        raise ValueError(f"rank {rank} exceeds min(d_out, d) = {min(d_out, d)}")
+    """One d -> d pool per (layer, adapted projection); B=0 so deltas start
+    at zero."""
+    if rank > d:
+        raise ValueError(f"rank {rank} exceeds model dim {d}")
     pools = {}
     for l in range(num_layers):
         for tag in projections:
-            A = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d_out, rank)), requires_grad=True)
+            A = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d, rank)), requires_grad=True)
             B = Tensor(np.zeros((num_experts, rank, d)), requires_grad=True)
             routing = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d)), requires_grad=True)
             pools[(l, tag)] = ExpertPool(A=A, B=B, routing=routing,
@@ -157,9 +157,9 @@ def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
     r columns are scaled by its mix weight, and the stacked A maps the sum
     back up.
     """
-    M, d_out, r = pool.A.shape
-    down = T.reshape(pool.B, (M * r, -1))                               # [M*r, d]
-    up = T.reshape(T.transpose(pool.A, (1, 0, 2)), (d_out, M * r))      # [d_out, M*r]
+    M, d, r = pool.A.shape
+    down = T.reshape(pool.B, (M * r, d))                                # [M*r, d]
+    up = T.reshape(T.transpose(pool.A, (1, 0, 2)), (d, M * r))          # [d, M*r]
     low = T.matmul(x, T.transpose(down))                                # [B, S, M*r]
     w = T.reshape(mix, (x.shape[0], -1, M, 1))                          # [B, 1|S, M, 1]
     scaled = T.mul(T.reshape(low, low.shape[:-1] + (M, r)), w)          # [B, S, M, r]

@@ -51,10 +51,6 @@ class DetectorHead:
         self.bias = Tensor(np.zeros(0), requires_grad=True)
         self._rng = rng
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_order)
-
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
 

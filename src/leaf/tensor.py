@@ -76,9 +76,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
@@ -118,34 +115,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -403,26 +372,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(data, (x, gain, bias), bw)
 
 
-def dot(a, b) -> Tensor:
-    return tsum(mul(a, b))
-
-
 EPS_NORM = 1e-8
-
-
-def cosine_similarity(u, v, eps_norm: float = EPS_NORM) -> Tensor:
-    """u.v / (|u||v|), differentiable; rejects near-zero vectors."""
-    u, v = as_tensor(u), as_tensor(v)
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu < eps_norm or nv < eps_norm:
-        raise DegenerateVectorError(
-            f"cosine_similarity: vector norm below {eps_norm} (|u|={nu:.3g}, |v|={nv:.3g})")
-    return div(dot(u, v), mul(sqrt(dot(u, u)), sqrt(dot(v, v))))
 
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -433,13 +391,9 @@ class Adam:
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0, decay: Sequence[Tensor] = ()):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._decay_ids = {id(p) for p in decay}
         self.step_count = 0
@@ -461,8 +415,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for p in self.params:
             g = p.grad
             if g is None:
@@ -471,9 +425,9 @@ class Adam:
                 p.data -= self.lr * self.weight_decay * p.data
             m = self._m[id(p)]
             v = self._v[id(p)]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.grad = None
 
 

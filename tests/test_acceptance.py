@@ -39,6 +39,21 @@ def test_acceptance_1_gradcheck_full_objective():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 
+def test_gradcheck_catches_broken_matmul_backward(monkeypatch):
+    """The same check fails when every matmul's backward is 1.5x too large."""
+    true_matmul = T.matmul
+
+    def bad_matmul(a, b):
+        out = true_matmul(a, b)
+        if out._backward_fn is not None:
+            inner = out._backward_fn
+            out._backward_fn = lambda g: inner(g * 1.5)
+        return out
+
+    monkeypatch.setattr(T, "matmul", bad_matmul)
+    assert run_gradcheck(seed=7) > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # 2. routing oracle: top-K selection equals exhaustive subset-sum maximization
 
@@ -391,12 +406,12 @@ def test_acceptance_10_protocol_invariants():
         # memory monotonicity: one exemplar per class, N*(t-1)... at task start
         assert len(state.buffer) == n_way * t
         head_before = state.head.weight.data.copy()
-        rows_before = state.head.num_classes
+        rows_before = len(state.head.class_order)
         continual.train_task(t, stream, state)
         # frozen-encoder hash stability
         assert state.weights.fingerprint() == fingerprint
         # head grew by N and training started from the preserved old rows
-        assert state.head.num_classes == rows_before + n_way
+        assert len(state.head.class_order) == rows_before + n_way
         assert state.head.class_order == stream.seen_labels(t)
         if t == 0:
             continue

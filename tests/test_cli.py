@@ -57,6 +57,17 @@ weights = {base}/base_weights.bin
 """
 
 
+def config_with(cfg, section, line, path):
+    """Copy of the config at `cfg` with `line` set in [section], written to `path`."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in cfg.read_text().splitlines() if ln.split("=")[0].strip() != key]
+    text = "\n".join(kept) + "\n"
+    if f"[{section}]" not in text:
+        text += f"[{section}]\n"
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    return path
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("ws")
@@ -171,13 +182,7 @@ class TestTrain:
         ("losses", "temperature = 0"), ("moe", "topk = 5")])
     def test_bad_config_value_is_usage_error(self, workspace, section, line, capsys):
         root, cfg = workspace
-        bad = root / "bad.ini"
-        key = line.split("=")[0].strip()
-        kept = [ln for ln in cfg.read_text().splitlines() if ln.split("=")[0].strip() != key]
-        text = "\n".join(kept) + "\n"
-        if f"[{section}]" not in text:
-            text += f"[{section}]\n"
-        bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        bad = config_with(cfg, section, line, root / "bad.ini")
         out = root / "bad_run"
         assert main(["train", "--config", str(bad), "--mode", "leaf",
                      "--out", str(out), "--seed", "0"]) == 2
@@ -189,6 +194,36 @@ class TestTrain:
         monkeypatch.setenv("LEAF_SEED", "seven")
         assert main(["train", "--config", str(cfg), "--mode", "leaf",
                      "--out", str(root / "y")]) == 2
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_negative_seed_is_usage_error(self, workspace, monkeypatch, capsys, where):
+        root, cfg = workspace
+        out = root / f"negative_seed_{where}"
+        argv = ["train", "--config", str(cfg), "--mode", "leaf", "--out", str(out)]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("LEAF_SEED", "-1")
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    # The workspace has 8 labels with 8 train instances and 6 descriptions
+    # each; 4 are base labels, so 4 are left for 2 tasks x 2 ways.
+    @pytest.mark.parametrize("command,section,line", [
+        ("pretrain-base", "run", "n_base_labels = 8"),
+        ("train", "continual", "k_shot = 9"),
+        ("train", "continual", "num_tasks = 3"),
+        ("train", "continual", "n_descriptions = 7")])
+    def test_config_the_data_refutes_is_usage_error(self, workspace, capsys,
+                                                    command, section, line):
+        root, cfg = workspace
+        bad = config_with(cfg, section, line, root / "refuted.ini")
+        out = root / "refuted_out"
+        argv = [command, "--config", str(bad), "--out", str(out)]
+        assert main(argv + (["--mode", "leaf"] if command == "train" else [])) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblate:
@@ -209,6 +244,25 @@ class TestAblate:
         assert len(summary) == 1 + 4
         assert "±" in summary[1]
 
+    def test_every_setting_checked_before_the_first_run(self, workspace, capsys):
+        root, cfg = workspace
+        data = root / "data"
+        kept, per_label = [], {}
+        for line in (data / "descriptions.tsv").read_text().splitlines():
+            label = line.split("\t")[0]
+            per_label[label] = per_label.get(label, 0) + 1
+            if per_label[label] <= 4:
+                kept.append(line)
+        few = root / "four_descriptions.tsv"
+        few.write_text("\n".join(kept) + "\n")
+        bad = config_with(cfg, "paths", f"descriptions = {few}", root / "few_desc.ini")
+        out = root / "ablate_few_desc"
+        # the 1- and 3-description settings fit; the 5-description one does not
+        assert main(["ablate", "--config", str(bad), "--axis", "n_descriptions",
+                     "--out", str(out), "--seed", "0"]) == 2
+        assert "n_descriptions 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_axis_rejected(self, workspace):
         root, cfg = workspace
         assert main(["ablate", "--config", str(cfg), "--axis", "bogus",
@@ -221,6 +275,9 @@ class TestGradcheckAndReport:
 
     def test_gradcheck_rejects_config_flag(self):
         assert main(["gradcheck", "--config", "x.ini"]) == 2
+
+    def test_gradcheck_negative_seed_is_usage_error(self):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
 
     def test_report_aggregates_runs(self, workspace, capsys):
         root, cfg = workspace

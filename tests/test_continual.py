@@ -5,6 +5,7 @@ a deliberately tiny configuration so the suite stays fast."""
 import numpy as np
 import pytest
 
+from leaf import config as cfgmod
 from leaf import continual as C
 from leaf import data_synth as DS
 from leaf import descriptions as D
@@ -39,6 +40,14 @@ def tiny_state(dataset, epochs=2, augment=False, alpha_label=0.0,
     return C.init_state(weights, vocab, bank, tc)
 
 
+def check_stream_data(dataset, n_way, k_shot, num_tasks):
+    """`harness.check_data` on a stream over every label (no base split)."""
+    resolved = cfgmod.defaults()
+    resolved["continual"].update(n_way=n_way, k_shot=k_shot, num_tasks=num_tasks,
+                                 n_descriptions=1)
+    harness.check_data(resolved, dataset, dataset.descriptions, seed=0, base_names=[])
+
+
 # --------------------------------------------------------------- task stream
 
 class TestBuildStream:
@@ -71,13 +80,20 @@ class TestBuildStream:
 
     def test_too_few_labels_raises(self):
         ds = tiny_dataset()
-        with pytest.raises(ValueError):
-            C.build_stream(ds, 4, 3, 3, seed=0)
+        with pytest.raises(cfgmod.ConfigError, match="n_way x num_tasks"):
+            check_stream_data(ds, 4, 3, 3)
 
     def test_too_few_shots_raises(self):
         ds = tiny_dataset(per_label=2)
-        with pytest.raises(ValueError):
-            C.build_stream(ds, 2, 5, 2, seed=0)
+        with pytest.raises(cfgmod.ConfigError, match="k_shot 5"):
+            check_stream_data(ds, 2, 5, 2)
+
+    def test_label_without_test_instances_raises(self):
+        ds = tiny_dataset()
+        check_stream_data(ds, 2, 3, 3)
+        ds.test[3] = []
+        with pytest.raises(cfgmod.ConfigError, match="no test instances"):
+            check_stream_data(ds, 2, 3, 3)
 
     def test_seen_labels_cumulative(self):
         ds = tiny_dataset()

@@ -1,11 +1,14 @@
 """Tests for the label-description bank: file parsing, frozen encoding,
-seeded subsetting, and the shipped prompt template."""
+seeded subsetting, and the description-count check."""
 
 import numpy as np
 import pytest
 
+from leaf import config as cfgmod
 from leaf import descriptions as D
 from leaf import encoder as E
+from leaf import harness
+from leaf.data_synth import Dataset
 
 
 def write_desc(tmp_path, lines, name="d.tsv"):
@@ -114,16 +117,15 @@ class TestSubsetBank:
         assert a.texts == b.texts
 
     def test_too_few_descriptions_raises(self):
-        with pytest.raises(ValueError):
-            D.subset_bank(self.make_bank(n=2), 3, seed=0)
+        ds = Dataset(label_names=["a", "b"], train={0: ["x y"], 1: ["y z"]},
+                     test={0: ["x"], 1: ["z"]})
+        desc = {name: [f"text {name} {i}" for i in range(2)] for name in ds.label_names}
+        resolved = cfgmod.defaults()
+        resolved["continual"].update(n_way=1, k_shot=1, num_tasks=2, n_descriptions=2)
+        harness.check_data(resolved, ds, desc, seed=0, base_names=[])
+        resolved["continual"]["n_descriptions"] = 3
+        with pytest.raises(cfgmod.ConfigError, match="n_descriptions 3"):
+            harness.check_data(resolved, ds, desc, seed=0, base_names=[])
 
     def test_fingerprint_carried_over(self):
         assert D.subset_bank(self.make_bank(), 1, seed=0).encoder_fingerprint == "fp"
-
-
-class TestPromptTemplate:
-    def test_fills_label_and_count(self):
-        text = D.export_prompt_template("cyber_attack", 3)
-        assert "cyber attack" in text
-        assert "3" in text
-        assert "{" not in text
