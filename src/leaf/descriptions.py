@@ -78,22 +78,28 @@ def load_descriptions(path, known_labels=None) -> dict[str, list[str]]:
 
 def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 vocab: enc.Vocab, label_ids: dict[str, int]) -> DescriptionBank:
-    """Encode every description with the frozen encoder; vector = [CLS] state."""
+    """Encode every description with the frozen encoder, all of them in one
+    batch; vector = [CLS] state."""
     if not weights.frozen:
         raise ValueError("encode_bank requires a frozen encoder")
     bank = DescriptionBank(encoder_fingerprint=weights.fingerprint())
     max_len = weights.config.max_seq_len
-    for label in sorted(raw, key=lambda s: label_ids[s]):
-        lid = label_ids[label]
-        bank.texts[lid] = list(raw[label])
-        vecs = []
+    labels = sorted(raw, key=lambda s: label_ids[s])
+    encoded = []
+    for label in labels:
         for text in raw[label]:
             if len(text.split()) + 1 > max_len:
                 logger.warning("description for %r exceeds max_seq_len; truncated", label)
-            ids, mask = enc.tokenize(text, vocab, max_len)
-            with T.no_grad():
-                vecs.append(enc.encode_base(ids[None], mask[None], weights).cls.data[0])
-        bank._vectors[lid] = vecs
+            encoded.append(enc.tokenize(text, vocab, max_len))
+    with T.no_grad():
+        cls = enc.encode_base(np.stack([e[0] for e in encoded]),
+                              np.stack([e[1] for e in encoded]), weights).cls.data
+    start = 0
+    for label in labels:
+        lid, n = label_ids[label], len(raw[label])
+        bank.texts[lid] = list(raw[label])
+        bank._vectors[lid] = list(cls[start:start + n])
+        start += n
     return bank
 
 

@@ -170,9 +170,8 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
 
 def _project(x: Tensor, weights: EncoderWeights, layer: int, tag: str,
              lora_delta=None) -> Tensor:
-    w = weights.tensors[f"layer{layer}.{tag}.weight"]
-    b = weights.tensors[f"layer{layer}.{tag}.bias"]
-    out = T.add(T.matmul(x, T.transpose(w)), b)
+    out = T.linear(x, weights.tensors[f"layer{layer}.{tag}.weight"],
+                   weights.tensors[f"layer{layer}.{tag}.bias"])
     if lora_delta is not None:
         delta = lora_delta(x, layer, tag)
         if delta is not None:
@@ -201,36 +200,25 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
     ids, mask = ids[:, :seq], mask[:, :seq]
     if embed_noise is not None:
         embed_noise = embed_noise[:, :seq]
-    bsz = ids.shape[0]
-    h_dim = cfg.model_dim // cfg.num_heads
+    w = weights.tensors
 
-    x = T.add(T.take(weights.tensors["tok_emb"], ids),
-              T.take(weights.tensors["pos_emb"], np.arange(seq)))
+    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
     if embed_noise is not None:
         x = T.add(x, Tensor(embed_noise))
-    key_bias = Tensor(np.where(mask[:, None, None, :] == 1, 0.0, MASK_BIAS))
+    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, MASK_BIAS)
 
     for l in range(cfg.num_layers):
         q = _project(x, weights, l, "q", lora_delta)
         k = _project(x, weights, l, "k", lora_delta)
         v = _project(x, weights, l, "v", lora_delta)
-
-        def split_heads(t):
-            return T.transpose(T.reshape(t, (bsz, seq, cfg.num_heads, h_dim)), (0, 2, 1, 3))
-
-        qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-        scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(h_dim))
-        att = T.softmax(T.add(scores, key_bias), axis=-1)
-        ctx = T.reshape(T.transpose(T.matmul(att, vh), (0, 2, 1, 3)), (bsz, seq, cfg.model_dim))
+        ctx = T.attention(q, k, v, key_bias, cfg.num_heads)
         out = _project(ctx, weights, l, "o", lora_delta)
-        x = T.layer_norm(T.add(x, out), weights.tensors[f"layer{l}.ln1.gain"],
-                         weights.tensors[f"layer{l}.ln1.bias"], cfg.layernorm_eps)
-        ff = T.matmul(T.gelu(T.add(T.matmul(x, T.transpose(weights.tensors[f"layer{l}.ffn1.weight"])),
-                                   weights.tensors[f"layer{l}.ffn1.bias"])),
-                      T.transpose(weights.tensors[f"layer{l}.ffn2.weight"]))
-        ff = T.add(ff, weights.tensors[f"layer{l}.ffn2.bias"])
-        x = T.layer_norm(T.add(x, ff), weights.tensors[f"layer{l}.ln2.gain"],
-                         weights.tensors[f"layer{l}.ln2.bias"], cfg.layernorm_eps)
+        x = T.layer_norm(T.add(x, out), w[f"layer{l}.ln1.gain"], w[f"layer{l}.ln1.bias"],
+                         cfg.layernorm_eps)
+        ff = T.gelu(T.linear(x, w[f"layer{l}.ffn1.weight"], w[f"layer{l}.ffn1.bias"]))
+        ff = T.linear(ff, w[f"layer{l}.ffn2.weight"], w[f"layer{l}.ffn2.bias"])
+        x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
+                         cfg.layernorm_eps)
 
     cls = T.take(x, 0, axis=1)
     return SentenceEncoding(token_states=x, cls=cls, attention_mask=mask)

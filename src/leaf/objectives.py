@@ -75,7 +75,7 @@ class DetectorHead:
             self.class_order.append(y)
 
     def logits(self, features: Tensor) -> Tensor:
-        return T.add(T.matmul(features, T.transpose(self.weight)), self.bias)
+        return T.linear(features, self.weight, self.bias)
 
     def predict(self, features) -> np.ndarray:
         """Label id of the highest-scoring row for every feature row."""

@@ -3,7 +3,20 @@
 Everything upstream (encoder, expert pools, losses) is built from the
 primitives here. Graph construction is single-threaded; a node is only
 recorded when gradients are both enabled and needed, so forward passes
-through frozen parameters run as plain numpy.
+through frozen parameters run as plain numpy. Likewise a backward rule
+computes a parent's gradient only when that parent requires grad: frozen
+weights, constants and masks never receive one.
+
+`linear` (x @ Wᵀ + b) and `attention` (multi-head scaled dot-product
+attention) are fused nodes with hand-written backward rules; their forward
+values are bit-identical to the compositions of primitives they replace.
+
+Invariant: no code writes into a `.grad` array in place. So
+`accumulate_grad` keeps the first gradient it receives without a defensive
+copy, although that array may also be another tensor's gradient (`add`
+hands the same array to both operands). Only a gradient laid out other
+than in C order (a transposed or broadcast view) is copied into C order, so
+that the reductions and matmuls that read it sum in one fixed order.
 """
 
 from __future__ import annotations
@@ -77,10 +90,7 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
+        self.grad = np.asarray(g, order="C") if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar.
@@ -105,7 +115,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and (p._backward_fn is not None or p.requires_grad):
+                if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(order):
@@ -121,16 +131,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    if not _grad_enabled:
-        return False
-    return any(t.requires_grad or t._backward_fn is not None for t in tensors)
-
-
 def _node(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap `data`; record the node (and mark it as requiring grad) only
+    when gradients are enabled and some parent requires grad. A recorded
+    node's backward_fn must skip every parent that does not."""
     out = Tensor(data)
-    if _needs_grad(*parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
         out.requires_grad = True
@@ -156,8 +163,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-        b.accumulate_grad(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -167,8 +176,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -178,8 +189,10 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def bw(g):
-        a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(-g * a.data / (b.data ** 2), b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data ** 2), b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -242,10 +255,83 @@ def matmul(a, b) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def bw(g):
-        a.accumulate_grad(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        b.accumulate_grad(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return _node(data, (a, b), bw)
+
+
+def linear(x, weight, bias) -> Tensor:
+    """x @ weightᵀ + bias as one node: x is [..., d_in], weight [d_out, d_in],
+    bias [d_out]. The weight gradient is one GEMM over all leading rows of x."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    d_out, d_in = weight.shape
+    if x.shape[-1] != d_in or bias.shape != (d_out,):
+        raise ShapeError(f"linear shapes differ: x {x.shape}, weight {weight.shape}, "
+                         f"bias {bias.shape}")
+    data = np.matmul(x.data, weight.data.T)
+    data += bias.data
+
+    def bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(g, weight.data))
+        g2 = g.reshape(-1, d_out)
+        if weight.requires_grad:
+            weight.accumulate_grad(np.matmul(g2.T, x.data.reshape(-1, d_in)))
+        if bias.requires_grad:
+            bias.accumulate_grad(g2.sum(axis=0))
+
+    return _node(data, (x, weight, bias), bw)
+
+
+def attention(q, k, v, key_bias: np.ndarray, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q, k, v are [B, S, d]; each is split into `num_heads` heads of d/num_heads
+    dims. `key_bias` is a constant added to the [B, heads, S, S] scores
+    before the softmax over keys (e.g. a large negative value on padded
+    keys); it gets no gradient. Returns the context with heads merged back,
+    [B, S, d]. A NaN score raises NumericalError.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    bsz, seq, d = q.shape
+    hd = d // num_heads
+
+    def split(t):
+        return t.reshape(bsz, seq, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(hd)
+    att = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    att *= scale
+    att += key_bias
+    if np.isnan(att).any():
+        raise NumericalError("attention received NaN scores")
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    data = merge(np.matmul(att, vh))
+
+    def bw(g):
+        gc = split(g)
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.matmul(att.swapaxes(-1, -2), gc)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        datt = np.matmul(gc, vh.swapaxes(-1, -2))
+        ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+        ds *= scale
+        if q.requires_grad:
+            q.accumulate_grad(merge(np.matmul(ds, kh)))
+        if k.requires_grad:
+            k.accumulate_grad(merge(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
+
+    return _node(data, (q, k, v), bw)
 
 
 def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -362,8 +448,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     def bw(g):
         gy = np.asarray(g)
         dims = tuple(range(gy.ndim - 1))
-        gain.accumulate_grad((gy * xhat).sum(axis=dims))
-        bias.accumulate_grad(gy.sum(axis=dims))
+        if gain.requires_grad:
+            gain.accumulate_grad((gy * xhat).sum(axis=dims))
+        if bias.requires_grad:
+            bias.accumulate_grad(gy.sum(axis=dims))
+        if not x.requires_grad:
+            return
         dxhat = gy * gain.data
         dx = inv / n * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
@@ -386,49 +476,96 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction; grads are cleared by step().
 
+    Parameters and their first and second moments each live in one flat
+    buffer, and every parameter's `.data` is a view into the parameter
+    buffer: write into `p.data` in place, never rebind it. A parameter
+    whose grad is None at a step keeps its value and its moments.
     Parameters in `decay` receive decoupled L2 weight decay of strength
     `weight_decay` at each step.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  weight_decay: float = 0.0, decay: Sequence[Tensor] = ()):
-        self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self._decay_ids = {id(p) for p in decay}
         self.step_count = 0
-        self._m = {id(p): np.zeros_like(p.data) for p in self.params}
-        self._v = {id(p): np.zeros_like(p.data) for p in self.params}
+        self.params: list[Tensor] = []
+        self._spans: list[tuple[int, int]] = []
+        self._pack(list(params))
+        self._decay = [p for p in self.params if any(p is d for d in decay)]
 
     def add_param(self, p: Tensor) -> None:
-        self.params.append(p)
-        self._m[id(p)] = np.zeros_like(p.data)
-        self._v[id(p)] = np.zeros_like(p.data)
+        self._pack(self.params + [p])
 
     def replace_param(self, old: Tensor, new: Tensor) -> None:
-        self.params = [p for p in self.params if p is not old]
-        self._m.pop(id(old), None)
-        self._v.pop(id(old), None)
-        self._decay_ids.discard(id(old))
-        self.add_param(new)
+        self._decay = [p for p in self._decay if p is not old]
+        self._pack([p for p in self.params if p is not old] + [new])
+
+    def _pack(self, params: list[Tensor]) -> None:
+        """Lay `params` out in fresh flat buffers and make each `p.data` a
+        view into them. A parameter this optimizer already had keeps its
+        moments; a new one starts from zero."""
+        old = [(p, self._m[lo:hi], self._v[lo:hi])
+               for p, (lo, hi) in zip(self.params, self._spans)]
+        n = sum(p.data.size for p in params)
+        self._flat = np.zeros(n)
+        # m, v, the gathered gradient and two scratch rows for the update
+        self._m, self._v, self._g, self._tmp_a, self._tmp_b = np.zeros((5, n))
+        self.params, self._spans = params, []
+        start = 0
+        for p in params:
+            stop = start + p.data.size
+            view = self._flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            for q, m, v in old:
+                if q is p:
+                    self._m[start:stop], self._v[start:stop] = m, v
+            self._spans.append((start, stop))
+            start = stop
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        for p in self.params:
-            g = p.grad
-            if g is None:
+        if self.weight_decay > 0.0:
+            for p in self._decay:
+                if p.grad is not None:
+                    p.data -= self.lr * self.weight_decay * p.data
+        runs: list[list[int]] = []  # buffer ranges of adjacent params that have a grad
+        for p, (lo, hi) in zip(self.params, self._spans):
+            if p.grad is None:
                 continue
-            if self.weight_decay > 0.0 and id(p) in self._decay_ids:
-                p.data -= self.lr * self.weight_decay * p.data
-            m = self._m[id(p)]
-            v = self._v[id(p)]
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            self._g[lo:hi].reshape(p.data.shape)[...] = p.grad
             p.grad = None
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        for lo, hi in runs:
+            self._update(slice(lo, hi), bc1, bc2)
+
+    def _update(self, s: slice, bc1: float, bc2: float) -> None:
+        """In place over buffer range s, with the rounding of
+        m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g·g;
+        p −= lr·(m/bc1) / (sqrt(v/bc2) + eps)."""
+        p, m, v, g, a, b = (buf[s] for buf in (self._flat, self._m, self._v, self._g,
+                                               self._tmp_a, self._tmp_b))
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 # ---------------------------------------------------------------------------

@@ -39,18 +39,19 @@ def test_acceptance_1_gradcheck_full_objective():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 
-def test_gradcheck_catches_broken_matmul_backward(monkeypatch):
-    """The same check fails when every matmul's backward is 1.5x too large."""
-    true_matmul = T.matmul
+@pytest.mark.parametrize("op", ["matmul", "linear", "attention"])
+def test_gradcheck_catches_broken_matmul_backward(monkeypatch, op):
+    """The same check fails when every backward of one op is 1.5x too large."""
+    true_op = getattr(T, op)
 
-    def bad_matmul(a, b):
-        out = true_matmul(a, b)
+    def bad_op(*args):
+        out = true_op(*args)
         if out._backward_fn is not None:
             inner = out._backward_fn
             out._backward_fn = lambda g: inner(g * 1.5)
         return out
 
-    monkeypatch.setattr(T, "matmul", bad_matmul)
+    monkeypatch.setattr(T, op, bad_op)
     assert run_gradcheck(seed=7) > 1e-4
 
 

@@ -358,6 +358,14 @@ class TestTraining:
         assert any(row["label"] != 0.0 for row in state.loss_rows
                    if row["task"] == 2)
 
+    def test_frozen_encoder_gets_no_gradient(self):
+        """Training steps, with distillation and the label loss on, leave
+        every tensor of the frozen encoder without a gradient."""
+        _, state, stream = self.make_run(alpha_label=0.1)
+        C.train_task(0, stream, state)
+        C.train_task(1, stream, state)
+        assert all(t.grad is None for t in state.weights.tensors.values())
+
     def test_loss_rows_logged_per_step(self):
         _, state, stream = self.make_run()
         C.train_task(0, stream, state)

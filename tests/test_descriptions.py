@@ -69,15 +69,26 @@ class TestLoadDescriptions:
 
 
 class TestEncodeBank:
-    def test_vectors_match_direct_encoding(self):
+    def test_vectors_match_direct_encoding(self, monkeypatch):
+        """One batched forward for the whole bank; each vector equals its
+        description encoded alone (a wider padded batch may move the last bit
+        of a softmax sum, hence the tolerance)."""
         w, vocab = frozen_encoder()
-        raw = {"move": ["sudden shift in ownership"], "bang": ["loud noise"]}
+        raw = {"move": ["sudden shift in ownership", "shift"],
+               "bang": ["loud noise", "noise in loud sudden shift ownership"]}
+        calls = []
+        encode_base = E.encode_base
+        monkeypatch.setattr(E, "encode_base",
+                            lambda *a, **k: calls.append(1) or encode_base(*a, **k))
         bank = D.encode_bank(raw, w, vocab, {"move": 0, "bang": 1})
-        ids, mask = E.tokenize("loud noise", vocab, w.config.max_seq_len)
-        expected = E.encode_base(ids[None], mask[None], w).cls.data[0]
-        np.testing.assert_allclose(bank.vectors(1)[0], expected, atol=1e-12)
+        assert len(calls) == 1
+        for lid, label in enumerate(raw):
+            for text, vec in zip(raw[label], bank.vectors(lid)):
+                ids, mask = E.tokenize(text, vocab, w.config.max_seq_len)
+                expected = encode_base(ids[None], mask[None], w).cls.data[0]
+                np.testing.assert_allclose(vec, expected, rtol=0.0, atol=1e-12)
         assert bank.labels() == [0, 1]
-        assert bank.texts[0] == ["sudden shift in ownership"]
+        assert bank.texts[0] == raw["move"]
 
     def test_requires_frozen_encoder(self):
         w, vocab = frozen_encoder()

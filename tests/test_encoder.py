@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from leaf import encoder as E
 from leaf import moe
+from leaf.gradcheck import TINY
+from leaf.objectives import DetectorHead, ce_loss
 from leaf import tensor as T
 from leaf.tensor import Tensor
 
@@ -326,6 +328,27 @@ class TestBaseTraining:
         assert all(not t.requires_grad for t in w.tensors.values())
         assert w.base_train_accuracy is not None
         assert w.base_train_accuracy >= 0.95
+
+    def test_base_loss_gradients_of_every_encoder_tensor(self):
+        """Finite differences of the base-pretraining loss (ce through the
+        detector head on the [CLS] rows of a ragged batch) on the tiny
+        gradcheck model, against every encoder tensor."""
+        rng = np.random.default_rng(5)
+        vocab = E.Vocab([f"w{i}" for i in range(20)])
+        cfg = E.EncoderConfig(num_layers=TINY["num_layers"], model_dim=TINY["model_dim"],
+                              num_heads=TINY["num_heads"], ffn_dim=TINY["ffn_dim"],
+                              max_seq_len=TINY["max_seq_len"], vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, rng)
+        head = DetectorHead(cfg.model_dim, rng)
+        head.grow(range(3))
+        encoded = [E.tokenize(" ".join(f"w{i}" for i in rng.integers(0, 20, n)), vocab,
+                              cfg.max_seq_len) for n in (2, 6, 3, 5)]
+        ids = np.stack([e[0] for e in encoded])
+        mask = np.stack([e[1] for e in encoded])
+        gold = [0, 1, 2, 1]
+        err = T.grad_check(lambda: ce_loss(head, E.encode_base(ids, mask, w).cls, gold),
+                           w.params(), max_coords=64)
+        assert err <= 1e-6
 
     def test_freeze_clears_grads(self):
         w, _, _ = make_weights()

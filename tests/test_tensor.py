@@ -96,6 +96,9 @@ def test_nan_input_raises_numerical_error():
         T.softmax(x)
     with pytest.raises(T.NumericalError):
         T.log_softmax(x)
+    q = Tensor(np.array([[[0.0, np.nan]]]))
+    with pytest.raises(T.NumericalError):
+        T.attention(q, q, q, np.zeros((1, 1, 1, 1)), 1)
 
 
 def test_softmax_shift_invariance():
@@ -307,6 +310,57 @@ def test_take_matches_np_take_and_grad(case, seed):
     assert T.grad_check(lambda: weighted_sum(T.take(a, idx, axis=axis), seed), [a]) <= 1e-6
 
 
+@settings(max_examples=40)
+@given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**16))
+def test_linear_matches_unfused_and_grad(lead, dims, seed):
+    d_in, d_out = dims
+    x = random_param(tuple(lead) + (d_in,), seed)
+    w = random_param((d_out, d_in), seed + 1)
+    b = random_param((d_out,), seed + 2)
+    unfused = T.add(T.matmul(x, T.transpose(w)), b)
+    assert np.array_equal(T.linear(x, w, b).data, unfused.data)
+    assert T.grad_check(lambda: weighted_sum(T.linear(x, w, b), seed), [x, w, b]) <= 1e-6
+
+
+def unfused_attention(q, k, v, key_bias, heads):
+    """The composition of primitives that T.attention replaces."""
+    bsz, seq, d = q.shape
+    hd = d // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (bsz, seq, heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    att = T.softmax(T.add(scores, Tensor(key_bias)), axis=-1)
+    return T.reshape(T.transpose(T.matmul(att, vh), (0, 2, 1, 3)), (bsz, seq, d))
+
+
+@st.composite
+def attention_cases(draw):
+    """(B, S, heads, head dim, real lengths); the first row always has
+    padded keys."""
+    bsz, seq = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    heads, hd = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lengths = [draw(st.integers(1, seq - 1))]
+    lengths += draw(st.lists(st.integers(1, seq), min_size=bsz - 1, max_size=bsz - 1))
+    return bsz, seq, heads, hd, lengths
+
+
+@settings(max_examples=40)
+@given(case=attention_cases(), seed=st.integers(0, 2**16))
+def test_attention_matches_unfused_and_grad(case, seed):
+    bsz, seq, heads, hd, lengths = case
+    real = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
+    key_bias = np.where(real, 0.0, -1e30)[:, None, None, :]
+    q, k, v = (random_param((bsz, seq, heads * hd), seed + i) for i in range(3))
+    out = T.attention(q, k, v, key_bias, heads)
+    assert np.array_equal(out.data, unfused_attention(q, k, v, key_bias, heads).data)
+    assert T.grad_check(lambda: weighted_sum(T.attention(q, k, v, key_bias, heads), seed),
+                        [q, k, v]) <= 1e-6
+
+
 def test_grad_check_utility_on_composite():
     w = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=5), requires_grad=True)
@@ -338,6 +392,26 @@ def test_no_grad_records_nothing():
 def test_no_graph_when_inputs_need_no_grad():
     y = T.mul(Tensor(np.ones(3)), Tensor(np.ones(3)))
     assert y._parents == ()
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "div", "matmul", "linear", "attention",
+                                "layer_norm"])
+def test_backward_skips_operands_that_need_no_grad(op):
+    """Only the operand that requires grad receives one; constants get none."""
+    x = Tensor(RNG.normal(size=(2, 3, 4)) + 3.0, requires_grad=True)
+    consts = [Tensor(RNG.normal(size=s) + 3.0) for s in [(4, 4), (4,), (2, 3, 4)]]
+    call = {
+        "add": lambda: T.add(x, consts[1]),
+        "mul": lambda: T.mul(consts[1], x),
+        "div": lambda: T.div(x, consts[1]),
+        "matmul": lambda: T.matmul(x, consts[0]),
+        "linear": lambda: T.linear(x, consts[0], consts[1]),
+        "attention": lambda: T.attention(consts[2], x, consts[2], np.zeros((2, 1, 1, 3)), 2),
+        "layer_norm": lambda: T.layer_norm(x, consts[1], consts[1]),
+    }[op]
+    T.tsum(call()).backward()
+    assert x.grad is not None and x.grad.shape == x.shape
+    assert all(c.grad is None for c in consts)
 
 
 def test_backward_accumulates_through_shared_node():
@@ -429,3 +503,52 @@ def test_adam_replace_param():
     a.grad = np.array([1.0])
     opt.step()
     np.testing.assert_allclose(a.data, [1.0], atol=1e-15)  # a no longer managed
+
+
+def reference_adam_step(p, g, m, v, t, lr, decay=0.0):
+    """One step of the per-parameter update as it was written before the flat
+    buffers, including its order of operations."""
+    if decay > 0.0:
+        p -= lr * decay * p
+    m[...] = 0.9 * m + (1.0 - 0.9) * g
+    v[...] = 0.999 * v + (1.0 - 0.999) * g * g
+    p -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+
+
+def test_flat_adam_matches_per_parameter_reference_bit_for_bit():
+    """Decay on "d"; "idle" has no gradient until step 5, so it keeps its
+    value and zero moments until then; "head" is replaced at step 3, as head
+    growth does, and the other parameters keep their moments across it."""
+    rng = np.random.default_rng(11)
+    shapes = {"w": (3, 4), "d": (5,), "idle": (2, 2), "head": (2, 3)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+    opt = T.Adam(list(params.values()), lr=0.05, weight_decay=0.3, decay=[params["d"]])
+    for t in range(1, 6):
+        if t == 3:
+            grown = Tensor(np.concatenate([params["head"].data, rng.normal(size=(1, 3))]),
+                           requires_grad=True)
+            opt.replace_param(params["head"], grown)
+            params["head"] = grown
+            ref["head"] = [grown.data.copy(), np.zeros((3, 3)), np.zeros((3, 3))]
+        for name, p in params.items():
+            if name == "idle" and t < 5:
+                continue
+            p.grad = rng.normal(size=p.shape)
+            ref_p, m, v = ref[name]
+            reference_adam_step(ref_p, p.grad, m, v, t, 0.05, 0.3 if name == "d" else 0.0)
+        opt.step()
+        for name, p in params.items():
+            assert np.array_equal(p.data, ref[name][0]), (name, t)
+            assert p.grad is None
+
+
+def test_adam_sees_in_place_writes_to_param_data():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt = T.Adam([p], lr=0.01)
+    p.data[...] = [5.0, -5.0]
+    g = np.array([0.3, -0.7])
+    p.grad = g.copy()
+    opt.step()
+    expected = np.array([5.0, -5.0]) - 0.01 * g / (np.abs(g) + 1e-8)
+    np.testing.assert_allclose(p.data, expected, atol=1e-12)
