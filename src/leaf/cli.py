@@ -94,7 +94,7 @@ def _load_weights(resolved):
     path = resolved["paths"]["weights"]
     if not path:
         raise cfgmod.ConfigError("[paths] weights is required")
-    weights, vocab, _, meta = encoder.load_weights(path)
+    weights, vocab, meta = encoder.load_weights(path)
     if not weights.frozen:
         raise cfgmod.ConfigError("weights container is not frozen (run pretrain-base)")
     return weights, vocab, meta.get("base_labels", [])

@@ -15,7 +15,7 @@ import math
 from .continual import TrainConfig
 from .data_synth import GeneratorSpec
 from .encoder import PROJECTION_TAGS, EncoderConfig, atomic_open
-from .objectives import LossWeights
+from .objectives import LOSS_TERMS, LossWeights
 
 
 class ConfigError(ValueError):
@@ -196,20 +196,14 @@ def write_snapshot(resolved: dict, path) -> None:
 
 
 def encoder_config(resolved: dict, vocab_size: int) -> EncoderConfig:
-    e = resolved["encoder"]
-    return EncoderConfig(num_layers=e["num_layers"], model_dim=e["model_dim"],
-                         num_heads=e["num_heads"], ffn_dim=e["ffn_dim"],
-                         max_seq_len=e["max_seq_len"], vocab_size=vocab_size,
-                         layernorm_eps=e["layernorm_eps"])
+    return EncoderConfig(**resolved["encoder"], vocab_size=vocab_size)
 
 
 def train_config(resolved: dict, seed: int | None = None) -> TrainConfig:
     m, lo, c = resolved["moe"], resolved["losses"], resolved["continual"]
     return TrainConfig(
         epochs=c["epochs"], batch_size=c["batch_size"], lr=c["lr"],
-        loss_weights=LossWeights(alpha_router=lo["alpha_router"],
-                                 alpha_label=lo["alpha_label"],
-                                 alpha_fd=lo["alpha_fd"], alpha_pd=lo["alpha_pd"]),
+        loss_weights=LossWeights(**{f"alpha_{n}": lo[f"alpha_{n}"] for n in LOSS_TERMS[1:]}),
         topk=m["topk"], num_experts=m["num_experts"], rank=m["rank"],
         projections=tuple(m["projections"]), combine_mode=m["combine_mode"],
         routing=m["routing"], routing_l2=m["routing_l2"],

@@ -9,7 +9,7 @@ frozen throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -123,11 +123,9 @@ class ModelState:
     def __post_init__(self):
         if self.opt is None:
             cfg = self.config
-            params = moe.pool_params(self.pools)
-            self.opt = T.Adam(params, lr=cfg.lr, weight_decay=cfg.routing_l2,
+            self.opt = T.Adam(moe.pool_params(self.pools) + self.head.params(), lr=cfg.lr,
+                              weight_decay=cfg.routing_l2,
                               decay=moe.routing_params(self.pools))
-            for p in self.head.params():
-                self.opt.add_param(p)
 
 
 def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
@@ -341,12 +339,8 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()
-            state.loss_rows.append({
-                "step": state.opt.step_count, "task": t + 1, "epoch": epoch + 1,
-                "ce": breakdown.ce, "router": breakdown.router,
-                "label": breakdown.label, "fd": breakdown.fd,
-                "pd": breakdown.pd, "total": breakdown.total,
-            })
+            state.loss_rows.append({"step": state.opt.step_count, "task": t + 1,
+                                    "epoch": epoch + 1, **asdict(breakdown)})
 
     by_label: dict[int, list[Instance]] = {y: [] for y in task.labels}
     for inst in task.train:
@@ -365,11 +359,17 @@ def _check_finite(total: Tensor, params, t: int, step: int) -> None:
             raise T.NumericalError(f"non-finite gradient at task {t + 1}, step {step}")
 
 
-def predict(state: ModelState, instances, chunk: int = 32) -> list[int]:
+# Instances per forward pass in `predict`. One forward over a whole
+# evaluation set was slower and larger on leaf-ref (eval_inst_per_s 4381 ->
+# 3848, peak_rss_mb 75.0 -> 83.4; 3 benchmark pairs, 15 s each).
+EVAL_CHUNK = 32
+
+
+def predict(state: ModelState, instances) -> list[int]:
     """Inference path: deterministic, no jitter, argmax over all head rows."""
     preds = []
-    for start in range(0, len(instances), chunk):
-        batch = instances[start:start + chunk]
+    for start in range(0, len(instances), EVAL_CHUNK):
+        batch = instances[start:start + EVAL_CHUNK]
         with T.no_grad():
             feats, _, _ = forward_features(state, batch)
         preds.extend(state.head.predict(feats).tolist())

@@ -1,5 +1,5 @@
 """Label-description bank: ingest TSV description files, encode them
-once through the frozen backbone, and serve per-label vector sets.
+once through the frozen backbone, and keep one row per description.
 
 Vectors are frozen constants; a fingerprint of the encoder weights is
 stored so a bank cannot silently be reused with a different backbone.
@@ -8,7 +8,7 @@ stored so a bank cannot silently be reused with a different backbone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,12 @@ class FingerprintMismatchError(RuntimeError):
 
 @dataclass
 class DescriptionBank:
-    texts: dict[int, list[str]] = field(default_factory=dict)
-    _vectors: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    encoder_fingerprint: str = ""
-
-    def labels(self) -> list[int]:
-        return sorted(self.texts)
-
-    def vectors(self, label: int) -> list[np.ndarray]:
-        return self._vectors[label]
+    """One row per description, rows grouped by ascending label id:
+    `texts[i]` has label id `labels[i]` and [CLS] vector `vectors[i]`."""
+    texts: list[str]
+    labels: np.ndarray             # [n] int
+    vectors: np.ndarray            # [n, d]
+    encoder_fingerprint: str
 
     def check_fingerprint(self, weights: enc.EncoderWeights) -> None:
         fp = weights.fingerprint()
@@ -82,35 +79,29 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
     batch; vector = [CLS] state."""
     if not weights.frozen:
         raise ValueError("encode_bank requires a frozen encoder")
-    bank = DescriptionBank(encoder_fingerprint=weights.fingerprint())
     max_len = weights.config.max_seq_len
-    labels = sorted(raw, key=lambda s: label_ids[s])
+    names = sorted(raw, key=lambda s: label_ids[s])
     encoded = []
-    for label in labels:
-        for text in raw[label]:
+    for name in names:
+        for text in raw[name]:
             if len(text.split()) + 1 > max_len:
-                logger.warning("description for %r exceeds max_seq_len; truncated", label)
+                logger.warning("description for %r exceeds max_seq_len; truncated", name)
             encoded.append(enc.tokenize(text, vocab, max_len))
     with T.no_grad():
         cls = enc.encode_base(np.stack([e[0] for e in encoded]),
                               np.stack([e[1] for e in encoded]), weights).cls.data
-    start = 0
-    for label in labels:
-        lid, n = label_ids[label], len(raw[label])
-        bank.texts[lid] = list(raw[label])
-        bank._vectors[lid] = list(cls[start:start + n])
-        start += n
-    return bank
+    return DescriptionBank([text for name in names for text in raw[name]],
+                           np.asarray([label_ids[name] for name in names for _ in raw[name]]),
+                           cls, weights.fingerprint())
 
 
 def subset_bank(bank: DescriptionBank, n_descriptions: int, seed: int) -> DescriptionBank:
     """Seeded uniform sample of exactly n descriptions per label; every
     label must have n (`harness.check_data` checks that)."""
     rng = np.random.default_rng(seed)
-    out = DescriptionBank(encoder_fingerprint=bank.encoder_fingerprint)
-    for label in bank.labels():
-        texts = bank.texts[label]
-        pick = sorted(rng.choice(len(texts), size=n_descriptions, replace=False).tolist())
-        out.texts[label] = [texts[i] for i in pick]
-        out._vectors[label] = [bank._vectors[label][i] for i in pick]
-    return out
+    keep = []
+    for label in np.unique(bank.labels):
+        rows = np.flatnonzero(bank.labels == label)
+        keep.extend(rows[sorted(rng.choice(len(rows), size=n_descriptions, replace=False))])
+    return DescriptionBank([bank.texts[i] for i in keep], bank.labels[keep],
+                           bank.vectors[keep], bank.encoder_fingerprint)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -268,9 +268,8 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
-                    rng: np.random.Generator, epochs: int = 12,
-                    batch_size: int = 16, lr: float = 1e-4,
-                    head_lr: float = 1e-2) -> EncoderWeights:
+                    rng: np.random.Generator, *, epochs: int, lr: float,
+                    batch_size: int = 16, head_lr: float = 1e-2) -> EncoderWeights:
     """Train the encoder plus a throwaway detector head, then freeze.
 
     `instances` are (text, class_index) pairs with a dense 0-based class
@@ -389,41 +388,33 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def save_weights(weights: EncoderWeights, path, vocab: Vocab | None = None,
-                 extra_tensors: dict[str, np.ndarray] | None = None,
                  extra_meta: dict | None = None) -> None:
-    cfg = weights.config
-    meta = {
-        "config": {
-            "num_layers": cfg.num_layers, "model_dim": cfg.model_dim,
-            "num_heads": cfg.num_heads, "ffn_dim": cfg.ffn_dim,
-            "max_seq_len": cfg.max_seq_len, "vocab_size": cfg.vocab_size,
-            "layernorm_eps": cfg.layernorm_eps,
-        },
-        "frozen": weights.frozen,
-    }
+    meta = {"config": asdict(weights.config), "frozen": weights.frozen}
     if vocab is not None:
         meta["vocab"] = vocab.to_list()
     if extra_meta:
         meta.update(extra_meta)
-    tensors = {f"encoder/{k}": v.data for k, v in weights.tensors.items()}
-    if extra_tensors:
-        tensors.update(extra_tensors)
-    save_tensors(tensors, path, meta=meta)
+    save_tensors({f"encoder/{k}": v.data for k, v in weights.tensors.items()}, path,
+                 meta=meta)
 
 
-def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict[str, np.ndarray], dict]:
-    """Returns (weights, vocab, non-encoder tensors, meta)."""
+def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict]:
+    """Returns (weights, vocab, meta). Raises WeightsFormatError for a
+    container that does not hold encoder weights alone (a checkpoint, say)."""
     arrays, meta = load_tensors(path)
-    cfg = EncoderConfig(**meta["config"])
-    tensors = {}
-    extra = {}
-    for name, arr in arrays.items():
-        if name.startswith("encoder/"):
-            tensors[name[len("encoder/"):]] = Tensor(arr.copy(), requires_grad=True)
-        else:
-            extra[name] = arr
+    if not isinstance(meta.get("config"), dict):
+        raise WeightsFormatError(f"{path}: no encoder config in the header")
+    outside = sorted(name for name in arrays if not name.startswith("encoder/"))
+    if outside:
+        raise WeightsFormatError(f"{path}: entry {outside[0]!r} is not an encoder tensor")
+    try:
+        cfg = EncoderConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise WeightsFormatError(f"{path}: bad encoder config: {exc}") from exc
+    tensors = {name[len("encoder/"):]: Tensor(arr.copy(), requires_grad=True)
+               for name, arr in arrays.items()}
     weights = EncoderWeights(config=cfg, tensors=tensors)
     if meta.get("frozen"):
         weights.freeze()
     vocab = Vocab.from_list(meta["vocab"]) if "vocab" in meta else None
-    return weights, vocab, extra, meta
+    return weights, vocab, meta

@@ -55,10 +55,9 @@ def build_tiny_problem(seed: int = 7, poison_nan: bool = False):
     snap_head = head.copy()
     snap_head.weight.data += rng.normal(0.0, 0.05, snap_head.weight.shape)
 
-    bank = DescriptionBank(encoder_fingerprint=weights.fingerprint())
-    for y in labels:
-        bank.texts[y] = [f"desc {y} a", f"desc {y} b"]
-        bank._vectors[y] = [rng.normal(0.0, 0.5, cfg.model_dim) for _ in range(2)]
+    bank = DescriptionBank([f"desc {y} {c}" for y in labels for c in "ab"], np.repeat(labels, 2),
+                           rng.normal(0.0, 0.5, (2 * len(labels), cfg.model_dim)),
+                           weights.fingerprint())
 
     # ragged lengths: the trimmed batch keeps padding inside its shorter rows
     batch_texts = [" ".join(rng.choice([f"w{i}" for i in range(n_words)], size=n))

@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from . import config as cfgmod
-from . import continual, data_synth, descriptions, encoder, metrics
+from . import continual, data_synth, descriptions, encoder, metrics, objectives
 
 MODES = ("leaf", "baseline-single-lora", "mole-token")
 
@@ -203,12 +203,11 @@ def write_run_dir(out_dir, resolved, seed, matrix: metrics.MetricMatrix,
     _atomic_write(os.path.join(out_dir, "metrics_matrix.csv"), "\n".join(lines) + "\n")
 
     if state is not None:
-        header = "step,task,epoch,ce,router,label,fd,pd,total"
-        rows = [header]
+        values = (*objectives.LOSS_TERMS, "total")
+        rows = [",".join(("step", "task", "epoch") + values)]
         for r in state.loss_rows:
             rows.append(f"{r['step']},{r['task']},{r['epoch']},"
-                        f"{r['ce']:.10g},{r['router']:.10g},{r['label']:.10g},"
-                        f"{r['fd']:.10g},{r['pd']:.10g},{r['total']:.10g}")
+                        + ",".join(f"{r[k]:.10g}" for k in values))
         _atomic_write(os.path.join(out_dir, "losses.csv"), "\n".join(rows) + "\n")
 
 

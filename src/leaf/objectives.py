@@ -7,12 +7,16 @@ batch size. Snapshot inputs are always detached constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+# The loss terms in the order total_loss adds them; every term after "ce"
+# is weighted by the LossWeights field alpha_<name>.
+LOSS_TERMS = ("ce", "router", "label", "fd", "pd")
 
 
 @dataclass
@@ -23,20 +27,15 @@ class LossWeights:
     alpha_pd: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha_router", "alpha_label", "alpha_fd", "alpha_pd"):
-            v = getattr(self, name)
+        for name in LOSS_TERMS[1:]:
+            v = getattr(self, f"alpha_{name}")
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ValueError(f"alpha_{name} must be finite and >= 0, got {v}")
 
 
-@dataclass
-class LossBreakdown:
-    ce: float = 0.0
-    router: float = 0.0
-    label: float = 0.0
-    fd: float = 0.0
-    pd: float = 0.0
-    total: float = 0.0
+# Raw value of every term, then the weighted total.
+LossBreakdown = make_dataclass("LossBreakdown",
+                               [(name, float) for name in (*LOSS_TERMS, "total")])
 
 
 class DetectorHead:
@@ -94,14 +93,20 @@ class DetectorHead:
         return dup
 
 
+def _soft_ce(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over rows of -sum(target * log softmax(logits)); `target` rows
+    are constant distributions."""
+    logp = T.log_softmax(logits, axis=-1)
+    return T.mul(T.tsum(T.mul(logp, Tensor(target))), -1.0 / target.shape[0])
+
+
 def ce_loss(head: DetectorHead, features: Tensor, gold) -> Tensor:
     """Mean -log softmax(head(f))[gold] over the batch."""
     rows = np.asarray([head.row_of(int(y)) for y in gold])
     logits = head.logits(features)
-    logp = T.log_softmax(logits, axis=-1)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(len(rows)), rows] = 1.0
-    return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), -1.0 / len(rows))
+    return _soft_ce(logits, onehot)
 
 
 def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
@@ -115,14 +120,9 @@ def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
     seen = sorted(int(y) for y in seen_labels)
     if len(seen) < 2:
         raise ValueError("label contrastive loss needs at least 2 seen labels")
-    vec_list = []
-    owner = []
-    for y in seen:
-        for z in bank.vectors(y):
-            vec_list.append(z)
-            owner.append(y)
-    Z = Tensor(np.stack(vec_list, axis=0))          # [n_desc, d]
-    owner = np.asarray(owner)
+    rows = np.isin(bank.labels, seen)
+    Z = Tensor(bank.vectors[rows])                  # [n_desc, d]
+    owner = bank.labels[rows]
     gold = np.asarray([int(y) for y in gold])
     missing = np.setdiff1d(gold, owner)
     if missing.size:
@@ -165,33 +165,23 @@ def prediction_distill_loss(prev_head: DetectorHead, prev_features: np.ndarray,
     curr_rows = [curr_head.row_of(y) for y in old]
     with T.no_grad():
         prev_logits = prev_head.logits(Tensor(np.asarray(prev_features))).data[:, prev_rows]
-    shifted = prev_logits / temperature
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    p_hat = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        p_hat = T.softmax(prev_logits / temperature).data
     curr_logits = T.take(curr_head.logits(curr_features), curr_rows, axis=1)
-    logp = T.log_softmax(T.mul(curr_logits, 1.0 / temperature), axis=-1)
-    n = p_hat.shape[0]
-    return T.mul(T.tsum(T.mul(logp, Tensor(p_hat))), -1.0 / n)
+    return _soft_ce(T.mul(curr_logits, 1.0 / temperature), p_hat)
 
 
 def total_loss(parts: dict[str, Tensor], weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
-    """Weighted combination of the five terms; missing parts count as 0.
+    """Weighted combination of the LOSS_TERMS; missing parts count as 0.
 
     A term with weight 0 is skipped entirely, so disabling it yields a
     graph identical to the sum without that term.
     """
     zero = Tensor(0.0)
-    ce = parts.get("ce", zero)
-    router = parts.get("router", zero)
-    label = parts.get("label", zero)
-    fd = parts.get("fd", zero)
-    pd = parts.get("pd", zero)
-    total = ce
-    for term, alpha in ((router, weights.alpha_router), (label, weights.alpha_label),
-                        (fd, weights.alpha_fd), (pd, weights.alpha_pd)):
+    terms = {name: parts.get(name, zero) for name in LOSS_TERMS}
+    total = terms["ce"]
+    for name in LOSS_TERMS[1:]:
+        alpha = getattr(weights, f"alpha_{name}")
         if alpha != 0.0:
-            total = T.add(total, T.mul(term, alpha))
-    breakdown = LossBreakdown(
-        ce=float(ce.data), router=float(router.data), label=float(label.data),
-        fd=float(fd.data), pd=float(pd.data), total=float(total.data))
-    return total, breakdown
+            total = T.add(total, T.mul(terms[name], alpha))
+    return total, LossBreakdown(**{name: float(t.data) for name, t in terms.items()},
+                                total=float(total.data))

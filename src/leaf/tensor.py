@@ -494,9 +494,6 @@ class Adam:
         self._pack(list(params))
         self._decay = [p for p in self.params if any(p is d for d in decay)]
 
-    def add_param(self, p: Tensor) -> None:
-        self._pack(self.params + [p])
-
     def replace_param(self, old: Tensor, new: Tensor) -> None:
         self._decay = [p for p in self._decay if p is not old]
         self._pack([p for p in self.params if p is not old] + [new])

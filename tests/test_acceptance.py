@@ -144,16 +144,6 @@ def test_acceptance_4_single_expert_weight_merge():
 # 5. loss oracles
 
 
-class _SharedBank:
-    """Both labels carry the same single description vector."""
-
-    def __init__(self, vec):
-        self._vec = vec
-
-    def vectors(self, label):
-        return [self._vec]
-
-
 def test_acceptance_5a_distillation_fixed_point():
     rng = np.random.default_rng(5)
     feats_np = rng.normal(0.0, 1.0, (6, 8))
@@ -179,7 +169,8 @@ def test_acceptance_5a_distillation_fixed_point():
 def test_acceptance_5b_symmetric_bank_zero_label_loss():
     rng = np.random.default_rng(6)
     feats = Tensor(rng.normal(0.0, 1.0, (4, 8)))
-    bank = _SharedBank(rng.normal(0.0, 1.0, 8))
+    vec = rng.normal(0.0, 1.0, 8)  # both labels carry this one description vector
+    bank = descriptions.DescriptionBank(["a", "b"], np.array([0, 1]), np.stack([vec, vec]), "")
     loss = obj.label_contrastive_loss(feats, [0, 1, 0, 1], bank, [0, 1])
     assert abs(float(loss.data)) <= 1e-9
 

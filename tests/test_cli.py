@@ -176,6 +176,22 @@ class TestTrain:
                      "--out", str(root / "inf_loss"), "--seed", "0"]) == 3
         assert "task 1, step 1" in capsys.readouterr().err
 
+    def test_checkpoint_as_base_weights_is_runtime_error(self, workspace, capsys):
+        root, cfg = workspace
+        src = root / "ckpt_src"
+        assert main(["train", "--config", str(cfg), "--mode", "baseline-single-lora",
+                     "--out", str(src), "--seed", "0"]) == 0
+        bad = config_with(cfg, "paths", f"weights = {src / 'checkpoints' / 'task_1.bin'}",
+                          root / "ckpt_weights.ini")
+        out = root / "ckpt_run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--mode", "leaf",
+                     "--out", str(out), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "no encoder config" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,line", [
         ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
         ("moe", "projections = x, y"), ("continual", "sigma_aug = -1"),

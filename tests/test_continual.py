@@ -2,6 +2,8 @@
 memory, snapshots, head growth, and the end-to-end training loop — all on
 a deliberately tiny configuration so the suite stays fast."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from leaf import continual as C
 from leaf import data_synth as DS
 from leaf import descriptions as D
 from leaf import encoder as E
-from leaf import harness
+from leaf import harness, metrics
 from leaf import objectives as obj
 
 
@@ -277,6 +279,23 @@ class TestCheckpoint:
             np.testing.assert_array_equal(tensors[name], value)
         assert meta["class_order"] == [0, 1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["task_1.bin"]
+
+    def test_losses_csv_bytes(self, tmp_path):
+        """Header, column order and %.10g cells of losses.csv."""
+        state = SimpleNamespace(loss_rows=[
+            {"step": 1, "task": 1, "epoch": 1, "ce": 1.0 / 3.0, "router": 0.0,
+             "label": -0.125, "fd": 1e-12, "pd": 12345678901.5, "total": 2.0 / 3.0},
+            {"step": 2, "task": 2, "epoch": 3, "ce": 0.5, "router": 2.5e-5,
+             "label": 0.0, "fd": 0.0, "pd": 0.0, "total": 0.500000025},
+        ])
+        matrix = metrics.MetricMatrix(num_tasks=1)
+        matrix.record(0, 0, 0.5, 0.5)
+        matrix.record_cumulative(0, 0.5, 0.5)
+        harness.write_run_dir(tmp_path, cfgmod.defaults(), 0, matrix, state)
+        assert (tmp_path / "losses.csv").read_bytes() == (
+            b"step,task,epoch,ce,router,label,fd,pd,total\n"
+            b"1,1,1,0.3333333333,0,-0.125,1e-12,1.23456789e+10,0.6666666667\n"
+            b"2,2,3,0.5,2.5e-05,0,0,0,0.500000025\n")
 
     def test_failed_write_keeps_old_file_and_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "out.json"

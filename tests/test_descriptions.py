@@ -83,12 +83,12 @@ class TestEncodeBank:
         bank = D.encode_bank(raw, w, vocab, {"move": 0, "bang": 1})
         assert len(calls) == 1
         for lid, label in enumerate(raw):
-            for text, vec in zip(raw[label], bank.vectors(lid)):
+            for text, vec in zip(raw[label], bank.vectors[bank.labels == lid]):
                 ids, mask = E.tokenize(text, vocab, w.config.max_seq_len)
                 expected = encode_base(ids[None], mask[None], w).cls.data[0]
                 np.testing.assert_allclose(vec, expected, rtol=0.0, atol=1e-12)
-        assert bank.labels() == [0, 1]
-        assert bank.texts[0] == raw["move"]
+        assert bank.labels.tolist() == [0, 0, 1, 1]
+        assert bank.texts[:2] == raw["move"]
 
     def test_requires_frozen_encoder(self):
         w, vocab = frozen_encoder()
@@ -107,18 +107,19 @@ class TestEncodeBank:
 
 class TestSubsetBank:
     def make_bank(self, n=5):
-        bank = D.DescriptionBank(encoder_fingerprint="fp")
-        for lid in (0, 1):
-            bank.texts[lid] = [f"text {lid} {i}" for i in range(n)]
-            bank._vectors[lid] = [np.full(4, 10 * lid + i, dtype=float)
-                                  for i in range(n)]
-        return bank
+        rows = [(lid, i) for lid in (0, 1) for i in range(n)]
+        return D.DescriptionBank([f"text {lid} {i}" for lid, i in rows],
+                                 np.asarray([lid for lid, _ in rows]),
+                                 np.asarray([np.full(4, 10 * lid + i, dtype=float)
+                                             for lid, i in rows]),
+                                 "fp")
 
     def test_exact_count_and_text_vector_alignment(self):
         sub = D.subset_bank(self.make_bank(), n_descriptions=3, seed=0)
         for lid in (0, 1):
-            assert len(sub.texts[lid]) == 3 and len(sub.vectors(lid)) == 3
-            for text, vec in zip(sub.texts[lid], sub.vectors(lid)):
+            rows = np.flatnonzero(sub.labels == lid)
+            assert len(rows) == 3 and len(sub.vectors[rows]) == 3
+            for text, vec in zip([sub.texts[r] for r in rows], sub.vectors[rows]):
                 i = int(text.split()[-1])
                 assert vec[0] == 10 * lid + i
 
@@ -137,6 +138,16 @@ class TestSubsetBank:
         resolved["continual"]["n_descriptions"] = 3
         with pytest.raises(cfgmod.ConfigError, match="n_descriptions 3"):
             harness.check_data(resolved, ds, desc, seed=0, base_names=[])
+
+    def test_draws_per_label_in_ascending_label_order(self):
+        """One draw of n row positions per label, labels in ascending order,
+        each draw sorted."""
+        rng = np.random.default_rng(3)
+        expected = [f"text {lid} {i}" for lid in (0, 1)
+                    for i in sorted(rng.choice(5, size=2, replace=False).tolist())]
+        sub = D.subset_bank(self.make_bank(), 2, seed=3)
+        assert sub.texts == expected
+        assert sub.labels.tolist() == [0, 0, 1, 1]
 
     def test_fingerprint_carried_over(self):
         assert D.subset_bank(self.make_bank(), 1, seed=0).encoder_fingerprint == "fp"

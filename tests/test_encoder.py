@@ -365,14 +365,30 @@ class TestWeightContainer:
         w, vocab, cfg = make_weights()
         w.freeze()
         path = tmp_path / "w.leafwt"
-        E.save_weights(w, path, vocab=vocab,
-                       extra_tensors={"head/w": np.arange(6.0).reshape(2, 3)})
-        w2, vocab2, extra, meta = E.load_weights(path)
+        E.save_weights(w, path, vocab=vocab)
+        w2, vocab2, meta = E.load_weights(path)
         assert w2.fingerprint() == w.fingerprint()
         assert w2.frozen
         assert vocab2.token_to_id == vocab.token_to_id
-        np.testing.assert_array_equal(extra["head/w"], np.arange(6.0).reshape(2, 3))
         assert meta["config"]["model_dim"] == cfg.model_dim
+        assert w2.config == cfg
+
+    def test_load_weights_rejects_container_without_encoder_config(self, tmp_path):
+        """A run checkpoint (pool and head tensors, no encoder config) is
+        not base weights."""
+        path = tmp_path / "task_1.bin"
+        E.save_tensors({"head/weight": np.zeros((2, 3))}, path, meta={"class_order": [0, 1]})
+        with pytest.raises(E.WeightsFormatError, match="no encoder config"):
+            E.load_weights(path)
+
+    def test_load_weights_rejects_entry_outside_encoder(self, tmp_path):
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        E.save_tensors({**arrays, "head/w": np.zeros(2)}, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError, match="'head/w'"):
+            E.load_weights(path)
 
     def test_save_load_tensors_scalar_and_meta(self, tmp_path):
         path = tmp_path / "t.leafwt"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import leaf.objectives as obj
 import leaf.tensor as T
+from leaf.descriptions import DescriptionBank
 from leaf.tensor import Tensor
 from oracles import cosine_similarity
 
@@ -15,13 +16,11 @@ from oracles import cosine_similarity
 RNG = np.random.default_rng(5)
 
 
-class StubBank:
-    def __init__(self, table):
-        self.table = {int(k): [np.asarray(v, dtype=np.float64) for v in vs]
-                      for k, vs in table.items()}
-
-    def vectors(self, y):
-        return self.table[int(y)]
+def stub_bank(table, d):
+    """A bank with one row per vector of `table` (label -> vectors)."""
+    rows = [(y, np.asarray(v, dtype=np.float64)) for y in sorted(table) for v in table[y]]
+    return DescriptionBank([f"desc {y}" for y, _ in rows], np.asarray([y for y, _ in rows]),
+                           np.asarray([v for _, v in rows]).reshape(len(rows), d), "")
 
 
 def fresh_head(labels, d=6, zero=False, rng=None):
@@ -104,7 +103,7 @@ def test_label_loss_zero_for_symmetric_bank():
     # both labels share the same single description vector: the gold
     # numerator and other-label denominator coincide -> exactly zero
     z = RNG.normal(size=6)
-    bank = StubBank({0: [z], 1: [z]})
+    bank = stub_bank({0: [z], 1: [z]}, 6)
     feats = Tensor(RNG.normal(size=(3, 6)))
     loss = float(obj.label_contrastive_loss(feats, [0, 1, 0], bank, [0, 1]).data)
     assert abs(loss) <= 1e-9
@@ -112,15 +111,16 @@ def test_label_loss_zero_for_symmetric_bank():
 
 def test_label_loss_negative_when_gold_descriptions_closer():
     f = np.array([[1.0, 0.0]])
-    bank = StubBank({0: [np.array([5.0, 0.0])], 1: [np.array([-5.0, 0.0])]})
+    bank = stub_bank({0: [np.array([5.0, 0.0])], 1: [np.array([-5.0, 0.0])]}, 2)
     loss = float(obj.label_contrastive_loss(Tensor(f), [0], bank, [0, 1]).data)
     assert loss < 0.0
 
 
 def test_label_loss_numpy_reference():
     feats = RNG.normal(size=(2, 4))
-    bank = StubBank({0: [RNG.normal(size=4) for _ in range(2)],
-                     1: [RNG.normal(size=4) for _ in range(3)]})
+    table = {0: [RNG.normal(size=4) for _ in range(2)],
+             1: [RNG.normal(size=4) for _ in range(3)]}
+    bank = stub_bank(table, 4)
     gold = [1, 0]
     loss = float(obj.label_contrastive_loss(Tensor(feats), gold, bank, [0, 1]).data)
 
@@ -130,22 +130,22 @@ def test_label_loss_numpy_reference():
 
     ref = 0.0
     for i, y in enumerate(gold):
-        own = np.array([feats[i] @ z for z in bank.vectors(y)])
+        own = np.array([feats[i] @ z for z in table[y]])
         other = np.array([feats[i] @ z for lab in (0, 1) if lab != y
-                          for z in bank.vectors(lab)])
+                          for z in table[lab]])
         ref += lse(other) - lse(own)
     ref /= len(gold)
     assert abs(loss - ref) <= 1e-12
 
 
 def test_label_loss_rejects_gold_label_without_descriptions():
-    bank = StubBank({0: [np.ones(3)], 1: [-np.ones(3)], 2: []})
+    bank = stub_bank({0: [np.ones(3)], 1: [-np.ones(3)], 2: []}, 3)
     with pytest.raises(ValueError, match="label 2 has no description vectors"):
         obj.label_contrastive_loss(Tensor(np.ones((2, 3))), [0, 2], bank, [0, 1, 2])
 
 
 def test_label_loss_requires_two_labels():
-    bank = StubBank({0: [np.ones(3)]})
+    bank = stub_bank({0: [np.ones(3)]}, 3)
     with pytest.raises(ValueError):
         obj.label_contrastive_loss(Tensor(np.ones((1, 3))), [0], bank, [0])
 
@@ -258,6 +258,14 @@ def test_prediction_distill_needs_old_labels():
     with pytest.raises(ValueError):
         obj.prediction_distill_loss(head, np.ones((1, 6)), head,
                                     Tensor(np.ones((1, 6))), [])
+
+
+def test_prediction_distill_rejects_nan_teacher():
+    head = fresh_head([0, 1])
+    prev = np.ones((2, 6))
+    prev[1, 0] = np.nan
+    with pytest.raises(T.NumericalError, match="softmax"):
+        obj.prediction_distill_loss(head, prev, head, Tensor(np.ones((2, 6))), [0, 1])
 
 
 # ---------------------------------------------------------------- total
