@@ -95,7 +95,6 @@ class Vocab:
 
 @dataclass
 class SentenceEncoding:
-    token_states: Tensor      # [B, seq, d]
     cls: Tensor               # [B, d] = position 0 of the final layer
     attention_mask: np.ndarray  # [B, seq]
     token_decisions: list = field(default_factory=list)  # per-token routing records
@@ -125,29 +124,38 @@ class EncoderWeights:
         return h.hexdigest()
 
 
-def init_encoder_weights(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeights:
+def weight_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every encoder tensor, in initialization order."""
     d, f = config.model_dim, config.ffn_dim
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq_len, d)}
+    for l in range(config.num_layers):
+        for tag in PROJECTION_TAGS:
+            shapes[f"layer{l}.{tag}.weight"] = (d, d)
+            shapes[f"layer{l}.{tag}.bias"] = (d,)
+        shapes[f"layer{l}.ffn1.weight"] = (f, d)
+        shapes[f"layer{l}.ffn1.bias"] = (f,)
+        shapes[f"layer{l}.ffn2.weight"] = (d, f)
+        shapes[f"layer{l}.ffn2.bias"] = (d,)
+        for ln in ("ln1", "ln2"):
+            shapes[f"layer{l}.{ln}.gain"] = (d,)
+            shapes[f"layer{l}.{ln}.bias"] = (d,)
+    return shapes
+
+
+def init_encoder_weights(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeights:
     # Scale-preserving (Glorot) init for all projections: at desk scale the
     # encoder is trained only lightly before freezing, so the initialization
     # itself must propagate sentence content into [CLS] without vanishing.
-    w = {}
-    w["tok_emb"] = rng.normal(0.0, 1.0 / np.sqrt(d), (config.vocab_size, d))
-    w["pos_emb"] = rng.normal(0.0, 1.0 / np.sqrt(d), (config.max_seq_len, d))
-    sd_dd = np.sqrt(2.0 / (d + d))
-    sd_df = np.sqrt(2.0 / (d + f))
-    for l in range(config.num_layers):
-        for tag in PROJECTION_TAGS:
-            w[f"layer{l}.{tag}.weight"] = rng.normal(0.0, sd_dd, (d, d))
-            w[f"layer{l}.{tag}.bias"] = np.zeros(d)
-        w[f"layer{l}.ffn1.weight"] = rng.normal(0.0, sd_df, (f, d))
-        w[f"layer{l}.ffn1.bias"] = np.zeros(f)
-        w[f"layer{l}.ffn2.weight"] = rng.normal(0.0, sd_df, (d, f))
-        w[f"layer{l}.ffn2.bias"] = np.zeros(d)
-        w[f"layer{l}.ln1.gain"] = np.ones(d)
-        w[f"layer{l}.ln1.bias"] = np.zeros(d)
-        w[f"layer{l}.ln2.gain"] = np.ones(d)
-        w[f"layer{l}.ln2.bias"] = np.zeros(d)
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in w.items()}
+    # Embeddings draw at sd 1/sqrt(d); biases start at 0 and gains at 1.
+    tensors = {}
+    for name, shape in weight_shapes(config).items():
+        if name.endswith("_emb"):
+            arr = rng.normal(0.0, 1.0 / np.sqrt(config.model_dim), shape)
+        elif name.endswith(".weight"):
+            arr = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), shape)
+        else:
+            arr = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        tensors[name] = Tensor(arr, requires_grad=True)
     return EncoderWeights(config=config, tensors=tensors)
 
 
@@ -169,11 +177,11 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
 
 
 def _project(x: Tensor, weights: EncoderWeights, layer: int, tag: str,
-             lora_delta=None) -> Tensor:
+             lora_delta=None, routed: Tensor | None = None) -> Tensor:
     out = T.linear(x, weights.tensors[f"layer{layer}.{tag}.weight"],
                    weights.tensors[f"layer{layer}.{tag}.bias"])
     if lora_delta is not None:
-        delta = lora_delta(x, layer, tag)
+        delta = lora_delta(x, x if routed is None else routed, layer, tag)
         if delta is not None:
             out = T.add(out, delta)
     return out
@@ -182,13 +190,21 @@ def _project(x: Tensor, weights: EncoderWeights, layer: int, tag: str,
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
              lora_delta=None, embed_noise: np.ndarray | None = None) -> SentenceEncoding:
     """Shared forward over a [B, S] batch of ids/mask (a single sentence is
-    a batch of one); `lora_delta(x, layer, tag) -> Tensor|None` hooks the
-    attention projections.
+    a batch of one); `lora_delta(x, routed, layer, tag) -> Tensor|None`
+    hooks the attention projections: the delta applies to `x`, and a token
+    router scores `routed`, which is `x` or the full-width input `x` is the
+    [CLS] row of.
 
     Padded keys get exactly zero attention (MASK_BIAS), so trailing columns
     that are padding in every row cannot reach a real position: the batch
     is cut to its last real column before the embedding lookup, and
-    `token_states`/`attention_mask` come back at that length."""
+    `attention_mask` comes back at that length.
+
+    Only [CLS] leaves the last block, and a position's output there depends
+    on the other positions through the keys and values alone. So that block
+    projects `k` and `v` over all positions and runs everything else (the
+    query, attention output, `o`, both layer norms and the FFN) on row 0:
+    the lossless end of PoWER-BERT's word-vector elimination."""
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
@@ -208,20 +224,20 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, MASK_BIAS)
 
     for l in range(cfg.num_layers):
-        q = _project(x, weights, l, "q", lora_delta)
+        rows = T.take(x, [0], axis=1) if l == cfg.num_layers - 1 else x
+        q = _project(rows, weights, l, "q", lora_delta, routed=x)
         k = _project(x, weights, l, "k", lora_delta)
         v = _project(x, weights, l, "v", lora_delta)
         ctx = T.attention(q, k, v, key_bias, cfg.num_heads)
         out = _project(ctx, weights, l, "o", lora_delta)
-        x = T.layer_norm(T.add(x, out), w[f"layer{l}.ln1.gain"], w[f"layer{l}.ln1.bias"],
+        x = T.layer_norm(T.add(rows, out), w[f"layer{l}.ln1.gain"], w[f"layer{l}.ln1.bias"],
                          cfg.layernorm_eps)
         ff = T.gelu(T.linear(x, w[f"layer{l}.ffn1.weight"], w[f"layer{l}.ffn1.bias"]))
         ff = T.linear(ff, w[f"layer{l}.ffn2.weight"], w[f"layer{l}.ffn2.bias"])
         x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
                          cfg.layernorm_eps)
 
-    cls = T.take(x, 0, axis=1)
-    return SentenceEncoding(token_states=x, cls=cls, attention_mask=mask)
+    return SentenceEncoding(cls=T.take(x, 0, axis=1), attention_mask=mask)
 
 
 def encode_base(ids, mask, weights: EncoderWeights,
@@ -240,7 +256,10 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     (from `moe.route_instance`). When `token_topk` is given, `mix` is
     ignored and routing is recomputed per token inside each block; the
     per-pool routing records land in `token_decisions`, each with the
-    (trimmed) attention mask as its row mask.
+    (trimmed) attention mask of the rows it routed as its row mask. The
+    last block's `q` router scores every token, but only the [CLS] row's
+    delta is applied; its `o` router sees only the [CLS] context row, so an
+    `o` pool there records the mask's first column.
     """
     if token_topk is None:
         if mix is None:
@@ -250,19 +269,22 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
             raise ValueError(f"routing mix missing pool {missing[0]}")
     token_decisions = []
 
-    def lora_delta(x, layer, tag):
+    def lora_delta(x, routed, layer, tag):
         pool = pools.get((layer, tag))
         if pool is None:
             return None
         if token_topk is None:
             return moe.pool_delta(pool, x, mix[(layer, tag)])
-        token_mix, record = moe.token_mix_weights(pool, x, token_topk, combine_mode)
+        token_mix, record = moe.token_mix_weights(pool, routed, token_topk, combine_mode)
         token_decisions.append(record)
+        if x.shape[1] < routed.shape[1]:  # x is the [CLS] row of `routed`
+            token_mix = T.take(token_mix, [0], axis=1)
         return moe.pool_delta(pool, x, token_mix)
 
     out = _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
     for record in token_decisions:
-        record["mask"] = out.attention_mask  # the router loss averages real tokens only
+        # the router loss averages real tokens only
+        record["mask"] = out.attention_mask[:, :record["selected"].shape[1]]
     out.token_decisions = token_decisions
     return out
 
@@ -400,7 +422,9 @@ def save_weights(weights: EncoderWeights, path, vocab: Vocab | None = None,
 
 def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict]:
     """Returns (weights, vocab, meta). Raises WeightsFormatError for a
-    container that does not hold encoder weights alone (a checkpoint, say)."""
+    container that does not hold encoder weights alone (a checkpoint, say),
+    or whose tensors are not exactly those `weight_shapes` names for its
+    config, each at its shape."""
     arrays, meta = load_tensors(path)
     if not isinstance(meta.get("config"), dict):
         raise WeightsFormatError(f"{path}: no encoder config in the header")
@@ -411,8 +435,18 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict]:
         cfg = EncoderConfig(**meta["config"])
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{path}: bad encoder config: {exc}") from exc
-    tensors = {name[len("encoder/"):]: Tensor(arr.copy(), requires_grad=True)
-               for name, arr in arrays.items()}
+    arrays = {name[len("encoder/"):]: arr for name, arr in arrays.items()}
+    expected = weight_shapes(cfg)
+    missing = sorted(expected.keys() - arrays.keys())
+    if missing:
+        raise WeightsFormatError(f"{path}: encoder tensor {missing[0]!r} is missing")
+    for name, arr in arrays.items():
+        if name not in expected:
+            raise WeightsFormatError(f"{path}: unknown encoder tensor {name!r}")
+        if arr.shape != expected[name]:
+            raise WeightsFormatError(f"{path}: encoder tensor {name!r} has shape "
+                                     f"{arr.shape}, expected {expected[name]}")
+    tensors = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
     weights = EncoderWeights(config=cfg, tensors=tensors)
     if meta.get("frozen"):
         weights.freeze()

@@ -170,13 +170,18 @@ def router_loss(records) -> Tensor:
     """Negative mean over pools of the summed selected scores, averaged
     over the real rows of each pool's routing record: its `mask` is 1 for
     every instance, and for real (not padded) tokens under token routing.
-    The gradient pushes selected scores upward.
+    A mask whose shape is not the selection's without the expert axis
+    raises ShapeError. The gradient pushes selected scores upward.
     """
     if not records:
         return Tensor(0.0)
     total = None
     for record in records:
         mask = record["mask"]
+        if mask.shape != record["selected"].shape[:-1]:
+            raise T.ShapeError(f"router record for pool {record['key']}: mask "
+                               f"{mask.shape} does not match its selection "
+                               f"{record['selected'].shape[:-1]}")
         weights = record["selected"] * mask[..., None]
         per_row = T.tsum(T.mul(record["scores"], Tensor(weights)), axis=-1)
         term = T.mul(T.tsum(per_row), 1.0 / mask.sum())

@@ -289,21 +289,22 @@ def linear(x, weight, bias) -> Tensor:
 def attention(q, k, v, key_bias: np.ndarray, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    q, k, v are [B, S, d]; each is split into `num_heads` heads of d/num_heads
-    dims. `key_bias` is a constant added to the [B, heads, S, S] scores
-    before the softmax over keys (e.g. a large negative value on padded
-    keys); it gets no gradient. Returns the context with heads merged back,
-    [B, S, d]. A NaN score raises NumericalError.
+    q is [B, Sq, d] and k, v are [B, Sk, d], with Sq <= Sk when only some
+    positions' outputs are needed; each is split into `num_heads` heads of
+    d/num_heads dims. `key_bias` is a constant added to the
+    [B, heads, Sq, Sk] scores before the softmax over keys (e.g. a large
+    negative value on padded keys); it gets no gradient. Returns the context
+    with heads merged back, [B, Sq, d]. A NaN score raises NumericalError.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    bsz, seq, d = q.shape
+    bsz, _, d = q.shape
     hd = d // num_heads
 
     def split(t):
-        return t.reshape(bsz, seq, num_heads, hd).transpose(0, 2, 1, 3)
+        return t.reshape(bsz, t.shape[1], num_heads, hd).transpose(0, 2, 1, 3)
 
     def merge(t):
-        return t.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
+        return t.transpose(0, 2, 1, 3).reshape(bsz, t.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(hd)

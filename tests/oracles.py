@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import leaf.encoder as E
+import leaf.moe as moe
 import leaf.tensor as T
 
 
@@ -18,3 +20,49 @@ def cosine_similarity(u, v, eps_norm: float = T.EPS_NORM) -> T.Tensor:
         return T.tsum(T.mul(a, b))
 
     return T.div(dot(u, v), T.mul(T.sqrt(dot(u, u)), T.sqrt(dot(v, v))))
+
+
+def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None,
+                       embed_noise=None):
+    """The encoder forward that computes every position of every block,
+    the last one included, with the library's ops; `leaf.encoder._forward`
+    runs its last block on [CLS] only and must agree with this at row 0.
+
+    With `pools`, each adapted projection adds its pool's delta: mixed by
+    `mix[(layer, tag)]` (instance routing) or, with `token_topk`, routed per
+    token from the projection's full-width input. Returns the final hidden
+    states [B, S, d] of the trimmed batch and the token-routing records.
+    """
+    cfg = weights.config
+    seq = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    ids, mask = ids[:, :seq], mask[:, :seq]
+    w = weights.tensors
+    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
+    if embed_noise is not None:
+        x = T.add(x, T.Tensor(embed_noise[:, :seq]))
+    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, E.MASK_BIAS)
+    records = []
+
+    def project(h, l, tag):
+        out = T.linear(h, w[f"layer{l}.{tag}.weight"], w[f"layer{l}.{tag}.bias"])
+        pool = (pools or {}).get((l, tag))
+        if pool is None:
+            return out
+        if token_topk is None:
+            pool_mix = mix[(l, tag)]
+        else:
+            pool_mix, record = moe.token_mix_weights(pool, h, token_topk)
+            record["mask"] = mask
+            records.append(record)
+        return T.add(out, moe.pool_delta(pool, h, pool_mix))
+
+    for l in range(cfg.num_layers):
+        ctx = T.attention(project(x, l, "q"), project(x, l, "k"), project(x, l, "v"),
+                          key_bias, cfg.num_heads)
+        x = T.layer_norm(T.add(x, project(ctx, l, "o")), w[f"layer{l}.ln1.gain"],
+                         w[f"layer{l}.ln1.bias"], cfg.layernorm_eps)
+        ff = T.gelu(T.linear(x, w[f"layer{l}.ffn1.weight"], w[f"layer{l}.ffn1.bias"]))
+        ff = T.linear(ff, w[f"layer{l}.ffn2.weight"], w[f"layer{l}.ffn2.bias"])
+        x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
+                         cfg.layernorm_eps)
+    return x, records

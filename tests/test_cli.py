@@ -192,6 +192,24 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_base_weights_missing_a_tensor_is_runtime_error(self, workspace, capsys):
+        from leaf import encoder
+
+        root, cfg = workspace
+        arrays, meta = encoder.load_tensors(root / "base" / "base_weights.bin")
+        del arrays["encoder/tok_emb"]
+        encoder.save_tensors(arrays, root / "no_tok_emb.bin", meta=meta)
+        bad = config_with(cfg, "paths", f"weights = {root / 'no_tok_emb.bin'}",
+                          root / "no_tok_emb.ini")
+        out = root / "no_tok_emb_run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--mode", "leaf",
+                     "--out", str(out), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'tok_emb' is missing" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,line", [
         ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
         ("moe", "projections = x, y"), ("continual", "sigma_aug = -1"),

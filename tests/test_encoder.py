@@ -12,6 +12,7 @@ from leaf.gradcheck import TINY
 from leaf.objectives import DetectorHead, ce_loss
 from leaf import tensor as T
 from leaf.tensor import Tensor
+from oracles import full_width_forward
 
 
 def small_config(vocab_size):
@@ -121,7 +122,6 @@ class TestForward:
         enc = E.encode_base(ids, mask, w)
         assert enc.cls.data.shape == (1, cfg.model_dim)
         # trimmed to the real length: [CLS] alpha beta
-        assert enc.token_states.data.shape == (1, 3, cfg.model_dim)
         assert enc.attention_mask.tolist() == [[1, 1, 1]]
 
         bid = np.concatenate([ids, ids])
@@ -226,13 +226,20 @@ class TestExpertForward:
 # ------------------------------------------------------- padding is trimmed
 
 
-def live_pools(cfg, seed=1):
-    """Pools whose experts change the output (B != 0)."""
+def pools_on(cfg, projections, live, seed=1):
+    """Pools on `projections` of every layer; `live` draws nonzero B, so the
+    experts change the output, and otherwise every delta is exactly zero."""
     rng = np.random.default_rng(seed)
-    pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
-    for pool in pools.values():
-        pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
+    pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng, projections=projections)
+    if live:
+        for pool in pools.values():
+            pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
     return pools
+
+
+def ragged_rows(rng, vocab, lengths):
+    """One token-id row per length: [CLS], then random non-reserved ids."""
+    return [[E.CLS_ID] + list(rng.integers(3, len(vocab), n - 1)) for n in lengths]
 
 
 def padded(rows, width):
@@ -264,7 +271,7 @@ class TestTrimmedPadding:
     @given(data=st.data())
     def test_padding_width_changes_nothing(self, data):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        pools = live_pools(cfg)
+        pools = pools_on(cfg, ("q", "v"), live=True)
         lengths = data.draw(st.lists(st.integers(1, cfg.max_seq_len), min_size=1,
                                      max_size=4), label="lengths")
         rows = [[E.CLS_ID] + data.draw(st.lists(st.integers(3, len(vocab) - 1),
@@ -294,9 +301,9 @@ class TestTrimmedPadding:
     def test_token_routing_ragged_gradcheck(self):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
         w.freeze()
-        pools = live_pools(cfg)
+        pools = pools_on(cfg, ("q", "v"), live=True)
         rng = np.random.default_rng(3)
-        rows = [[E.CLS_ID] + list(rng.integers(3, len(vocab), n - 1)) for n in (2, 7, 4)]
+        rows = ragged_rows(rng, vocab, (2, 7, 4))
         ids, mask = padded(rows, cfg.max_seq_len)
         target = rng.normal(size=(len(rows), cfg.model_dim))
 
@@ -309,6 +316,113 @@ class TestTrimmedPadding:
         err = T.grad_check(loss_fn, moe.pool_params(pools), max_coords=12,
                            rng=np.random.default_rng(0))
         assert err < 1e-6
+
+
+# ------------------------------------------- the last block is [CLS] only
+
+
+class TestLastBlockClsOnly:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_width_oracle(self, data):
+        """Base, instance-routed and token-routed [CLS] rows, and the token
+        router loss, equal those of the forward that computes every position
+        of the last block."""
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        projections = data.draw(st.sampled_from([("q", "v"), ("q", "k", "v")]))
+        live = data.draw(st.booleans(), label="live experts")
+        pools = pools_on(cfg, projections, live)
+        lengths = data.draw(st.lists(st.integers(1, cfg.max_seq_len), min_size=1,
+                                     max_size=4), label="lengths")
+        rows = ragged_rows(np.random.default_rng(data.draw(st.integers(0, 99))), vocab, lengths)
+        ids, mask = padded(rows, data.draw(st.integers(max(lengths), cfg.max_seq_len)))
+        noise = np.random.default_rng(len(rows)).normal(0.0, 0.05, ids.shape + (cfg.model_dim,))
+        noise[0] = 0.0  # clean and noisy rows
+        with T.no_grad():
+            base = E.encode_base(ids, mask, w, embed_noise=noise).cls.data
+            base_ref, _ = full_width_forward(ids, mask, w, embed_noise=noise)
+            mix, _ = moe.route_instance(pools, Tensor(base), K=2)
+            inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=noise).cls.data
+            inst_ref, _ = full_width_forward(ids, mask, w, pools, mix=mix, embed_noise=noise)
+            tok = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=noise,
+                                        token_topk=2)
+            tok_ref, records = full_width_forward(ids, mask, w, pools, token_topk=2,
+                                                  embed_noise=noise)
+            loss = float(moe.router_loss(tok.token_decisions).data)
+            loss_ref = float(moe.router_loss(records).data)
+        for got, ref in ((base, base_ref), (inst, inst_ref), (tok.cls.data, tok_ref)):
+            np.testing.assert_allclose(got, ref.data[:, 0], rtol=0.0, atol=1e-12)
+        assert abs(loss - loss_ref) <= 1e-12
+        if not live:  # zero deltas leave every position of every block as it was
+            np.testing.assert_allclose(inst_ref.data, base_ref.data, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(tok_ref.data, base_ref.data, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("routing", ["instance", "token"])
+    def test_gradcheck_through_last_block(self, routing):
+        """Pools on all four projections and the last block's own weights,
+        through the [CLS] slice, the short-query attention and the [CLS]-row
+        `o` pool."""
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        pools = pools_on(cfg, E.PROJECTION_TAGS, live=True)
+        rng = np.random.default_rng(4)
+        ids, mask = padded(ragged_rows(rng, vocab, (2, 7, 4)), cfg.max_seq_len)
+        target = Tensor(rng.normal(size=(3, cfg.model_dim)))
+        with T.no_grad():
+            base = E.encode_base(ids, mask, w).cls
+
+        def loss_fn():
+            if routing == "instance":
+                mix, records = moe.route_instance(pools, base, K=2)
+                out = E.encode_with_experts(ids, mask, w, pools, mix)
+            else:
+                out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+                records = out.token_decisions
+            diff = T.add(out.cls, T.mul(target, -1.0))
+            return T.add(T.tsum(T.mul(diff, diff)), moe.router_loss(records))
+
+        last = [t for name, t in w.tensors.items()
+                if name.startswith(f"layer{cfg.num_layers - 1}.") or name == "tok_emb"]
+        err = T.grad_check(loss_fn, moe.pool_params(pools) + last, max_coords=6,
+                           rng=np.random.default_rng(0))
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("routing", ["base", "instance", "token"])
+    def test_last_block_ffn_sees_one_row(self, routing, monkeypatch):
+        """Guard against a silent return to full width: the last block's
+        GELU gets [B, 1, ffn_dim], the one before it every position."""
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        pools = pools_on(cfg, ("q", "v"), live=True)
+        ids, mask = padded(ragged_rows(np.random.default_rng(5), vocab, (3, 6)),
+                           cfg.max_seq_len)
+        with T.no_grad():
+            base = E.encode_base(ids, mask, w).cls
+        shapes, real_gelu = [], T.gelu
+        monkeypatch.setattr(T, "gelu", lambda a: shapes.append(a.shape) or real_gelu(a))
+        if routing == "base":
+            E.encode_base(ids, mask, w)
+        elif routing == "instance":
+            E.encode_with_experts(ids, mask, w, pools, moe.route_instance(pools, base, K=2)[0])
+        else:
+            E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        assert shapes == [(2, 6, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
+
+    def test_token_routed_o_pool_records_the_cls_column(self):
+        """Under token routing an `o` pool of the last block routes only the
+        [CLS] context row: its record carries the mask's first column, and
+        the one of an earlier block the whole mask."""
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        pools = pools_on(cfg, ("q", "v", "o"), live=True)
+        ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
+                           cfg.max_seq_len)
+        out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        records = {record["key"]: record for record in out.token_decisions}
+        last = cfg.num_layers - 1
+        assert records[(last, "o")]["selected"].shape == (3, 1, 4)
+        assert records[(last, "o")]["mask"].tolist() == [[1], [1], [1]]
+        for key in ((0, "o"), (last, "q")):
+            assert records[key]["selected"].shape == (3, 5, 4)
+            np.testing.assert_array_equal(records[key]["mask"], mask[:, :5])
+        assert np.isfinite(float(moe.router_loss(out.token_decisions).data))
 
 
 # ----------------------------------------------------------- base training
@@ -380,6 +494,26 @@ class TestWeightContainer:
         E.save_tensors({"head/weight": np.zeros((2, 3))}, path, meta={"class_order": [0, 1]})
         with pytest.raises(E.WeightsFormatError, match="no encoder config"):
             E.load_weights(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda a: a.pop("encoder/tok_emb"), "'tok_emb' is missing"),
+        (lambda a: a.update({"encoder/layer0.extra": np.zeros(2)}),
+         "unknown encoder tensor 'layer0.extra'"),
+        (lambda a: a.update({"encoder/layer1.ffn1.bias": np.zeros(3)}),
+         r"'layer1.ffn1.bias' has shape \(3,\), expected \(32,\)")])
+    def test_load_weights_checks_names_and_shapes(self, tmp_path, edit, match):
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        edit(arrays)
+        E.save_tensors(arrays, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError, match=match):
+            E.load_weights(path)
+
+    def test_weight_shapes_are_the_initialized_ones(self):
+        w, _, cfg = make_weights()
+        assert {k: t.shape for k, t in w.tensors.items()} == E.weight_shapes(cfg)
 
     def test_load_weights_rejects_entry_outside_encoder(self, tmp_path):
         w, vocab, _ = make_weights()

@@ -325,36 +325,39 @@ def test_linear_matches_unfused_and_grad(lead, dims, seed):
 
 def unfused_attention(q, k, v, key_bias, heads):
     """The composition of primitives that T.attention replaces."""
-    bsz, seq, d = q.shape
+    bsz, q_len, d = q.shape
     hd = d // heads
 
     def split(t):
-        return T.transpose(T.reshape(t, (bsz, seq, heads, hd)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (bsz, t.shape[1], heads, hd)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     att = T.softmax(T.add(scores, Tensor(key_bias)), axis=-1)
-    return T.reshape(T.transpose(T.matmul(att, vh), (0, 2, 1, 3)), (bsz, seq, d))
+    return T.reshape(T.transpose(T.matmul(att, vh), (0, 2, 1, 3)), (bsz, q_len, d))
 
 
 @st.composite
 def attention_cases(draw):
-    """(B, S, heads, head dim, real lengths); the first row always has
-    padded keys."""
+    """(B, query rows, key rows, heads, head dim, real key lengths): the
+    query has one row (the encoder's last block) or one per key; the first
+    row always has padded keys."""
     bsz, seq = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    q_len = draw(st.sampled_from([1, seq]))
     heads, hd = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     lengths = [draw(st.integers(1, seq - 1))]
     lengths += draw(st.lists(st.integers(1, seq), min_size=bsz - 1, max_size=bsz - 1))
-    return bsz, seq, heads, hd, lengths
+    return bsz, q_len, seq, heads, hd, lengths
 
 
 @settings(max_examples=40)
 @given(case=attention_cases(), seed=st.integers(0, 2**16))
 def test_attention_matches_unfused_and_grad(case, seed):
-    bsz, seq, heads, hd, lengths = case
+    bsz, q_len, seq, heads, hd, lengths = case
     real = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
     key_bias = np.where(real, 0.0, -1e30)[:, None, None, :]
-    q, k, v = (random_param((bsz, seq, heads * hd), seed + i) for i in range(3))
+    q = random_param((bsz, q_len, heads * hd), seed)
+    k, v = (random_param((bsz, seq, heads * hd), seed + i) for i in (1, 2))
     out = T.attention(q, k, v, key_bias, heads)
     assert np.array_equal(out.data, unfused_attention(q, k, v, key_bias, heads).data)
     assert T.grad_check(lambda: weighted_sum(T.attention(q, k, v, key_bias, heads), seed),
