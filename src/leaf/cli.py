@@ -84,7 +84,7 @@ def cmd_pretrain_base(args) -> int:
     path = os.path.join(args.out, "base_weights.bin")
     encoder.save_weights(weights, path, vocab=vocab,
                          extra_meta={"base_labels": base_names, "seed": seed})
-    with open(os.path.join(args.out, "fingerprint.txt"), "w", encoding="utf-8") as fh:
+    with encoder.atomic_open(os.path.join(args.out, "fingerprint.txt")) as fh:
         fh.write(weights.fingerprint() + "\n")
     _log(f"frozen weights written to {path}")
     return EXIT_OK
@@ -181,7 +181,7 @@ def cmd_report(args) -> int:
         payloads.append(harness.load_run_metrics(run_dir))
     mats = [metrics.MetricMatrix.from_dict(p["matrix"]) for p in payloads]
     row = metrics.final_row_cells(mats)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with encoder.atomic_open(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(row)
         writer.writerow(row.values())

@@ -253,15 +253,22 @@ def forward_features(state: ModelState, instances, pools=None,
 
 def select_exemplar(state: ModelState, instances_by_label: dict[int, list[Instance]]):
     """Per label, the instance whose feature is most cosine-similar to the
-    label's mean feature; ties break toward dataset order."""
-    out = {}
-    for y in sorted(instances_by_label):
-        group = instances_by_label[y]
-        if not group:
+    label's mean feature; ties break toward dataset order. All candidates
+    go through one forward pass, in ascending label order."""
+    labels = sorted(instances_by_label)
+    for y in labels:
+        if not instances_by_label[y]:
             raise ValueError(f"no instances for label {y}")
-        with T.no_grad():
-            feats, _, _ = forward_features(state, group)
-        f = feats.data
+    if not labels:
+        return {}
+    candidates = [inst for y in labels for inst in instances_by_label[y]]
+    with T.no_grad():
+        feats, _, _ = forward_features(state, candidates)
+    out, start = {}, 0
+    for y in labels:
+        group = instances_by_label[y]
+        f = feats.data[start:start + len(group)]
+        start += len(group)
         mean = f.mean(axis=0)
         norm_m = max(np.linalg.norm(mean), 1e-12)
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * norm_m + 1e-300)
@@ -359,21 +366,41 @@ def _check_finite(total: Tensor, params, t: int, step: int) -> None:
             raise T.NumericalError(f"non-finite gradient at task {t + 1}, step {step}")
 
 
-# Instances per forward pass in `predict`. One forward over a whole
-# evaluation set was slower and larger on leaf-ref (eval_inst_per_s 4381 ->
-# 3848, peak_rss_mb 75.0 -> 83.4; 3 benchmark pairs, 15 s each).
-EVAL_CHUNK = 32
+# Largest number of instances per forward pass in `predict`. Instances per
+# second over leaf-ref's five test sets (188 rows each) after task 5, warm
+# caches, in process, by chunk size (two sweeps: median of 7 in a row, then
+# median of 15 with the settings interleaved, seed 21, 2-core host):
+#     sorted by length  32: 8174 7373  64: 8858 8135  96: 9190 8827
+#                      128: 9040 8525 188: 6931 6463
+#     dataset order     32: 7031 7055  64:    - 8330  96: 8715 8271
+#                      128:    - 6860 188: 6358 6667
+# Small chunks pay each block's fixed NumPy call cost too often. A whole
+# set in one chunk loses in the element-wise ops: from 96 to 188 rows, over
+# the same rows, gelu took 0.103 -> 0.137 s, layer_norm 0.044 -> 0.087 s
+# and add 0.025 -> 0.059 s (cProfile). That fits one [188, 9, 128] float64
+# FFN activation (1.7 MB) and its temporaries outgrowing the 2 MB L2 cache
+# of a core.
+EVAL_CHUNK = 96
 
 
 def predict(state: ModelState, instances) -> list[int]:
-    """Inference path: deterministic, no jitter, argmax over all head rows."""
-    preds = []
-    for start in range(0, len(instances), EVAL_CHUNK):
-        batch = instances[start:start + EVAL_CHUNK]
+    """Inference path: deterministic, no jitter, argmax over all head rows.
+
+    Rows are sorted by real token length (stably) and split into
+    ceil(n / EVAL_CHUNK) chunks whose sizes differ by at most one, so each
+    chunk pads to a length close to all of its rows; predictions come back
+    in input order."""
+    n = len(instances)
+    if n == 0:
+        return []
+    _, mask = _batch_arrays(state, instances)
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    preds = np.empty(n, dtype=np.int64)
+    for chunk in np.array_split(order, -(-n // EVAL_CHUNK)):
         with T.no_grad():
-            feats, _, _ = forward_features(state, batch)
-        preds.extend(state.head.predict(feats).tolist())
-    return preds
+            feats, _, _ = forward_features(state, [instances[i] for i in chunk])
+        preds[chunk] = state.head.predict(feats)
+    return preds.tolist()
 
 
 def run_experiment(stream: TaskStream, state: ModelState, after_task=None):

@@ -233,7 +233,7 @@ def write_grid_csv(path, rows: list[dict], num_tasks: int) -> None:
     """Long-form sweep results: one row per (setting, seed)."""
     fields = ["setting", "seed"] + [f"task_{i + 1}" for i in range(num_tasks)] + \
              ["cumulative_micro", "forgetting_mean"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with encoder.atomic_open(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
@@ -243,7 +243,7 @@ def write_summary_csv(path, by_setting: dict[str, list[metrics.MetricMatrix]],
                       num_tasks: int) -> None:
     """Table-shaped summary: one row per setting, mean±std per task column."""
     fields = ["setting"] + [f"task_{i + 1}" for i in range(num_tasks)] + ["cumulative_micro"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with encoder.atomic_open(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for setting, mats in by_setting.items():

@@ -13,21 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _arrays(gold, pred) -> tuple[np.ndarray, np.ndarray]:
+    gold, pred = np.asarray(list(gold)), np.asarray(list(pred))
+    if len(gold) != len(pred):
+        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
+    return gold, pred
+
+
 def micro_f1(gold, pred, label_set) -> float:
     """Micro-averaged F1 over the label set (= accuracy here, since every
     instance carries exactly one gold and one predicted label)."""
-    gold, pred = list(gold), list(pred)
-    if len(gold) != len(pred):
-        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
-    labels = set(label_set)
-    for y in gold:
-        if y not in labels:
-            raise ValueError(f"gold label {y} outside label set")
-    if not gold:
+    gold, pred = _arrays(gold, pred)
+    labels = list(label_set)
+    outside = ~np.isin(gold, labels)
+    if outside.any():
+        raise ValueError(f"gold label {gold[np.argmax(outside)]} outside label set")
+    if not len(gold):
         return 0.0
-    tp = sum(1 for g, p in zip(gold, pred) if g == p)
-    fp = sum(1 for g, p in zip(gold, pred) if g != p and p in labels)
-    fn = sum(1 for g, p in zip(gold, pred) if g != p)
+    wrong = gold != pred
+    tp = int(np.count_nonzero(~wrong))
+    fp = int(np.count_nonzero(wrong & np.isin(pred, labels)))
+    fn = int(np.count_nonzero(wrong))
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
 
@@ -35,19 +41,16 @@ def micro_f1(gold, pred, label_set) -> float:
 def macro_f1(gold, pred, label_set) -> float:
     """Unweighted mean of per-class F1. Classes absent from gold are
     skipped unless they were predicted (then they contribute F1=0)."""
-    gold, pred = list(gold), list(pred)
-    if len(gold) != len(pred):
-        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
-    scores = []
-    for y in sorted(label_set):
-        tp = sum(1 for g, p in zip(gold, pred) if g == y and p == y)
-        fp = sum(1 for g, p in zip(gold, pred) if g != y and p == y)
-        fn = sum(1 for g, p in zip(gold, pred) if g == y and p != y)
-        if tp + fn == 0 and fp == 0:
-            continue
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores)) if scores else 0.0
+    gold, pred = _arrays(gold, pred)
+    labels = np.asarray(sorted(label_set))
+    is_gold = gold[:, None] == labels          # [n, L]
+    is_pred = pred[:, None] == labels
+    tp = np.count_nonzero(is_gold & is_pred, axis=0)
+    fp = np.count_nonzero(~is_gold & is_pred, axis=0)
+    fn = np.count_nonzero(is_gold & ~is_pred, axis=0)
+    kept = (tp + fn > 0) | (fp > 0)  # so every kept class has 2tp + fp + fn > 0
+    scores = 2 * tp[kept] / (2 * tp + fp + fn)[kept]
+    return float(np.mean(scores)) if len(scores) else 0.0
 
 
 @dataclass

@@ -119,17 +119,18 @@ def combine_weights(scores: Tensor, selected: np.ndarray,
 def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict]:
     scores = T.matmul(h, T.transpose(pool.routing))  # [..., M]
     selected = select_topk(scores, K)
-    mix, _ = combine_weights(scores, selected, mode)
+    mix, fallback = combine_weights(scores, selected, mode)
     return mix, {"scores": scores, "selected": selected,
-                 "mask": np.ones(selected.shape[:-1]),
+                 "mask": np.ones(selected.shape[:-1]), "fallback": fallback,
                  "key": (pool.layer_index, pool.projection_tag)}
 
 
 def route_instance(pools, cls, K: int, mode: str = "softmax") -> tuple[dict, list[dict]]:
     """Score -> top-K -> weights for every pool from the frozen [CLS] rows.
 
-    cls is [B, d]; returns per pool a [B, M] mix tensor, and one record of
-    the raw scores and selections per pool for the router loss.
+    cls is [B, d]; returns per pool a [B, M] mix tensor, and one record per
+    pool of the raw scores and selections (for the router loss) and the
+    per-row paper-literal fallback flags (`fallback`, [B] bool).
     """
     cls = T.as_tensor(cls)
     mix, records = {}, []
@@ -144,7 +145,8 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
     """Per-token routing from the block's incoming hidden states.
 
     x is [B, S, d]; returns a [B, S, M] mix tensor plus a record of the
-    raw scores and per-token selections for the router loss.
+    raw scores and per-token selections for the router loss, and the
+    per-token fallback flags ([B, S], padded positions included).
     """
     return _route(pool, x, K, mode)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import leaf.continual as C
 import leaf.encoder as E
 import leaf.moe as moe
 import leaf.tensor as T
@@ -66,3 +67,66 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
         x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
                          cfg.layernorm_eps)
     return x, records
+
+
+def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
+    """`leaf.continual.predict` without the length sort: fixed-size chunks
+    in input order."""
+    preds = []
+    for start in range(0, len(instances), chunk):
+        with T.no_grad():
+            feats, _, _ = C.forward_features(state, instances[start:start + chunk])
+        preds.extend(state.head.predict(feats).tolist())
+    return preds
+
+
+def per_label_exemplars(state, instances_by_label) -> dict:
+    """`leaf.continual.select_exemplar` with one forward pass per label."""
+    out = {}
+    for y in sorted(instances_by_label):
+        group = instances_by_label[y]
+        if not group:
+            raise ValueError(f"no instances for label {y}")
+        with T.no_grad():
+            feats, _, _ = C.forward_features(state, group)
+        f = feats.data
+        mean = f.mean(axis=0)
+        norm_m = max(np.linalg.norm(mean), 1e-12)
+        sims = (f @ mean) / (np.linalg.norm(f, axis=1) * norm_m + 1e-300)
+        out[y] = group[int(np.argmax(sims))]
+    return out
+
+
+def micro_f1_loop(gold, pred, label_set) -> float:
+    """`leaf.metrics.micro_f1` as a Python loop over the rows."""
+    gold, pred = list(gold), list(pred)
+    if len(gold) != len(pred):
+        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
+    labels = set(label_set)
+    for y in gold:
+        if y not in labels:
+            raise ValueError(f"gold label {y} outside label set")
+    if not gold:
+        return 0.0
+    tp = sum(1 for g, p in zip(gold, pred) if g == p)
+    fp = sum(1 for g, p in zip(gold, pred) if g != p and p in labels)
+    fn = sum(1 for g, p in zip(gold, pred) if g != p)
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 0.0
+
+
+def macro_f1_loop(gold, pred, label_set) -> float:
+    """`leaf.metrics.macro_f1` as a Python loop over labels and rows."""
+    gold, pred = list(gold), list(pred)
+    if len(gold) != len(pred):
+        raise ValueError(f"gold/pred length mismatch: {len(gold)} vs {len(pred)}")
+    scores = []
+    for y in sorted(label_set):
+        tp = sum(1 for g, p in zip(gold, pred) if g == y and p == y)
+        fp = sum(1 for g, p in zip(gold, pred) if g != y and p == y)
+        fn = sum(1 for g, p in zip(gold, pred) if g == y and p != y)
+        if tp + fn == 0 and fp == 0:
+            continue
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom else 0.0)
+    return float(np.mean(scores)) if scores else 0.0

@@ -2,11 +2,15 @@
 base pretraining, continual training, ablation sweeps, reporting, seed
 precedence, exit codes, and run-directory determinism."""
 
+import contextlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from leaf import config as cfgmod
+from leaf import encoder, harness, metrics
 from leaf.cli import main
 
 GEN_SPEC = """\
@@ -331,3 +335,79 @@ class TestGradcheckAndReport:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+
+class _HalfWriter:
+    """A file handle that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:max(1, len(text) // 2)])
+        raise OSError("disk full")
+
+
+def fail_writing(monkeypatch, *names):
+    """Make every `encoder.atomic_open` of a file called one of `names`
+    fail mid-way."""
+    real = encoder.atomic_open
+
+    @contextlib.contextmanager
+    def atomic_open(path, mode="w"):
+        with real(path, mode) as fh:
+            yield _HalfWriter(fh) if os.path.basename(path) in names else fh
+
+    monkeypatch.setattr(encoder, "atomic_open", atomic_open)
+
+
+def two_task_matrix():
+    m = metrics.MetricMatrix(num_tasks=2)
+    for t, row in enumerate([[0.5], [0.25, 0.75]]):
+        for i, v in enumerate(row):
+            m.record(t, i, v, v)
+        m.record_cumulative(t, float(np.mean(row)), float(np.mean(row)))
+    return m
+
+
+class TestAtomicOutputs:
+    """A writer that fails mid-way leaves neither its target nor a `.tmp`."""
+
+    def test_fingerprint(self, workspace, tmp_path, monkeypatch):
+        _, cfg = workspace
+        fail_writing(monkeypatch, "fingerprint.txt")
+        assert main(["pretrain-base", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base_weights.bin"]
+
+    def test_report(self, tmp_path, monkeypatch):
+        runs = [str(tmp_path / f"run{k}") for k in range(2)]
+        for k, run in enumerate(runs):
+            harness.write_run_dir(run, cfgmod.defaults(), k, two_task_matrix())
+        fail_writing(monkeypatch, "report.csv")
+        assert main(["report", "--runs", *runs, "--out", str(tmp_path / "report.csv")]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run0", "run1"]
+
+    def test_grid_and_summary(self, tmp_path, monkeypatch):
+        row = {"setting": "a", "seed": 0, "task_1": "0.5", "task_2": "0.5",
+               "cumulative_micro": "0.5", "forgetting_mean": "0.0"}
+        mats = {"a": [two_task_matrix()] * 2}
+        harness.write_grid_csv(tmp_path / "grid.csv", [row], 2)
+        harness.write_summary_csv(tmp_path / "summary.csv", mats, 2)
+        done = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(done) == ["grid.csv", "summary.csv"]
+        out = tmp_path / "failed"
+        out.mkdir()
+        fail_writing(monkeypatch, *done)
+        with pytest.raises(OSError):
+            harness.write_grid_csv(out / "grid.csv", [row], 2)
+        with pytest.raises(OSError):
+            harness.write_summary_csv(out / "summary.csv", mats, 2)
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+        # a row the writer rejects after the header is out leaves nothing too
+        with pytest.raises(ValueError):
+            harness.write_grid_csv(tmp_path / "grid.csv", [row, {"bogus": 1}], 2)
+        with pytest.raises(ValueError):
+            harness.write_summary_csv(tmp_path / "summary.csv",
+                                      {**mats, "b": mats["a"][:1]}, 2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == done

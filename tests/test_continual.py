@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaf import config as cfgmod
 from leaf import continual as C
@@ -14,6 +16,7 @@ from leaf import descriptions as D
 from leaf import encoder as E
 from leaf import harness, metrics
 from leaf import objectives as obj
+from oracles import dataset_order_predict, per_label_exemplars
 
 
 def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0):
@@ -142,6 +145,90 @@ class TestMemoryBuffer:
         mean = f.mean(axis=0)
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * np.linalg.norm(mean))
         assert picked[0] is group[int(np.argmax(sims))]
+
+    def test_select_exemplar_one_forward_matches_per_label_oracle(self, monkeypatch):
+        ds = tiny_dataset()
+        state = tiny_state(ds)
+        live_experts(state)
+        by_label = {y: [DS.Instance(text=t, label=y) for t in ds.train[y][:4]]
+                    for y in (3, 0, 5)}
+        by_label[7] = [DS.Instance(text=ds.train[7][0], label=7)]
+        # two copies of one text: equal features, so a tie that the first wins
+        by_label[2] = [DS.Instance(text=ds.train[2][1], label=2) for _ in range(2)]
+        want = per_label_exemplars(state, by_label)
+        calls = record_forwards(monkeypatch)
+        got = C.select_exemplar(state, by_label)
+        assert len(calls) == 1
+        assert calls[0] == [inst for y in sorted(by_label) for inst in by_label[y]]
+        assert list(got) == sorted(by_label)
+        assert all(got[y] is want[y] for y in by_label)
+        assert got[2] is by_label[2][0]
+
+    def test_select_exemplar_empty_group_raises_before_any_forward(self, monkeypatch):
+        ds = tiny_dataset()
+        state = tiny_state(ds)
+        calls = record_forwards(monkeypatch)
+        with pytest.raises(ValueError, match="no instances for label 4"):
+            C.select_exemplar(state, {0: [DS.Instance(text=ds.train[0][0], label=0)],
+                                      4: []})
+        assert calls == []
+        assert C.select_exemplar(state, {}) == {}
+
+
+# --------------------------------------------------------------- evaluation
+
+def live_experts(state, n_labels=8):
+    """Non-zero expert deltas and a head over every label, so features and
+    predictions depend on the pools and on each row."""
+    rng = np.random.default_rng(5)
+    for pool in state.pools.values():
+        pool.B.data[...] = rng.normal(0.0, 0.3, pool.B.shape)
+    state.head.grow(list(range(n_labels)))
+    state.head.weight.data[...] = rng.normal(0.0, 1.0, state.head.weight.shape)
+
+
+def record_forwards(monkeypatch):
+    """Patch `continual.forward_features` to log the instances of each call."""
+    calls, real = [], C.forward_features
+
+    def forward(st, instances, *args, **kw):
+        calls.append(list(instances))
+        return real(st, instances, *args, **kw)
+
+    monkeypatch.setattr(C, "forward_features", forward)
+    return calls
+
+
+@pytest.mark.parametrize("routing", ["instance", "token"])
+@pytest.mark.parametrize("n", [0, 1, C.EVAL_CHUNK, C.EVAL_CHUNK + 1, 2 * C.EVAL_CHUNK + 1])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
+    """Length-sorted chunks of at most EVAL_CHUNK rows, sizes within one of
+    each other, give the predictions of 32-row chunks in input order; an
+    empty list runs no forward pass."""
+    ds = tiny_dataset()
+    state = tiny_state(ds, routing=routing)
+    live_experts(state)
+    words = sorted({w for texts in ds.train.values() for t in texts for w in t.split()})
+    lengths = data.draw(st.lists(st.integers(1, 14), min_size=n, max_size=n), label="lengths")
+    rng = np.random.default_rng(n)
+    instances = [DS.Instance(text=" ".join(rng.choice(words, size=k)), label=0)
+                 for k in lengths]
+    want = dataset_order_predict(state, instances)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_forwards(mp)
+        got = C.predict(state, instances)
+    assert got == want and all(type(y) is int for y in got)
+    assert len(calls) == -(-n // C.EVAL_CHUNK)
+    sizes = [len(batch) for batch in calls]
+    assert all(size <= C.EVAL_CHUNK for size in sizes)
+    assert not sizes or max(sizes) - min(sizes) <= 1
+    seen = [inst for batch in calls for inst in batch]
+    assert sorted(map(id, seen)) == sorted(map(id, instances))
+    real = [int(E.tokenize(inst.text, state.vocab, state.weights.config.max_seq_len)[1].sum())
+            for inst in seen]
+    assert real == sorted(real)
 
 
 # ------------------------------------------------------- snapshots and heads

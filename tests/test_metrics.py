@@ -3,8 +3,11 @@ multi-seed aggregation, and the report cell format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leaf.metrics as metrics
+from oracles import macro_f1_loop, micro_f1_loop
 
 
 # ---------------------------------------------------------------- f1
@@ -51,6 +54,32 @@ def test_macro_f1_skips_absent_unpredicted_classes():
     assert metrics.macro_f1([0, 1], [0, 1], {0, 1, 3}) == 1.0
     # but an absent class that IS predicted drags the mean down
     assert metrics.macro_f1([0, 0], [0, 3], {0, 3}) < 1.0
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_f1_equals_the_row_loops_exactly(data):
+    """Counts by NumPy give the loops' floats bit for bit, and the same
+    ValueError (length mismatch, gold label outside the set)."""
+    n = data.draw(st.integers(0, 30), label="n")
+    labels = st.integers(-1, 7)
+    gold = data.draw(st.lists(labels, min_size=n, max_size=n), label="gold")
+    pred = data.draw(st.lists(labels, min_size=n, max_size=n + data.draw(
+        st.sampled_from([0, 0, 0, 1]))), label="pred")
+    label_set = data.draw(st.sets(labels, max_size=9), label="label_set")
+    if data.draw(st.booleans(), label="gold within set"):
+        label_set |= set(gold)
+    for fn, oracle in ((metrics.micro_f1, micro_f1_loop), (metrics.macro_f1, macro_f1_loop)):
+        got, want = _outcome(fn, gold, pred, label_set), _outcome(oracle, gold, pred, label_set)
+        assert got == want
+        assert type(got[1]) is type(want[1])
 
 
 # ---------------------------------------------------------------- matrix

@@ -280,6 +280,22 @@ def test_router_loss_refuses_mask_of_another_shape():
     assert np.isfinite(float(moe.router_loss([record]).data))
 
 
+def test_routing_record_keeps_paper_literal_fallback_flags():
+    """Row 0's selected scores are negative, so its s/sum normalizer is
+    degenerate and it falls back to softmax; rows 1 and 2 are not."""
+    pool = make_pool(M=3, d=3, r=1)
+    pool.routing.data[...] = np.eye(3)  # scores = cls exactly
+    cls = np.array([[-1.0, -2.0, -3.0], [1.0, 2.0, 0.5], [3.0, 0.5, 1.0]])
+    _, records = moe.route_instance({(0, "q"): pool}, cls, K=2, mode="paper-literal")
+    fallback = records[0]["fallback"]
+    assert fallback.dtype == bool and fallback.shape == records[0]["selected"].shape[:-1]
+    assert fallback.tolist() == [True, False, False]
+    _, records = moe.route_instance({(0, "q"): pool}, cls, K=2, mode="softmax")
+    assert records[0]["fallback"].tolist() == [False, False, False]
+    _, record = moe.token_mix_weights(pool, Tensor(cls[None]), 2, mode="paper-literal")
+    assert record["fallback"].tolist() == [[True, False, False]]
+
+
 def test_router_loss_empty():
     assert float(moe.router_loss([]).data) == 0.0
 
@@ -315,6 +331,7 @@ def test_batched_router_matches_per_row_oracle(data, mode):
     pool.routing.data[...] = np.eye(M)  # scores = cls exactly
     mix, records = moe.route_instance({(0, "q"): pool}, scores, K, mode)
     _, fallback = moe.combine_weights(records[0]["scores"], records[0]["selected"], mode)
+    np.testing.assert_array_equal(records[0]["fallback"], fallback)
     for b in range(B):
         idx, row, fb = _row_oracle(scores[b], K, mode)
         assert np.flatnonzero(records[0]["selected"][b]).tolist() == idx
