@@ -170,13 +170,18 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 # forward paths
 
 
-def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
+def _tokens(state: ModelState, instances) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ids, mask) of every instance, tokenized once per text."""
     cache = state.token_cache
     for inst in instances:
         if inst.text not in cache:
             cache[inst.text] = enc.tokenize(inst.text, state.vocab,
                                             state.weights.config.max_seq_len)
-    pairs = [cache[inst.text] for inst in instances]
+    return [cache[inst.text] for inst in instances]
+
+
+def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
+    pairs = _tokens(state, instances)
     return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
@@ -393,7 +398,7 @@ def predict(state: ModelState, instances) -> list[int]:
     n = len(instances)
     if n == 0:
         return []
-    _, mask = _batch_arrays(state, instances)
+    mask = np.stack([m for _, m in _tokens(state, instances)])
     order = np.argsort(mask.sum(axis=1), kind="stable")
     preds = np.empty(n, dtype=np.int64)
     for chunk in np.array_split(order, -(-n // EVAL_CHUNK)):

@@ -79,7 +79,7 @@ def build_tiny_problem(seed: int = 7, poison_nan: bool = False):
     def loss_fn() -> Tensor:
         mix, records = {}, []
         for key in sorted(pools):
-            scores = T.matmul(cls, T.transpose(pools[key].routing))
+            scores = T.scores(cls, pools[key].routing)
             mix[key], _ = moe.combine_weights(scores, fixed[key])
             records.append({"scores": scores, "selected": fixed[key],
                             "mask": np.ones(len(gold)), "key": key})

@@ -99,7 +99,7 @@ def combine_weights(scores: Tensor, selected: np.ndarray,
     """
     if mode not in ("softmax", "paper-literal"):
         raise ValueError(f"unknown combine mode {mode!r}")
-    soft = T.softmax(T.add(scores, Tensor(np.where(selected, 0.0, -1e30))), axis=-1)
+    soft = T.softmax(scores, axis=-1, bias=np.where(selected, 0.0, -1e30))
     if mode == "softmax":
         return soft, np.zeros(selected.shape[:-1], dtype=bool)
     s = scores.data
@@ -117,7 +117,7 @@ def combine_weights(scores: Tensor, selected: np.ndarray,
 
 
 def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict]:
-    scores = T.matmul(h, T.transpose(pool.routing))  # [..., M]
+    scores = T.scores(h, pool.routing)  # [..., M]
     selected = select_topk(scores, K)
     mix, fallback = combine_weights(scores, selected, mode)
     return mix, {"scores": scores, "selected": selected,
@@ -152,20 +152,10 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
 
 
 def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:
-    """Weighted sum of expert outputs: sum_m mix[.., m] * (x B_m^T) A_m^T.
-
-    mix is [B, M] (one weight per instance) or [B, S, M] (per token). All M experts run as two matmuls:
-    x goes down to the M*r rank space through the stacked B, each expert's
-    r columns are scaled by its mix weight, and the stacked A maps the sum
-    back up.
-    """
-    M, d, r = pool.A.shape
-    down = T.reshape(pool.B, (M * r, d))                                # [M*r, d]
-    up = T.reshape(T.transpose(pool.A, (1, 0, 2)), (d, M * r))          # [d, M*r]
-    low = T.matmul(x, T.transpose(down))                                # [B, S, M*r]
-    w = T.reshape(mix, (x.shape[0], -1, M, 1))                          # [B, 1|S, M, 1]
-    scaled = T.mul(T.reshape(low, low.shape[:-1] + (M, r)), w)          # [B, S, M, r]
-    return T.matmul(T.reshape(scaled, low.shape), T.transpose(up))
+    """Weighted sum of expert outputs, sum_m mix[.., m] * (x B_m^T) A_m^T, as
+    one `T.lora` node. x is [B, S, d]; mix is [B, M] (one weight per
+    instance) or [B, S, M] (per token)."""
+    return T.lora(x, pool.A, pool.B, mix)
 
 
 def router_loss(records) -> Tensor:

@@ -121,16 +121,15 @@ def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
     if len(seen) < 2:
         raise ValueError("label contrastive loss needs at least 2 seen labels")
     rows = np.isin(bank.labels, seen)
-    Z = Tensor(bank.vectors[rows])                  # [n_desc, d]
     owner = bank.labels[rows]
     gold = np.asarray([int(y) for y in gold])
     missing = np.setdiff1d(gold, owner)
     if missing.size:
         raise ValueError(f"label {int(missing[0])} has no description vectors")
-    sims = T.matmul(features, T.transpose(Z))       # [B, n_desc]
+    sims = T.scores(features, bank.vectors[rows])   # [B, n_desc]
     is_gold = owner[None, :] == gold[:, None]
-    num = T.logsumexp(T.add(sims, Tensor(np.where(is_gold, 0.0, -1e30))), axis=-1)
-    den = T.logsumexp(T.add(sims, Tensor(np.where(is_gold, -1e30, 0.0))), axis=-1)
+    num = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, 0.0, -1e30))
+    den = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, -1e30, 0.0))
     return T.mul(T.tsum(T.add(den, T.mul(num, -1.0))), 1.0 / len(gold))
 
 

@@ -7,9 +7,11 @@ through frozen parameters run as plain numpy. Likewise a backward rule
 computes a parent's gradient only when that parent requires grad: frozen
 weights, constants and masks never receive one.
 
-`linear` (x @ Wᵀ + b) and `attention` (multi-head scaled dot-product
-attention) are fused nodes with hand-written backward rules; their forward
-values are bit-identical to the compositions of primitives they replace.
+Fused nodes with hand-written backward rules: `linear` (x @ Wᵀ + b),
+`scores` (x @ Wᵀ), `attention` (multi-head scaled dot-product attention),
+`lora` (a pool of mixed low-rank experts), and `softmax` and `logsumexp`
+with a constant additive bias (masking). Their values and gradients are
+bit-identical to the compositions of primitives they replace.
 
 Invariant: no code writes into a `.grad` array in place. So
 `accumulate_grad` keeps the first gradient it receives without a defensive
@@ -197,26 +199,6 @@ def div(a, b) -> Tensor:
     return _node(data, (a, b), bw)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * data)
-
-    return _node(data, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g / a.data)
-
-    return _node(data, (a,), bw)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
@@ -241,26 +223,7 @@ def gelu(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra / shape
-
-
-def matmul(a, b) -> Tensor:
-    """Batched matrix product of operands with at least 2 dims each; leading
-    (batch) dims broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul requires operands of at least 2 dims: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
-
-    return _node(data, (a, b), bw)
+# linear algebra
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -284,6 +247,25 @@ def linear(x, weight, bias) -> Tensor:
             bias.accumulate_grad(g2.sum(axis=0))
 
     return _node(data, (x, weight, bias), bw)
+
+
+def scores(x, weight) -> Tensor:
+    """x @ weightᵀ as one node: the dot products of x's rows [..., d] with the
+    rows of weight [n, d]. The weight gradient is one matmul per leading
+    index of x, summed over that axis."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[-1] != weight.shape[-1]:
+        raise ShapeError(f"scores shapes differ: x {x.shape}, weight {weight.shape}")
+    data = np.matmul(x.data, weight.data.T)
+
+    def bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(g, weight.data))
+        if weight.requires_grad:
+            gt = np.matmul(x.data.swapaxes(-1, -2), g)
+            weight.accumulate_grad(_unbroadcast(gt, weight.shape[::-1]).T)
+
+    return _node(data, (x, weight), bw)
 
 
 def attention(q, k, v, key_bias: np.ndarray, num_heads: int) -> Tensor:
@@ -335,28 +317,41 @@ def attention(q, k, v, key_bias: np.ndarray, num_heads: int) -> Tensor:
     return _node(data, (q, k, v), bw)
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = as_tensor(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+def lora(x, A, B, mix) -> Tensor:
+    """A mixed pool of M low-rank experts as one node, sum_m mix[.., m] · x B_mᵀ A_mᵀ,
+    with x [N, S, d], A [M, d, r], B [M, r, d] and mix [N, M] (per row) or
+    [N, S, M] (per position). Two matmuls run all M experts: x goes down to
+    the M·r rank space through the stacked B, each expert's r columns are
+    scaled by its weight, and the stacked A maps the sum back up. Each weight
+    gradient is one matmul per row of x, summed over rows."""
+    x, A, B, mix = as_tensor(x), as_tensor(A), as_tensor(B), as_tensor(mix)
+    M, d, r = A.shape
+    if B.shape != (M, r, d) or x.data.ndim != 3 or x.shape[-1] != d or mix.shape[-1] != M:
+        raise ShapeError(f"lora shapes differ: x {x.shape}, A {A.shape}, B {B.shape}, "
+                         f"mix {mix.shape}")
+    down = B.data.reshape(M * r, d)
+    up = A.data.transpose(1, 0, 2).reshape(d, M * r)
+    low = np.matmul(x.data, down.T)                               # [N, S, M*r]
+    low4 = low.reshape(low.shape[:-1] + (M, r))
+    w = mix.data.reshape(x.shape[0], -1, M, 1)                    # [N, 1|S, M, 1]
+    scaled = (low4 * w).reshape(low.shape)
+    data = np.matmul(scaled, up.T)
 
     def bw(g):
-        a.accumulate_grad(np.transpose(g, inv))
+        if A.requires_grad:
+            gup = _unbroadcast(np.matmul(scaled.swapaxes(-1, -2), g), (M * r, d))
+            A.accumulate_grad(gup.reshape(M, r, d).transpose(0, 2, 1))
+        g4 = np.matmul(g, up).reshape(low4.shape)
+        if mix.requires_grad:
+            mix.accumulate_grad(_unbroadcast(g4 * low4, w.shape).reshape(mix.shape))
+        glow = (g4 * w).reshape(low.shape)
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(glow, down))
+        if B.requires_grad:
+            gdown = _unbroadcast(np.matmul(x.data.swapaxes(-1, -2), glow), (d, M * r))
+            B.accumulate_grad(gdown.T.reshape(M, r, d))
 
-    return _node(data, (a,), bw)
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        a.accumulate_grad(g.reshape(a.shape))
-
-    return _node(data, (a,), bw)
+    return _node(data, (x, A, B, mix), bw)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -394,11 +389,14 @@ def take(a, indices, axis: int = 0) -> Tensor:
 # reductions with stability guards
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax of a + bias; the constant `bias` (e.g. a large negative value
+    on masked entries) gets no gradient."""
     a = as_tensor(a)
-    if np.isnan(a.data).any():
+    z = a.data if bias is None else a.data + bias
+    if np.isnan(z).any():
         raise NumericalError("softmax received NaN input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
@@ -426,13 +424,21 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp; the max shift is treated as a constant."""
+def logsumexp(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
+    """Stable log-sum-exp of a + bias over `axis`, which is dropped; the
+    constant `bias` (masking) gets no gradient, and the max shift is
+    treated as a constant."""
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    inner = tsum(exp(add(a, Tensor(-m))), axis=axis, keepdims=keepdims)
-    shift = m if keepdims else np.squeeze(m, axis=axis)
-    return add(log(inner), Tensor(shift))
+    z = a.data if bias is None else a.data + bias
+    m = z.max(axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    inner = e.sum(axis=axis)
+    data = np.log(inner) + np.squeeze(m, axis=axis)
+
+    def bw(g):
+        a.accumulate_grad(np.expand_dims(g / inner, axis) * e)
+
+    return _node(data, (a,), bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

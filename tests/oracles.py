@@ -1,11 +1,109 @@
 """Reference implementations the tests compare library code against."""
 
+import contextlib
+
 import numpy as np
+import pytest
 
 import leaf.continual as C
 import leaf.encoder as E
 import leaf.moe as moe
 import leaf.tensor as T
+
+# ---------------------------------------------------------------------------
+# Primitive nodes that the library's fused nodes replaced, kept here to build
+# the compositions those nodes must match bit for bit.
+
+
+def matmul(a, b) -> T.Tensor:
+    """Batched matrix product of operands with at least 2 dims each; leading
+    (batch) dims broadcast."""
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise T.ShapeError(f"matmul requires operands of at least 2 dims: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise T.ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    data = np.matmul(a.data, b.data)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(T._unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(T._unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+
+    return T._node(data, (a, b), bw)
+
+
+def transpose(a, axes=None) -> T.Tensor:
+    a = T.as_tensor(a)
+    inv = None if axes is None else tuple(np.argsort(axes))
+    return T._node(np.transpose(a.data, axes), (a,),
+                   lambda g: a.accumulate_grad(np.transpose(g, inv)))
+
+
+def reshape(a, shape) -> T.Tensor:
+    a = T.as_tensor(a)
+    return T._node(a.data.reshape(shape), (a,),
+                   lambda g: a.accumulate_grad(g.reshape(a.shape)))
+
+
+def exp(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    data = np.exp(a.data)
+    return T._node(data, (a,), lambda g: a.accumulate_grad(g * data))
+
+
+def log(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    return T._node(np.log(a.data), (a,), lambda g: a.accumulate_grad(g / a.data))
+
+
+# ---------------------------------------------------------------------------
+# The compositions of primitives that each fused node replaced
+
+_softmax = T.softmax
+
+
+def scores(x, weight) -> T.Tensor:
+    """`T.scores`: x @ weightᵀ."""
+    return matmul(x, transpose(weight))
+
+
+def softmax(a, axis=-1, bias=None) -> T.Tensor:
+    """`T.softmax` with a bias: the plain softmax of a + Tensor(bias)."""
+    return _softmax(a if bias is None else T.add(a, T.Tensor(bias)), axis=axis)
+
+
+def logsumexp(a, axis=-1, bias=None) -> T.Tensor:
+    """`T.logsumexp`: exp, sum and log nodes around a constant max shift."""
+    if bias is not None:
+        a = T.add(a, T.Tensor(bias))
+    m = a.data.max(axis=axis, keepdims=True)
+    inner = T.tsum(exp(T.add(a, T.Tensor(-m))), axis=axis)
+    return T.add(log(inner), T.Tensor(np.squeeze(m, axis=axis)))
+
+
+def pool_delta(pool, x, mix) -> T.Tensor:
+    """`moe.pool_delta` (`T.lora`) as reshapes, transposes, two matmuls and
+    a mul."""
+    M, d, r = pool.A.shape
+    down = reshape(pool.B, (M * r, d))                                  # [M*r, d]
+    up = reshape(transpose(pool.A, (1, 0, 2)), (d, M * r))              # [d, M*r]
+    low = matmul(x, transpose(down))                                    # [B, S, M*r]
+    w = reshape(mix, (x.shape[0], -1, M, 1))                            # [B, 1|S, M, 1]
+    scaled = T.mul(reshape(low, low.shape[:-1] + (M, r)), w)            # [B, S, M, r]
+    return matmul(reshape(scaled, low.shape), transpose(up))
+
+
+@contextlib.contextmanager
+def composed_ops():
+    """Inside the block, the expert pools, the router scores, the masked
+    softmax and the label loss's log-sum-exps run as their compositions."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name, fn in [(moe, "pool_delta", pool_delta), (T, "scores", scores),
+                              (T, "softmax", softmax), (T, "logsumexp", logsumexp)]:
+            mp.setattr(mod, name, fn)
+        yield
 
 
 def cosine_similarity(u, v, eps_norm: float = T.EPS_NORM) -> T.Tensor:

@@ -39,7 +39,7 @@ def test_acceptance_1_gradcheck_full_objective():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 
-@pytest.mark.parametrize("op", ["matmul", "linear", "attention"])
+@pytest.mark.parametrize("op", ["lora", "scores", "linear", "attention"])
 def test_gradcheck_catches_broken_matmul_backward(monkeypatch, op):
     """The same check fails when every backward of one op is 1.5x too large."""
     true_op = getattr(T, op)

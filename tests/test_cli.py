@@ -5,10 +5,13 @@ precedence, exit codes, and run-directory determinism."""
 import contextlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import leaf.cli as leaf_cli
 from leaf import config as cfgmod
 from leaf import encoder, harness, metrics
 from leaf.cli import main
@@ -411,3 +414,43 @@ class TestAtomicOutputs:
             harness.write_summary_csv(tmp_path / "summary.csv",
                                       {**mats, "b": mats["a"][:1]}, 2)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == done
+
+
+# ----------------------------------------------------------- BLAS threads
+
+# Imports the CLI's module the way the `leaf` entry point does (before
+# NumPy), then prints OpenBLAS's thread count, or -1 when this NumPy ships
+# no OpenBLAS that reports it.
+BLAS_PROBE = """
+import ctypes, glob, os
+import leaf.cli
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "*openblas*.so*"))
+for lib in map(ctypes.CDLL, libs):
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            print(getattr(lib, name)())
+            raise SystemExit
+print(-1)
+"""
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads(**env_vars) -> int:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leaf_cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**env, **env_vars},
+                          capture_output=True, text=True, check=True, timeout=60)
+    return int(proc.stdout)
+
+
+def test_leaf_process_runs_one_blas_thread_unless_set_outside():
+    threads = blas_threads()
+    if threads == -1:
+        pytest.skip("this NumPy's BLAS does not report its thread count")
+    assert threads == 1
+    if (os.cpu_count() or 1) >= 2:  # OpenBLAS caps the count at the CPUs it sees
+        assert blas_threads(OPENBLAS_NUM_THREADS="2") == 2

@@ -2,6 +2,7 @@
 memory, snapshots, head growth, and the end-to-end training loop — all on
 a deliberately tiny configuration so the suite stays fast."""
 
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from leaf import descriptions as D
 from leaf import encoder as E
 from leaf import harness, metrics
 from leaf import objectives as obj
+import oracles
 from oracles import dataset_order_predict, per_label_exemplars
 
 
@@ -494,3 +496,43 @@ class TestTraining:
             C.TrainConfig(topk=3, num_experts=2)
         with pytest.raises(ValueError):
             C.TrainConfig(epochs=0)
+
+
+# ------------------------------------------------------ run-level exactness
+
+def run_files(out_dir) -> dict:
+    """Every file of a run directory, by relative path."""
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("mode,combine", [("leaf", "softmax"), ("leaf", "paper-literal"),
+                                          ("mole-token", "softmax")])
+def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, mode, combine):
+    """A whole run (2 tasks, 2 epochs) writes the same bytes, checkpoints
+    included, when the expert pools, router scores, masked softmax and the
+    label loss's log-sum-exps run as the compositions of primitives that
+    their fused nodes replaced. Both runs share the base weights and bank."""
+    ds = tiny_dataset()
+    vocab = E.Vocab(DS.build_vocab_tokens(ds))
+    ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
+                           max_seq_len=12, vocab_size=len(vocab))
+    weights = E.init_encoder_weights(ecfg, np.random.default_rng(0))
+    weights.freeze()
+    resolved = cfgmod.defaults()
+    resolved["moe"].update(num_experts=3, topk=2, rank=2, combine_mode=combine)
+    resolved["continual"].update(n_way=2, k_shot=3, num_tasks=2, epochs=2, batch_size=4,
+                                 n_descriptions=2)
+    resolved = harness.apply_mode(resolved, mode)
+    outputs = []
+    for composed in (False, True):
+        out_dir = tmp_path / ("composed" if composed else "fused")
+        with oracles.composed_ops() if composed else contextlib.nullcontext():
+            harness.run_once(ds, ds.descriptions, weights, vocab, [], resolved, seed=0,
+                             out_dir=str(out_dir))
+        outputs.append(run_files(out_dir))
+    fused, composed = outputs
+    assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)
+    assert fused.keys() == composed.keys()
+    for name in fused:
+        assert fused[name] == composed[name], name

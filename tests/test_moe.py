@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import leaf.moe as moe
 import leaf.tensor as T
+import oracles
 from leaf.tensor import Tensor
 
 
@@ -337,3 +338,59 @@ def test_batched_router_matches_per_row_oracle(data, mode):
         assert np.flatnonzero(records[0]["selected"][b]).tolist() == idx
         np.testing.assert_allclose(mix[(0, "q")].data[b], row, rtol=0.0, atol=1e-12)
         assert bool(fallback[b]) == fb
+
+
+def _values_and_grads(loss_fn, params):
+    for p in params:
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return loss.data, grads
+
+
+@settings(max_examples=60)
+@given(data=st.data(), kind=st.sampled_from(["instance", "token", "cls-row"]),
+       mode=st.sampled_from(["softmax", "paper-literal"]), seed=st.integers(0, 2**16))
+def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, mode, seed):
+    """Routing, pool delta and router loss give the value and every gradient
+    of the compositions the fused nodes replaced, bit for bit: an instance
+    mix [B, M] from [CLS] rows, a token mix [B, S, M] with padded positions,
+    and the last block's [B, 1, d] row with its own row of the token mix."""
+    B, S = data.draw(st.integers(1, 3), label="B"), data.draw(st.integers(1, 4), label="S")
+    M = data.draw(st.integers(1, 4), label="M")
+    K = data.draw(st.integers(1, M), label="K")
+    d = data.draw(st.integers(1, 5), label="d")
+    r = data.draw(st.integers(1, min(3, d)), label="r")
+    rng = np.random.default_rng(seed)
+    pool = moe.init_pools(1, d, M, r, rng)[(0, "q")]
+    pool.B.data[...] = rng.normal(0.0, 0.5, pool.B.shape)
+    pool.routing.data[...] = rng.normal(0.0, 1.0, pool.routing.shape)
+    x = Tensor(rng.normal(size=(B, S, d)), requires_grad=True)
+    cls = Tensor(rng.normal(size=(B, d)), requires_grad=True)
+    mask = (rng.random((B, S)) < 0.7).astype(float)
+    mask[:, 0] = 1.0
+    probe = Tensor(rng.normal(size=(B, 1 if kind == "cls-row" else S, d)))
+
+    def loss():
+        if kind == "instance":
+            mixes, records = moe.route_instance({(0, "q"): pool}, cls, K, mode)
+            mix, rows = mixes[(0, "q")], x
+        else:
+            mix, record = moe.token_mix_weights(pool, x, K, mode)
+            record["mask"], records, rows = mask, [record], x
+            if kind == "cls-row":
+                mix, rows = T.take(mix, [0], axis=1), T.take(x, [0], axis=1)
+        delta = moe.pool_delta(pool, rows, mix)
+        return T.add(T.tsum(T.mul(delta, probe)), moe.router_loss(records))
+
+    params = [x, cls, pool.A, pool.B, pool.routing]
+    value, grads = _values_and_grads(loss, params)
+    with oracles.composed_ops():
+        ref_value, ref_grads = _values_and_grads(loss, params)
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        assert g is None or np.array_equal(g, ref)

@@ -1,6 +1,8 @@
 """Loss oracles: cross-entropy, label-description contrastive,
 feature/prediction distillation, weighted total, and the growing head."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import leaf.objectives as obj
 import leaf.tensor as T
+import oracles
 from leaf.descriptions import DescriptionBank
 from leaf.tensor import Tensor
 from oracles import cosine_similarity
@@ -136,6 +139,30 @@ def test_label_loss_numpy_reference():
         ref += lse(other) - lse(own)
     ref /= len(gold)
     assert abs(loss - ref) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_label_loss_matches_composition_bit_for_bit(data, seed):
+    """The similarities node and the two masked log-sum-exps give the loss
+    and the feature gradient of the compositions they replaced, bit for bit."""
+    n_labels = data.draw(st.integers(2, 4), label="labels")
+    per_label = data.draw(st.lists(st.integers(1, 3), min_size=n_labels, max_size=n_labels),
+                          label="descriptions per label")
+    B, d = data.draw(st.integers(1, 5), label="B"), data.draw(st.integers(1, 6), label="d")
+    rng = np.random.default_rng(seed)
+    bank = stub_bank({y: list(rng.normal(size=(k, d))) for y, k in enumerate(per_label)}, d)
+    gold = rng.integers(0, n_labels, B).tolist()
+    feats = Tensor(rng.normal(size=(B, d)), requires_grad=True)
+    runs = []
+    for composed in (False, True):
+        with oracles.composed_ops() if composed else contextlib.nullcontext():
+            loss = obj.label_contrastive_loss(feats, gold, bank, range(n_labels))
+        loss.backward()
+        runs.append((loss.data, feats.grad))
+        feats.grad = None
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_label_loss_rejects_gold_label_without_descriptions():

@@ -1,6 +1,8 @@
 """Autodiff engine tests: forward oracles, hand-checked gradients,
 finite-difference verification, graph bookkeeping, and the optimizer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 import leaf.tensor as T
+import oracles
 from leaf.tensor import Tensor
-from oracles import cosine_similarity
+from oracles import cosine_similarity, exp, log, matmul, reshape, transpose
 
 
 RNG = np.random.default_rng(7)
@@ -49,11 +52,14 @@ def assert_grads_match(f, params, tol=1e-6):
 
 # ---------------------------------------------------------------- forward
 
+# `matmul`, `transpose`, `reshape`, `exp` and `log` are the test-side nodes
+# (oracles.py) that the compositions replaced by fused nodes are built from.
+
 
 def test_matmul_matches_triple_loop():
     a = RNG.normal(size=(4, 5))
     b = RNG.normal(size=(5, 3))
-    out = T.matmul(Tensor(a), Tensor(b)).data
+    out = matmul(Tensor(a), Tensor(b)).data
     ref = np.zeros((4, 3))
     for i in range(4):
         for j in range(3):
@@ -65,20 +71,20 @@ def test_matmul_matches_triple_loop():
 def test_matmul_batched():
     a = RNG.normal(size=(2, 4, 5))
     b = RNG.normal(size=(5, 3))
-    out = T.matmul(Tensor(a), Tensor(b)).data
+    out = matmul(Tensor(a), Tensor(b)).data
     np.testing.assert_allclose(out, a @ b, atol=1e-12)
 
 
 def test_matmul_shape_error():
     with pytest.raises(T.ShapeError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,)),
                                              ((), (2, 2))])
 def test_matmul_rejects_operand_below_2_dims(a_shape, b_shape):
     with pytest.raises(T.ShapeError, match="at least 2 dims"):
-        T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+        matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 def test_softmax_hand_value():
@@ -176,7 +182,7 @@ def test_grad_add_mul_broadcast():
 def test_grad_matmul():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.matmul(a, b)), [a, b])
+    assert_grads_match(lambda: T.tsum(matmul(a, b)), [a, b])
 
 
 def test_grad_softmax_hand_derived():
@@ -216,8 +222,8 @@ def test_grad_gelu_exp_log_sqrt_div():
     def f():
         out = T.gelu(x)
         out = T.add(out, T.gelu(T.mul(y, -1.0)))
-        out = T.add(out, T.div(T.exp(T.mul(x, 0.1)), y))
-        out = T.add(out, T.log(T.add(x, 1.0)))
+        out = T.add(out, T.div(exp(T.mul(x, 0.1)), y))
+        out = T.add(out, log(T.add(x, 1.0)))
         out = T.add(out, T.sqrt(y))
         return T.tsum(T.mul(out, out))
 
@@ -275,10 +281,10 @@ def test_grad_batched_matmul_with_broadcast_batch(batch, mkn, seed):
     a_batch, b_batch = batch.input_shapes
     a = random_param(a_batch + (m, k), seed)
     b = random_param(b_batch + (k, n), seed + 1)
-    out = T.matmul(a, b)
+    out = matmul(a, b)
     np.testing.assert_allclose(out.data, a.data @ b.data, rtol=0.0, atol=1e-12)
     assert out.shape == batch.result_shape + (m, n)
-    assert T.grad_check(lambda: weighted_sum(T.matmul(a, b), seed), [a, b]) <= 1e-6
+    assert T.grad_check(lambda: weighted_sum(matmul(a, b), seed), [a, b]) <= 1e-6
 
 
 @st.composite
@@ -318,7 +324,7 @@ def test_linear_matches_unfused_and_grad(lead, dims, seed):
     x = random_param(tuple(lead) + (d_in,), seed)
     w = random_param((d_out, d_in), seed + 1)
     b = random_param((d_out,), seed + 2)
-    unfused = T.add(T.matmul(x, T.transpose(w)), b)
+    unfused = T.add(matmul(x, transpose(w)), b)
     assert np.array_equal(T.linear(x, w, b).data, unfused.data)
     assert T.grad_check(lambda: weighted_sum(T.linear(x, w, b), seed), [x, w, b]) <= 1e-6
 
@@ -329,12 +335,12 @@ def unfused_attention(q, k, v, key_bias, heads):
     hd = d // heads
 
     def split(t):
-        return T.transpose(T.reshape(t, (bsz, t.shape[1], heads, hd)), (0, 2, 1, 3))
+        return transpose(reshape(t, (bsz, t.shape[1], heads, hd)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    scores = T.mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     att = T.softmax(T.add(scores, Tensor(key_bias)), axis=-1)
-    return T.reshape(T.transpose(T.matmul(att, vh), (0, 2, 1, 3)), (bsz, q_len, d))
+    return reshape(transpose(matmul(att, vh), (0, 2, 1, 3)), (bsz, q_len, d))
 
 
 @st.composite
@@ -364,13 +370,96 @@ def test_attention_matches_unfused_and_grad(case, seed):
                         [q, k, v]) <= 1e-6
 
 
+def values_and_grads(build, params, seed):
+    """build()'s value and the gradients of a weighted sum of it."""
+    for p in params:
+        p.grad = None
+    out = build()
+    weighted_sum(out, seed).backward()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return out.data, grads
+
+
+def assert_bit_identical(fused, composed, params, seed):
+    """Same value and the same gradient for every parameter, bit for bit."""
+    value, grads = values_and_grads(fused, params, seed)
+    ref_value, ref_grads = values_and_grads(composed, params, seed)
+    assert np.array_equal(value, ref_value)
+    for p, g, ref in zip(params, grads, ref_grads):
+        assert g is not None and ref is not None and g.shape == p.shape
+        assert np.array_equal(g, ref)
+
+
+@st.composite
+def lora_cases(draw):
+    """(N, S, M, r, d, mix shape): one mix weight per row [N, M] or per
+    position [N, S, M]; S = 1 is the last block's [CLS] row."""
+    n, s, M = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return n, s, M, r, d, draw(st.sampled_from([(n, M), (n, s, M)]))
+
+
+@settings(max_examples=40)
+@given(case=lora_cases(), seed=st.integers(0, 2**16))
+def test_lora_matches_composition_and_grad(case, seed):
+    n, s, M, r, d, mix_shape = case
+    x = random_param((n, s, d), seed)
+    A, B = random_param((M, d, r), seed + 1), random_param((M, r, d), seed + 2)
+    mix = random_param(mix_shape, seed + 3)
+    pool = SimpleNamespace(A=A, B=B)
+    assert_bit_identical(lambda: T.lora(x, A, B, mix),
+                         lambda: oracles.pool_delta(pool, x, mix), [x, A, B, mix], seed)
+    assert T.grad_check(lambda: weighted_sum(T.lora(x, A, B, mix), seed),
+                        [x, A, B, mix]) <= 1e-6
+
+
+def test_lora_rejects_mismatched_shapes():
+    x, mix = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2)))
+    with pytest.raises(T.ShapeError, match="lora shapes"):
+        T.lora(x, Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 4, 3))), mix)
+    with pytest.raises(T.ShapeError, match="lora shapes"):
+        T.lora(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4, 3))),
+               Tensor(np.ones((2, 3, 4))), mix)
+
+
+@settings(max_examples=40)
+@given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**16))
+def test_scores_matches_composition_and_grad(lead, dims, seed):
+    d, n = dims
+    x = random_param(tuple(lead) + (d,), seed)
+    w = random_param((n, d), seed + 1)
+    assert_bit_identical(lambda: T.scores(x, w), lambda: oracles.scores(x, w), [x, w], seed)
+    assert T.grad_check(lambda: weighted_sum(T.scores(x, w), seed), [x, w]) <= 1e-6
+
+
+@settings(max_examples=60)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5)),
+       op=st.sampled_from(["softmax", "logsumexp"]), masked=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_masked_softmax_and_logsumexp_match_compositions_and_grad(shape, op, masked, seed):
+    """A bias of -1e30 masks entries out, as routing and the label loss do;
+    every row keeps at least one entry."""
+    rng = np.random.default_rng(seed)
+    keep = rng.random(shape) < 0.5
+    keep[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = True
+    bias = np.where(keep, 0.0, -1e30) if masked else None
+    a = random_param(shape, seed)
+    fused, composed = getattr(T, op), getattr(oracles, op)
+    assert_bit_identical(lambda: fused(a, axis=-1, bias=bias),
+                         lambda: composed(a, axis=-1, bias=bias), [a], seed)
+    assert T.grad_check(lambda: weighted_sum(fused(a, axis=-1, bias=bias), seed), [a]) <= 1e-6
+
+
 def test_grad_check_utility_on_composite():
     w = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=5), requires_grad=True)
     x = RNG.normal(size=(3, 4))
 
     def f():
-        logits = T.add(T.matmul(Tensor(x), T.transpose(w)), b)
+        logits = T.add(matmul(Tensor(x), transpose(w)), b)
         return T.mul(T.tsum(T.log_softmax(logits, axis=-1)), -1.0)
 
     assert T.grad_check(f, [w, b]) <= 1e-6
@@ -397,18 +486,21 @@ def test_no_graph_when_inputs_need_no_grad():
     assert y._parents == ()
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "div", "matmul", "linear", "attention",
-                                "layer_norm"])
+@pytest.mark.parametrize("op", ["add", "mul", "div", "matmul", "linear", "scores", "lora",
+                                "attention", "layer_norm"])
 def test_backward_skips_operands_that_need_no_grad(op):
     """Only the operand that requires grad receives one; constants get none."""
     x = Tensor(RNG.normal(size=(2, 3, 4)) + 3.0, requires_grad=True)
-    consts = [Tensor(RNG.normal(size=s) + 3.0) for s in [(4, 4), (4,), (2, 3, 4)]]
+    consts = [Tensor(RNG.normal(size=s) + 3.0)
+              for s in [(4, 4), (4,), (2, 3, 4), (2, 4, 3), (2, 2)]]
     call = {
         "add": lambda: T.add(x, consts[1]),
         "mul": lambda: T.mul(consts[1], x),
         "div": lambda: T.div(x, consts[1]),
-        "matmul": lambda: T.matmul(x, consts[0]),
+        "matmul": lambda: matmul(x, consts[0]),
         "linear": lambda: T.linear(x, consts[0], consts[1]),
+        "scores": lambda: T.scores(x, consts[0]),
+        "lora": lambda: T.lora(x, consts[3], consts[2], consts[4]),
         "attention": lambda: T.attention(consts[2], x, consts[2], np.zeros((2, 1, 1, 3)), 2),
         "layer_norm": lambda: T.layer_norm(x, consts[1], consts[1]),
     }[op]
