@@ -169,8 +169,7 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
-    err = run_gradcheck(seed=7 if args.seed is None else _seed("--seed", args.seed),
-                        poison_nan=args.poison_nan)
+    err = run_gradcheck(seed=7 if args.seed is None else _seed("--seed", args.seed))
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err <= 1e-4 else EXIT_RUNTIME
 
@@ -223,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--poison-nan", action="store_true",
-                   help="inject NaN into the inputs (error-path test)")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("report", help="aggregate run directories into mean±std tables")

@@ -299,14 +299,44 @@ def snapshot_model(state: ModelState) -> Snapshot:
 # training
 
 
+def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
+               noise: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
+    """The training objective on one batch of task index `t`: cross-entropy
+    plus every switched-on term (router, label contrast over the labels
+    seen so far, feature and prediction distillation against the snapshot
+    on the old labels). The teacher forward reuses the student's [CLS]
+    rows. Returns (total, breakdown)."""
+    cfg = state.config
+    w = cfg.loss_weights
+    feats, routing, cls = forward_features(state, batch, embed_noise=noise)
+    gold = [inst.label for inst in batch]
+    seen = stream.seen_labels(t)
+    parts = {"ce": obj.ce_loss(state.head, feats, gold)}
+    if w.alpha_router > 0:
+        parts["router"] = moe.router_loss(routing)
+    if w.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
+        parts["label"] = obj.label_contrastive_loss(feats, gold, state.bank, seen)
+    if t > 0 and (w.alpha_fd > 0 or w.alpha_pd > 0):
+        with T.no_grad():
+            prev_feats, _, _ = forward_features(state, batch, pools=state.snapshot.pools,
+                                                embed_noise=noise, cls=cls)
+        prev_np = prev_feats.data
+        if w.alpha_fd > 0:
+            parts["fd"] = obj.feature_distill_loss(prev_np, feats)
+        if w.alpha_pd > 0:
+            parts["pd"] = obj.prediction_distill_loss(
+                state.snapshot.head, prev_np, state.head, feats,
+                stream.seen_labels(t - 1), temperature=cfg.temperature)
+    return obj.total_loss(parts, w)
+
+
 def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     """Algorithm: grow head, mix current data with rehearsal memory, train
     for E epochs on the full objective, then update memory and snapshot."""
     cfg = state.config
     w = cfg.loss_weights
     task = stream.tasks[t]
-    distill_on = w.alpha_fd > 0 or w.alpha_pd > 0
-    if t > 0 and distill_on and state.snapshot is None:
+    if t > 0 and (w.alpha_fd > 0 or w.alpha_pd > 0) and state.snapshot is None:
         raise RuntimeError(f"task {t} needs a snapshot for distillation")
 
     old_head = state.head.params()
@@ -319,7 +349,6 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     data += state.buffer.items()
     if cfg.augment and len(state.buffer):
         data += augment_memory(state.buffer, cfg.aug_copies)
-    seen = stream.seen_labels(t)
 
     for epoch in range(cfg.epochs):
         order = state.rng.permutation(len(data))
@@ -327,27 +356,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             ids_shape = (len(batch), state.weights.config.max_seq_len)
             noise = _noise_for(state, batch, ids_shape)
-            feats, routing, cls = forward_features(state, batch, embed_noise=noise)
-            gold = [inst.label for inst in batch]
-            parts = {"ce": obj.ce_loss(state.head, feats, gold)}
-            if w.alpha_router > 0:
-                parts["router"] = moe.router_loss(routing)
-            if w.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
-                parts["label"] = obj.label_contrastive_loss(feats, gold, state.bank, seen)
-            if t > 0 and distill_on:
-                with T.no_grad():
-                    prev_feats, _, _ = forward_features(state, batch,
-                                                        pools=state.snapshot.pools,
-                                                        embed_noise=noise, cls=cls)
-                prev_np = prev_feats.data
-                old_labels = stream.seen_labels(t - 1)
-                if w.alpha_fd > 0:
-                    parts["fd"] = obj.feature_distill_loss(prev_np, feats)
-                if w.alpha_pd > 0:
-                    parts["pd"] = obj.prediction_distill_loss(
-                        state.snapshot.head, prev_np, state.head, feats,
-                        old_labels, temperature=cfg.temperature)
-            total, breakdown = obj.total_loss(parts, w)
+            total, breakdown = batch_loss(state, batch, t, stream, noise)
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()

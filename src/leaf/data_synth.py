@@ -179,6 +179,8 @@ def load_jsonl(path) -> Dataset:
                     raise DatasetFormatError(f"{path}:{lineno}: missing key {key!r}")
             if rec["split"] not in ("train", "test"):
                 raise DatasetFormatError(f"{path}:{lineno}: bad split {rec['split']!r}")
+            if not isinstance(rec["text"], str) or not rec["text"].split():
+                raise DatasetFormatError(f"{path}:{lineno}: text {rec['text']!r} has no word")
             label = str(rec["label"])
             if not label:
                 raise DatasetFormatError(f"{path}:{lineno}: empty label")
@@ -186,7 +188,7 @@ def load_jsonl(path) -> Dataset:
                 idx[label] = len(names)
                 names.append(label)
             table = train if rec["split"] == "train" else test
-            table.setdefault(idx[label], []).append(str(rec["text"]))
+            table.setdefault(idx[label], []).append(rec["text"])
     return Dataset(label_names=names, train=train, test=test)
 
 

@@ -22,8 +22,6 @@ from . import tensor as T
 from .objectives import DetectorHead, ce_loss
 from .tensor import Tensor
 
-MASK_BIAS = -1e30  # additive attention bias for padded keys; exp() underflows to exactly 0
-
 WEIGHTS_FORMAT_VERSION = "leaf-weights-v1"
 
 CLS_ID = 0
@@ -195,7 +193,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
     router scores `routed`, which is `x` or the full-width input `x` is the
     [CLS] row of.
 
-    Padded keys get exactly zero attention (MASK_BIAS), so trailing columns
+    Padded keys get exactly zero attention (`T.MASK_BIAS`), so trailing columns
     that are padding in every row cannot reach a real position: the batch
     is cut to its last real column before the embedding lookup, and
     `attention_mask` comes back at that length.
@@ -221,7 +219,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
     x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
     if embed_noise is not None:
         x = T.add(x, Tensor(embed_noise))
-    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, MASK_BIAS)
+    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
 
     for l in range(cfg.num_layers):
         rows = T.take(x, [0], axis=1) if l == cfg.num_layers - 1 else x

@@ -99,7 +99,7 @@ def combine_weights(scores: Tensor, selected: np.ndarray,
     """
     if mode not in ("softmax", "paper-literal"):
         raise ValueError(f"unknown combine mode {mode!r}")
-    soft = T.softmax(scores, axis=-1, bias=np.where(selected, 0.0, -1e30))
+    soft = T.softmax(scores, axis=-1, bias=np.where(selected, 0.0, T.MASK_BIAS))
     if mode == "softmax":
         return soft, np.zeros(selected.shape[:-1], dtype=bool)
     s = scores.data

@@ -128,8 +128,8 @@ def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
         raise ValueError(f"label {int(missing[0])} has no description vectors")
     sims = T.scores(features, bank.vectors[rows])   # [B, n_desc]
     is_gold = owner[None, :] == gold[:, None]
-    num = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, 0.0, -1e30))
-    den = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, -1e30, 0.0))
+    num = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, 0.0, T.MASK_BIAS))
+    den = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, T.MASK_BIAS, 0.0))
     return T.mul(T.tsum(T.add(den, T.mul(num, -1.0))), 1.0 / len(gold))
 
 

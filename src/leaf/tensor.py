@@ -32,6 +32,10 @@ from scipy.special import erf
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Additive bias that masks an entry out of a softmax or log-sum-exp: exp()
+# of it underflows to exactly 0.
+MASK_BIAS = -1e30
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""

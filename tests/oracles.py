@@ -139,7 +139,7 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
     x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
     if embed_noise is not None:
         x = T.add(x, T.Tensor(embed_noise[:, :seq]))
-    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, E.MASK_BIAS)
+    key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
     records = []
 
     def project(h, l, tag):

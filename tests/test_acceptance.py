@@ -19,7 +19,7 @@ from leaf import continual, data_synth, descriptions, encoder, harness, metrics,
 from leaf import objectives as obj
 from leaf import tensor as T
 from leaf.cli import main as cli_main
-from leaf.gradcheck import run_gradcheck
+from leaf.gradcheck import build_tiny_problem, run_gradcheck
 from leaf.tensor import Tensor
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,6 +32,9 @@ GENERATOR_INI = os.path.join(REPO, "configs", "generator.ini")
 
 
 def test_acceptance_1_gradcheck_full_objective():
+    state, batch, stream = build_tiny_problem(seed=7)
+    _, breakdown = continual.batch_loss(state, batch, 1, stream)
+    assert all(getattr(breakdown, name) != 0.0 for name in obj.LOSS_TERMS), breakdown
     start = time.monotonic()
     err = run_gradcheck(seed=7)
     elapsed = time.monotonic() - start
@@ -39,19 +42,34 @@ def test_acceptance_1_gradcheck_full_objective():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 
-@pytest.mark.parametrize("op", ["lora", "scores", "linear", "attention"])
-def test_gradcheck_catches_broken_matmul_backward(monkeypatch, op):
-    """The same check fails when every backward of one op is 1.5x too large."""
-    true_op = getattr(T, op)
-
-    def bad_op(*args):
-        out = true_op(*args)
+def _scaled_backward(fn):
+    """`fn` whose output node passes 1.5x its gradient back."""
+    def bad_fn(*args, **kwargs):
+        out = fn(*args, **kwargs)
         if out._backward_fn is not None:
             inner = out._backward_fn
             out._backward_fn = lambda g: inner(g * 1.5)
         return out
+    return bad_fn
 
-    monkeypatch.setattr(T, op, bad_op)
+
+@pytest.mark.parametrize("op", ["lora", "scores", "linear", "attention"])
+def test_gradcheck_catches_broken_matmul_backward(monkeypatch, op):
+    """The same check fails when every backward of one op is 1.5x too large."""
+    monkeypatch.setattr(T, op, _scaled_backward(getattr(T, op)))
+    assert run_gradcheck(seed=7) > 1e-4
+
+
+LOSS_FUNCTIONS = {"ce": (obj, "ce_loss"), "router": (moe, "router_loss"),
+                  "label": (obj, "label_contrastive_loss"),
+                  "fd": (obj, "feature_distill_loss"), "pd": (obj, "prediction_distill_loss")}
+
+
+@pytest.mark.parametrize("term", obj.LOSS_TERMS)
+def test_gradcheck_catches_broken_loss_term(monkeypatch, term):
+    """The same check fails when one loss term's gradient is 1.5x too large."""
+    owner, name = LOSS_FUNCTIONS[term]
+    monkeypatch.setattr(owner, name, _scaled_backward(getattr(owner, name)))
     assert run_gradcheck(seed=7) > 1e-4
 
 

@@ -266,6 +266,24 @@ class TestTrain:
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain-base", "train"])
+    def test_blank_text_is_runtime_error_before_any_output(self, workspace, capsys, command):
+        root, cfg = workspace
+        lines = (root / "data" / "dataset.jsonl").read_text().splitlines()
+        lineno = next(i for i, ln in enumerate(lines, 1) if '"split": "test"' in ln)
+        record = json.loads(lines[lineno - 1])
+        record["text"] = " "
+        lines[lineno - 1] = json.dumps(record, sort_keys=True)
+        blank = root / "blank_text.jsonl"
+        blank.write_text("\n".join(lines) + "\n")
+        bad = config_with(cfg, "paths", f"dataset = {blank}", root / "blank_text.ini")
+        out = root / "blank_text_out"
+        argv = [command, "--config", str(bad), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + (["--mode", "leaf"] if command == "train" else [])) == 1
+        assert f"{blank}:{lineno}: text ' ' has no word" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_components_grid_shape(self, workspace):
@@ -311,8 +329,16 @@ class TestAblate:
 
 
 class TestGradcheckAndReport:
-    def test_poisoned_input_is_numerical_error(self):
-        assert main(["gradcheck", "--poison-nan"]) == 3
+    def test_poisoned_input_is_numerical_error(self, monkeypatch):
+        real_init = encoder.init_encoder_weights
+
+        def poisoned(*args, **kwargs):
+            weights = real_init(*args, **kwargs)
+            weights.tensors["tok_emb"].data[:, 0] = np.nan
+            return weights
+
+        monkeypatch.setattr(encoder, "init_encoder_weights", poisoned)
+        assert main(["gradcheck"]) == 3
 
     def test_gradcheck_rejects_config_flag(self):
         assert main(["gradcheck", "--config", "x.ini"]) == 2

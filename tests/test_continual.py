@@ -3,6 +3,7 @@ memory, snapshots, head growth, and the end-to-end training loop — all on
 a deliberately tiny configuration so the suite stays fast."""
 
 import contextlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,10 @@ from leaf import data_synth as DS
 from leaf import descriptions as D
 from leaf import encoder as E
 from leaf import harness, metrics
+from leaf import moe
 from leaf import objectives as obj
+from leaf import tensor as T
+from leaf.gradcheck import build_tiny_problem
 import oracles
 from oracles import dataset_order_predict, per_label_exemplars
 
@@ -473,6 +477,21 @@ class TestTraining:
         C.train_task(0, stream, state)
         C.train_task(1, stream, state)
         assert all(t.grad is None for t in state.weights.tensors.values())
+
+    def test_mole_token_objective_gradients(self):
+        """`batch_loss` under token routing with only ce and the router
+        term on (the `mole-token` mode), on the ragged rows of the
+        gradcheck model: finite differences agree with backward."""
+        state, batch, stream = build_tiny_problem(seed=7)
+        state.config = replace(state.config, routing="token", loss_weights=obj.LossWeights(
+            alpha_router=0.05, alpha_label=0.0, alpha_fd=0.0, alpha_pd=0.0))
+        _, breakdown = C.batch_loss(state, batch, 1, stream)
+        assert breakdown.ce != 0.0 and breakdown.router != 0.0
+        assert breakdown.label == breakdown.fd == breakdown.pd == 0.0
+        err = T.grad_check(lambda: C.batch_loss(state, batch, 1, stream)[0],
+                           moe.pool_params(state.pools) + state.head.params(),
+                           max_coords=16, rng=np.random.default_rng(0))
+        assert err <= 1e-6
 
     def test_loss_rows_logged_per_step(self):
         _, state, stream = self.make_run()

@@ -171,6 +171,8 @@ def test_load_jsonl_error_cases(tmp_path):
         "missing.jsonl": '{"text": "a b c", "split": "train"}\n',
         "split.jsonl": '{"text": "a", "label": "x", "split": "dev"}\n',
         "empty_label.jsonl": '{"text": "a", "label": "", "split": "train"}\n',
+        "blank_text.jsonl": '{"text": " ", "label": "x", "split": "train"}\n',
+        "null_text.jsonl": '{"text": null, "label": "x", "split": "train"}\n',
     }
     for fname, content in cases.items():
         p = tmp_path / fname

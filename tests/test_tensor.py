@@ -361,7 +361,7 @@ def attention_cases(draw):
 def test_attention_matches_unfused_and_grad(case, seed):
     bsz, q_len, seq, heads, hd, lengths = case
     real = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
-    key_bias = np.where(real, 0.0, -1e30)[:, None, None, :]
+    key_bias = np.where(real, 0.0, T.MASK_BIAS)[:, None, None, :]
     q = random_param((bsz, q_len, heads * hd), seed)
     k, v = (random_param((bsz, seq, heads * hd), seed + i) for i in (1, 2))
     out = T.attention(q, k, v, key_bias, heads)
@@ -445,7 +445,7 @@ def test_masked_softmax_and_logsumexp_match_compositions_and_grad(shape, op, mas
     rng = np.random.default_rng(seed)
     keep = rng.random(shape) < 0.5
     keep[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = True
-    bias = np.where(keep, 0.0, -1e30) if masked else None
+    bias = np.where(keep, 0.0, T.MASK_BIAS) if masked else None
     a = random_param(shape, seed)
     fused, composed = getattr(T, op), getattr(oracles, op)
     assert_bit_identical(lambda: fused(a, axis=-1, bias=bias),
