@@ -175,10 +175,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payloads = []
-    for run_dir in args.runs:
-        payloads.append(harness.load_run_metrics(run_dir))
-    mats = [metrics.MetricMatrix.from_dict(p["matrix"]) for p in payloads]
+    mats = [metrics.MetricMatrix.from_dict(harness.load_run_metrics(run_dir)["matrix"])
+            for run_dir in args.runs]
     row = metrics.final_row_cells(mats)
     with encoder.atomic_open(args.out) as fh:
         writer = csv.writer(fh)

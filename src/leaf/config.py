@@ -14,7 +14,7 @@ import math
 
 from .continual import TrainConfig
 from .data_synth import GeneratorSpec
-from .encoder import PROJECTION_TAGS, EncoderConfig, atomic_open
+from .encoder import EncoderConfig, atomic_open
 from .objectives import LOSS_TERMS, LossWeights
 
 
@@ -33,25 +33,12 @@ def _bool(s):
     raise ConfigError(f"not a boolean: {s!r}")
 
 
-def _str_list(s):
-    if isinstance(s, (list, tuple)):
-        return list(s)
-    return [p.strip() for p in str(s).split(",") if p.strip()]
-
-
 def _choice(*allowed):
     def conv(s):
         if s not in allowed:
             raise ConfigError(f"must be one of {', '.join(allowed)}")
         return s
     return conv
-
-
-def _projections(s):
-    tags = _str_list(s)
-    if not tags or not set(tags) <= set(PROJECTION_TAGS):
-        raise ConfigError(f"must be a non-empty list of {', '.join(PROJECTION_TAGS)}")
-    return tags
 
 
 def _at_least(cast, low, strict=False):
@@ -66,7 +53,6 @@ def _at_least(cast, low, strict=False):
 
 # Ranges of the values no dataclass checks; the dataclasses that
 # `parse_config` builds check the rest.
-_nonneg_float = _at_least(float, 0.0)
 _pos_float = _at_least(float, 0.0, strict=True)
 _nonneg_int = _at_least(int, 0)
 _pos_int = _at_least(int, 1)
@@ -80,16 +66,13 @@ SCHEMA = {
         "num_heads": (int, 4),
         "ffn_dim": (int, 128),
         "max_seq_len": (int, 24),
-        "layernorm_eps": (_pos_float, 1e-5),
     },
     "moe": {
         "num_experts": (int, 4),
         "topk": (int, 2),
         "rank": (int, 8),
-        "projections": (_projections, ["q", "v"]),
         "combine_mode": (_choice("softmax", "paper-literal"), "softmax"),
         "routing": (_choice("instance", "token"), "instance"),
-        "routing_l2": (_nonneg_float, 1e-4),
     },
     "losses": {
         "alpha_router": (float, 0.01),
@@ -106,8 +89,6 @@ SCHEMA = {
         "batch_size": (int, 8),
         "lr": (_pos_float, 1e-3),
         "augment": (_bool, False),
-        "sigma_aug": (_nonneg_float, 0.05),
-        "aug_copies": (_nonneg_int, 4),
         "n_descriptions": (_pos_int, 3),
     },
     "run": {
@@ -205,9 +186,7 @@ def train_config(resolved: dict, seed: int | None = None) -> TrainConfig:
         epochs=c["epochs"], batch_size=c["batch_size"], lr=c["lr"],
         loss_weights=LossWeights(**{f"alpha_{n}": lo[f"alpha_{n}"] for n in LOSS_TERMS[1:]}),
         topk=m["topk"], num_experts=m["num_experts"], rank=m["rank"],
-        projections=tuple(m["projections"]), combine_mode=m["combine_mode"],
-        routing=m["routing"], routing_l2=m["routing_l2"],
-        augment=c["augment"], sigma_aug=c["sigma_aug"], aug_copies=c["aug_copies"],
+        combine_mode=m["combine_mode"], routing=m["routing"], augment=c["augment"],
         temperature=lo["temperature"],
         seed=resolved["run"]["seed"] if seed is None else seed)
 

@@ -21,6 +21,10 @@ from .data_synth import Dataset, Instance
 from .descriptions import DescriptionBank
 from .tensor import Tensor
 
+ROUTING_L2 = 1e-4  # decoupled weight decay on the routing rows
+SIGMA_AUG = 0.05   # sd of the embedding noise on augmented memory rows
+AUG_COPIES = 4     # augmented copies of each memory exemplar per task
+
 
 @dataclass
 class TaskSpec:
@@ -32,8 +36,6 @@ class TaskSpec:
 @dataclass
 class TaskStream:
     tasks: list[TaskSpec]
-    n_way: int
-    k_shot: int
 
     @property
     def num_tasks(self) -> int:
@@ -83,13 +85,9 @@ class TrainConfig:
     topk: int = 2
     num_experts: int = 4
     rank: int = 8
-    projections: tuple[str, ...] = ("q", "v")
     combine_mode: str = "softmax"
     routing: str = "instance"          # "instance" or "token" (comparison mode)
-    routing_l2: float = 1e-4           # decoupled decay on routing rows
     augment: bool = False
-    sigma_aug: float = 0.05
-    aug_copies: int = 4
     temperature: float = 1.0
     seed: int = 0
 
@@ -122,9 +120,8 @@ class ModelState:
 
     def __post_init__(self):
         if self.opt is None:
-            cfg = self.config
-            self.opt = T.Adam(moe.pool_params(self.pools) + self.head.params(), lr=cfg.lr,
-                              weight_decay=cfg.routing_l2,
+            self.opt = T.Adam(moe.pool_params(self.pools) + self.head.params(),
+                              lr=self.config.lr, weight_decay=ROUTING_L2,
                               decay=moe.routing_params(self.pools))
 
 
@@ -136,8 +133,7 @@ def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
         bank.check_fingerprint(weights)
     rng = np.random.default_rng(config.seed)
     pools = moe.init_pools(weights.config.num_layers, weights.config.model_dim,
-                           config.num_experts, config.rank, rng,
-                           projections=config.projections)
+                           config.num_experts, config.rank, rng)
     head = obj.DetectorHead(weights.config.model_dim, rng)
     return ModelState(weights=weights, vocab=vocab, pools=pools, head=head,
                       bank=bank, config=config, rng=rng)
@@ -158,12 +154,11 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
         for y in task_labels:
             texts = dataset.train[y]
             picks = rng.choice(len(texts), size=k_shot, replace=False)
-            train.extend(Instance(text=texts[i], label=y, task_index=t) for i in sorted(picks))
+            train.extend(Instance(text=texts[i], label=y) for i in sorted(picks))
             held = [texts[i] for i in range(len(texts)) if i not in set(picks.tolist())]
-            test.extend(Instance(text=s, label=y, task_index=t)
-                        for s in held + dataset.test[y])
+            test.extend(Instance(text=s, label=y) for s in held + dataset.test[y])
         tasks.append(TaskSpec(labels=task_labels, train=train, test=test))
-    return TaskStream(tasks=tasks, n_way=n_way, k_shot=k_shot)
+    return TaskStream(tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +211,7 @@ def _frozen_cls(state: ModelState, instances, ids, mask,
 
 
 def _noise_for(state: ModelState, instances, ids_shape) -> np.ndarray | None:
-    cfg = state.config
-    if not cfg.augment or cfg.sigma_aug == 0.0:
+    if not state.config.augment:
         return None
     aug_rows = [i for i, inst in enumerate(instances) if inst.source == "augmented"]
     if not aug_rows:
@@ -225,7 +219,7 @@ def _noise_for(state: ModelState, instances, ids_shape) -> np.ndarray | None:
     d = state.weights.config.model_dim
     noise = np.zeros(ids_shape + (d,))
     for i in aug_rows:
-        noise[i] = state.rng.normal(0.0, cfg.sigma_aug, noise[i].shape)
+        noise[i] = state.rng.normal(0.0, SIGMA_AUG, noise[i].shape)
     return noise
 
 
@@ -348,7 +342,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     data = [replace(inst, source="current") for inst in task.train]
     data += state.buffer.items()
     if cfg.augment and len(state.buffer):
-        data += augment_memory(state.buffer, cfg.aug_copies)
+        data += augment_memory(state.buffer, AUG_COPIES)
 
     for epoch in range(cfg.epochs):
         order = state.rng.permutation(len(data))

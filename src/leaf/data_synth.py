@@ -58,7 +58,6 @@ class GeneratorSpec:
 class Instance:
     text: str
     label: int                 # dense global label id
-    task_index: int = -1
     source: str = "current"    # current | memory | augmented
 
 
@@ -174,6 +173,8 @@ def load_jsonl(path) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DatasetFormatError(f"{path}:{lineno}: not a JSON object")
             for key in ("text", "label", "split"):
                 if key not in rec:
                     raise DatasetFormatError(f"{path}:{lineno}: missing key {key!r}")

@@ -103,7 +103,6 @@ class EncoderWeights:
     config: EncoderConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
     frozen: bool = False
-    base_train_accuracy: float | None = None
 
     def params(self) -> list[Tensor]:
         return list(self.tensors.values())
@@ -254,10 +253,8 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     (from `moe.route_instance`). When `token_topk` is given, `mix` is
     ignored and routing is recomputed per token inside each block; the
     per-pool routing records land in `token_decisions`, each with the
-    (trimmed) attention mask of the rows it routed as its row mask. The
-    last block's `q` router scores every token, but only the [CLS] row's
-    delta is applied; its `o` router sees only the [CLS] context row, so an
-    `o` pool there records the mask's first column.
+    (trimmed) attention mask as its row mask. The last block's `q` router
+    scores every token, but only the [CLS] row's delta is applied.
     """
     if token_topk is None:
         if mix is None:
@@ -282,7 +279,7 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     out = _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
     for record in token_decisions:
         # the router loss averages real tokens only
-        record["mask"] = out.attention_mask[:, :record["selected"].shape[1]]
+        record["mask"] = out.attention_mask
     out.token_decisions = token_decisions
     return out
 
@@ -325,13 +322,7 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
             loss.backward()
             opt.step()
             opt_head.step()
-    correct = 0
-    with T.no_grad():
-        for start in range(0, n, 64):
-            cls = encode_base(ids_all[start:start + 64], mask_all[start:start + 64], weights).cls
-            correct += int((head.predict(cls) == labels[start:start + 64]).sum())
     weights.freeze()
-    weights.base_train_accuracy = correct / n
     return weights
 
 
@@ -392,10 +383,15 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             header = json.loads(hbytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WeightsFormatError(f"corrupted shape table: {exc}") from exc
+        if not isinstance(header, dict):
+            raise WeightsFormatError("container header is not a JSON object")
         if header.get("version") != WEIGHTS_FORMAT_VERSION:
             raise WeightsFormatError(
                 f"unknown container version {header.get('version')!r}, "
                 f"expected {WEIGHTS_FORMAT_VERSION!r}")
+        if not (isinstance(header.get("shapes"), dict)
+                and isinstance(header.get("meta", {}), dict)):
+            raise WeightsFormatError("container header needs a shape table and a meta object")
         out = {}
         for name in sorted(header["shapes"]):
             shape = tuple(header["shapes"][name])

@@ -61,11 +61,10 @@ def build_tiny_problem(seed: int = 7):
     state.snapshot.head.weight.data += rng.normal(0.0, 0.05, state.snapshot.head.weight.shape)
 
     # ragged lengths: the trimmed batch keeps padding inside its shorter rows
-    batch = [Instance(text=" ".join(rng.choice(words, size=n)), label=y, task_index=y // 2)
+    batch = [Instance(text=" ".join(rng.choice(words, size=n)), label=y)
              for n, y in zip((2, 6, 3, 5), labels)]
     stream = continual.TaskStream(tasks=[continual.TaskSpec(labels[:2], [], []),
-                                         continual.TaskSpec(labels[2:], batch[2:], [])],
-                                  n_way=2, k_shot=1)
+                                         continual.TaskSpec(labels[2:], batch[2:], [])])
     return state, batch, stream
 
 

@@ -225,8 +225,13 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
 
 
 def load_run_metrics(run_dir) -> dict:
+    """A run's metrics.json; ValueError naming `run_dir` unless it is an
+    object that holds a metric matrix."""
     with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("matrix"), dict):
+        raise ValueError(f"{run_dir}: metrics.json holds no metric matrix")
+    return payload
 
 
 def write_grid_csv(path, rows: list[dict], num_tasks: int) -> None:

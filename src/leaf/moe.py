@@ -37,15 +37,15 @@ class ExpertPool:
 
 
 def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
-               rng: np.random.Generator,
-               projections=("q", "v")) -> dict[tuple[int, str], ExpertPool]:
-    """One d -> d pool per (layer, adapted projection); B=0 so deltas start
-    at zero."""
+               rng: np.random.Generator) -> dict[tuple[int, str], ExpertPool]:
+    """One d -> d pool per layer on each adapted projection, the query and
+    the value (LoRA's choice, arXiv 2106.09685); B=0 so deltas start at
+    zero."""
     if rank > d:
         raise ValueError(f"rank {rank} exceeds model dim {d}")
     pools = {}
     for l in range(num_layers):
-        for tag in projections:
+        for tag in ("q", "v"):
             A = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d, rank)), requires_grad=True)
             B = Tensor(np.zeros((num_experts, rank, d)), requires_grad=True)
             routing = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d)), requires_grad=True)

@@ -402,14 +402,14 @@ def test_acceptance_10_protocol_invariants():
     tc = continual.TrainConfig(epochs=2, batch_size=4, num_experts=2, rank=2,
                                topk=1, seed=0)
     state = continual.init_state(weights, vocab, bank, tc)
-    stream = continual.build_stream(ds, n_way=2, k_shot=3, num_tasks=5, seed=0)
+    n_way = 2
+    stream = continual.build_stream(ds, n_way=n_way, k_shot=3, num_tasks=5, seed=0)
 
     # label disjointness across the stream
     all_labels = [y for task in stream.tasks for y in task.labels]
     assert len(all_labels) == len(set(all_labels)) == 10
 
     fingerprint = weights.fingerprint()
-    n_way = stream.n_way
     for t in range(stream.num_tasks):
         # memory monotonicity: one exemplar per class, N*(t-1)... at task start
         assert len(state.buffer) == n_way * t

@@ -220,14 +220,21 @@ class TestTrain:
     @pytest.mark.parametrize("section,line", [
         ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
         ("moe", "projections = x, y"), ("continual", "sigma_aug = -1"),
-        ("losses", "temperature = 0"), ("moe", "topk = 5")])
+        ("losses", "temperature = 0"), ("moe", "topk = 5"), ("continual", "lr = nan"),
+        ("encoder", "layernorm_eps = 1e-6"), ("moe", "routing_l2 = 0"),
+        ("continual", "aug_copies = 2")])
     def test_bad_config_value_is_usage_error(self, workspace, section, line, capsys):
         root, cfg = workspace
         bad = config_with(cfg, section, line, root / "bad.ini")
         out = root / "bad_run"
         assert main(["train", "--config", str(bad), "--mode", "leaf",
                      "--out", str(out), "--seed", "0"]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        key = line.split(" =")[0]
+        if key in ("layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_copies"):
+            # settings that became constants: any value is an unknown key
+            assert f"unknown config key [{section}] {key}" in err
         assert not out.exists()
 
     def test_bad_env_seed_is_usage_error(self, workspace, monkeypatch):
@@ -361,6 +368,19 @@ class TestGradcheckAndReport:
     def test_report_missing_dir_is_runtime_error(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+    @pytest.mark.parametrize("payload", ['{"seed": 0}', "[1, 2]", '"matrix"',
+                                         '{"matrix": [[0.5]]}'])
+    def test_report_metrics_without_matrix_is_runtime_error(self, tmp_path, capsys, payload):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.json").write_text(payload + "\n")
+        out = tmp_path / "r.csv"
+        assert main(["report", "--runs", str(run), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{run}: metrics.json holds no metric matrix" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2

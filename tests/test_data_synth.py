@@ -173,11 +173,13 @@ def test_load_jsonl_error_cases(tmp_path):
         "empty_label.jsonl": '{"text": "a", "label": "", "split": "train"}\n',
         "blank_text.jsonl": '{"text": " ", "label": "x", "split": "train"}\n',
         "null_text.jsonl": '{"text": null, "label": "x", "split": "train"}\n',
+        "list.jsonl": '["text", "label", "split"]\n',
+        "string.jsonl": '"text label split"\n',
     }
     for fname, content in cases.items():
         p = tmp_path / fname
         p.write_text(content)
-        with pytest.raises(ds_mod.DatasetFormatError):
+        with pytest.raises(ds_mod.DatasetFormatError, match=rf"{fname}:1: "):
             ds_mod.load_jsonl(p)
 
 

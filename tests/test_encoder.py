@@ -1,6 +1,9 @@
 """Tests for the frozen transformer backbone: tokenizer, forward pass,
 base-task training, and the versioned weight container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,11 +229,11 @@ class TestExpertForward:
 # ------------------------------------------------------- padding is trimmed
 
 
-def pools_on(cfg, projections, live, seed=1):
-    """Pools on `projections` of every layer; `live` draws nonzero B, so the
+def pools_on(cfg, live, seed=1):
+    """The q and v pools of every layer; `live` draws nonzero B, so the
     experts change the output, and otherwise every delta is exactly zero."""
     rng = np.random.default_rng(seed)
-    pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng, projections=projections)
+    pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
     if live:
         for pool in pools.values():
             pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
@@ -271,7 +274,7 @@ class TestTrimmedPadding:
     @given(data=st.data())
     def test_padding_width_changes_nothing(self, data):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        pools = pools_on(cfg, ("q", "v"), live=True)
+        pools = pools_on(cfg, live=True)
         lengths = data.draw(st.lists(st.integers(1, cfg.max_seq_len), min_size=1,
                                      max_size=4), label="lengths")
         rows = [[E.CLS_ID] + data.draw(st.lists(st.integers(3, len(vocab) - 1),
@@ -301,7 +304,7 @@ class TestTrimmedPadding:
     def test_token_routing_ragged_gradcheck(self):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
         w.freeze()
-        pools = pools_on(cfg, ("q", "v"), live=True)
+        pools = pools_on(cfg, live=True)
         rng = np.random.default_rng(3)
         rows = ragged_rows(rng, vocab, (2, 7, 4))
         ids, mask = padded(rows, cfg.max_seq_len)
@@ -329,9 +332,8 @@ class TestLastBlockClsOnly:
         router loss, equal those of the forward that computes every position
         of the last block."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        projections = data.draw(st.sampled_from([("q", "v"), ("q", "k", "v")]))
         live = data.draw(st.booleans(), label="live experts")
-        pools = pools_on(cfg, projections, live)
+        pools = pools_on(cfg, live)
         lengths = data.draw(st.lists(st.integers(1, cfg.max_seq_len), min_size=1,
                                      max_size=4), label="lengths")
         rows = ragged_rows(np.random.default_rng(data.draw(st.integers(0, 99))), vocab, lengths)
@@ -359,11 +361,10 @@ class TestLastBlockClsOnly:
 
     @pytest.mark.parametrize("routing", ["instance", "token"])
     def test_gradcheck_through_last_block(self, routing):
-        """Pools on all four projections and the last block's own weights,
-        through the [CLS] slice, the short-query attention and the [CLS]-row
-        `o` pool."""
+        """The q/v pools and the last block's own weights, through the [CLS]
+        slice, the [CLS]-row `q` delta and the short-query attention."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        pools = pools_on(cfg, E.PROJECTION_TAGS, live=True)
+        pools = pools_on(cfg, live=True)
         rng = np.random.default_rng(4)
         ids, mask = padded(ragged_rows(rng, vocab, (2, 7, 4)), cfg.max_seq_len)
         target = Tensor(rng.normal(size=(3, cfg.model_dim)))
@@ -391,7 +392,7 @@ class TestLastBlockClsOnly:
         """Guard against a silent return to full width: the last block's
         GELU gets [B, 1, ffn_dim], the one before it every position."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        pools = pools_on(cfg, ("q", "v"), live=True)
+        pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(5), vocab, (3, 6)),
                            cfg.max_seq_len)
         with T.no_grad():
@@ -406,42 +407,47 @@ class TestLastBlockClsOnly:
             E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
         assert shapes == [(2, 6, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
 
-    def test_token_routed_o_pool_records_the_cls_column(self):
-        """Under token routing an `o` pool of the last block routes only the
-        [CLS] context row: its record carries the mask's first column, and
-        the one of an earlier block the whole mask."""
+    def test_token_routed_last_q_pool_records_the_full_mask(self):
+        """Under token routing the last block's `q` router scores every token
+        though only the [CLS] row gets its delta: its record, like every
+        other, carries the whole trimmed mask."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
-        pools = pools_on(cfg, ("q", "v", "o"), live=True)
+        pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
                            cfg.max_seq_len)
         out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
         records = {record["key"]: record for record in out.token_decisions}
-        last = cfg.num_layers - 1
-        assert records[(last, "o")]["selected"].shape == (3, 1, 4)
-        assert records[(last, "o")]["mask"].tolist() == [[1], [1], [1]]
-        for key in ((0, "o"), (last, "q")):
-            assert records[key]["selected"].shape == (3, 5, 4)
-            np.testing.assert_array_equal(records[key]["mask"], mask[:, :5])
+        assert sorted(records) == sorted(pools)
+        for record in records.values():
+            assert record["selected"].shape == (3, 5, 4)
+            np.testing.assert_array_equal(record["mask"], mask[:, :5])
         assert np.isfinite(float(moe.router_loss(out.token_decisions).data))
 
 
 # ----------------------------------------------------------- base training
 
 class TestBaseTraining:
-    def test_learns_separable_toy_task_and_freezes(self):
+    def test_learns_separable_toy_task_and_freezes(self, monkeypatch):
         vocab = E.Vocab(["red", "blue", "green", "stone", "cloud"])
         cfg = small_config(len(vocab))
         instances = []
         for _ in range(8):
             instances += [("red stone", 0), ("blue cloud", 1),
                           ("red cloud stone", 0), ("blue stone cloud", 1)]
+        heads = []
+        monkeypatch.setattr(E, "DetectorHead",
+                            lambda *a: heads.append(DetectorHead(*a)) or heads[-1])
         w = E.train_base_task(instances, cfg, vocab,
                               np.random.default_rng(0), epochs=6,
                               batch_size=8, lr=3e-4, head_lr=1e-2)
         assert w.frozen
         assert all(not t.requires_grad for t in w.tensors.values())
-        assert w.base_train_accuracy is not None
-        assert w.base_train_accuracy >= 0.95
+        encoded = [E.tokenize(text, vocab, cfg.max_seq_len) for text, _ in instances]
+        with T.no_grad():
+            cls = E.encode_base(np.stack([e[0] for e in encoded]),
+                                np.stack([e[1] for e in encoded]), w).cls
+        accuracy = np.mean(heads[0].predict(cls) == [c for _, c in instances])
+        assert len(heads) == 1 and accuracy >= 0.95
 
     def test_base_loss_gradients_of_every_encoder_tensor(self):
         """Finite differences of the base-pretraining loss (ce through the
@@ -538,6 +544,17 @@ class TestWeightContainer:
         path.write_bytes(b"NOTLEAF" + b"\x00" * 16)
         with pytest.raises(E.WeightsFormatError):
             E.load_tensors(path)
+
+    @pytest.mark.parametrize("header,match", [
+        ([], "not a JSON object"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "meta": {}}, "needs a shape table"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "meta": [], "shapes": {}}, "a meta object")])
+    def test_malformed_header_raises(self, tmp_path, header, match):
+        path = tmp_path / "header.bin"
+        hbytes = json.dumps(header).encode()
+        path.write_bytes(E._MAGIC + struct.pack("<I", len(hbytes)) + hbytes)
+        with pytest.raises(E.WeightsFormatError, match=match):
+            E.load_weights(path)
 
     def test_truncated_payload_raises(self, tmp_path):
         path = tmp_path / "t.leafwt"

@@ -272,10 +272,10 @@ def test_router_loss_gradient_raises_selected_scores():
 def test_router_loss_refuses_mask_of_another_shape():
     """A [B, S] token mask on a [B, 1, M] selection would broadcast to
     [B, S, M] and weigh the one routed row S times."""
-    pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0), projections=("o",))
-    _, record = moe.token_mix_weights(pools[(0, "o")], Tensor(RNG.normal(size=(2, 1, 6))), 2)
+    pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0))
+    _, record = moe.token_mix_weights(pools[(0, "q")], Tensor(RNG.normal(size=(2, 1, 6))), 2)
     record["mask"] = np.ones((2, 3))
-    with pytest.raises(T.ShapeError, match=r"\(0, 'o'\).*\(2, 3\).*\(2, 1\)"):
+    with pytest.raises(T.ShapeError, match=r"\(0, 'q'\).*\(2, 3\).*\(2, 1\)"):
         moe.router_loss([record])
     record["mask"] = np.ones((2, 1))
     assert np.isfinite(float(moe.router_loss([record]).data))
