@@ -175,8 +175,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    mats = [metrics.MetricMatrix.from_dict(harness.load_run_metrics(run_dir)["matrix"])
-            for run_dir in args.runs]
+    mats = [harness.load_run_matrix(run_dir) for run_dir in args.runs]
     row = metrics.final_row_cells(mats)
     with encoder.atomic_open(args.out) as fh:
         writer = csv.writer(fh)

@@ -9,7 +9,7 @@ frozen throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,27 +47,6 @@ class TaskStream:
         for task in self.tasks[:upto + 1]:
             out.extend(task.labels)
         return out
-
-
-class MemoryBuffer:
-    """Exactly one immutable exemplar per seen label."""
-
-    def __init__(self):
-        self._items: dict[int, Instance] = {}
-
-    def add(self, label: int, instance: Instance) -> None:
-        if label in self._items:
-            raise ValueError(f"label {label} already has an exemplar")
-        self._items[label] = replace(instance, source="memory")
-
-    def items(self) -> list[Instance]:
-        return [self._items[y] for y in sorted(self._items)]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._items
 
 
 @dataclass
@@ -108,7 +87,7 @@ class ModelState:
     bank: DescriptionBank | None
     config: TrainConfig
     rng: np.random.Generator
-    buffer: MemoryBuffer = field(default_factory=MemoryBuffer)
+    buffer: dict[int, Instance] = field(default_factory=dict)  # one exemplar per seen label
     snapshot: Snapshot | None = None
     opt: T.Adam = None
     loss_rows: list[dict] = field(default_factory=list)
@@ -200,7 +179,7 @@ def _frozen_cls(state: ModelState, instances, ids, mask,
         with T.no_grad():
             cls = enc.encode_base(ids[rows], mask[rows], state.weights,
                                   embed_noise=None if embed_noise is None
-                                  else embed_noise[rows]).cls.data
+                                  else embed_noise[rows]).data
         out[rows] = cls
         for text, j in fresh.items():
             cache[text] = cls[j]
@@ -210,16 +189,15 @@ def _frozen_cls(state: ModelState, instances, ids, mask,
     return out
 
 
-def _noise_for(state: ModelState, instances, ids_shape) -> np.ndarray | None:
-    if not state.config.augment:
+def _noise_for(state: ModelState, augmented: np.ndarray, ids_shape) -> np.ndarray | None:
+    """Embedding noise for the rows `augmented` marks, zero elsewhere, in
+    one full-width draw: the forward trims the block, the RNG stream does
+    not depend on the batch's real length."""
+    k = int(augmented.sum())
+    if not k:
         return None
-    aug_rows = [i for i, inst in enumerate(instances) if inst.source == "augmented"]
-    if not aug_rows:
-        return None
-    d = state.weights.config.model_dim
-    noise = np.zeros(ids_shape + (d,))
-    for i in aug_rows:
-        noise[i] = state.rng.normal(0.0, SIGMA_AUG, noise[i].shape)
+    noise = np.zeros(ids_shape + (state.weights.config.model_dim,))
+    noise[augmented] = state.rng.normal(0.0, SIGMA_AUG, (k,) + noise.shape[1:])
     return noise
 
 
@@ -234,16 +212,16 @@ def forward_features(state: ModelState, instances, pools=None,
     pools = state.pools if pools is None else pools
     ids, mask = _batch_arrays(state, instances)
     if cfg.routing == "token":
-        out = enc.encode_with_experts(ids, mask, state.weights, pools, None,
-                                      embed_noise=embed_noise, token_topk=cfg.topk,
-                                      combine_mode=cfg.combine_mode)
-        return out.cls, out.token_decisions, None
+        feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, None,
+                                                 embed_noise=embed_noise, token_topk=cfg.topk,
+                                                 combine_mode=cfg.combine_mode)
+        return feats, records, None
     if cls is None:
         cls = _frozen_cls(state, instances, ids, mask, embed_noise)
     mix, records = moe.route_instance(pools, cls, cfg.topk, cfg.combine_mode)
-    out = enc.encode_with_experts(ids, mask, state.weights, pools, mix,
-                                  embed_noise=embed_noise)
-    return out.cls, records, cls
+    feats, _ = enc.encode_with_experts(ids, mask, state.weights, pools, mix,
+                                       embed_noise=embed_noise)
+    return feats, records, cls
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +250,6 @@ def select_exemplar(state: ModelState, instances_by_label: dict[int, list[Instan
         norm_m = max(np.linalg.norm(mean), 1e-12)
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * norm_m + 1e-300)
         out[y] = group[int(np.argmax(sims))]
-    return out
-
-
-def augment_memory(buffer: MemoryBuffer, copies: int) -> list[Instance]:
-    """Jittered rehearsal copies; the perturbation itself is applied to the
-    embeddings at forward time (source == "augmented" marks the rows)."""
-    out = []
-    for inst in buffer.items():
-        out.extend(replace(inst, source="augmented") for _ in range(copies))
     return out
 
 
@@ -339,17 +308,19 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
         if old is not new:
             state.opt.replace_param(old, new)
 
-    data = [replace(inst, source="current") for inst in task.train]
-    data += state.buffer.items()
-    if cfg.augment and len(state.buffer):
-        data += augment_memory(state.buffer, AUG_COPIES)
+    # the copies get fresh embedding noise in every batch they land in
+    memory = [state.buffer[y] for y in sorted(state.buffer)]
+    copies = [inst for inst in memory for _ in range(AUG_COPIES)] if cfg.augment else []
+    data = task.train + memory + copies
+    augmented = np.arange(len(data)) >= len(data) - len(copies)
 
     for epoch in range(cfg.epochs):
         order = state.rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
-            batch = [data[i] for i in order[start:start + cfg.batch_size]]
+            rows = order[start:start + cfg.batch_size]
+            batch = [data[i] for i in rows]
             ids_shape = (len(batch), state.weights.config.max_seq_len)
-            noise = _noise_for(state, batch, ids_shape)
+            noise = _noise_for(state, augmented[rows], ids_shape)
             total, breakdown = batch_loss(state, batch, t, stream, noise)
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
@@ -361,7 +332,9 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     for inst in task.train:
         by_label[inst.label].append(inst)
     for y, exemplar in select_exemplar(state, by_label).items():
-        state.buffer.add(y, exemplar)
+        if y in state.buffer:
+            raise ValueError(f"label {y} already has an exemplar")
+        state.buffer[y] = exemplar
     state.snapshot = snapshot_model(state)
 
 

@@ -58,7 +58,6 @@ class GeneratorSpec:
 class Instance:
     text: str
     label: int                 # dense global label id
-    source: str = "current"    # current | memory | augmented
 
 
 @dataclass

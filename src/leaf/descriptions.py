@@ -89,7 +89,7 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
             encoded.append(enc.tokenize(text, vocab, max_len))
     with T.no_grad():
         cls = enc.encode_base(np.stack([e[0] for e in encoded]),
-                              np.stack([e[1] for e in encoded]), weights).cls.data
+                              np.stack([e[1] for e in encoded]), weights).data
     return DescriptionBank([text for name in names for text in raw[name]],
                            np.asarray([label_ids[name] for name in names for _ in raw[name]]),
                            cls, weights.fingerprint())

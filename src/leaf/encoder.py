@@ -1,9 +1,10 @@
 """Small trainable-then-frozen transformer encoder.
 
 Plays the role of the pre-trained backbone: whitespace tokenizer, learned
-token + position embeddings, post-LN transformer blocks with hookable
-attention projections, and [CLS] pooling. After the base-task phase the
-weights are frozen and every later stage treats them as constants.
+token + position embeddings, post-LN transformer blocks whose attention
+projections can carry LoRA expert pools, and [CLS] pooling. After the
+base-task phase the weights are frozen and every later stage treats them
+as constants.
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ class Vocab:
 
 
 @dataclass
-class SentenceEncoding:
-    cls: Tensor               # [B, d] = position 0 of the final layer
-    attention_mask: np.ndarray  # [B, seq]
-    token_decisions: list = field(default_factory=list)  # per-token routing records
-
-
-@dataclass
 class EncoderWeights:
     config: EncoderConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
@@ -173,35 +167,29 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return np.asarray(ids, dtype=np.int64), mask
 
 
-def _project(x: Tensor, weights: EncoderWeights, layer: int, tag: str,
-             lora_delta=None, routed: Tensor | None = None) -> Tensor:
-    out = T.linear(x, weights.tensors[f"layer{layer}.{tag}.weight"],
-                   weights.tensors[f"layer{layer}.{tag}.bias"])
-    if lora_delta is not None:
-        delta = lora_delta(x, x if routed is None else routed, layer, tag)
-        if delta is not None:
-            out = T.add(out, delta)
-    return out
-
-
-def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
-             lora_delta=None, embed_noise: np.ndarray | None = None) -> SentenceEncoding:
+def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
+             mix=None, token_topk: int | None = None, combine_mode: str = "softmax",
+             embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Shared forward over a [B, S] batch of ids/mask (a single sentence is
-    a batch of one); `lora_delta(x, routed, layer, tag) -> Tensor|None`
-    hooks the attention projections: the delta applies to `x`, and a token
-    router scores `routed`, which is `x` or the full-width input `x` is the
-    [CLS] row of.
+    a batch of one). Returns the [B, d] [CLS] rows and the token-routing
+    records.
+
+    Each projection with a pool in `pools` adds that pool's LoRA delta:
+    mixed by `mix[(layer, tag)]` (instance routing) or, with `token_topk`,
+    by a router that scores every token of the projection's input and
+    appends its record, with the trimmed mask as its row mask, to the
+    records.
 
     Padded keys get exactly zero attention (`T.MASK_BIAS`), so trailing columns
     that are padding in every row cannot reach a real position: the batch
-    is cut to its last real column before the embedding lookup, and
-    `attention_mask` comes back at that length.
+    is cut to its last real column before the embedding lookup.
 
     Only [CLS] leaves the last block, and a position's output there depends
     on the other positions through the keys and values alone. So that block
     projects `k` and `v` over all positions and runs everything else (the
     query, attention output, `o`, both layer norms and the FFN) on row 0:
-    the lossless end of PoWER-BERT's word-vector elimination."""
+    the lossless end of PoWER-BERT's word-vector elimination. Its `q` token
+    router still scores every position; only the [CLS] row's delta applies."""
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
@@ -211,50 +199,63 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights,
         raise ValueError(f"token id {int(ids.max())} >= vocab_size {cfg.vocab_size}")
     seq = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
     ids, mask = ids[:, :seq], mask[:, :seq]
-    if embed_noise is not None:
-        embed_noise = embed_noise[:, :seq]
     w = weights.tensors
+    records = []
+
+    def project(h, l, tag, routed=None):
+        out = T.linear(h, w[f"layer{l}.{tag}.weight"], w[f"layer{l}.{tag}.bias"])
+        pool = (pools or {}).get((l, tag))
+        if pool is None:
+            return out
+        if token_topk is None:
+            pool_mix = mix[(l, tag)]
+        else:
+            routed = h if routed is None else routed
+            pool_mix, record = moe.token_mix_weights(pool, routed, token_topk, combine_mode)
+            record["mask"] = mask  # the router loss averages real tokens only
+            records.append(record)
+            if h.shape[1] < routed.shape[1]:  # h is the [CLS] row of `routed`
+                pool_mix = T.take(pool_mix, [0], axis=1)
+        return T.add(out, moe.pool_delta(pool, h, pool_mix))
 
     x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
     if embed_noise is not None:
-        x = T.add(x, Tensor(embed_noise))
+        x = T.add(x, Tensor(embed_noise[:, :seq]))
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
 
     for l in range(cfg.num_layers):
         rows = T.take(x, [0], axis=1) if l == cfg.num_layers - 1 else x
-        q = _project(rows, weights, l, "q", lora_delta, routed=x)
-        k = _project(x, weights, l, "k", lora_delta)
-        v = _project(x, weights, l, "v", lora_delta)
-        ctx = T.attention(q, k, v, key_bias, cfg.num_heads)
-        out = _project(ctx, weights, l, "o", lora_delta)
-        x = T.layer_norm(T.add(rows, out), w[f"layer{l}.ln1.gain"], w[f"layer{l}.ln1.bias"],
-                         cfg.layernorm_eps)
+        ctx = T.attention(project(rows, l, "q", routed=x), project(x, l, "k"),
+                          project(x, l, "v"), key_bias, cfg.num_heads)
+        x = T.layer_norm(T.add(rows, project(ctx, l, "o")), w[f"layer{l}.ln1.gain"],
+                         w[f"layer{l}.ln1.bias"], cfg.layernorm_eps)
         ff = T.gelu(T.linear(x, w[f"layer{l}.ffn1.weight"], w[f"layer{l}.ffn1.bias"]))
         ff = T.linear(ff, w[f"layer{l}.ffn2.weight"], w[f"layer{l}.ffn2.bias"])
         x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
                          cfg.layernorm_eps)
 
-    return SentenceEncoding(cls=T.take(x, 0, axis=1), attention_mask=mask)
+    return T.take(x, 0, axis=1), records
 
 
 def encode_base(ids, mask, weights: EncoderWeights,
-                embed_noise: np.ndarray | None = None) -> SentenceEncoding:
-    """Forward through the encoder with no expert deltas."""
-    return _forward(ids, mask, weights, lora_delta=None, embed_noise=embed_noise)
+                embed_noise: np.ndarray | None = None) -> Tensor:
+    """[B, d] [CLS] rows of the encoder with no expert deltas."""
+    return _forward(ids, mask, weights, embed_noise=embed_noise)[0]
 
 
 def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
                         embed_noise: np.ndarray | None = None,
                         token_topk: int | None = None,
-                        combine_mode: str = "softmax") -> SentenceEncoding:
-    """Forward with LoRA expert deltas on the adapted projections.
+                        combine_mode: str = "softmax") -> tuple[Tensor, list[dict]]:
+    """Forward with LoRA expert deltas on the adapted projections; returns
+    the [B, d] [CLS] rows and the token-routing records.
 
     `mix` maps each pool key to its [B, M] instance-level mix weights
-    (from `moe.route_instance`). When `token_topk` is given, `mix` is
-    ignored and routing is recomputed per token inside each block; the
-    per-pool routing records land in `token_decisions`, each with the
-    (trimmed) attention mask as its row mask. The last block's `q` router
-    scores every token, but only the [CLS] row's delta is applied.
+    (from `moe.route_instance`), and the records are empty. When
+    `token_topk` is given, `mix` is ignored and routing is recomputed per
+    token inside each block: one record per pool, each with the (trimmed)
+    attention mask as its row mask. The last block's `q` router scores
+    every token, but only the [CLS] row's delta is applied.
     """
     if token_topk is None:
         if mix is None:
@@ -262,26 +263,7 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
         missing = sorted(set(pools) - set(mix))
         if missing:
             raise ValueError(f"routing mix missing pool {missing[0]}")
-    token_decisions = []
-
-    def lora_delta(x, routed, layer, tag):
-        pool = pools.get((layer, tag))
-        if pool is None:
-            return None
-        if token_topk is None:
-            return moe.pool_delta(pool, x, mix[(layer, tag)])
-        token_mix, record = moe.token_mix_weights(pool, routed, token_topk, combine_mode)
-        token_decisions.append(record)
-        if x.shape[1] < routed.shape[1]:  # x is the [CLS] row of `routed`
-            token_mix = T.take(token_mix, [0], axis=1)
-        return moe.pool_delta(pool, x, token_mix)
-
-    out = _forward(ids, mask, weights, lora_delta=lora_delta, embed_noise=embed_noise)
-    for record in token_decisions:
-        # the router loss averages real tokens only
-        record["mask"] = out.attention_mask
-    out.token_decisions = token_decisions
-    return out
+    return _forward(ids, mask, weights, pools, mix, token_topk, combine_mode, embed_noise)
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
@@ -317,7 +299,7 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
             # Freeing the graph right after backward(), before the optimizer
             # steps, made pretraining about 15 % slower: the allocator hands
             # the pages back and faults them in again every batch.
-            loss = ce_loss(head, encode_base(ids_all[sel], mask_all[sel], weights).cls,
+            loss = ce_loss(head, encode_base(ids_all[sel], mask_all[sel], weights),
                            labels[sel])
             loss.backward()
             opt.step()
@@ -394,7 +376,11 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             raise WeightsFormatError("container header needs a shape table and a meta object")
         out = {}
         for name in sorted(header["shapes"]):
-            shape = tuple(header["shapes"][name])
+            shape = header["shapes"][name]
+            if not (isinstance(shape, list)
+                    and all(type(n) is int and n >= 0 for n in shape)):
+                raise WeightsFormatError(f"tensor {name!r} has a bad shape {shape!r}")
+            shape = tuple(shape)
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:

@@ -224,14 +224,15 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
     encoder.save_tensors(tensors, path, meta={"class_order": state.head.class_order})
 
 
-def load_run_metrics(run_dir) -> dict:
-    """A run's metrics.json; ValueError naming `run_dir` unless it is an
-    object that holds a metric matrix."""
+def load_run_matrix(run_dir) -> metrics.MetricMatrix:
+    """The metric matrix of a run's metrics.json; ValueError naming
+    `run_dir` unless the file holds one with every field."""
     with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or not isinstance(payload.get("matrix"), dict):
-        raise ValueError(f"{run_dir}: metrics.json holds no metric matrix")
-    return payload
+    try:
+        return metrics.MetricMatrix.from_dict(payload["matrix"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{run_dir}: metrics.json holds no metric matrix") from exc
 
 
 def write_grid_csv(path, rows: list[dict], num_tasks: int) -> None:

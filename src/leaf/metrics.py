@@ -97,11 +97,14 @@ class MetricMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricMatrix":
-        m = cls(num_tasks=d["num_tasks"])
-        m.micro = np.array([[np.nan if v is None else v for v in row] for row in d["micro"]])
-        m.macro = np.array([[np.nan if v is None else v for v in row] for row in d["macro"]])
-        m.cumulative_micro = np.asarray(d["cumulative_micro"], dtype=np.float64)
-        m.cumulative_macro = np.asarray(d["cumulative_macro"], dtype=np.float64)
+        """Inverse of `to_dict` (None reads as NaN); ValueError unless every
+        field is numeric with the shape `num_tasks` gives it."""
+        T = d["num_tasks"]
+        m = cls(T, *(np.array(d[k], dtype=np.float64) for k in
+                     ("micro", "macro", "cumulative_micro", "cumulative_macro")))
+        if not (m.micro.shape == m.macro.shape == (T, T)
+                and m.cumulative_micro.shape == m.cumulative_macro.shape == (T,)):
+            raise ValueError(f"metric matrix fields do not fit num_tasks = {T}")
         return m
 
 

@@ -111,9 +111,9 @@ def test_acceptance_3_zero_delta_equivalence():
             text = " ".join(f"w{rng.integers(60)}" for _ in range(n))
             ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
             base = encoder.encode_base(ids, mask, weights)
-            mix, _ = moe.route_instance(pools, base.cls, 2)
-            out = encoder.encode_with_experts(ids, mask, weights, pools, mix)
-            worst = max(worst, float(np.abs(out.cls.data - base.cls.data).max()))
+            mix, _ = moe.route_instance(pools, base, 2)
+            out, _ = encoder.encode_with_experts(ids, mask, weights, pools, mix)
+            worst = max(worst, float(np.abs(out.data - base.data).max()))
     assert worst <= 1e-12, f"max abs diff {worst:.3e}"
 
 
@@ -147,12 +147,11 @@ def test_acceptance_4_single_expert_weight_merge():
             n = int(rng.integers(3, 8))
             text = " ".join(f"w{rng.integers(40)}" for _ in range(n))
             ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
-            cls = encoder.encode_base(ids, mask, weights).cls
+            cls = encoder.encode_base(ids, mask, weights)
             mix, _ = moe.route_instance(pools, cls, 1)
-            expert_out = encoder.encode_with_experts(ids, mask, weights, pools, mix)
+            expert_out, _ = encoder.encode_with_experts(ids, mask, weights, pools, mix)
             merged_out = encoder.encode_base(ids, mask, merged)
-            worst = max(worst, float(np.abs(expert_out.cls.data
-                                            - merged_out.cls.data).max()))
+            worst = max(worst, float(np.abs(expert_out.data - merged_out.data).max()))
     assert worst <= 1e-10, f"max abs diff {worst:.3e}"
 
 
@@ -432,8 +431,8 @@ def test_acceptance_10_protocol_invariants():
             assert not p.requires_grad and p.grad is None
     assert len(state.buffer) == n_way * stream.num_tasks
     # every buffered exemplar belongs to the label it is stored under
-    for inst in state.buffer.items():
-        assert inst.label in set(all_labels)
+    for y, inst in state.buffer.items():
+        assert inst.label == y
     # old-classifier-row preservation is structural: growing never rewrites
     # existing rows (checked directly on a fresh head)
     rng = np.random.default_rng(1)

@@ -89,6 +89,17 @@ def workspace(tmp_path_factory):
     return root, cfg
 
 
+@pytest.fixture(scope="module")
+def det_runs(workspace):
+    """Two `baseline-single-lora` runs at seed 1 in the workspace."""
+    root, cfg = workspace
+    runs = root / "det_a", root / "det_b"
+    for out in runs:
+        assert main(["train", "--config", str(cfg), "--mode", "baseline-single-lora",
+                     "--out", str(out), "--seed", "1"]) == 0
+    return runs
+
+
 class TestGenData:
     def test_outputs_exist(self, workspace):
         root, _ = workspace
@@ -130,13 +141,8 @@ class TestTrain:
         ckpts = sorted(os.listdir(out / "checkpoints"))
         assert ckpts == ["task_1.bin", "task_2.bin"]
 
-    def test_determinism_bit_identical(self, workspace):
-        root, cfg = workspace
-        a, b = root / "det_a", root / "det_b"
-        for out in (a, b):
-            assert main(["train", "--config", str(cfg), "--mode",
-                         "baseline-single-lora", "--out", str(out),
-                         "--seed", "1"]) == 0
+    def test_determinism_bit_identical(self, det_runs):
+        a, b = det_runs
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "losses.csv").read_bytes() == (b / "losses.csv").read_bytes()
 
@@ -152,7 +158,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--mode", "bogus",
                      "--out", str(root / "x")]) == 2
 
-    def test_seed_precedence(self, workspace, monkeypatch):
+    def test_seed_precedence(self, workspace, det_runs, monkeypatch):
         root, cfg = workspace
         env_out = root / "seed_env"
         monkeypatch.setenv("LEAF_SEED", "1")
@@ -168,7 +174,7 @@ class TestTrain:
         assert json.loads((flag_out / "metrics.json").read_text())["seed"] == 2
         # env seed 1 matches an explicit --seed 1 run bit for bit
         assert (env_out / "metrics.json").read_bytes() == \
-            (root / "det_a" / "metrics.json").read_bytes()
+            (det_runs[0] / "metrics.json").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_infinite_loss_is_numerical_error(self, workspace, monkeypatch, capsys):
@@ -335,6 +341,10 @@ class TestAblate:
                      "--out", str(root / "z")]) == 2
 
 
+ONE_TASK_MATRIX = {"num_tasks": 1, "micro": [[0.5]], "macro": [[0.5]],
+                   "cumulative_micro": [0.5], "cumulative_macro": [0.5]}
+
+
 class TestGradcheckAndReport:
     def test_poisoned_input_is_numerical_error(self, monkeypatch):
         real_init = encoder.init_encoder_weights
@@ -353,11 +363,10 @@ class TestGradcheckAndReport:
     def test_gradcheck_negative_seed_is_usage_error(self):
         assert main(["gradcheck", "--seed", "-1"]) == 2
 
-    def test_report_aggregates_runs(self, workspace, capsys):
-        root, cfg = workspace
+    def test_report_aggregates_runs(self, workspace, det_runs, capsys):
+        root, _ = workspace
         out = root / "report.csv"
-        assert main(["report", "--runs", str(root / "det_a"),
-                     str(root / "det_b"), "--out", str(out)]) == 0
+        assert main(["report", "--runs", *map(str, det_runs), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",") == ["task_1", "task_2", "cumulative_micro"]
         cells = lines[1].split(",")
@@ -370,7 +379,10 @@ class TestGradcheckAndReport:
                      "--out", str(tmp_path / "r.csv")]) == 1
 
     @pytest.mark.parametrize("payload", ['{"seed": 0}', "[1, 2]", '"matrix"',
-                                         '{"matrix": [[0.5]]}'])
+                                         '{"matrix": [[0.5]]}', '{"matrix": {}}'] + [
+        json.dumps({"matrix": matrix}) for matrix in (
+            {k: v for k, v in ONE_TASK_MATRIX.items() if k != "macro"},
+            {**ONE_TASK_MATRIX, "micro": "x"}, {**ONE_TASK_MATRIX, "num_tasks": 2})])
     def test_report_metrics_without_matrix_is_runtime_error(self, tmp_path, capsys, payload):
         run = tmp_path / "run"
         run.mkdir()

@@ -116,27 +116,14 @@ class TestBuildStream:
 
 class TestMemoryBuffer:
     def test_one_exemplar_per_label(self):
-        buf = C.MemoryBuffer()
-        buf.add(3, DS.Instance(text="a b", label=3))
-        with pytest.raises(ValueError):
-            buf.add(3, DS.Instance(text="c d", label=3))
-        assert len(buf) == 1 and 3 in buf
-
-    def test_items_sorted_and_marked(self):
-        buf = C.MemoryBuffer()
-        buf.add(5, DS.Instance(text="x", label=5))
-        buf.add(1, DS.Instance(text="y", label=1))
-        items = buf.items()
-        assert [i.label for i in items] == [1, 5]
-        assert all(i.source == "memory" for i in items)
-
-    def test_augment_memory_copies(self):
-        buf = C.MemoryBuffer()
-        buf.add(0, DS.Instance(text="x", label=0))
-        buf.add(1, DS.Instance(text="y", label=1))
-        copies = C.augment_memory(buf, copies=3)
-        assert len(copies) == 6
-        assert all(i.source == "augmented" for i in copies)
+        ds = tiny_dataset()
+        state = tiny_state(ds, epochs=1)
+        task = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=1, seed=0).tasks[0]
+        stream = C.TaskStream(tasks=[task, task])
+        C.train_task(0, stream, state)
+        assert sorted(state.buffer) == task.labels
+        with pytest.raises(ValueError, match=f"label {task.labels[0]} already has an exemplar"):
+            C.train_task(1, stream, state)
 
     def test_select_exemplar_prefers_prototype(self):
         ds = tiny_dataset()
@@ -285,7 +272,7 @@ class TestFrozenCache:
         feats_warm, _, cls_warm = C.forward_features(warm, batch)
         assert cls_warm.tobytes() == cls_cold.tobytes()
         ids, mask = C._batch_arrays(cold, batch)
-        direct = E.encode_base(ids, mask, cold.weights).cls.data
+        direct = E.encode_base(ids, mask, cold.weights).data
         assert cls_cold.tobytes() == direct.tobytes()
         assert feats_warm.data.tobytes() == feats_cold.data.tobytes()
         feats_hot, _, _ = C.forward_features(cold, batch)
@@ -295,9 +282,10 @@ class TestFrozenCache:
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         clean = [DS.Instance(text=t, label=0) for t in ds.train[0][:2]]
-        noisy = [DS.Instance(text=t, label=1, source="augmented") for t in ds.train[1][:2]]
+        noisy = [DS.Instance(text=t, label=1) for t in ds.train[1][:2]]
         batch = clean + noisy
-        noise = C._noise_for(state, batch, (len(batch), state.weights.config.max_seq_len))
+        noise = C._noise_for(state, np.array([False, False, True, True]),
+                             (len(batch), state.weights.config.max_seq_len))
         _, _, cls = C.forward_features(state, batch, embed_noise=noise)
         assert set(state.cls_cache) == {i.text for i in clean}
         _, _, cls_clean = C.forward_features(state, noisy)
@@ -309,12 +297,9 @@ class TestFrozenCache:
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         cfg = state.weights.config
-        batch = [DS.Instance(text=ds.train[0][0], label=0),
-                 DS.Instance(text="a", label=1, source="augmented"),
-                 DS.Instance(text=ds.train[1][0], label=1, source="augmented")]
         ref = np.random.default_rng()
         ref.bit_generator.state = state.rng.bit_generator.state
-        noise = C._noise_for(state, batch, (len(batch), cfg.max_seq_len))
+        noise = C._noise_for(state, np.array([False, True, True]), (3, cfg.max_seq_len))
         assert noise.shape == (3, cfg.max_seq_len, cfg.model_dim)
         assert not noise[0].any()
         for i in (1, 2):
@@ -428,6 +413,26 @@ class TestTraining:
         C.run_experiment(stream, state,
                          after_task=lambda t, st: sizes.append(len(st.buffer)))
         assert sizes == [2, 4, 6]
+
+    def test_noise_lands_on_the_memory_copies_only(self, monkeypatch):
+        """Per epoch: each current instance and exemplar once without noise,
+        and each exemplar AUG_COPIES times with it."""
+        _, state, stream = self.make_run(augment=True, epochs=1)
+        C.train_task(0, stream, state)
+        memory = list(state.buffer.values())
+        seen, real = [], C.batch_loss
+
+        def batch_loss(st, batch, t, stream, noise=None):
+            noisy = (np.zeros(len(batch), dtype=bool) if noise is None
+                     else noise.reshape(len(batch), -1).any(axis=1))
+            seen.extend(zip(map(id, batch), noisy))
+            return real(st, batch, t, stream, noise)
+
+        monkeypatch.setattr(C, "batch_loss", batch_loss)
+        C.train_task(1, stream, state)
+        clean = sorted(i for i, noisy in seen if not noisy)
+        assert clean == sorted(map(id, stream.tasks[1].train + memory))
+        assert sorted(i for i, noisy in seen if noisy) == sorted(map(id, memory * C.AUG_COPIES))
 
     def test_snapshot_refreshed_after_each_task(self):
         _, state, stream = self.make_run()

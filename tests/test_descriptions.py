@@ -85,7 +85,7 @@ class TestEncodeBank:
         for lid, label in enumerate(raw):
             for text, vec in zip(raw[label], bank.vectors[bank.labels == lid]):
                 ids, mask = E.tokenize(text, vocab, w.config.max_seq_len)
-                expected = encode_base(ids[None], mask[None], w).cls.data[0]
+                expected = encode_base(ids[None], mask[None], w).data[0]
                 np.testing.assert_allclose(vec, expected, rtol=0.0, atol=1e-12)
         assert bank.labels.tolist() == [0, 0, 1, 1]
         assert bank.texts[:2] == raw["move"]

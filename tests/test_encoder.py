@@ -122,15 +122,17 @@ class TestForward:
     def test_shapes_single_and_batch(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        enc = E.encode_base(ids, mask, w)
-        assert enc.cls.data.shape == (1, cfg.model_dim)
+        cls = E.encode_base(ids, mask, w)
+        assert cls.data.shape == (1, cfg.model_dim)
         # trimmed to the real length: [CLS] alpha beta
-        assert enc.attention_mask.tolist() == [[1, 1, 1]]
+        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
+        _, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        assert all(record["mask"].tolist() == [[1, 1, 1]] for record in records)
 
         bid = np.concatenate([ids, ids])
         bma = np.concatenate([mask, mask])
         benc = E.encode_base(bid, bma, w)
-        assert benc.cls.data.shape == (2, cfg.model_dim)
+        assert benc.data.shape == (2, cfg.model_dim)
 
     @pytest.mark.parametrize("lead", [(), (1, 1)])
     def test_ids_must_be_a_batch(self, lead):
@@ -148,32 +150,32 @@ class TestForward:
         w, vocab, cfg = make_weights()
         a = batch_of_one("alpha beta gamma", vocab, cfg)
         b = batch_of_one("delta", vocab, cfg)
-        single = E.encode_base(a[0], a[1], w).cls.data[0]
+        single = E.encode_base(a[0], a[1], w).data[0]
         batch = E.encode_base(np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]),
-                              w).cls.data
+                              w).data
         np.testing.assert_allclose(batch[0], single, atol=1e-12)
 
     def test_padding_content_does_not_affect_cls(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        base = E.encode_base(ids, mask, w).cls.data
+        base = E.encode_base(ids, mask, w).data
         ids2 = ids.copy()
         ids2[mask == 0] = vocab.get("gamma")  # rewrite padded positions
-        np.testing.assert_allclose(E.encode_base(ids2, mask, w).cls.data, base, atol=1e-10)
+        np.testing.assert_allclose(E.encode_base(ids2, mask, w).data, base, atol=1e-10)
 
     def test_deterministic(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        c1 = E.encode_base(ids, mask, w).cls.data
-        c2 = E.encode_base(ids, mask, w).cls.data
+        c1 = E.encode_base(ids, mask, w).data
+        c2 = E.encode_base(ids, mask, w).data
         np.testing.assert_array_equal(c1, c2)
 
     def test_embed_noise_changes_cls(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        base = E.encode_base(ids, mask, w).cls.data
+        base = E.encode_base(ids, mask, w).data
         noise = np.full((1, cfg.max_seq_len, cfg.model_dim), 0.1)
-        noisy = E.encode_base(ids, mask, w, embed_noise=noise).cls.data
+        noisy = E.encode_base(ids, mask, w, embed_noise=noise).data
         assert np.abs(noisy - base).max() > 1e-6
 
     def test_out_of_range_token_id_raises(self):
@@ -191,10 +193,10 @@ class TestExpertForward:
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, num_experts=4,
                                rank=4, rng=np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta gamma", vocab, cfg)
-        cls = E.encode_base(ids, mask, w).cls
+        cls = E.encode_base(ids, mask, w)
         mix, _ = moe.route_instance(pools, cls, K=2)
-        out = E.encode_with_experts(ids, mask, w, pools, mix)
-        np.testing.assert_allclose(out.cls.data, cls.data, atol=1e-12)
+        out, _ = E.encode_with_experts(ids, mask, w, pools, mix)
+        np.testing.assert_allclose(out.data, cls.data, atol=1e-12)
 
     def test_nonzero_experts_change_output(self):
         w, vocab, cfg = make_weights()
@@ -203,10 +205,10 @@ class TestExpertForward:
         for pool in pools.values():
             pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        cls = E.encode_base(ids, mask, w).cls
+        cls = E.encode_base(ids, mask, w)
         mix, _ = moe.route_instance(pools, cls, K=2)
-        out = E.encode_with_experts(ids, mask, w, pools, mix)
-        assert np.abs(out.cls.data - cls.data).max() > 1e-8
+        out, _ = E.encode_with_experts(ids, mask, w, pools, mix)
+        assert np.abs(out.data - cls.data).max() > 1e-8
 
     def test_missing_decision_raises(self):
         w, vocab, cfg = make_weights()
@@ -221,9 +223,9 @@ class TestExpertForward:
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
                                np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-        assert out.cls.data.shape == (1, cfg.model_dim)
-        assert len(out.token_decisions) == len(pools)
+        out, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        assert out.data.shape == (1, cfg.model_dim)
+        assert len(records) == len(pools)
 
 
 # ------------------------------------------------------- padding is trimmed
@@ -261,12 +263,13 @@ def encodings(rows, width, w, pools, noise):
     ids, mask = padded(rows, width)
     n = noise[:, :width]
     with T.no_grad():
-        base = E.encode_base(ids, mask, w, embed_noise=n).cls
+        base = E.encode_base(ids, mask, w, embed_noise=n)
         mix, _ = moe.route_instance(pools, base, K=2)
-        inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=n).cls
-        tok = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=n, token_topk=2)
-        loss = float(moe.router_loss(tok.token_decisions).data)
-    return base.data, inst.data, tok.cls.data, loss
+        inst, _ = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=n)
+        tok, records = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=n,
+                                             token_topk=2)
+        loss = float(moe.router_loss(records).data)
+    return base.data, inst.data, tok.data, loss
 
 
 class TestTrimmedPadding:
@@ -311,10 +314,10 @@ class TestTrimmedPadding:
         target = rng.normal(size=(len(rows), cfg.model_dim))
 
         def loss_fn():
-            out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-            assert out.attention_mask.shape == (3, 7)
-            fit = T.tsum(T.mul(T.add(out.cls, Tensor(-target)), T.add(out.cls, Tensor(-target))))
-            return T.add(fit, moe.router_loss(out.token_decisions))
+            cls, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            assert all(record["mask"].shape == (3, 7) for record in records)
+            fit = T.tsum(T.mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
+            return T.add(fit, moe.router_loss(records))
 
         err = T.grad_check(loss_fn, moe.pool_params(pools), max_coords=12,
                            rng=np.random.default_rng(0))
@@ -341,18 +344,18 @@ class TestLastBlockClsOnly:
         noise = np.random.default_rng(len(rows)).normal(0.0, 0.05, ids.shape + (cfg.model_dim,))
         noise[0] = 0.0  # clean and noisy rows
         with T.no_grad():
-            base = E.encode_base(ids, mask, w, embed_noise=noise).cls.data
+            base = E.encode_base(ids, mask, w, embed_noise=noise).data
             base_ref, _ = full_width_forward(ids, mask, w, embed_noise=noise)
             mix, _ = moe.route_instance(pools, Tensor(base), K=2)
-            inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=noise).cls.data
+            inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=noise)[0].data
             inst_ref, _ = full_width_forward(ids, mask, w, pools, mix=mix, embed_noise=noise)
-            tok = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=noise,
-                                        token_topk=2)
+            tok, tok_records = E.encode_with_experts(ids, mask, w, pools, None,
+                                                     embed_noise=noise, token_topk=2)
             tok_ref, records = full_width_forward(ids, mask, w, pools, token_topk=2,
                                                   embed_noise=noise)
-            loss = float(moe.router_loss(tok.token_decisions).data)
+            loss = float(moe.router_loss(tok_records).data)
             loss_ref = float(moe.router_loss(records).data)
-        for got, ref in ((base, base_ref), (inst, inst_ref), (tok.cls.data, tok_ref)):
+        for got, ref in ((base, base_ref), (inst, inst_ref), (tok.data, tok_ref)):
             np.testing.assert_allclose(got, ref.data[:, 0], rtol=0.0, atol=1e-12)
         assert abs(loss - loss_ref) <= 1e-12
         if not live:  # zero deltas leave every position of every block as it was
@@ -369,16 +372,15 @@ class TestLastBlockClsOnly:
         ids, mask = padded(ragged_rows(rng, vocab, (2, 7, 4)), cfg.max_seq_len)
         target = Tensor(rng.normal(size=(3, cfg.model_dim)))
         with T.no_grad():
-            base = E.encode_base(ids, mask, w).cls
+            base = E.encode_base(ids, mask, w)
 
         def loss_fn():
             if routing == "instance":
                 mix, records = moe.route_instance(pools, base, K=2)
-                out = E.encode_with_experts(ids, mask, w, pools, mix)
+                cls, _ = E.encode_with_experts(ids, mask, w, pools, mix)
             else:
-                out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-                records = out.token_decisions
-            diff = T.add(out.cls, T.mul(target, -1.0))
+                cls, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            diff = T.add(cls, T.mul(target, -1.0))
             return T.add(T.tsum(T.mul(diff, diff)), moe.router_loss(records))
 
         last = [t for name, t in w.tensors.items()
@@ -396,7 +398,7 @@ class TestLastBlockClsOnly:
         ids, mask = padded(ragged_rows(np.random.default_rng(5), vocab, (3, 6)),
                            cfg.max_seq_len)
         with T.no_grad():
-            base = E.encode_base(ids, mask, w).cls
+            base = E.encode_base(ids, mask, w)
         shapes, real_gelu = [], T.gelu
         monkeypatch.setattr(T, "gelu", lambda a: shapes.append(a.shape) or real_gelu(a))
         if routing == "base":
@@ -415,13 +417,13 @@ class TestLastBlockClsOnly:
         pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
                            cfg.max_seq_len)
-        out = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-        records = {record["key"]: record for record in out.token_decisions}
+        _, token_records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        records = {record["key"]: record for record in token_records}
         assert sorted(records) == sorted(pools)
         for record in records.values():
             assert record["selected"].shape == (3, 5, 4)
             np.testing.assert_array_equal(record["mask"], mask[:, :5])
-        assert np.isfinite(float(moe.router_loss(out.token_decisions).data))
+        assert np.isfinite(float(moe.router_loss(token_records).data))
 
 
 # ----------------------------------------------------------- base training
@@ -445,7 +447,7 @@ class TestBaseTraining:
         encoded = [E.tokenize(text, vocab, cfg.max_seq_len) for text, _ in instances]
         with T.no_grad():
             cls = E.encode_base(np.stack([e[0] for e in encoded]),
-                                np.stack([e[1] for e in encoded]), w).cls
+                                np.stack([e[1] for e in encoded]), w)
         accuracy = np.mean(heads[0].predict(cls) == [c for _, c in instances])
         assert len(heads) == 1 and accuracy >= 0.95
 
@@ -466,7 +468,7 @@ class TestBaseTraining:
         ids = np.stack([e[0] for e in encoded])
         mask = np.stack([e[1] for e in encoded])
         gold = [0, 1, 2, 1]
-        err = T.grad_check(lambda: ce_loss(head, E.encode_base(ids, mask, w).cls, gold),
+        err = T.grad_check(lambda: ce_loss(head, E.encode_base(ids, mask, w), gold),
                            w.params(), max_coords=64)
         assert err <= 1e-6
 
@@ -548,7 +550,11 @@ class TestWeightContainer:
     @pytest.mark.parametrize("header,match", [
         ([], "not a JSON object"),
         ({"version": E.WEIGHTS_FORMAT_VERSION, "meta": {}}, "needs a shape table"),
-        ({"version": E.WEIGHTS_FORMAT_VERSION, "meta": [], "shapes": {}}, "a meta object")])
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "meta": [], "shapes": {}}, "a meta object"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "shapes": {"a": "xy"}}, "'a' has a bad shape"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "shapes": {"a": [2.5]}}, "'a' has a bad shape"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "shapes": {"a": 3}}, "'a' has a bad shape"),
+        ({"version": E.WEIGHTS_FORMAT_VERSION, "shapes": {"a": [-1]}}, "'a' has a bad shape")])
     def test_malformed_header_raises(self, tmp_path, header, match):
         path = tmp_path / "header.bin"
         hbytes = json.dumps(header).encode()
