@@ -91,13 +91,22 @@ def cmd_pretrain_base(args) -> int:
 
 
 def _load_weights(resolved):
+    """Base weights, vocabulary and base labels; ConfigError unless the
+    weights are frozen and were trained with the config's `[encoder]`."""
     path = resolved["paths"]["weights"]
     if not path:
         raise cfgmod.ConfigError("[paths] weights is required")
     weights, vocab, meta = encoder.load_weights(path)
     if not weights.frozen:
         raise cfgmod.ConfigError("weights container is not frozen (run pretrain-base)")
-    return weights, vocab, meta.get("base_labels", [])
+    for key, value in resolved["encoder"].items():
+        if getattr(weights.config, key) != value:
+            raise cfgmod.ConfigError(f"[encoder] {key} = {value}, but the base weights "
+                                     f"in {path} have {key} = {getattr(weights.config, key)}")
+    base_names = meta.get("base_labels")
+    if not (isinstance(base_names, list) and all(isinstance(n, str) for n in base_names)):
+        raise encoder.WeightsFormatError(f"{path}: base_labels is not a list of label names")
+    return weights, vocab, base_names
 
 
 def cmd_train(args) -> int:
@@ -116,53 +125,23 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     resolved = cfgmod.parse_config(args.config)
     base_seed = _resolve_seed(resolved, args.seed)
-    n_seeds = resolved["run"]["n_seeds"]
     ds, desc_raw = _load_inputs(resolved)
     weights, vocab, base_names = _load_weights(resolved)
-    num_tasks = resolved["continual"]["num_tasks"]
-
-    if args.axis == "components":
-        settings = [(step, harness.apply_ladder_step(resolved, step))
-                    for step in harness.COMPONENT_LADDER]
-    elif args.axis == "n_descriptions":
-        settings = []
-        for n in (1, 3, 5):
-            cfg = harness.apply_mode(resolved, "leaf")
-            cfg["continual"]["n_descriptions"] = n
-            settings.append((f"{n}_descriptions", cfg))
-    elif args.axis == "n_experts":
-        settings = []
-        for n in (4, 8, 12):
-            cfg = harness.apply_mode(resolved, "leaf")
-            cfg["moe"]["num_experts"] = n
-            settings.append((f"{n}_experts", cfg))
-    else:
-        raise cfgmod.ConfigError(f"unknown ablation axis {args.axis!r}")
+    settings = harness.ablation(resolved, args.axis)
     for _, cfg in settings:
         harness.check_data(cfg, ds, desc_raw, base_seed, base_names)
 
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    by_setting: dict[str, list[metrics.MetricMatrix]] = {}
+    runs = []
     for name, cfg in settings:
-        for k in range(n_seeds):
-            seed = base_seed + k
+        for seed in range(base_seed, base_seed + resolved["run"]["n_seeds"]):
             _log(f"ablate {args.axis}: setting={name} seed={seed}")
-            run_dir = os.path.join(args.out, f"{name}_seed{seed}")
-            matrix = harness.run_once(ds, desc_raw, weights, vocab, base_names,
-                                      cfg, seed, out_dir=run_dir)
-            _, mean_forget = metrics.forgetting(matrix)
-            row = {"setting": name, "seed": seed,
-                   "cumulative_micro": f"{matrix.final_cumulative_micro():.6f}",
-                   "forgetting_mean": f"{mean_forget:.6f}"}
-            for i in range(num_tasks):
-                row[f"task_{i + 1}"] = f"{matrix.micro[num_tasks - 1, i]:.6f}"
-            rows.append(row)
-            by_setting.setdefault(name, []).append(matrix)
-    harness.write_grid_csv(os.path.join(args.out, "grid.csv"), rows, num_tasks)
-    harness.write_summary_csv(os.path.join(args.out, "summary.csv"),
-                              by_setting, num_tasks)
-    _log(f"sweep complete: {len(rows)} runs")
+            matrix = harness.run_once(ds, desc_raw, weights, vocab, base_names, cfg, seed,
+                                      out_dir=os.path.join(args.out, f"{name}_seed{seed}"))
+            runs.append((name, seed, matrix))
+    harness.write_grid_csv(os.path.join(args.out, "grid.csv"), runs)
+    harness.write_summary_csv(os.path.join(args.out, "summary.csv"), runs)
+    _log(f"sweep complete: {len(runs)} runs")
     return EXIT_OK
 
 
@@ -205,14 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one continual experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=harness.MODES, default="leaf")
+    p.add_argument("--mode", choices=harness.MODES, default=next(iter(harness.MODES)))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("ablate", help="sweep an ablation axis over seeds")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", choices=("components", "n_descriptions", "n_experts"),
-                   required=True)
+    p.add_argument("--axis", choices=harness.ABLATIONS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_ablate)

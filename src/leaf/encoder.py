@@ -389,22 +389,22 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     return out, header.get("meta", {})
 
 
-def save_weights(weights: EncoderWeights, path, vocab: Vocab | None = None,
+def save_weights(weights: EncoderWeights, path, vocab: Vocab,
                  extra_meta: dict | None = None) -> None:
-    meta = {"config": asdict(weights.config), "frozen": weights.frozen}
-    if vocab is not None:
-        meta["vocab"] = vocab.to_list()
+    meta = {"config": asdict(weights.config), "frozen": weights.frozen,
+            "vocab": vocab.to_list()}
     if extra_meta:
         meta.update(extra_meta)
     save_tensors({f"encoder/{k}": v.data for k, v in weights.tensors.items()}, path,
                  meta=meta)
 
 
-def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict]:
+def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     """Returns (weights, vocab, meta). Raises WeightsFormatError for a
     container that does not hold encoder weights alone (a checkpoint, say),
-    or whose tensors are not exactly those `weight_shapes` names for its
-    config, each at its shape."""
+    whose tensors are not exactly those `weight_shapes` names for its
+    config, each at its shape, or whose vocabulary is not the token list
+    `Vocab.to_list` writes, with `vocab_size` tokens."""
     arrays, meta = load_tensors(path)
     if not isinstance(meta.get("config"), dict):
         raise WeightsFormatError(f"{path}: no encoder config in the header")
@@ -426,9 +426,13 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab | None, dict]:
         if arr.shape != expected[name]:
             raise WeightsFormatError(f"{path}: encoder tensor {name!r} has shape "
                                      f"{arr.shape}, expected {expected[name]}")
+    tokens = meta.get("vocab")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and len(tokens) == cfg.vocab_size and Vocab.from_list(tokens).to_list() == tokens):
+        raise WeightsFormatError(f"{path}: the vocabulary is not a list of {cfg.vocab_size} "
+                                 "distinct tokens that starts with the reserved ones")
     tensors = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
     weights = EncoderWeights(config=cfg, tensors=tensors)
     if meta.get("frozen"):
         weights.freeze()
-    vocab = Vocab.from_list(meta["vocab"]) if "vocab" in meta else None
-    return weights, vocab, meta
+    return weights, Vocab.from_list(tokens), meta

@@ -1,5 +1,6 @@
-"""Experiment harness: base pretraining, run setup, mode presets, and
-run-directory artifacts (config snapshot, metrics, losses, checkpoints).
+"""Experiment harness: the experiment design (mode presets and ablation
+axes as tables), base pretraining, run setup, run-directory artifacts
+(config snapshot, metrics, losses, checkpoints) and sweep tables.
 """
 
 from __future__ import annotations
@@ -13,57 +14,57 @@ import numpy as np
 from . import config as cfgmod
 from . import continual, data_synth, descriptions, encoder, metrics, objectives
 
-MODES = ("leaf", "baseline-single-lora", "mole-token")
+_LABEL_AND_DISTILL = ("alpha_label", "alpha_fd", "alpha_pd")
 
-COMPONENT_LADDER = ("baseline", "+experts", "+distill", "+labels")
+# mode -> {section: {key: value}} that `apply_mode` sets over the config;
+# the first mode is the default of `leaf train`.
+MODES = {
+    # The full system trains on current data plus memory plus augmented
+    # memory copies, so `leaf` switches augmentation on; the comparison
+    # modes keep whatever the config says (default: off).
+    "leaf": {"continual": {"augment": True}},
+    "baseline-single-lora": {"moe": {"num_experts": 1, "topk": 1},
+                             "losses": dict.fromkeys(("alpha_router", *_LABEL_AND_DISTILL), 0.0)},
+    "mole-token": {"moe": {"routing": "token"}, "losses": dict.fromkeys(_LABEL_AND_DISTILL, 0.0)},
+}
+
+# axis -> ordered (setting, mode, {section: {key: value}} set over the mode).
+ABLATIONS = {
+    # The component ladder: baseline -> +experts -> +distill -> +labels.
+    # The baseline row is the plain single-adapter system. Every other row
+    # is the full system with the not-yet-added components switched off, so
+    # the framework's augmented-memory training set is present from the
+    # +experts row on and the last row equals the `leaf` mode.
+    "components": (
+        ("baseline", "baseline-single-lora", {}),
+        ("+experts", "leaf", {"losses": dict.fromkeys(_LABEL_AND_DISTILL, 0.0)}),
+        ("+distill", "leaf", {"losses": {"alpha_label": 0.0}}),
+        ("+labels", "leaf", {}),
+    ),
+    "n_descriptions": tuple((f"{n}_descriptions", "leaf", {"continual": {"n_descriptions": n}})
+                            for n in (1, 3, 5)),
+    "n_experts": tuple((f"{n}_experts", "leaf", {"moe": {"num_experts": n}}) for n in (4, 8, 12)),
+}
+
+
+def _set(resolved: dict, values: dict) -> dict:
+    out = copy.deepcopy(resolved)
+    for section, keys in values.items():
+        out[section].update(keys)
+    return out
 
 
 def apply_mode(resolved: dict, mode: str) -> dict:
-    """Comparison-mode presets over a resolved config (returns a copy).
-
-    The full system trains on current data plus memory plus augmented
-    memory copies, so `leaf` switches augmentation on; the comparison
-    modes keep whatever the config says (default: off).
-    """
-    out = copy.deepcopy(resolved)
-    if mode == "leaf":
-        out["continual"]["augment"] = True
-        return out
-    if mode == "baseline-single-lora":
-        out["moe"]["num_experts"] = 1
-        out["moe"]["topk"] = 1
-        for key in ("alpha_router", "alpha_label", "alpha_fd", "alpha_pd"):
-            out["losses"][key] = 0.0
-        return out
-    if mode == "mole-token":
-        out["moe"]["routing"] = "token"
-        for key in ("alpha_label", "alpha_fd", "alpha_pd"):
-            out["losses"][key] = 0.0
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    """A copy of a resolved config with the `MODES` preset of `mode` set."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _set(resolved, MODES[mode])
 
 
-def apply_ladder_step(resolved: dict, step: str) -> dict:
-    """Component ablation ladder: baseline -> +experts -> +distill -> +labels.
-
-    The baseline row is the plain single-adapter system. Every other row
-    is the full system with the not-yet-added components switched off, so
-    the framework's augmented-memory training set is present from the
-    +experts row on and the last row equals the `leaf` mode.
-    """
-    if step == "baseline":
-        return apply_mode(resolved, "baseline-single-lora")
-    out = apply_mode(resolved, "leaf")
-    if step == "+experts":
-        for key in ("alpha_fd", "alpha_pd", "alpha_label"):
-            out["losses"][key] = 0.0
-        return out
-    if step == "+distill":
-        out["losses"]["alpha_label"] = 0.0
-        return out
-    if step == "+labels":
-        return out
-    raise ValueError(f"unknown ladder step {step!r}")
+def ablation(resolved: dict, axis: str) -> list[tuple[str, dict]]:
+    """[(setting, config)] of an `ABLATIONS` axis, in its order."""
+    return [(setting, _set(apply_mode(resolved, mode), values))
+            for setting, mode, values in ABLATIONS[axis]]
 
 
 def pick_base_labels(dataset, n_base: int, seed: int) -> list[str]:
@@ -77,11 +78,11 @@ def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: in
                base_names: list[str] | None = None) -> None:
     """Raise ConfigError for the config values only the data can refute.
 
-    `base_names` are a frozen encoder's base labels; without them, the
-    labels `pretrain_base` picks for `seed` stand in, and there must be
-    fewer of them than labels. The labels left must fill n_way x num_tasks,
-    and each must have k_shot train instances and a test instance. Every
-    label must have n_descriptions descriptions.
+    `base_names` are a frozen encoder's base labels, each a dataset label;
+    without them, the labels `pretrain_base` picks for `seed` stand in, and
+    there must be fewer of them than labels. The labels left must fill
+    n_way x num_tasks, and each must have k_shot train instances and a test
+    instance. Every label must have n_descriptions descriptions.
     """
     names = dataset.label_names
     cont = resolved["continual"]
@@ -92,6 +93,10 @@ def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: in
                 f"[run] n_base_labels {n_base} >= the {len(names)} labels of the dataset")
         base_names = pick_base_labels(dataset, n_base, seed)
     base = set(base_names)
+    unknown = sorted(base - set(names))
+    if unknown:
+        raise cfgmod.ConfigError(
+            f"base label {unknown[0]!r} of the weights is not a label of the dataset")
     left = [y for y, name in enumerate(names) if name not in base]
     need = cont["n_way"] * cont["num_tasks"]
     if need > len(left):
@@ -226,31 +231,43 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
 
 def load_run_matrix(run_dir) -> metrics.MetricMatrix:
     """The metric matrix of a run's metrics.json; ValueError naming
-    `run_dir` unless the file holds one with every field."""
+    `run_dir` unless the file is JSON holding one with every field."""
     with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return metrics.MetricMatrix.from_dict(payload["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{run_dir}: metrics.json holds no metric matrix") from exc
+        try:
+            return metrics.MetricMatrix.from_dict(json.load(fh)["matrix"])
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is one
+            raise ValueError(f"{run_dir}: metrics.json holds no metric matrix") from exc
 
 
-def write_grid_csv(path, rows: list[dict], num_tasks: int) -> None:
-    """Long-form sweep results: one row per (setting, seed)."""
-    fields = ["setting", "seed"] + [f"task_{i + 1}" for i in range(num_tasks)] + \
-             ["cumulative_micro", "forgetting_mean"]
+def _task_fields(runs) -> list[str]:
+    return [f"task_{i + 1}" for i in range(runs[0][2].num_tasks)]
+
+
+def write_grid_csv(path, runs: list[tuple[str, int, metrics.MetricMatrix]]) -> None:
+    """Long-form sweep results: one row per (setting, seed, matrix) run,
+    each task's micro-F1 after the last task, then the final cumulative
+    micro-F1 and the mean forgetting."""
+    tasks = _task_fields(runs)
     with encoder.atomic_open(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["setting", "seed", *tasks, "cumulative_micro", "forgetting_mean"])
+        for setting, seed, m in runs:
+            if m.num_tasks != len(tasks):
+                raise ValueError(f"{setting} seed {seed}: {m.num_tasks} tasks, "
+                                 f"not {len(tasks)}")
+            values = (*m.micro[-1], m.final_cumulative_micro(), metrics.forgetting(m)[1])
+            writer.writerow([setting, seed, *(f"{v:.6f}" for v in values)])
 
 
-def write_summary_csv(path, by_setting: dict[str, list[metrics.MetricMatrix]],
-                      num_tasks: int) -> None:
-    """Table-shaped summary: one row per setting, mean±std per task column."""
-    fields = ["setting"] + [f"task_{i + 1}" for i in range(num_tasks)] + ["cumulative_micro"]
+def write_summary_csv(path, runs: list[tuple[str, int, metrics.MetricMatrix]]) -> None:
+    """Table-shaped summary: one row per setting, in run order, with the
+    mean±std over its runs per task column (`metrics.final_row_cells`)."""
+    by_setting: dict[str, list[metrics.MetricMatrix]] = {}
+    for setting, _, m in runs:
+        by_setting.setdefault(setting, []).append(m)
     with encoder.atomic_open(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=["setting", *_task_fields(runs),
+                                                "cumulative_micro"])
         writer.writeheader()
         for setting, mats in by_setting.items():
             writer.writerow({"setting": setting, **metrics.final_row_cells(mats)})

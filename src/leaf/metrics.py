@@ -124,31 +124,6 @@ def forgetting(matrix: MetricMatrix) -> tuple[list[float], float]:
     return per_task, mean
 
 
-@dataclass
-class SeedAggregate:
-    mean_micro: np.ndarray
-    std_micro: np.ndarray
-    mean_cumulative: np.ndarray
-    std_cumulative: np.ndarray
-    n_runs: int
-
-
-def aggregate_runs(matrices: list[MetricMatrix]) -> SeedAggregate:
-    """Element-wise mean and population standard deviation over runs."""
-    if len(matrices) < 2:
-        raise ValueError("aggregation needs at least 2 runs")
-    shape = matrices[0].micro.shape
-    for m in matrices[1:]:
-        if m.micro.shape != shape:
-            raise ValueError(f"matrix shape mismatch: {m.micro.shape} vs {shape}")
-    micro = np.stack([m.micro for m in matrices])
-    cum = np.stack([m.cumulative_micro for m in matrices])
-    return SeedAggregate(
-        mean_micro=micro.mean(axis=0), std_micro=micro.std(axis=0),
-        mean_cumulative=cum.mean(axis=0), std_cumulative=cum.std(axis=0),
-        n_runs=len(matrices))
-
-
 def format_cell(mean: float, std: float) -> str:
     """Render a fraction pair the way the report tables print it, e.g.
     (0.512, 0.006) -> '51.2±0.6'."""
@@ -156,14 +131,15 @@ def format_cell(mean: float, std: float) -> str:
 
 
 def final_row_cells(matrices: list[MetricMatrix]) -> dict[str, str]:
-    """The report-table row of a set of runs: mean±std over runs of each
-    task's micro-F1 after the last task, then of the cumulative micro-F1,
-    keyed task_1 .. task_T, cumulative_micro."""
-    agg = aggregate_runs(matrices)
-    last = agg.mean_micro.shape[0] - 1
-    cells = {f"task_{i + 1}": format_cell(float(agg.mean_micro[last, i]),
-                                          float(agg.std_micro[last, i]))
-             for i in range(last + 1)}
-    cells["cumulative_micro"] = format_cell(float(agg.mean_cumulative[-1]),
-                                            float(agg.std_cumulative[-1]))
-    return cells
+    """The report-table row of a set of runs: mean±std (population std)
+    over runs of each task's micro-F1 after the last task, then of the
+    final cumulative micro-F1, keyed task_1 .. task_T, cumulative_micro."""
+    if len(matrices) < 2:
+        raise ValueError("aggregation needs at least 2 runs")
+    shapes = {m.micro.shape for m in matrices}
+    if len(shapes) > 1:
+        raise ValueError(f"matrix shape mismatch: {sorted(shapes)}")
+    finals = np.stack([np.append(m.micro[-1], m.cumulative_micro[-1]) for m in matrices])
+    keys = [f"task_{i + 1}" for i in range(matrices[0].num_tasks)] + ["cumulative_micro"]
+    return {key: format_cell(float(mean), float(std))
+            for key, mean, std in zip(keys, finals.mean(axis=0), finals.std(axis=0))}

@@ -230,9 +230,10 @@ def reference_runs():
     weights, vocab, base_names = harness.pretrain_base(ds, resolved, seed=0)
     desc_raw = {k: list(v) for k, v in ds.descriptions.items()}
 
+    settings = harness.ablation(resolved, "components")
+    assert tuple(step for step, _ in settings) == LADDER
     results = {}
-    for step in LADDER:
-        cfg = harness.apply_ladder_step(resolved, step)
+    for step, cfg in settings:
         finals, forgets = [], []
         start = time.monotonic()
         for seed in range(N_SEEDS):
@@ -242,14 +243,41 @@ def reference_runs():
             forgets.append(metrics.forgetting(matrix)[1])
         results[step] = {
             "final": float(np.mean(finals)),
+            "finals": finals,
             "forgetting": float(np.mean(forgets)),
             "elapsed": time.monotonic() - start,
         }
+    results["table"] = reference_table(results)
     return results
 
 
+def reference_table(results) -> str:
+    """The reference runs as a table; F1 and forgetting are in points."""
+    lines = [f"\nreference runs, {N_SEEDS} seeds: rung, mean final micro-F1 "
+             "[per-seed finals], mean forgetting"]
+    for step in LADDER:
+        r = results[step]
+        seeds = " ".join(f"{f * 100:.1f}" for f in r["finals"])
+        lines.append(f"  {step:<9} {r['final'] * 100:5.1f} [{seeds}] "
+                     f"forgetting {r['forgetting'] * 100:.1f}")
+    gap = (results["+labels"]["final"] - results["baseline"]["final"]) * 100.0
+    lines.append(f"  gap +labels - baseline: {gap:.1f} points (test 6 needs >= 5.0)")
+    return "\n".join(lines)
+
+
+def show_reference_table(reference_runs, capsys):
+    """Print the table past pytest's output capture, so that a plain
+    `pytest -q` run shows the margins of tests 6 and 7. The first of the
+    two to run takes the table out of the fixture's results."""
+    table = reference_runs.pop("table", None)
+    if table:
+        with capsys.disabled():
+            print(table)
+
+
 @pytest.mark.slow
-def test_acceptance_6_improvement_gap(reference_runs):
+def test_acceptance_6_improvement_gap(reference_runs, capsys):
+    show_reference_table(reference_runs, capsys)
     base = reference_runs["baseline"]
     full = reference_runs["+labels"]  # the full system == mode "leaf"
     gap = (full["final"] - base["final"]) * 100.0
@@ -266,7 +294,8 @@ def test_acceptance_6_improvement_gap(reference_runs):
 
 
 @pytest.mark.slow
-def test_acceptance_7_component_ladder(reference_runs):
+def test_acceptance_7_component_ladder(reference_runs, capsys):
+    show_reference_table(reference_runs, capsys)
     finals = [reference_runs[s]["final"] for s in LADDER]
     violations = [max(0.0, (finals[i] - finals[i + 1]) * 100.0)
                   for i in range(len(finals) - 1)]

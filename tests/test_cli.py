@@ -223,6 +223,46 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,code,message", [
+        (lambda m: m.pop("vocab"), 1, "the vocabulary is not a list of"),
+        (lambda m: m.update(vocab=5), 1, "the vocabulary is not a list of"),
+        (lambda m: m.update(vocab="abc"), 1, "the vocabulary is not a list of"),
+        (lambda m: m.update(vocab=m["vocab"][:50]), 1, "the vocabulary is not a list of"),
+        (lambda m: m.pop("base_labels"), 1, "base_labels is not a list of label names"),
+        (lambda m: m.update(base_labels=5), 1, "base_labels is not a list of label names"),
+        (lambda m: m.update(base_labels=["nope"]), 2,
+         "base label 'nope' of the weights is not a label")],
+        ids=["no-vocab", "vocab-5", "vocab-abc", "vocab-first-50", "no-base-labels",
+             "base-labels-5", "base-labels-nope"])
+    def test_bad_base_weights_header(self, workspace, capsys, edit, code, message):
+        root, cfg = workspace
+        arrays, meta = encoder.load_tensors(root / "base" / "base_weights.bin")
+        edit(meta)
+        encoder.save_tensors(arrays, root / "bad_header.bin", meta=meta)
+        bad = config_with(cfg, "paths", f"weights = {root / 'bad_header.bin'}",
+                          root / "bad_header.ini")
+        out = root / "bad_header_run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(bad), "--mode", "leaf",
+                     "--out", str(out), "--seed", "0"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_encoder_config_the_weights_refute_is_usage_error(self, workspace, capsys,
+                                                              command):
+        root, cfg = workspace
+        bad = config_with(cfg, "encoder", "ffn_dim = 64", root / "ffn_dim.ini")
+        out = root / f"ffn_dim_{command}"
+        argv = [command, "--config", str(bad), "--out", str(out)]
+        argv += ["--mode", "leaf"] if command == "train" else ["--axis", "components"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[encoder] ffn_dim = 64, but the base weights" in err
+        assert "have ffn_dim = 32" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,line", [
         ("moe", "routing = nope"), ("moe", "combine_mode = bogus"),
         ("moe", "projections = x, y"), ("continual", "sigma_aug = -1"),
@@ -379,7 +419,8 @@ class TestGradcheckAndReport:
                      "--out", str(tmp_path / "r.csv")]) == 1
 
     @pytest.mark.parametrize("payload", ['{"seed": 0}', "[1, 2]", '"matrix"',
-                                         '{"matrix": [[0.5]]}', '{"matrix": {}}'] + [
+                                         '{"matrix": [[0.5]]}', '{"matrix": {}}',
+                                         '{"seed": 0,\n'] + [
         json.dumps({"matrix": matrix}) for matrix in (
             {k: v for k, v in ONE_TASK_MATRIX.items() if k != "macro"},
             {**ONE_TASK_MATRIX, "micro": "x"}, {**ONE_TASK_MATRIX, "num_tasks": 2})])
@@ -422,9 +463,9 @@ def fail_writing(monkeypatch, *names):
     monkeypatch.setattr(encoder, "atomic_open", atomic_open)
 
 
-def two_task_matrix():
-    m = metrics.MetricMatrix(num_tasks=2)
-    for t, row in enumerate([[0.5], [0.25, 0.75]]):
+def matrix_of(rows=([0.5], [0.25, 0.75])):
+    m = metrics.MetricMatrix(num_tasks=len(rows))
+    for t, row in enumerate(rows):
         for i, v in enumerate(row):
             m.record(t, i, v, v)
         m.record_cumulative(t, float(np.mean(row)), float(np.mean(row)))
@@ -443,34 +484,42 @@ class TestAtomicOutputs:
     def test_report(self, tmp_path, monkeypatch):
         runs = [str(tmp_path / f"run{k}") for k in range(2)]
         for k, run in enumerate(runs):
-            harness.write_run_dir(run, cfgmod.defaults(), k, two_task_matrix())
+            harness.write_run_dir(run, cfgmod.defaults(), k, matrix_of())
         fail_writing(monkeypatch, "report.csv")
         assert main(["report", "--runs", *runs, "--out", str(tmp_path / "report.csv")]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run0", "run1"]
 
     def test_grid_and_summary(self, tmp_path, monkeypatch):
-        row = {"setting": "a", "seed": 0, "task_1": "0.5", "task_2": "0.5",
-               "cumulative_micro": "0.5", "forgetting_mean": "0.0"}
-        mats = {"a": [two_task_matrix()] * 2}
-        harness.write_grid_csv(tmp_path / "grid.csv", [row], 2)
-        harness.write_summary_csv(tmp_path / "summary.csv", mats, 2)
+        runs = [("a", 0, matrix_of()), ("a", 1, matrix_of())]
+        harness.write_grid_csv(tmp_path / "grid.csv", runs)
+        harness.write_summary_csv(tmp_path / "summary.csv", runs)
         done = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(done) == ["grid.csv", "summary.csv"]
+        # the cells come from each matrix's last row: after task 2, task 1
+        # is at 0.25 (forgetting 0.5 - 0.25) and task 2 at 0.75
+        assert done["grid.csv"].decode().splitlines() == [
+            "setting,seed,task_1,task_2,cumulative_micro,forgetting_mean",
+            "a,0,0.250000,0.750000,0.500000,0.250000",
+            "a,1,0.250000,0.750000,0.500000,0.250000"]
+        assert done["summary.csv"].decode().splitlines() == [
+            "setting,task_1,task_2,cumulative_micro", "a,25.0±0.0,75.0±0.0,50.0±0.0"]
         out = tmp_path / "failed"
         out.mkdir()
         fail_writing(monkeypatch, *done)
         with pytest.raises(OSError):
-            harness.write_grid_csv(out / "grid.csv", [row], 2)
+            harness.write_grid_csv(out / "grid.csv", runs)
         with pytest.raises(OSError):
-            harness.write_summary_csv(out / "summary.csv", mats, 2)
+            harness.write_summary_csv(out / "summary.csv", runs)
         assert list(out.iterdir()) == []
         monkeypatch.undo()
-        # a row the writer rejects after the header is out leaves nothing too
-        with pytest.raises(ValueError):
-            harness.write_grid_csv(tmp_path / "grid.csv", [row, {"bogus": 1}], 2)
-        with pytest.raises(ValueError):
+        # a run the writer rejects after the header is out leaves nothing
+        # too: one with more tasks, a setting with one run
+        three_tasks = matrix_of(([0.5], [0.5, 0.5], [0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="3 tasks, not 2"):
+            harness.write_grid_csv(tmp_path / "grid.csv", runs + [("b", 0, three_tasks)])
+        with pytest.raises(ValueError, match="at least 2 runs"):
             harness.write_summary_csv(tmp_path / "summary.csv",
-                                      {**mats, "b": mats["a"][:1]}, 2)
+                                      runs + [("b", 0, matrix_of())])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == done
 
 

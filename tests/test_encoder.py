@@ -519,6 +519,23 @@ class TestWeightContainer:
         with pytest.raises(E.WeightsFormatError, match=match):
             E.load_weights(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda v: None, lambda v: 5, lambda v: "abc", lambda v: v[:-1],
+        lambda v: v[:-1] + ["alpha"], lambda v: v[1:] + v[:1], lambda v: v[:-1] + [7]],
+        ids=["none", "int", "str", "short", "duplicate", "reserved-moved", "non-str"])
+    def test_load_weights_checks_the_vocabulary(self, tmp_path, edit):
+        """No list, not a list of strings, a token short, a duplicate, the
+        reserved tokens out of place: `vocab_size` tokens as `Vocab.to_list`
+        writes them or nothing."""
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        meta["vocab"] = edit(meta["vocab"])
+        E.save_tensors(arrays, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError, match="vocabulary is not a list of 7 distinct"):
+            E.load_weights(path)
+
     def test_weight_shapes_are_the_initialized_ones(self):
         w, _, cfg = make_weights()
         assert {k: t.shape for k, t in w.tensors.items()} == E.weight_shapes(cfg)

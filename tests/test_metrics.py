@@ -132,31 +132,29 @@ def test_forgetting_requires_complete_matrix():
 # ---------------------------------------------------------------- aggregation
 
 
-def test_aggregate_population_std_oracle():
-    # values {0.4, 0.6}: mean 0.5, population std exactly 0.1
-    a = full_matrix([[0.4]])
-    b = full_matrix([[0.6]])
-    agg = metrics.aggregate_runs([a, b])
-    assert abs(agg.mean_micro[0, 0] - 0.5) <= 1e-12
-    assert abs(agg.std_micro[0, 0] - 0.1) <= 1e-12
-    assert agg.n_runs == 2
+def test_final_row_cells_population_std_oracle():
+    # last rows {0.2, 0.4} and {0.4, 0.8}, cumulative {0.3, 0.6}: population
+    # std exactly half the spread; the first rows never enter the table
+    a = full_matrix([[0.4], [0.2, 0.4]])
+    b = full_matrix([[0.6], [0.4, 0.8]])
+    assert metrics.final_row_cells([a, b]) == {
+        "task_1": "30.0±10.0", "task_2": "60.0±20.0", "cumulative_micro": "45.0±15.0"}
 
 
-def test_aggregate_identical_runs_zero_std():
+def test_final_row_cells_identical_runs_zero_std():
     runs = [full_matrix([[0.7], [0.6, 0.5]]) for _ in range(5)]
-    agg = metrics.aggregate_runs(runs)
-    assert float(np.nanmax(agg.std_micro)) == 0.0
-    np.testing.assert_allclose(agg.std_cumulative, 0.0, atol=1e-15)
+    assert metrics.final_row_cells(runs) == {
+        "task_1": "60.0±0.0", "task_2": "50.0±0.0", "cumulative_micro": "55.0±0.0"}
 
 
-def test_aggregate_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        metrics.aggregate_runs([full_matrix([[0.5]]), full_matrix([[0.5], [0.5, 0.5]])])
+def test_final_row_cells_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        metrics.final_row_cells([full_matrix([[0.5]]), full_matrix([[0.5], [0.5, 0.5]])])
 
 
-def test_aggregate_needs_two_runs():
-    with pytest.raises(ValueError):
-        metrics.aggregate_runs([full_matrix([[0.5]])])
+def test_final_row_cells_needs_two_runs():
+    with pytest.raises(ValueError, match="at least 2 runs"):
+        metrics.final_row_cells([full_matrix([[0.5]])])
 
 
 def test_format_cell_table_style():
