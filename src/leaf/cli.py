@@ -109,7 +109,14 @@ def _load_weights(resolved):
     return weights, vocab, base_names
 
 
+def _check_out(path) -> None:
+    """A run dir holds one run: ConfigError unless `path` is new or empty."""
+    if os.path.exists(path) and (not os.path.isdir(path) or os.listdir(path)):
+        raise cfgmod.ConfigError(f"--out {path} already holds files; use a new or empty dir")
+
+
 def cmd_train(args) -> int:
+    _check_out(args.out)
     resolved = cfgmod.parse_config(args.config)
     seed = _resolve_seed(resolved, args.seed)
     ds, desc_raw = _load_inputs(resolved)
@@ -123,6 +130,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_out(args.out)
     resolved = cfgmod.parse_config(args.config)
     base_seed = _resolve_seed(resolved, args.seed)
     ds, desc_raw = _load_inputs(resolved)

@@ -87,6 +87,7 @@ class ModelState:
     bank: DescriptionBank | None
     config: TrainConfig
     rng: np.random.Generator
+    seq_len: int  # the padded length of every instance batch (`run_experiment`)
     buffer: dict[int, Instance] = field(default_factory=dict)  # one exemplar per seen label
     snapshot: Snapshot | None = None
     opt: T.Adam = None
@@ -114,8 +115,8 @@ def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
     pools = moe.init_pools(weights.config.num_layers, weights.config.model_dim,
                            config.num_experts, config.rank, rng)
     head = obj.DetectorHead(weights.config.model_dim, rng)
-    return ModelState(weights=weights, vocab=vocab, pools=pools, head=head,
-                      bank=bank, config=config, rng=rng)
+    return ModelState(weights=weights, vocab=vocab, pools=pools, head=head, bank=bank,
+                      config=config, rng=rng, seq_len=weights.config.max_seq_len)
 
 
 def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
@@ -144,18 +145,13 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 # forward paths
 
 
-def _tokens(state: ModelState, instances) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ids, mask) of every instance, tokenized once per text."""
+def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
+    """[B, seq_len] ids and mask of a batch; each text is tokenized once."""
     cache = state.token_cache
     for inst in instances:
         if inst.text not in cache:
-            cache[inst.text] = enc.tokenize(inst.text, state.vocab,
-                                            state.weights.config.max_seq_len)
-    return [cache[inst.text] for inst in instances]
-
-
-def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
-    pairs = _tokens(state, instances)
+            cache[inst.text] = enc.tokenize(inst.text, state.vocab, state.seq_len)
+    pairs = [cache[inst.text] for inst in instances]
     return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
@@ -190,15 +186,14 @@ def _frozen_cls(state: ModelState, instances, ids, mask,
 
 
 def _noise_for(state: ModelState, augmented: np.ndarray, ids_shape) -> np.ndarray | None:
-    """Embedding noise for the rows `augmented` marks, zero elsewhere, in
-    one full-width draw: the forward trims the block, the RNG stream does
-    not depend on the batch's real length."""
+    """Noise for the rows `augmented` marks, zero elsewhere: one [max_seq_len, d]
+    draw per row, whatever the run's padded length, then cut to that length."""
     k = int(augmented.sum())
     if not k:
         return None
     noise = np.zeros(ids_shape + (state.weights.config.model_dim,))
     noise[augmented] = state.rng.normal(0.0, SIGMA_AUG, (k,) + noise.shape[1:])
-    return noise
+    return noise[:, :state.seq_len]
 
 
 def forward_features(state: ModelState, instances, pools=None,
@@ -348,48 +343,37 @@ def _check_finite(total: Tensor, params, t: int, step: int) -> None:
 
 
 # Largest number of instances per forward pass in `predict`. Instances per
-# second over leaf-ref's five test sets (188 rows each) after task 5, warm
-# caches, in process, by chunk size (two sweeps: median of 7 in a row, then
-# median of 15 with the settings interleaved, seed 21, 2-core host):
-#     sorted by length  32: 8174 7373  64: 8858 8135  96: 9190 8827
-#                      128: 9040 8525 188: 6931 6463
-#     dataset order     32: 7031 7055  64:    - 8330  96: 8715 8271
-#                      128:    - 6860 188: 6358 6667
-# Small chunks pay each block's fixed NumPy call cost too often. A whole
-# set in one chunk loses in the element-wise ops: from 96 to 188 rows, over
-# the same rows, gelu took 0.103 -> 0.137 s, layer_norm 0.044 -> 0.087 s
-# and add 0.025 -> 0.059 s (cProfile). That fits one [188, 9, 128] float64
-# FFN activation (1.7 MB) and its temporaries outgrowing the 2 MB L2 cache
-# of a core.
+# second over leaf-ref's five test sets (188 rows each, 9 wide) after task 5,
+# warm caches, in process, by chunk size (median of 15 with the settings
+# interleaved, seed 21, 2-core host): 32: 7319, 64: 8247, 96: 8641, 128: 8310,
+# 188: 7226. Small chunks pay each block's fixed NumPy call cost too often;
+# a whole set's [188, 9, 128] float64 FFN activation (1.7 MB) and its
+# temporaries outgrow the 2 MB L2 cache of a core.
 EVAL_CHUNK = 96
 
 
 def predict(state: ModelState, instances) -> list[int]:
-    """Inference path: deterministic, no jitter, argmax over all head rows.
-
-    Rows are sorted by real token length (stably) and split into
-    ceil(n / EVAL_CHUNK) chunks whose sizes differ by at most one, so each
-    chunk pads to a length close to all of its rows; predictions come back
-    in input order."""
-    n = len(instances)
-    if n == 0:
-        return []
-    mask = np.stack([m for _, m in _tokens(state, instances)])
-    order = np.argsort(mask.sum(axis=1), kind="stable")
-    preds = np.empty(n, dtype=np.int64)
-    for chunk in np.array_split(order, -(-n // EVAL_CHUNK)):
+    """Inference path: deterministic, no jitter, argmax over all head rows,
+    in chunks of EVAL_CHUNK rows in input order."""
+    preds = []
+    for start in range(0, len(instances), EVAL_CHUNK):
         with T.no_grad():
-            feats, _, _ = forward_features(state, [instances[i] for i in chunk])
-        preds[chunk] = state.head.predict(feats)
-    return preds.tolist()
+            feats, _, _ = forward_features(state, instances[start:start + EVAL_CHUNK])
+        preds.extend(state.head.predict(feats).tolist())
+    return preds
 
 
 def run_experiment(stream: TaskStream, state: ModelState, after_task=None):
     """Train through the stream; after each task, evaluate every past task
     and the cumulative label set. Returns the metric matrix.
 
+    Every instance batch of the run pads to the stream's `padded_length`.
     `after_task(t, state)`, when given, runs once per completed task
     (used for checkpointing)."""
+    texts = [inst.text for task in stream.tasks for inst in task.train + task.test]
+    # the caches start empty: rows cached at another width would not stack
+    state.seq_len, state.token_cache, state.cls_cache = (
+        enc.padded_length(texts, state.weights.config.max_seq_len), {}, {})
     matrix = metrics.MetricMatrix(num_tasks=stream.num_tasks)
     for t in range(stream.num_tasks):
         train_task(t, stream, state)

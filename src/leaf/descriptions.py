@@ -76,21 +76,24 @@ def load_descriptions(path, known_labels=None) -> dict[str, list[str]]:
 def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 vocab: enc.Vocab, label_ids: dict[str, int]) -> DescriptionBank:
     """Encode every description with the frozen encoder, all of them in one
-    batch; vector = [CLS] state."""
+    batch padded to the descriptions' own `padded_length`; vector = [CLS]
+    state."""
     if not weights.frozen:
         raise ValueError("encode_bank requires a frozen encoder")
     max_len = weights.config.max_seq_len
     names = sorted(raw, key=lambda s: label_ids[s])
-    encoded = []
+    texts = []
     for name in names:
         for text in raw[name]:
             if len(text.split()) + 1 > max_len:
                 logger.warning("description for %r exceeds max_seq_len; truncated", name)
-            encoded.append(enc.tokenize(text, vocab, max_len))
+            texts.append(text)
+    seq = enc.padded_length(texts, max_len)
+    encoded = [enc.tokenize(text, vocab, seq) for text in texts]
     with T.no_grad():
         cls = enc.encode_base(np.stack([e[0] for e in encoded]),
                               np.stack([e[1] for e in encoded]), weights).data
-    return DescriptionBank([text for name in names for text in raw[name]],
+    return DescriptionBank(texts,
                            np.asarray([label_ids[name] for name in names for _ in raw[name]]),
                            cls, weights.fingerprint())
 

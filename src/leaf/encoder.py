@@ -167,6 +167,12 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return np.asarray(ids, dtype=np.int64), mask
 
 
+def padded_length(texts, max_len: int) -> int:
+    """The one padded length of every batch drawn from `texts`: their
+    longest tokenized text, [CLS] included, capped by `max_len`."""
+    return min(max_len, 1 + max(len(text.split()) for text in texts))
+
+
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
              mix=None, token_topk: int | None = None, combine_mode: str = "softmax",
              embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
@@ -177,12 +183,12 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     Each projection with a pool in `pools` adds that pool's LoRA delta:
     mixed by `mix[(layer, tag)]` (instance routing) or, with `token_topk`,
     by a router that scores every token of the projection's input and
-    appends its record, with the trimmed mask as its row mask, to the
-    records.
+    appends its record, with the mask as its row mask, to the records.
 
-    Padded keys get exactly zero attention (`T.MASK_BIAS`), so trailing columns
-    that are padding in every row cannot reach a real position: the batch
-    is cut to its last real column before the embedding lookup.
+    Padded keys get exactly zero attention (`T.MASK_BIAS`), but a row's
+    bits depend on the width S it is padded to, not on the other rows. So
+    the batch runs at the width it comes in, callers pad every batch of a
+    set to the set's `padded_length`, and `embed_noise` is [B, S, d].
 
     Only [CLS] leaves the last block, and a position's output there depends
     on the other positions through the keys and values alone. So that block
@@ -197,8 +203,6 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
         raise T.ShapeError(f"ids and mask must both be [B, S], got {ids.shape} and {mask.shape}")
     if ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id {int(ids.max())} >= vocab_size {cfg.vocab_size}")
-    seq = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-    ids, mask = ids[:, :seq], mask[:, :seq]
     w = weights.tensors
     records = []
 
@@ -218,9 +222,9 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
                 pool_mix = T.take(pool_mix, [0], axis=1)
         return T.add(out, moe.pool_delta(pool, h, pool_mix))
 
-    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
+    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(ids.shape[1])))
     if embed_noise is not None:
-        x = T.add(x, Tensor(embed_noise[:, :seq]))
+        x = T.add(x, Tensor(embed_noise))
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
 
     for l in range(cfg.num_layers):
@@ -253,9 +257,9 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
     `mix` maps each pool key to its [B, M] instance-level mix weights
     (from `moe.route_instance`), and the records are empty. When
     `token_topk` is given, `mix` is ignored and routing is recomputed per
-    token inside each block: one record per pool, each with the (trimmed)
-    attention mask as its row mask. The last block's `q` router scores
-    every token, but only the [CLS] row's delta is applied.
+    token inside each block: one record per pool, each with the attention
+    mask as its row mask. The last block's `q` router scores every token,
+    but only the [CLS] row's delta is applied.
     """
     if token_topk is None:
         if mix is None:
@@ -286,7 +290,8 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
     opt = T.Adam(weights.params(), lr=lr)
     opt_head = T.Adam(head.params(), lr=head_lr)
 
-    encoded = [tokenize(text, vocab, config.max_seq_len) for text, _ in instances]
+    seq = padded_length([text for text, _ in instances], config.max_seq_len)
+    encoded = [tokenize(text, vocab, seq) for text, _ in instances]
     ids_all = np.stack([e[0] for e in encoded])
     mask_all = np.stack([e[1] for e in encoded])
     labels = np.asarray([c for _, c in instances], dtype=np.int64)

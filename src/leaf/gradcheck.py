@@ -4,8 +4,8 @@ Sets up a 2-layer / d=16 encoder with expert pools through the path real
 runs take (`init_state`, a grown head, a snapshot) and evaluates the
 training objective, `continual.batch_loss`, at the second task of a
 two-task stream: all five terms are active, distillation runs against a
-perturbed snapshot, and the batch holds ragged sentences (2-6 words, so
-the trimmed forward keeps padding inside the batch). Analytic gradients
+perturbed snapshot, and the batch holds ragged sentences (2-6 words,
+padded to max_seq_len, so every row carries padding). Analytic gradients
 are compared with central finite differences. Routing is recomputed on
 every forward; a step that flipped a top-K selection could only make the
 check fail.
@@ -60,7 +60,7 @@ def build_tiny_problem(seed: int = 7):
         pool.B.data += rng.normal(0.0, 0.3, pool.B.shape)
     state.snapshot.head.weight.data += rng.normal(0.0, 0.05, state.snapshot.head.weight.shape)
 
-    # ragged lengths: the trimmed batch keeps padding inside its shorter rows
+    # ragged lengths, each row padded to max_seq_len
     batch = [Instance(text=" ".join(rng.choice(words, size=n)), label=y)
              for n, y in zip((2, 6, 3, 5), labels)]
     stream = continual.TaskStream(tasks=[continual.TaskSpec(labels[:2], [], []),

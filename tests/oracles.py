@@ -130,15 +130,13 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
     With `pools`, each adapted projection adds its pool's delta: mixed by
     `mix[(layer, tag)]` (instance routing) or, with `token_topk`, routed per
     token from the projection's full-width input. Returns the final hidden
-    states [B, S, d] of the trimmed batch and the token-routing records.
+    states [B, S, d] and the token-routing records.
     """
     cfg = weights.config
-    seq = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-    ids, mask = ids[:, :seq], mask[:, :seq]
     w = weights.tensors
-    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(seq)))
+    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(ids.shape[1])))
     if embed_noise is not None:
-        x = T.add(x, T.Tensor(embed_noise[:, :seq]))
+        x = T.add(x, T.Tensor(embed_noise))
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
     records = []
 
@@ -168,14 +166,20 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
 
 
 def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
-    """`leaf.continual.predict` without the length sort: fixed-size chunks
-    in input order."""
+    """`leaf.continual.predict` in chunks of 32 rows, not EVAL_CHUNK."""
     preds = []
     for start in range(0, len(instances), chunk):
         with T.no_grad():
             feats, _, _ = C.forward_features(state, instances[start:start + chunk])
         preds.extend(state.head.predict(feats).tolist())
     return preds
+
+
+def uncached_cls(state, instances, ids, mask, embed_noise):
+    """`leaf.continual._frozen_cls` with a cache that never stores: every
+    row of the batch goes through the frozen encoder."""
+    with T.no_grad():
+        return E.encode_base(ids, mask, state.weights, embed_noise=embed_noise).data
 
 
 def per_label_exemplars(state, instances_by_label) -> dict:
@@ -193,6 +197,12 @@ def per_label_exemplars(state, instances_by_label) -> dict:
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * norm_m + 1e-300)
         out[y] = group[int(np.argmax(sims))]
     return out
+
+
+def run_files(out_dir) -> dict:
+    """Every file of a run directory, by relative path."""
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
 def micro_f1_loop(gold, pred, label_set) -> float:

@@ -15,6 +15,7 @@ import leaf.cli as leaf_cli
 from leaf import config as cfgmod
 from leaf import encoder, harness, metrics
 from leaf.cli import main
+from oracles import run_files
 
 GEN_SPEC = """\
 [generator]
@@ -140,6 +141,24 @@ class TestTrain:
         assert (out / "config.snapshot.json").exists()
         ckpts = sorted(os.listdir(out / "checkpoints"))
         assert ckpts == ["task_1.bin", "task_2.bin"]
+
+    def test_out_that_holds_files_is_usage_error(self, workspace, capsys):
+        """A run dir holds one run: `train` or `ablate` into a dir that holds
+        files exits 2 and leaves them byte-unchanged; an empty dir is fine."""
+        root, cfg = workspace
+        out = root / "one_run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        before = run_files(out)
+        assert "checkpoints/task_2.bin" in before
+        one_task = config_with(cfg, "continual", "num_tasks = 1", root / "one_task.ini")
+        for argv in (["train"], ["ablate", "--axis", "components"]):
+            assert main(argv + ["--config", str(one_task), "--out", str(out)]) == 2
+            assert "already holds files" in capsys.readouterr().err
+        assert run_files(out) == before
+        empty = root / "empty_out"
+        empty.mkdir()
+        assert main(["train", "--config", str(one_task), "--out", str(empty)]) == 0
+        assert sorted(os.listdir(empty / "checkpoints")) == ["task_1.bin"]
 
     def test_determinism_bit_identical(self, det_runs):
         a, b = det_runs
@@ -545,11 +564,17 @@ print(-1)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_threads(**env_vars) -> int:
+def leaf_env(**env_vars) -> dict:
+    """This process's environment without the BLAS variables, with `leaf`
+    importable and `env_vars` set."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     src = os.path.dirname(os.path.dirname(os.path.abspath(leaf_cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**env, **env_vars},
+    return {**env, **env_vars}
+
+
+def blas_threads(**env_vars) -> int:
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=leaf_env(**env_vars),
                           capture_output=True, text=True, check=True, timeout=60)
     return int(proc.stdout)
 
@@ -561,3 +586,19 @@ def test_leaf_process_runs_one_blas_thread_unless_set_outside():
     assert threads == 1
     if (os.cpu_count() or 1) >= 2:  # OpenBLAS caps the count at the CPUs it sees
         assert blas_threads(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_blas_thread_count_does_not_move_bytes(workspace):
+    """`leaf train` writes the same bytes, checkpoints included, with BLAS
+    on one thread and on two."""
+    root, cfg = workspace
+    runs = []
+    for n in ("1", "2"):
+        out = root / f"blas_threads_{n}"
+        subprocess.run([sys.executable, "-m", "leaf.cli", "train", "--config", str(cfg),
+                        "--out", str(out)], env=leaf_env(OPENBLAS_NUM_THREADS=n,
+                                                         OMP_NUM_THREADS=n),
+                       capture_output=True, check=True, timeout=300)
+        runs.append(run_files(out))
+    assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(runs[0])
+    assert runs[0] == runs[1]

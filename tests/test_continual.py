@@ -21,7 +21,7 @@ from leaf import objectives as obj
 from leaf import tensor as T
 from leaf.gradcheck import build_tiny_problem
 import oracles
-from oracles import dataset_order_predict, per_label_exemplars
+from oracles import dataset_order_predict, per_label_exemplars, run_files, uncached_cls
 
 
 def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0):
@@ -196,9 +196,9 @@ def record_forwards(monkeypatch):
 @settings(max_examples=3)
 @given(data=st.data())
 def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
-    """Length-sorted chunks of at most EVAL_CHUNK rows, sizes within one of
-    each other, give the predictions of 32-row chunks in input order; an
-    empty list runs no forward pass."""
+    """Chunks of EVAL_CHUNK rows in input order give the predictions of
+    32-row chunks; each row goes through one forward pass, and an empty
+    list through none."""
     ds = tiny_dataset()
     state = tiny_state(ds, routing=routing)
     live_experts(state)
@@ -213,14 +213,9 @@ def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
         got = C.predict(state, instances)
     assert got == want and all(type(y) is int for y in got)
     assert len(calls) == -(-n // C.EVAL_CHUNK)
-    sizes = [len(batch) for batch in calls]
-    assert all(size <= C.EVAL_CHUNK for size in sizes)
-    assert not sizes or max(sizes) - min(sizes) <= 1
+    assert all(len(batch) == C.EVAL_CHUNK for batch in calls[:-1])
     seen = [inst for batch in calls for inst in batch]
-    assert sorted(map(id, seen)) == sorted(map(id, instances))
-    real = [int(E.tokenize(inst.text, state.vocab, state.weights.config.max_seq_len)[1].sum())
-            for inst in seen]
-    assert real == sorted(real)
+    assert list(map(id, seen)) == list(map(id, instances))
 
 
 # ------------------------------------------------------- snapshots and heads
@@ -261,6 +256,16 @@ class TestFrozenCache:
         assert len(state.cls_cache) == 3 and len(state.token_cache) == 3
         again = C.init_state(state.weights, state.vocab, state.bank, state.config)
         assert again.cls_cache == {} and again.token_cache == {}
+
+    def test_run_starts_with_empty_caches_at_its_length(self):
+        ds = tiny_dataset()
+        state = tiny_state(ds)
+        stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=1, seed=0)
+        C.forward_features(state, stream.tasks[0].train[:2])  # cached at max_seq_len
+        C.run_experiment(stream, state)
+        texts = [inst.text for inst in stream.tasks[0].train + stream.tasks[0].test]
+        assert state.seq_len == E.padded_length(texts, state.weights.config.max_seq_len) < 12
+        assert {ids.shape for ids, _ in state.token_cache.values()} == {(state.seq_len,)}
 
     def test_cold_and_warm_features_byte_identical(self):
         ds = tiny_dataset()
@@ -523,21 +528,16 @@ class TestTraining:
 
 # ------------------------------------------------------ run-level exactness
 
-def run_files(out_dir) -> dict:
-    """Every file of a run directory, by relative path."""
-    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
-            for p in sorted(out_dir.rglob("*")) if p.is_file()}
-
-
 @pytest.mark.parametrize("mode,combine", [("leaf", "softmax"), ("leaf", "paper-literal"),
                                           ("mole-token", "softmax")])
 def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, combine):
     """A whole run (2 tasks, 2 epochs) writes the same bytes, checkpoints
     included, when the expert pools, router scores, masked softmax and the
     label loss's log-sum-exps run as the compositions of primitives that
-    their fused nodes replaced, evaluation predicts in dataset order and
-    exemplars are picked with one forward per label. Both runs share the
-    base weights and bank."""
+    their fused nodes replaced, evaluation predicts in 32-row chunks,
+    exemplars are picked with one forward per label and the frozen [CLS]
+    rows of every batch are encoded afresh instead of cached. Both runs
+    share the base weights and bank."""
     ds = tiny_dataset()
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
@@ -560,6 +560,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     fused = run("fused")
     monkeypatch.setattr(C, "predict", dataset_order_predict)
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
+    monkeypatch.setattr(C, "_frozen_cls", uncached_cls)
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -124,10 +124,11 @@ class TestForward:
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
         cls = E.encode_base(ids, mask, w)
         assert cls.data.shape == (1, cfg.model_dim)
-        # trimmed to the real length: [CLS] alpha beta
+        # the batch runs at the width it comes in: [CLS] alpha beta, then padding
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
         _, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-        assert all(record["mask"].tolist() == [[1, 1, 1]] for record in records)
+        assert all(record["mask"].tolist() == [[1, 1, 1] + [0] * (cfg.max_seq_len - 3)]
+                   for record in records)
 
         bid = np.concatenate([ids, ids])
         bma = np.concatenate([mask, mask])
@@ -228,7 +229,7 @@ class TestExpertForward:
         assert len(records) == len(pools)
 
 
-# ------------------------------------------------------- padding is trimmed
+# ------------------------------------------------------------ padding width
 
 
 def pools_on(cfg, live, seed=1):
@@ -304,6 +305,29 @@ class TestTrimmedPadding:
         oracle = np.dot(lengths, [r[3] for r in solo]) / sum(lengths)
         assert abs(results[0][3] - oracle) <= 1e-12
 
+    def test_cls_rows_do_not_depend_on_their_batch(self):
+        """At one padded length a row's [CLS] bytes are the same alone and
+        among 4, 7 or 95 other rows, in shuffled batches: the reference-size
+        encoder at the padded length of 96 texts of 1-8 words."""
+        vocab = E.Vocab([f"w{i}" for i in range(50)])
+        cfg = E.EncoderConfig(vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        texts = [" ".join(rng.choice(vocab.to_list()[3:], size=n))
+                 for n in [8, *rng.integers(1, 9, 95)]]
+        seq = E.padded_length(texts, cfg.max_seq_len)
+        assert seq == 9
+        encoded = [E.tokenize(text, vocab, seq) for text in texts]
+        ids, mask = np.stack([e[0] for e in encoded]), np.stack([e[1] for e in encoded])
+        with T.no_grad():
+            ref = E.encode_base(ids, mask, w).data
+            for size in (1, 5, 8, 96):
+                order, got = rng.permutation(len(texts)), np.empty_like(ref)
+                for start in range(0, len(texts), size):
+                    rows = order[start:start + size]
+                    got[rows] = E.encode_base(ids[rows], mask[rows], w).data
+                assert got.tobytes() == ref.tobytes(), f"batches of {size}"
+
     def test_token_routing_ragged_gradcheck(self):
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
         w.freeze()
@@ -315,7 +339,7 @@ class TestTrimmedPadding:
 
         def loss_fn():
             cls, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-            assert all(record["mask"].shape == (3, 7) for record in records)
+            assert all(record["mask"].shape == (3, cfg.max_seq_len) for record in records)
             fit = T.tsum(T.mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
             return T.add(fit, moe.router_loss(records))
 
@@ -407,12 +431,12 @@ class TestLastBlockClsOnly:
             E.encode_with_experts(ids, mask, w, pools, moe.route_instance(pools, base, K=2)[0])
         else:
             E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
-        assert shapes == [(2, 6, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
+        assert shapes == [(2, cfg.max_seq_len, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
 
     def test_token_routed_last_q_pool_records_the_full_mask(self):
         """Under token routing the last block's `q` router scores every token
         though only the [CLS] row gets its delta: its record, like every
-        other, carries the whole trimmed mask."""
+        other, carries the whole mask."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
         pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
@@ -421,8 +445,8 @@ class TestLastBlockClsOnly:
         records = {record["key"]: record for record in token_records}
         assert sorted(records) == sorted(pools)
         for record in records.values():
-            assert record["selected"].shape == (3, 5, 4)
-            np.testing.assert_array_equal(record["mask"], mask[:, :5])
+            assert record["selected"].shape == (3, cfg.max_seq_len, 4)
+            np.testing.assert_array_equal(record["mask"], mask)
         assert np.isfinite(float(moe.router_loss(token_records).data))
 
 
