@@ -56,6 +56,15 @@ class Snapshot:
 
 
 @dataclass
+class TextTable:
+    """A run's frozen inputs (the encoder is frozen), one row per distinct text."""
+    row: dict[str, int]       # text -> its row
+    ids: np.ndarray           # [N, S] token ids, S the texts' `padded_length`
+    mask: np.ndarray          # [N, S]
+    cls: np.ndarray | None    # [N, d] noise-free [CLS]; None under token routing
+
+
+@dataclass
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
@@ -87,16 +96,11 @@ class ModelState:
     bank: DescriptionBank | None
     config: TrainConfig
     rng: np.random.Generator
-    seq_len: int  # the padded length of every instance batch (`run_experiment`)
     buffer: dict[int, Instance] = field(default_factory=dict)  # one exemplar per seen label
     snapshot: Snapshot | None = None
     opt: T.Adam = None
     loss_rows: list[dict] = field(default_factory=list)
-    # Per-run caches keyed by instance text; the encoder is frozen, so a
-    # text's ids and its noise-free [CLS] vector never change within a run.
-    token_cache: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict,
-                                                                 repr=False)
-    cls_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    table: TextTable | None = field(default=None, repr=False)  # set by `index_texts`
 
     def __post_init__(self):
         if self.opt is None:
@@ -116,7 +120,7 @@ def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
                            config.num_experts, config.rank, rng)
     head = obj.DetectorHead(weights.config.model_dim, rng)
     return ModelState(weights=weights, vocab=vocab, pools=pools, head=head, bank=bank,
-                      config=config, rng=rng, seq_len=weights.config.max_seq_len)
+                      config=config, rng=rng)
 
 
 def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
@@ -145,55 +149,54 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 # forward paths
 
 
-def _batch_arrays(state: ModelState, instances) -> tuple[np.ndarray, np.ndarray]:
-    """[B, seq_len] ids and mask of a batch; each text is tokenized once."""
-    cache = state.token_cache
-    for inst in instances:
-        if inst.text not in cache:
-            cache[inst.text] = enc.tokenize(inst.text, state.vocab, state.seq_len)
-    pairs = [cache[inst.text] for inst in instances]
-    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+# Largest number of rows per frozen or evaluation forward pass. Instances
+# per second over leaf-ref's five test sets (188 rows each, 9 wide) after
+# task 5, by chunk size (median of 15, interleaved, seed 21, 2-core host):
+# 32: 7319, 64: 8247, 96: 8641, 128: 8310, 188: 7226. Smaller chunks pay each
+# block's fixed NumPy call cost too often; larger ones outgrow a core's 2 MB L2.
+EVAL_CHUNK = 96
 
 
-def _frozen_cls(state: ModelState, instances, ids, mask,
-                embed_noise: np.ndarray | None) -> np.ndarray:
-    """[B, d] frozen-backbone [CLS] rows. Only rows whose text is not cached
-    yet, and rows with non-zero noise, go through the encoder; noisy rows
-    are never cached."""
-    n = len(instances)
-    noisy = (np.zeros(n, dtype=bool) if embed_noise is None
-             else embed_noise.reshape(n, -1).any(axis=1))
-    cache = state.cls_cache
-    rows, fresh = [], {}  # batch rows to encode; uncached text -> its slot in rows
-    for i, inst in enumerate(instances):
-        if noisy[i] or (inst.text not in cache and inst.text not in fresh):
-            if not noisy[i]:
-                fresh[inst.text] = len(rows)
-            rows.append(i)
-    out = np.empty((n, state.weights.config.model_dim))
-    if rows:
+def index_texts(state: ModelState, texts) -> None:
+    """Build the state's `TextTable` of `texts`: each distinct text once, in
+    first-appearance order, padded to their `padded_length`. Under instance
+    routing the noise-free [CLS] rows are encoded too, EVAL_CHUNK rows per
+    pass. Every instance a forward pass sees must be in the table."""
+    row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    width = enc.padded_length(row, state.weights.config.max_seq_len)
+    ids, mask = map(np.stack, zip(*[enc.tokenize(text, state.vocab, width) for text in row]))
+    cls = None
+    if state.config.routing != "token":
         with T.no_grad():
-            cls = enc.encode_base(ids[rows], mask[rows], state.weights,
-                                  embed_noise=None if embed_noise is None
-                                  else embed_noise[rows]).data
-        out[rows] = cls
-        for text, j in fresh.items():
-            cache[text] = cls[j]
-    for i, inst in enumerate(instances):
-        if not noisy[i]:
-            out[i] = cache[inst.text]
+            cls = np.concatenate([enc.encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK],
+                                                  state.weights).data
+                                  for s in range(0, len(ids), EVAL_CHUNK)])
+    state.table = TextTable(row, ids, mask, cls)
+
+
+def _frozen_cls(state: ModelState, rows: np.ndarray, ids, mask,
+                embed_noise: np.ndarray | None) -> np.ndarray:
+    """[B, d] frozen-backbone [CLS] rows of table `rows`, looked up; rows with
+    non-zero noise go through the encoder instead and are never stored."""
+    out = state.table.cls[rows]
+    if embed_noise is not None:
+        noisy = embed_noise.reshape(len(rows), -1).any(axis=1)
+        if noisy.any():
+            with T.no_grad():
+                out[noisy] = enc.encode_base(ids[noisy], mask[noisy], state.weights,
+                                             embed_noise=embed_noise[noisy]).data
     return out
 
 
 def _noise_for(state: ModelState, augmented: np.ndarray, ids_shape) -> np.ndarray | None:
     """Noise for the rows `augmented` marks, zero elsewhere: one [max_seq_len, d]
-    draw per row, whatever the run's padded length, then cut to that length."""
+    draw per row, whatever the table's width, then cut to that width."""
     k = int(augmented.sum())
     if not k:
         return None
     noise = np.zeros(ids_shape + (state.weights.config.model_dim,))
     noise[augmented] = state.rng.normal(0.0, SIGMA_AUG, (k,) + noise.shape[1:])
-    return noise[:, :state.seq_len]
+    return noise[:, :state.table.ids.shape[1]]
 
 
 def forward_features(state: ModelState, instances, pools=None,
@@ -205,14 +208,15 @@ def forward_features(state: ModelState, instances, pools=None,
     has the [CLS] rows of this batch and noise passes them as `cls`."""
     cfg = state.config
     pools = state.pools if pools is None else pools
-    ids, mask = _batch_arrays(state, instances)
+    rows = np.array([state.table.row[inst.text] for inst in instances])
+    ids, mask = state.table.ids[rows], state.table.mask[rows]
     if cfg.routing == "token":
         feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, None,
                                                  embed_noise=embed_noise, token_topk=cfg.topk,
                                                  combine_mode=cfg.combine_mode)
         return feats, records, None
     if cls is None:
-        cls = _frozen_cls(state, instances, ids, mask, embed_noise)
+        cls = _frozen_cls(state, rows, ids, mask, embed_noise)
     mix, records = moe.route_instance(pools, cls, cfg.topk, cfg.combine_mode)
     feats, _ = enc.encode_with_experts(ids, mask, state.weights, pools, mix,
                                        embed_noise=embed_noise)
@@ -342,16 +346,6 @@ def _check_finite(total: Tensor, params, t: int, step: int) -> None:
             raise T.NumericalError(f"non-finite gradient at task {t + 1}, step {step}")
 
 
-# Largest number of instances per forward pass in `predict`. Instances per
-# second over leaf-ref's five test sets (188 rows each, 9 wide) after task 5,
-# warm caches, in process, by chunk size (median of 15 with the settings
-# interleaved, seed 21, 2-core host): 32: 7319, 64: 8247, 96: 8641, 128: 8310,
-# 188: 7226. Small chunks pay each block's fixed NumPy call cost too often;
-# a whole set's [188, 9, 128] float64 FFN activation (1.7 MB) and its
-# temporaries outgrow the 2 MB L2 cache of a core.
-EVAL_CHUNK = 96
-
-
 def predict(state: ModelState, instances) -> list[int]:
     """Inference path: deterministic, no jitter, argmax over all head rows,
     in chunks of EVAL_CHUNK rows in input order."""
@@ -367,13 +361,11 @@ def run_experiment(stream: TaskStream, state: ModelState, after_task=None):
     """Train through the stream; after each task, evaluate every past task
     and the cumulative label set. Returns the metric matrix.
 
-    Every instance batch of the run pads to the stream's `padded_length`.
+    The stream's texts are indexed first (`index_texts`), so every instance
+    batch of the run pads to the stream's `padded_length`.
     `after_task(t, state)`, when given, runs once per completed task
     (used for checkpointing)."""
-    texts = [inst.text for task in stream.tasks for inst in task.train + task.test]
-    # the caches start empty: rows cached at another width would not stack
-    state.seq_len, state.token_cache, state.cls_cache = (
-        enc.padded_length(texts, state.weights.config.max_seq_len), {}, {})
+    index_texts(state, [inst.text for task in stream.tasks for inst in task.train + task.test])
     matrix = metrics.MetricMatrix(num_tasks=stream.num_tasks)
     for t in range(stream.num_tasks):
         train_task(t, stream, state)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import encoder as enc
+
 
 class DatasetFormatError(ValueError):
     pass
@@ -142,7 +144,7 @@ def generate(spec: GeneratorSpec) -> Dataset:
 
 
 def write_jsonl(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with enc.atomic_open(path) as fh:
         for split, table in (("train", ds.train), ("test", ds.test)):
             for y in sorted(table):
                 for text in table[y]:
@@ -151,7 +153,7 @@ def write_jsonl(ds: Dataset, path) -> None:
 
 
 def write_descriptions_tsv(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with enc.atomic_open(path) as fh:
         for name in ds.label_names:
             for text in ds.descriptions.get(name, []):
                 fh.write(f"{name}\t{text}\n")

@@ -5,10 +5,10 @@ runs take (`init_state`, a grown head, a snapshot) and evaluates the
 training objective, `continual.batch_loss`, at the second task of a
 two-task stream: all five terms are active, distillation runs against a
 perturbed snapshot, and the batch holds ragged sentences (2-6 words,
-padded to max_seq_len, so every row carries padding). Analytic gradients
-are compared with central finite differences. Routing is recomputed on
-every forward; a step that flipped a top-K selection could only make the
-check fail.
+indexed as a run's stream is: all rows but the longest carry padding).
+Analytic gradients are compared with central finite differences. Routing
+is recomputed on every forward; a step that flipped a top-K selection
+could only make the check fail.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ def build_tiny_problem(seed: int = 7):
         pool.B.data += rng.normal(0.0, 0.3, pool.B.shape)
     state.snapshot.head.weight.data += rng.normal(0.0, 0.05, state.snapshot.head.weight.shape)
 
-    # ragged lengths, each row padded to max_seq_len
+    # ragged lengths, each row padded to the longest
     batch = [Instance(text=" ".join(rng.choice(words, size=n)), label=y)
              for n, y in zip((2, 6, 3, 5), labels)]
+    continual.index_texts(state, [inst.text for inst in batch])
     stream = continual.TaskStream(tasks=[continual.TaskSpec(labels[:2], [], []),
                                          continual.TaskSpec(labels[2:], batch[2:], [])])
     return state, batch, stream

@@ -586,7 +586,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     """Compare analytic gradients of f() against central differences.
 
     Samples at most `max_coords` coordinates per parameter (seeded RNG)
-    and returns max |analytic - numeric| / max(1, |numeric|).
+    and returns max |analytic - numeric| / max(1, |numeric|); a non-finite
+    sampled gradient or difference raises NumericalError.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h={h} outside [1e-7, 1e-3]")
@@ -614,8 +615,9 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
                 down = float(f().data)
                 flat[c] = orig
             numeric = (up - down) / (2.0 * h)
-            err = abs(a_flat[c] - numeric) / max(1.0, abs(numeric))
-            max_err = max(max_err, err)
+            if not np.isfinite([a_flat[c], numeric]).all():
+                raise NumericalError(f"grad_check: gradient {a_flat[c]}, difference {numeric}")
+            max_err = max(max_err, abs(a_flat[c] - numeric) / max(1.0, abs(numeric)))
     for p in params:
         p.grad = None
     return max_err

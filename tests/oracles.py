@@ -175,8 +175,8 @@ def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
     return preds
 
 
-def uncached_cls(state, instances, ids, mask, embed_noise):
-    """`leaf.continual._frozen_cls` with a cache that never stores: every
+def uncached_cls(state, rows, ids, mask, embed_noise):
+    """`leaf.continual._frozen_cls` without the table's [CLS] rows: every
     row of the batch goes through the frozen encoder."""
     with T.no_grad():
         return E.encode_base(ids, mask, state.weights, embed_noise=embed_noise).data

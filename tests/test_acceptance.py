@@ -8,8 +8,10 @@ minutes; everything else is fast. Run the fast part alone with
 """
 
 import itertools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,13 +44,13 @@ def test_acceptance_1_gradcheck_full_objective():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 
-def _scaled_backward(fn):
-    """`fn` whose output node passes 1.5x its gradient back."""
+def _scaled_backward(fn, factor=1.5):
+    """`fn` whose output node passes `factor` times its gradient back."""
     def bad_fn(*args, **kwargs):
         out = fn(*args, **kwargs)
         if out._backward_fn is not None:
             inner = out._backward_fn
-            out._backward_fn = lambda g: inner(g * 1.5)
+            out._backward_fn = lambda g: inner(g * factor)
         return out
     return bad_fn
 
@@ -71,6 +73,14 @@ def test_gradcheck_catches_broken_loss_term(monkeypatch, term):
     owner, name = LOSS_FUNCTIONS[term]
     monkeypatch.setattr(owner, name, _scaled_backward(getattr(owner, name)))
     assert run_gradcheck(seed=7) > 1e-4
+
+
+def test_gradcheck_exits_3_on_nan_gradient(monkeypatch, capsys):
+    """A NaN gradient is a numerical failure, not an error of 0."""
+    monkeypatch.setattr(obj, "label_contrastive_loss",
+                        _scaled_backward(obj.label_contrastive_loss, np.nan))
+    assert cli_main(["gradcheck"]) == 3
+    assert "numerical failure: grad_check: gradient nan" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +226,23 @@ def test_acceptance_5d_breakdown_matches_hand_weighted_sum():
 # 6 + 7. reference experiments: improvement gap and component ladder
 #
 # One base encoder (dataset seed 0, base seed 0); five continual seeds per
-# setting. Shared across both criteria through a session-scoped fixture.
+# setting. Shared across both criteria through a module-scoped fixture. The
+# 20 runs go to REFERENCE_WORKERS spawned processes, which inherit the
+# suite's one BLAS thread through the environment; a run's results do not
+# depend on where it runs.
 
 LADDER = ("baseline", "+experts", "+distill", "+labels")
 N_SEEDS = 5
+REFERENCE_WORKERS = 2
+
+
+def _reference_run(shared, cfg, seed):
+    """One reference run on `shared` (dataset, descriptions, weights, vocab,
+    base labels): (final micro-F1, mean forgetting, seconds taken)."""
+    start = time.monotonic()
+    matrix = harness.run_once(*shared, cfg, seed)
+    return (matrix.final_cumulative_micro(), metrics.forgetting(matrix)[1],
+            time.monotonic() - start)
 
 
 @pytest.fixture(scope="module")
@@ -229,23 +252,24 @@ def reference_runs():
     ds = data_synth.generate(cfgmod.generator_spec(gen))
     weights, vocab, base_names = harness.pretrain_base(ds, resolved, seed=0)
     desc_raw = {k: list(v) for k, v in ds.descriptions.items()}
+    shared = (ds, desc_raw, weights, vocab, base_names)
 
     settings = harness.ablation(resolved, "components")
     assert tuple(step for step, _ in settings) == LADDER
+    with ProcessPoolExecutor(REFERENCE_WORKERS,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = {step: [pool.submit(_reference_run, shared, cfg, seed) for seed in range(N_SEEDS)]
+                for step, cfg in settings}
+        runs = {step: [f.result() for f in futures] for step, futures in runs.items()}
     results = {}
-    for step, cfg in settings:
-        finals, forgets = [], []
-        start = time.monotonic()
-        for seed in range(N_SEEDS):
-            matrix = harness.run_once(ds, desc_raw, weights, vocab,
-                                      base_names, cfg, seed)
-            finals.append(matrix.final_cumulative_micro())
-            forgets.append(metrics.forgetting(matrix)[1])
+    for step, done in runs.items():
+        finals, forgets, seconds = zip(*done)
         results[step] = {
             "final": float(np.mean(finals)),
-            "finals": finals,
+            "finals": list(finals),
             "forgetting": float(np.mean(forgets)),
-            "elapsed": time.monotonic() - start,
+            # the rung's runs as if one after another, not the pool's wall time
+            "elapsed": sum(seconds),
         }
     results["table"] = reference_table(results)
     return results
@@ -432,6 +456,8 @@ def test_acceptance_10_protocol_invariants():
     state = continual.init_state(weights, vocab, bank, tc)
     n_way = 2
     stream = continual.build_stream(ds, n_way=n_way, k_shot=3, num_tasks=5, seed=0)
+    continual.index_texts(state, [inst.text for task in stream.tasks
+                                  for inst in task.train + task.test])
 
     # label disjointness across the stream
     all_labels = [y for task in stream.tasks for y in task.labels]

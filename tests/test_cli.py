@@ -469,7 +469,21 @@ class _HalfWriter:
         raise OSError("disk full")
 
 
-def fail_writing(monkeypatch, *names):
+class _LineWriter:
+    """A file handle that writes its first chunk whole, then fails: a write
+    interrupted at a line boundary."""
+
+    def __init__(self, fh):
+        self.fh, self.chunks = fh, 0
+
+    def write(self, text):
+        if self.chunks:
+            raise OSError("disk full")
+        self.chunks += 1
+        self.fh.write(text)
+
+
+def fail_writing(monkeypatch, *names, writer=_HalfWriter):
     """Make every `encoder.atomic_open` of a file called one of `names`
     fail mid-way."""
     real = encoder.atomic_open
@@ -477,7 +491,7 @@ def fail_writing(monkeypatch, *names):
     @contextlib.contextmanager
     def atomic_open(path, mode="w"):
         with real(path, mode) as fh:
-            yield _HalfWriter(fh) if os.path.basename(path) in names else fh
+            yield writer(fh) if os.path.basename(path) in names else fh
 
     monkeypatch.setattr(encoder, "atomic_open", atomic_open)
 
@@ -499,6 +513,17 @@ class TestAtomicOutputs:
         fail_writing(monkeypatch, "fingerprint.txt")
         assert main(["pretrain-base", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base_weights.bin"]
+
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "descriptions.tsv"])
+    def test_gen_data_interrupted_at_a_line_boundary(self, workspace, tmp_path, monkeypatch,
+                                                     name):
+        """A corpus cut after whole lines would still load; none is left."""
+        root, _ = workspace
+        fail_writing(monkeypatch, name, writer=_LineWriter)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(root / "gen.ini"), "--out", str(out)]) == 1
+        written = ["dataset.jsonl"] if name == "descriptions.tsv" else []
+        assert sorted(p.name for p in out.iterdir()) == written
 
     def test_report(self, tmp_path, monkeypatch):
         runs = [str(tmp_path / f"run{k}") for k in range(2)]

@@ -47,7 +47,15 @@ def tiny_state(dataset, epochs=2, augment=False, alpha_label=0.0,
     tc = C.TrainConfig(epochs=epochs, batch_size=4, num_experts=2, rank=2,
                        topk=1, augment=augment, loss_weights=weights_cfg,
                        seed=seed, **cfg_kw)
-    return C.init_state(weights, vocab, bank, tc)
+    state = C.init_state(weights, vocab, bank, tc)
+    C.index_texts(state, dataset_texts(dataset))
+    return state
+
+
+def dataset_texts(dataset) -> list[str]:
+    """Every text of the dataset, train sets first, in label order."""
+    return [text for table in (dataset.train, dataset.test)
+            for y in sorted(table) for text in table[y]]
 
 
 def check_stream_data(dataset, n_way, k_shot, num_tasks):
@@ -207,6 +215,8 @@ def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
     rng = np.random.default_rng(n)
     instances = [DS.Instance(text=" ".join(rng.choice(words, size=k)), label=0)
                  for k in lengths]
+    if instances:
+        C.index_texts(state, [inst.text for inst in instances])
     want = dataset_order_predict(state, instances)
     with pytest.MonkeyPatch.context() as mp:
         calls = record_forwards(mp)
@@ -246,55 +256,93 @@ class TestSnapshotAndHead:
         assert state.head.class_order == [0, 1, 2, 3]
 
 
-# ------------------------------------------------------ per-run frozen cache
+# ------------------------------------------------ per-run frozen input table
+
+def record_encodes(monkeypatch) -> list:
+    """Patch `encoder.encode_base` to log the row count of each call."""
+    calls, real = [], E.encode_base
+
+    def encode(ids, *args, **kw):
+        calls.append(len(ids))
+        return real(ids, *args, **kw)
+
+    monkeypatch.setattr(E, "encode_base", encode)
+    return calls
+
 
 class TestFrozenCache:
+    """The run's table of frozen inputs (`continual.index_texts`)."""
+
     def test_fresh_state_starts_empty(self):
         ds = tiny_dataset()
         state = tiny_state(ds)
-        C.forward_features(state, [DS.Instance(text=t, label=0) for t in ds.train[0][:3]])
-        assert len(state.cls_cache) == 3 and len(state.token_cache) == 3
+        assert len(state.table.row) == len(set(dataset_texts(ds)))
         again = C.init_state(state.weights, state.vocab, state.bank, state.config)
-        assert again.cls_cache == {} and again.token_cache == {}
+        assert again.table is None
+        # each distinct text once, in first-appearance order, at their width
+        C.index_texts(again, ["b c", "a", "b c"])
+        assert again.table.row == {"b c": 0, "a": 1}
+        assert again.table.ids.shape == again.table.mask.shape == (2, 3)
+        assert again.table.mask.tolist() == [[1, 1, 1], [1, 1, 0]]
+        assert again.table.cls.shape == (2, again.weights.config.model_dim)
 
-    def test_run_starts_with_empty_caches_at_its_length(self):
+    def test_run_indexes_its_stream_at_its_length(self):
         ds = tiny_dataset()
-        state = tiny_state(ds)
+        state = tiny_state(ds)  # indexed with every text of the dataset
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=1, seed=0)
-        C.forward_features(state, stream.tasks[0].train[:2])  # cached at max_seq_len
         C.run_experiment(stream, state)
         texts = [inst.text for inst in stream.tasks[0].train + stream.tasks[0].test]
-        assert state.seq_len == E.padded_length(texts, state.weights.config.max_seq_len) < 12
-        assert {ids.shape for ids, _ in state.token_cache.values()} == {(state.seq_len,)}
+        assert list(state.table.row) == list(dict.fromkeys(texts))
+        width = E.padded_length(texts, state.weights.config.max_seq_len)
+        assert state.table.ids.shape == (len(state.table.row), width) and width < 12
 
-    def test_cold_and_warm_features_byte_identical(self):
+    def test_table_cls_matches_encode_base_in_batches_of_1_and_8(self, monkeypatch):
         ds = tiny_dataset()
-        batch = [DS.Instance(text=t, label=y) for y in (0, 1) for t in ds.train[y][:3]]
-        cold = tiny_state(ds)
-        feats_cold, _, cls_cold = C.forward_features(cold, batch)
-        warm = tiny_state(ds)
-        C.forward_features(warm, batch[3:][::-1])  # half the batch cached, other order
-        feats_warm, _, cls_warm = C.forward_features(warm, batch)
-        assert cls_warm.tobytes() == cls_cold.tobytes()
-        ids, mask = C._batch_arrays(cold, batch)
-        direct = E.encode_base(ids, mask, cold.weights).data
-        assert cls_cold.tobytes() == direct.tobytes()
-        assert feats_warm.data.tobytes() == feats_cold.data.tobytes()
-        feats_hot, _, _ = C.forward_features(cold, batch)
-        assert feats_hot.data.tobytes() == feats_cold.data.tobytes()
+        state = tiny_state(ds)
+        monkeypatch.setattr(C, "EVAL_CHUNK", 5)
+        calls = record_encodes(monkeypatch)
+        C.index_texts(state, dataset_texts(ds))
+        table, n = state.table, len(state.table.row)
+        assert calls == [min(5, n - s) for s in range(0, n, 5)]  # never all rows at once
+        for size in (1, 8):
+            with T.no_grad():
+                rows = [E.encode_base(table.ids[s:s + size], table.mask[s:s + size],
+                                      state.weights).data for s in range(0, n, size)]
+            assert np.concatenate(rows).tobytes() == table.cls.tobytes()
+        batch = [DS.Instance(text=t, label=y) for y in (1, 0) for t in ds.train[y][:3]]
+        del calls[:]
+        _, _, cls = C.forward_features(state, batch)
+        assert calls == []  # noise-free rows are looked up
+        assert cls.tobytes() == table.cls[[table.row[i.text] for i in batch]].tobytes()
 
-    def test_augmented_rows_never_cached(self):
+    def test_token_routing_builds_no_cls(self, monkeypatch):
+        ds = tiny_dataset()
+        state = tiny_state(ds, routing="token")
+        calls = record_encodes(monkeypatch)
+        C.index_texts(state, dataset_texts(ds))
+        assert state.table.cls is None and calls == []
+        assert state.table.ids.shape[0] == len(state.table.row)
+
+    def test_augmented_rows_never_cached(self, monkeypatch):
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         clean = [DS.Instance(text=t, label=0) for t in ds.train[0][:2]]
         noisy = [DS.Instance(text=t, label=1) for t in ds.train[1][:2]]
         batch = clean + noisy
+        stored = state.table.cls.copy()
+        rows = [state.table.row[i.text] for i in batch]
         noise = C._noise_for(state, np.array([False, False, True, True]),
                              (len(batch), state.weights.config.max_seq_len))
+        calls = record_encodes(monkeypatch)
         _, _, cls = C.forward_features(state, batch, embed_noise=noise)
-        assert set(state.cls_cache) == {i.text for i in clean}
-        _, _, cls_clean = C.forward_features(state, noisy)
-        assert np.abs(cls[2:] - cls_clean).max() > 0.0
+        assert calls == [2]  # the noisy rows only, in one call
+        assert state.table.cls.tobytes() == stored.tobytes()
+        assert cls[:2].tobytes() == stored[rows[:2]].tobytes()
+        with T.no_grad():
+            fresh = E.encode_base(state.table.ids[rows[2:]], state.table.mask[rows[2:]],
+                                  state.weights, embed_noise=noise[2:]).data
+        assert cls[2:].tobytes() == fresh.tobytes()
+        assert np.abs(cls[2:] - stored[rows[2:]]).max() > 0.0
 
     def test_noise_keeps_full_width_rng_stream(self):
         # one [max_seq_len, d] draw per augmented row, whatever the batch's
@@ -305,11 +353,12 @@ class TestFrozenCache:
         ref = np.random.default_rng()
         ref.bit_generator.state = state.rng.bit_generator.state
         noise = C._noise_for(state, np.array([False, True, True]), (3, cfg.max_seq_len))
-        assert noise.shape == (3, cfg.max_seq_len, cfg.model_dim)
+        width = state.table.ids.shape[1]
+        assert noise.shape == (3, width, cfg.model_dim) and width < cfg.max_seq_len
         assert not noise[0].any()
         for i in (1, 2):
             expected = ref.normal(0.0, C.SIGMA_AUG, (cfg.max_seq_len, cfg.model_dim))
-            assert noise[i].tobytes() == expected.tobytes()
+            assert noise[i].tobytes() == expected[:width].tobytes()
         assert state.rng.bit_generator.state == ref.bit_generator.state
 
     def test_teacher_call_does_not_encode(self, monkeypatch):

@@ -465,6 +465,22 @@ def test_grad_check_utility_on_composite():
     assert T.grad_check(f, [w, b]) <= 1e-6
 
 
+def test_grad_check_raises_on_non_finite_gradient_or_difference():
+    """A NaN analytic gradient at one coordinate, or a NaN difference at a
+    perturbed point, fails the check instead of dropping out of the max."""
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    bad = np.array([2.0, np.nan, 2.0])
+
+    def nan_gradient():
+        return T.tsum(T._node(2.0 * x.data, (x,), lambda g: x.accumulate_grad(g * bad)))
+
+    with pytest.raises(T.NumericalError, match="gradient nan"):
+        T.grad_check(nan_gradient, [x])
+    y = Tensor(np.array([1.0, 1e-6]), requires_grad=True)  # sqrt(1e-6 - h) is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(T.NumericalError, match="difference nan"):
+        T.grad_check(lambda: T.tsum(T.sqrt(y)), [y])
+
+
 def test_grad_check_rejects_bad_h():
     x = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ValueError):
