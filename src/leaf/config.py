@@ -93,7 +93,7 @@ SCHEMA = {
     },
     "run": {
         "seed": (_nonneg_int, 0),
-        "n_seeds": (_pos_int, 5),
+        "n_seeds": (_at_least(int, 2), 5),  # `leaf ablate` aggregates over seeds
         "base_epochs": (_nonneg_int, 12),
         "base_lr": (_pos_float, 3e-4),
         "n_base_labels": (_pos_int, 8),
@@ -131,13 +131,15 @@ def defaults(schema=SCHEMA) -> dict:
 
 def parse_config(path, schema=SCHEMA) -> dict:
     """Read and validate an INI config; missing keys take defaults."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: `100%` too
     try:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # duplicate keys or sections, syntax
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():  # its keys would silently apply to every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     resolved = defaults(schema)
     for sec in parser.sections():
         if sec not in schema:

@@ -59,7 +59,7 @@ class Snapshot:
 class TextTable:
     """A run's frozen inputs (the encoder is frozen), one row per distinct text."""
     row: dict[str, int]       # text -> its row
-    ids: np.ndarray           # [N, S] token ids, S the texts' `padded_length`
+    ids: np.ndarray           # [N, S] token ids (`enc.tokenize_set`)
     mask: np.ndarray          # [N, S]
     cls: np.ndarray | None    # [N, d] noise-free [CLS]; None under token routing
 
@@ -149,28 +149,15 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 # forward paths
 
 
-# Largest number of rows per frozen or evaluation forward pass. Instances
-# per second over leaf-ref's five test sets (188 rows each, 9 wide) after
-# task 5, by chunk size (median of 15, interleaved, seed 21, 2-core host):
-# 32: 7319, 64: 8247, 96: 8641, 128: 8310, 188: 7226. Smaller chunks pay each
-# block's fixed NumPy call cost too often; larger ones outgrow a core's 2 MB L2.
-EVAL_CHUNK = 96
-
-
 def index_texts(state: ModelState, texts) -> None:
     """Build the state's `TextTable` of `texts`: each distinct text once, in
-    first-appearance order, padded to their `padded_length`. Under instance
-    routing the noise-free [CLS] rows are encoded too, EVAL_CHUNK rows per
-    pass. Every instance a forward pass sees must be in the table."""
+    first-appearance order, padded to their one length (`enc.tokenize_set`).
+    Under instance routing the noise-free [CLS] rows are encoded too
+    (`enc.frozen_cls`). Every instance a forward pass sees must be in the
+    table."""
     row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    width = enc.padded_length(row, state.weights.config.max_seq_len)
-    ids, mask = map(np.stack, zip(*[enc.tokenize(text, state.vocab, width) for text in row]))
-    cls = None
-    if state.config.routing != "token":
-        with T.no_grad():
-            cls = np.concatenate([enc.encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK],
-                                                  state.weights).data
-                                  for s in range(0, len(ids), EVAL_CHUNK)])
+    ids, mask = enc.tokenize_set(list(row), state.vocab, state.weights.config.max_seq_len)
+    cls = None if state.config.routing == "token" else enc.frozen_cls(ids, mask, state.weights)
     state.table = TextTable(row, ids, mask, cls)
 
 
@@ -203,23 +190,18 @@ def forward_features(state: ModelState, instances, pools=None,
                      embed_noise: np.ndarray | None = None,
                      cls: np.ndarray | None = None):
     """Two-stage forward for a batch: frozen [CLS] -> routing -> expert
-    forward. Returns (features [B, d] Tensor, per-pool routing records,
-    frozen [CLS] rows or None under token routing). A caller that already
-    has the [CLS] rows of this batch and noise passes them as `cls`."""
+    forward (`enc.encode_with_experts`). Returns (features [B, d] Tensor,
+    per-pool routing records, frozen [CLS] rows or None under token
+    routing). A caller that already has the [CLS] rows of this batch and
+    noise passes them as `cls`."""
     cfg = state.config
     pools = state.pools if pools is None else pools
     rows = np.array([state.table.row[inst.text] for inst in instances])
     ids, mask = state.table.ids[rows], state.table.mask[rows]
-    if cfg.routing == "token":
-        feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, None,
-                                                 embed_noise=embed_noise, token_topk=cfg.topk,
-                                                 combine_mode=cfg.combine_mode)
-        return feats, records, None
-    if cls is None:
+    if cls is None and cfg.routing != "token":
         cls = _frozen_cls(state, rows, ids, mask, embed_noise)
-    mix, records = moe.route_instance(pools, cls, cfg.topk, cfg.combine_mode)
-    feats, _ = enc.encode_with_experts(ids, mask, state.weights, pools, mix,
-                                       embed_noise=embed_noise)
+    feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
+                                             cfg.combine_mode, embed_noise)
     return feats, records, cls
 
 
@@ -350,9 +332,9 @@ def predict(state: ModelState, instances) -> list[int]:
     """Inference path: deterministic, no jitter, argmax over all head rows,
     in chunks of EVAL_CHUNK rows in input order."""
     preds = []
-    for start in range(0, len(instances), EVAL_CHUNK):
+    for start in range(0, len(instances), enc.EVAL_CHUNK):
         with T.no_grad():
-            feats, _, _ = forward_features(state, instances[start:start + EVAL_CHUNK])
+            feats, _, _ = forward_features(state, instances[start:start + enc.EVAL_CHUNK])
         preds.extend(state.head.predict(feats).tolist())
     return preds
 
@@ -362,7 +344,7 @@ def run_experiment(stream: TaskStream, state: ModelState, after_task=None):
     and the cumulative label set. Returns the metric matrix.
 
     The stream's texts are indexed first (`index_texts`), so every instance
-    batch of the run pads to the stream's `padded_length`.
+    batch of the run pads to the stream's one length.
     `after_task(t, state)`, when given, runs once per completed task
     (used for checkpointing)."""
     index_texts(state, [inst.text for task in stream.tasks for inst in task.train + task.test])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from . import tensor as T
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +74,9 @@ def load_descriptions(path, known_labels=None) -> dict[str, list[str]]:
 
 def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 vocab: enc.Vocab, label_ids: dict[str, int]) -> DescriptionBank:
-    """Encode every description with the frozen encoder, all of them in one
-    batch padded to the descriptions' own `padded_length`; vector = [CLS]
-    state."""
+    """Encode every description with the frozen encoder, padded to the
+    descriptions' own length (`enc.tokenize_set`); vector = [CLS] state
+    (`enc.frozen_cls`)."""
     if not weights.frozen:
         raise ValueError("encode_bank requires a frozen encoder")
     max_len = weights.config.max_seq_len
@@ -88,11 +87,7 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
             if len(text.split()) + 1 > max_len:
                 logger.warning("description for %r exceeds max_seq_len; truncated", name)
             texts.append(text)
-    seq = enc.padded_length(texts, max_len)
-    encoded = [enc.tokenize(text, vocab, seq) for text in texts]
-    with T.no_grad():
-        cls = enc.encode_base(np.stack([e[0] for e in encoded]),
-                              np.stack([e[1] for e in encoded]), weights).data
+    cls = enc.frozen_cls(*enc.tokenize_set(texts, vocab, max_len), weights)
     return DescriptionBank(texts,
                            np.asarray([label_ids[name] for name in names for _ in raw[name]]),
                            cls, weights.fingerprint())

@@ -167,28 +167,29 @@ def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return np.asarray(ids, dtype=np.int64), mask
 
 
-def padded_length(texts, max_len: int) -> int:
-    """The one padded length of every batch drawn from `texts`: their
-    longest tokenized text, [CLS] included, capped by `max_len`."""
-    return min(max_len, 1 + max(len(text.split()) for text in texts))
+def tokenize_set(texts, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """[N, S] ids and mask of `texts`, every text padded to the set's one
+    length S: its longest tokenized text, [CLS] included, capped by
+    `max_len`. A row's [CLS] bits depend on the width it is padded to, so
+    every batch drawn from one set pads alike."""
+    width = min(max_len, 1 + max(len(text.split()) for text in texts))
+    ids, mask = zip(*[tokenize(text, vocab, width) for text in texts])
+    return np.stack(ids), np.stack(mask)
 
 
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
-             mix=None, token_topk: int | None = None, combine_mode: str = "softmax",
+             cls=None, topk: int | None = None, combine_mode: str = "softmax",
              embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Shared forward over a [B, S] batch of ids/mask (a single sentence is
-    a batch of one). Returns the [B, d] [CLS] rows and the token-routing
-    records.
-
-    Each projection with a pool in `pools` adds that pool's LoRA delta:
-    mixed by `mix[(layer, tag)]` (instance routing) or, with `token_topk`,
-    by a router that scores every token of the projection's input and
-    appends its record, with the mask as its row mask, to the records.
+    a batch of one). Returns the [B, d] [CLS] rows and the routing records.
+    Each projection with a pool in `pools` adds that pool's LoRA delta,
+    routed as `encode_with_experts` describes.
 
     Padded keys get exactly zero attention (`T.MASK_BIAS`), but a row's
     bits depend on the width S it is padded to, not on the other rows. So
     the batch runs at the width it comes in, callers pad every batch of a
-    set to the set's `padded_length`, and `embed_noise` is [B, S, d].
+    set to the set's one length (`tokenize_set`), and `embed_noise` is
+    [B, S, d].
 
     Only [CLS] leaves the last block, and a position's output there depends
     on the other positions through the keys and values alone. So that block
@@ -204,18 +205,20 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     if ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id {int(ids.max())} >= vocab_size {cfg.vocab_size}")
     w = weights.tensors
-    records = []
+    mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk,
+                                                                      combine_mode)
 
     def project(h, l, tag, routed=None):
         out = T.linear(h, w[f"layer{l}.{tag}.weight"], w[f"layer{l}.{tag}.bias"])
         pool = (pools or {}).get((l, tag))
         if pool is None:
             return out
-        if token_topk is None:
+        if mix is not None:
             pool_mix = mix[(l, tag)]
         else:
             routed = h if routed is None else routed
-            pool_mix, record = moe.token_mix_weights(pool, routed, token_topk, combine_mode)
+            pool_mix, record = moe.token_mix_weights(pool, routed, topk, combine_mode)
+            record["key"] = (l, tag)
             record["mask"] = mask  # the router loss averages real tokens only
             records.append(record)
             if h.shape[1] < routed.shape[1]:  # h is the [CLS] row of `routed`
@@ -247,27 +250,37 @@ def encode_base(ids, mask, weights: EncoderWeights,
     return _forward(ids, mask, weights, embed_noise=embed_noise)[0]
 
 
-def encode_with_experts(ids, mask, weights: EncoderWeights, pools, mix,
-                        embed_noise: np.ndarray | None = None,
-                        token_topk: int | None = None,
-                        combine_mode: str = "softmax") -> tuple[Tensor, list[dict]]:
+def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: int,
+                        combine_mode: str,
+                        embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Forward with LoRA expert deltas on the adapted projections; returns
-    the [B, d] [CLS] rows and the token-routing records.
+    the [B, d] [CLS] rows and one routing record per pool, in sorted key
+    order.
 
-    `mix` maps each pool key to its [B, M] instance-level mix weights
-    (from `moe.route_instance`), and the records are empty. When
-    `token_topk` is given, `mix` is ignored and routing is recomputed per
-    token inside each block: one record per pool, each with the attention
-    mask as its row mask. The last block's `q` router scores every token,
-    but only the [CLS] row's delta is applied.
+    Given the [B, d] frozen [CLS] rows `cls`, every pool is routed once per
+    instance (`moe.route_instance`) and the records are that routing's.
+    Given `cls=None`, routing is per token inside each block, and each
+    record carries the attention mask as its row mask. The last block's `q`
+    router scores every token, but only the [CLS] row's delta is applied.
     """
-    if token_topk is None:
-        if mix is None:
-            raise ValueError("instance-level forward requires routing mix weights")
-        missing = sorted(set(pools) - set(mix))
-        if missing:
-            raise ValueError(f"routing mix missing pool {missing[0]}")
-    return _forward(ids, mask, weights, pools, mix, token_topk, combine_mode, embed_noise)
+    return _forward(ids, mask, weights, pools, cls, topk, combine_mode, embed_noise)
+
+
+# Largest number of rows per frozen or evaluation forward pass. Instances
+# per second over leaf-ref's five test sets (188 rows each, 9 wide) after
+# task 5, by chunk size (median of 15, interleaved, seed 21, 2-core host):
+# 32: 7319, 64: 8247, 96: 8641, 128: 8310, 188: 7226. Smaller chunks pay each
+# block's fixed NumPy call cost too often; larger ones outgrow a core's 2 MB L2.
+EVAL_CHUNK = 96
+
+
+def frozen_cls(ids, mask, weights: EncoderWeights) -> np.ndarray:
+    """[N, d] noise-free [CLS] rows of a tokenized set (`tokenize_set`),
+    encoded without a graph, EVAL_CHUNK rows per pass."""
+    with T.no_grad():
+        return np.concatenate([encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK],
+                                           weights).data
+                               for s in range(0, len(ids), EVAL_CHUNK)])
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
@@ -290,10 +303,8 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
     opt = T.Adam(weights.params(), lr=lr)
     opt_head = T.Adam(head.params(), lr=head_lr)
 
-    seq = padded_length([text for text, _ in instances], config.max_seq_len)
-    encoded = [tokenize(text, vocab, seq) for text, _ in instances]
-    ids_all = np.stack([e[0] for e in encoded])
-    mask_all = np.stack([e[1] for e in encoded])
+    ids_all, mask_all = tokenize_set([text for text, _ in instances], vocab,
+                                     config.max_seq_len)
     labels = np.asarray([c for _, c in instances], dtype=np.int64)
     n = len(instances)
     for _ in range(epochs):

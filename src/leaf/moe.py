@@ -29,8 +29,6 @@ class ExpertPool:
     A: Tensor        # [M, d, r], expert m's up-projection is A[m]
     B: Tensor        # [M, r, d], expert m's down-projection is B[m]
     routing: Tensor  # [M, d], row k scores expert k
-    layer_index: int
-    projection_tag: str
 
     def params(self) -> list[Tensor]:
         return [self.A, self.B, self.routing]
@@ -49,8 +47,7 @@ def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
             A = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d, rank)), requires_grad=True)
             B = Tensor(np.zeros((num_experts, rank, d)), requires_grad=True)
             routing = Tensor(rng.normal(0.0, INIT_SD, (num_experts, d)), requires_grad=True)
-            pools[(l, tag)] = ExpertPool(A=A, B=B, routing=routing,
-                                         layer_index=l, projection_tag=tag)
+            pools[(l, tag)] = ExpertPool(A=A, B=B, routing=routing)
     return pools
 
 
@@ -68,8 +65,7 @@ def routing_params(pools) -> list[Tensor]:
 def copy_pools(pools) -> dict[tuple[int, str], ExpertPool]:
     """Deep copy with gradients detached (requires_grad stays False)."""
     return {key: ExpertPool(A=Tensor(pool.A.data.copy()), B=Tensor(pool.B.data.copy()),
-                            routing=Tensor(pool.routing.data.copy()),
-                            layer_index=pool.layer_index, projection_tag=pool.projection_tag)
+                            routing=Tensor(pool.routing.data.copy()))
             for key, pool in pools.items()}
 
 
@@ -121,21 +117,22 @@ def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict
     selected = select_topk(scores, K)
     mix, fallback = combine_weights(scores, selected, mode)
     return mix, {"scores": scores, "selected": selected,
-                 "mask": np.ones(selected.shape[:-1]), "fallback": fallback,
-                 "key": (pool.layer_index, pool.projection_tag)}
+                 "mask": np.ones(selected.shape[:-1]), "fallback": fallback}
 
 
 def route_instance(pools, cls, K: int, mode: str = "softmax") -> tuple[dict, list[dict]]:
     """Score -> top-K -> weights for every pool from the frozen [CLS] rows.
 
     cls is [B, d]; returns per pool a [B, M] mix tensor, and one record per
-    pool of the raw scores and selections (for the router loss) and the
-    per-row paper-literal fallback flags (`fallback`, [B] bool).
+    pool, in sorted key order, of its `key`, the raw scores and selections
+    (for the router loss) and the per-row paper-literal fallback flags
+    (`fallback`, [B] bool).
     """
     cls = T.as_tensor(cls)
     mix, records = {}, []
     for key in sorted(pools):
         mix[key], record = _route(pools[key], cls, K, mode)
+        record["key"] = key
         records.append(record)
     return mix, records
 
@@ -146,7 +143,8 @@ def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
 
     x is [B, S, d]; returns a [B, S, M] mix tensor plus a record of the
     raw scores and per-token selections for the router loss, and the
-    per-token fallback flags ([B, S], padded positions included).
+    per-token fallback flags ([B, S], padded positions included). The
+    encoder sets the record's `key` and its token `mask`.
     """
     return _route(pool, x, K, mode)
 

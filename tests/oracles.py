@@ -121,16 +121,17 @@ def cosine_similarity(u, v, eps_norm: float = T.EPS_NORM) -> T.Tensor:
     return T.div(dot(u, v), T.mul(T.sqrt(dot(u, u)), T.sqrt(dot(v, v))))
 
 
-def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None,
+def full_width_forward(ids, mask, weights, pools=None, cls=None, topk=None,
                        embed_noise=None):
     """The encoder forward that computes every position of every block,
     the last one included, with the library's ops; `leaf.encoder._forward`
     runs its last block on [CLS] only and must agree with this at row 0.
 
     With `pools`, each adapted projection adds its pool's delta: mixed by
-    `mix[(layer, tag)]` (instance routing) or, with `token_topk`, routed per
-    token from the projection's full-width input. Returns the final hidden
-    states [B, S, d] and the token-routing records.
+    the instance routing of the [CLS] rows `cls` or, when `cls` is None,
+    routed per token from the projection's full-width input, top-`topk`
+    either way. Returns the final hidden states [B, S, d] and the
+    token-routing records.
     """
     cfg = weights.config
     w = weights.tensors
@@ -138,6 +139,7 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
     if embed_noise is not None:
         x = T.add(x, T.Tensor(embed_noise))
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
+    mix = None if cls is None else moe.route_instance(pools, cls, topk)[0]
     records = []
 
     def project(h, l, tag):
@@ -145,11 +147,11 @@ def full_width_forward(ids, mask, weights, pools=None, mix=None, token_topk=None
         pool = (pools or {}).get((l, tag))
         if pool is None:
             return out
-        if token_topk is None:
+        if mix is not None:
             pool_mix = mix[(l, tag)]
         else:
-            pool_mix, record = moe.token_mix_weights(pool, h, token_topk)
-            record["mask"] = mask
+            pool_mix, record = moe.token_mix_weights(pool, h, topk)
+            record["key"], record["mask"] = (l, tag), mask
             records.append(record)
         return T.add(out, moe.pool_delta(pool, h, pool_mix))
 

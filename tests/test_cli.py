@@ -302,6 +302,20 @@ class TestTrain:
             assert f"unknown config key [{section}] {key}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,section,line,message", [
+        ("train", "DEFAULT", "lr = 5", "unknown config section [DEFAULT]"),
+        ("ablate", "run", "n_seeds = 1", "bad value for [run] n_seeds")])
+    def test_parse_time_config_error_leaves_no_run_dir(self, workspace, capsys, command,
+                                                       section, line, message):
+        root, cfg = workspace
+        bad = config_with(cfg, section, line, root / f"{command}_parse_error.ini")
+        out = root / f"{command}_parse_error"
+        argv = [command, "--config", str(bad), "--out", str(out), "--seed", "0"]
+        assert main(argv + (["--mode", "leaf"] if command == "train" else
+                            ["--axis", "components"])) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_env_seed_is_usage_error(self, workspace, monkeypatch):
         root, cfg = workspace
         monkeypatch.setenv("LEAF_SEED", "seven")

@@ -39,6 +39,7 @@ BAD_VALUES = [
     ("run", "base_lr", "inf"),
     ("run", "seed", "-1"),
     ("run", "n_seeds", "0"),
+    ("run", "n_seeds", "1"),  # `leaf ablate` aggregates over at least 2 seeds
 ]
 
 # whole INI texts that every key accepts alone, but the dataclasses built
@@ -103,6 +104,26 @@ def test_duplicate_key_is_config_error(tmp_path):
         cfgmod.parse_config(path)
 
 
+def test_percent_in_a_value_is_literal(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[paths]\ndataset = data/100%/dataset.jsonl\nweights = %(dataset)s\n")
+    resolved = cfgmod.parse_config(path)
+    assert resolved["paths"]["dataset"] == "data/100%/dataset.jsonl"
+    assert resolved["paths"]["weights"] == "%(dataset)s"  # no interpolation
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nlr = 5\n",
+                                  "[DEFAULT]\nlr = 5\n[continual]\nepochs = 2\n"])
+def test_default_section_with_keys_is_unknown_section(tmp_path, text):
+    """Its keys would apply to every section that has them, or to none."""
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(cfgmod.ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        cfgmod.parse_config(path)
+    path.write_text("[DEFAULT]\n[moe]\n")
+    assert cfgmod.parse_config(path) == cfgmod.defaults()
+
+
 @pytest.mark.parametrize("section,key,value,parsed", GOOD_VALUES)
 def test_good_value_accepted(tmp_path, section, key, value, parsed):
     resolved = cfgmod.parse_config(write_ini(tmp_path, section, key, value))
@@ -163,6 +184,7 @@ BY_KEY = {
     "triggers_min": ints(1, 2),
     "triggers_max": ints(2, 4),
     "descriptions_per_label": ints(5, 10**9),
+    "n_seeds": ints(2, 10**9),
 }
 
 

@@ -200,7 +200,7 @@ def record_forwards(monkeypatch):
 
 
 @pytest.mark.parametrize("routing", ["instance", "token"])
-@pytest.mark.parametrize("n", [0, 1, C.EVAL_CHUNK, C.EVAL_CHUNK + 1, 2 * C.EVAL_CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, E.EVAL_CHUNK, E.EVAL_CHUNK + 1, 2 * E.EVAL_CHUNK + 1])
 @settings(max_examples=3)
 @given(data=st.data())
 def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
@@ -222,8 +222,8 @@ def test_predict_sorted_chunks_match_dataset_order(n, routing, data):
         calls = record_forwards(mp)
         got = C.predict(state, instances)
     assert got == want and all(type(y) is int for y in got)
-    assert len(calls) == -(-n // C.EVAL_CHUNK)
-    assert all(len(batch) == C.EVAL_CHUNK for batch in calls[:-1])
+    assert len(calls) == -(-n // E.EVAL_CHUNK)
+    assert all(len(batch) == E.EVAL_CHUNK for batch in calls[:-1])
     seen = [inst for batch in calls for inst in batch]
     assert list(map(id, seen)) == list(map(id, instances))
 
@@ -293,13 +293,13 @@ class TestFrozenCache:
         C.run_experiment(stream, state)
         texts = [inst.text for inst in stream.tasks[0].train + stream.tasks[0].test]
         assert list(state.table.row) == list(dict.fromkeys(texts))
-        width = E.padded_length(texts, state.weights.config.max_seq_len)
+        width = 1 + max(len(text.split()) for text in texts)  # [CLS] and the longest text
         assert state.table.ids.shape == (len(state.table.row), width) and width < 12
 
     def test_table_cls_matches_encode_base_in_batches_of_1_and_8(self, monkeypatch):
         ds = tiny_dataset()
         state = tiny_state(ds)
-        monkeypatch.setattr(C, "EVAL_CHUNK", 5)
+        monkeypatch.setattr(E, "EVAL_CHUNK", 5)
         calls = record_encodes(monkeypatch)
         C.index_texts(state, dataset_texts(ds))
         table, n = state.table, len(state.table.row)

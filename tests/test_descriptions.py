@@ -8,6 +8,7 @@ from leaf import config as cfgmod
 from leaf import descriptions as D
 from leaf import encoder as E
 from leaf import harness
+from leaf import tensor as T
 from leaf.data_synth import Dataset
 
 
@@ -70,18 +71,19 @@ class TestLoadDescriptions:
 
 class TestEncodeBank:
     def test_vectors_match_direct_encoding(self, monkeypatch):
-        """One batched forward for the whole bank; each vector equals its
-        description encoded alone (a wider padded batch may move the last bit
-        of a softmax sum, hence the tolerance)."""
+        """One forward per EVAL_CHUNK descriptions (3 here); each vector
+        equals its description encoded alone (a wider padded batch may move
+        the last bit of a softmax sum, hence the tolerance)."""
         w, vocab = frozen_encoder()
         raw = {"move": ["sudden shift in ownership", "shift"],
                "bang": ["loud noise", "noise in loud sudden shift ownership"]}
         calls = []
         encode_base = E.encode_base
+        monkeypatch.setattr(E, "EVAL_CHUNK", 3)
         monkeypatch.setattr(E, "encode_base",
                             lambda *a, **k: calls.append(1) or encode_base(*a, **k))
         bank = D.encode_bank(raw, w, vocab, {"move": 0, "bang": 1})
-        assert len(calls) == 1
+        assert len(calls) == -(-4 // E.EVAL_CHUNK)
         for lid, label in enumerate(raw):
             for text, vec in zip(raw[label], bank.vectors[bank.labels == lid]):
                 ids, mask = E.tokenize(text, vocab, w.config.max_seq_len)
@@ -89,6 +91,25 @@ class TestEncodeBank:
                 np.testing.assert_allclose(vec, expected, rtol=0.0, atol=1e-12)
         assert bank.labels.tolist() == [0, 0, 1, 1]
         assert bank.texts[:2] == raw["move"]
+
+    def test_chunked_vectors_equal_one_unchunked_pass(self, monkeypatch):
+        """The bank encoded EVAL_CHUNK rows at a time is byte-equal to all of
+        its descriptions in one pass at the same padded length."""
+        vocab = E.Vocab([f"w{i}" for i in range(30)])
+        cfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
+                              max_seq_len=12, vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        w.freeze()
+        rng = np.random.default_rng(1)
+        raw = {f"l{k}": [" ".join(rng.choice(vocab.to_list()[3:], size=n))
+                         for n in rng.integers(1, 11, 6)] for k in range(4)}
+        label_ids = {name: k for k, name in enumerate(raw)}
+        texts = [text for name in raw for text in raw[name]]
+        with T.no_grad():
+            whole = E.encode_base(*E.tokenize_set(texts, vocab, cfg.max_seq_len), w).data
+        monkeypatch.setattr(E, "EVAL_CHUNK", 5)
+        bank = D.encode_bank(raw, w, vocab, label_ids)
+        assert bank.vectors.tobytes() == whole.tobytes()
 
     def test_requires_frozen_encoder(self):
         w, vocab = frozen_encoder()

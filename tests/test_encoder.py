@@ -126,7 +126,7 @@ class TestForward:
         assert cls.data.shape == (1, cfg.model_dim)
         # the batch runs at the width it comes in: [CLS] alpha beta, then padding
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
-        _, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        _, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
         assert all(record["mask"].tolist() == [[1, 1, 1] + [0] * (cfg.max_seq_len - 3)]
                    for record in records)
 
@@ -145,7 +145,7 @@ class TestForward:
             E.encode_base(ids, mask, w)
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
         with pytest.raises(T.ShapeError, match=r"\[B, S\]"):
-            E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
 
     def test_batch_row_matches_single(self):
         w, vocab, cfg = make_weights()
@@ -195,8 +195,7 @@ class TestExpertForward:
                                rank=4, rng=np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta gamma", vocab, cfg)
         cls = E.encode_base(ids, mask, w)
-        mix, _ = moe.route_instance(pools, cls, K=2)
-        out, _ = E.encode_with_experts(ids, mask, w, pools, mix)
+        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2, "softmax")
         np.testing.assert_allclose(out.data, cls.data, atol=1e-12)
 
     def test_nonzero_experts_change_output(self):
@@ -207,24 +206,36 @@ class TestExpertForward:
             pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
         cls = E.encode_base(ids, mask, w)
-        mix, _ = moe.route_instance(pools, cls, K=2)
-        out, _ = E.encode_with_experts(ids, mask, w, pools, mix)
+        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2, "softmax")
         assert np.abs(out.data - cls.data).max() > 1e-8
 
-    def test_missing_decision_raises(self):
-        w, vocab, cfg = make_weights()
-        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
-                               np.random.default_rng(1))
-        ids, mask = batch_of_one("alpha", vocab, cfg)
-        with pytest.raises(ValueError):
-            E.encode_with_experts(ids, mask, w, pools, None)
+    @pytest.mark.parametrize("mode", ["softmax", "paper-literal"])
+    def test_instance_records_are_route_instance_records(self, mode):
+        """Given [CLS] rows, the forward routes every pool once per instance
+        and returns `moe.route_instance`'s records: one per pool, in sorted
+        key order, each with its key, scores, selection, mask and flags."""
+        w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
+        pools = pools_on(cfg, live=True)
+        ids, mask = padded(ragged_rows(np.random.default_rng(2), vocab, (2, 5, 3)), 5)
+        with T.no_grad():
+            cls = E.encode_base(ids, mask, w)
+            _, records = E.encode_with_experts(ids, mask, w, pools, cls, 2, mode)
+            _, expected = moe.route_instance(pools, cls, 2, mode)
+        assert [record["key"] for record in records] == sorted(pools)
+        assert len(records) == len(expected)
+        for got, ref in zip(records, expected):
+            assert got.keys() == ref.keys() and got["key"] == ref["key"]
+            assert got["scores"].data.tobytes() == ref["scores"].data.tobytes()
+            for field in ("selected", "mask", "fallback"):
+                np.testing.assert_array_equal(got[field], ref[field])
+            assert got["mask"].shape == (3,)
 
     def test_token_level_routing_runs(self):
         w, vocab, cfg = make_weights()
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
                                np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        out, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        out, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
         assert out.data.shape == (1, cfg.model_dim)
         assert len(records) == len(pools)
 
@@ -265,10 +276,8 @@ def encodings(rows, width, w, pools, noise):
     n = noise[:, :width]
     with T.no_grad():
         base = E.encode_base(ids, mask, w, embed_noise=n)
-        mix, _ = moe.route_instance(pools, base, K=2)
-        inst, _ = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=n)
-        tok, records = E.encode_with_experts(ids, mask, w, pools, None, embed_noise=n,
-                                             token_topk=2)
+        inst, _ = E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax", n)
+        tok, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax", n)
         loss = float(moe.router_loss(records).data)
     return base.data, inst.data, tok.data, loss
 
@@ -315,10 +324,8 @@ class TestTrimmedPadding:
         rng = np.random.default_rng(1)
         texts = [" ".join(rng.choice(vocab.to_list()[3:], size=n))
                  for n in [8, *rng.integers(1, 9, 95)]]
-        seq = E.padded_length(texts, cfg.max_seq_len)
-        assert seq == 9
-        encoded = [E.tokenize(text, vocab, seq) for text in texts]
-        ids, mask = np.stack([e[0] for e in encoded]), np.stack([e[1] for e in encoded])
+        ids, mask = E.tokenize_set(texts, vocab, cfg.max_seq_len)
+        assert ids.shape == (96, 9)
         with T.no_grad():
             ref = E.encode_base(ids, mask, w).data
             for size in (1, 5, 8, 96):
@@ -338,7 +345,7 @@ class TestTrimmedPadding:
         target = rng.normal(size=(len(rows), cfg.model_dim))
 
         def loss_fn():
-            cls, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            cls, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
             assert all(record["mask"].shape == (3, cfg.max_seq_len) for record in records)
             fit = T.tsum(T.mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
             return T.add(fit, moe.router_loss(records))
@@ -370,12 +377,13 @@ class TestLastBlockClsOnly:
         with T.no_grad():
             base = E.encode_base(ids, mask, w, embed_noise=noise).data
             base_ref, _ = full_width_forward(ids, mask, w, embed_noise=noise)
-            mix, _ = moe.route_instance(pools, Tensor(base), K=2)
-            inst = E.encode_with_experts(ids, mask, w, pools, mix, embed_noise=noise)[0].data
-            inst_ref, _ = full_width_forward(ids, mask, w, pools, mix=mix, embed_noise=noise)
-            tok, tok_records = E.encode_with_experts(ids, mask, w, pools, None,
-                                                     embed_noise=noise, token_topk=2)
-            tok_ref, records = full_width_forward(ids, mask, w, pools, token_topk=2,
+            inst = E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax",
+                                         noise)[0].data
+            inst_ref, _ = full_width_forward(ids, mask, w, pools, cls=base, topk=2,
+                                             embed_noise=noise)
+            tok, tok_records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax",
+                                                     noise)
+            tok_ref, records = full_width_forward(ids, mask, w, pools, topk=2,
                                                   embed_noise=noise)
             loss = float(moe.router_loss(tok_records).data)
             loss_ref = float(moe.router_loss(records).data)
@@ -399,11 +407,9 @@ class TestLastBlockClsOnly:
             base = E.encode_base(ids, mask, w)
 
         def loss_fn():
-            if routing == "instance":
-                mix, records = moe.route_instance(pools, base, K=2)
-                cls, _ = E.encode_with_experts(ids, mask, w, pools, mix)
-            else:
-                cls, records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            cls, records = E.encode_with_experts(ids, mask, w, pools,
+                                                 base if routing == "instance" else None,
+                                                 2, "softmax")
             diff = T.add(cls, T.mul(target, -1.0))
             return T.add(T.tsum(T.mul(diff, diff)), moe.router_loss(records))
 
@@ -428,9 +434,9 @@ class TestLastBlockClsOnly:
         if routing == "base":
             E.encode_base(ids, mask, w)
         elif routing == "instance":
-            E.encode_with_experts(ids, mask, w, pools, moe.route_instance(pools, base, K=2)[0])
+            E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax")
         else:
-            E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+            E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
         assert shapes == [(2, cfg.max_seq_len, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
 
     def test_token_routed_last_q_pool_records_the_full_mask(self):
@@ -441,7 +447,7 @@ class TestLastBlockClsOnly:
         pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
                            cfg.max_seq_len)
-        _, token_records = E.encode_with_experts(ids, mask, w, pools, None, token_topk=2)
+        _, token_records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
         records = {record["key"]: record for record in token_records}
         assert sorted(records) == sorted(pools)
         for record in records.values():

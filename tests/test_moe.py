@@ -224,6 +224,16 @@ def test_pool_delta_zero_when_B_zero():
     np.testing.assert_array_equal(out, 0.0)
 
 
+def test_record_key_is_the_pools_dict_key():
+    """A pool's identity is its (layer, tag) key in the pools dict alone: the
+    same tensors under another key route under that key."""
+    pool = make_pool()  # built as the (0, "q") pool
+    moved = {(1, "v"): moe.ExpertPool(A=pool.A, B=pool.B, routing=pool.routing)}
+    _, records = moe.route_instance(moved, RNG.normal(size=(2, 6)), K=2)
+    assert [record["key"] for record in records] == [(1, "v")]
+    assert moe.copy_pools(moved).keys() == moved.keys()
+
+
 def test_token_mix_weights_shape_and_selection():
     pool = make_pool(M=4, d=5, r=2)
     x = Tensor(RNG.normal(size=(2, 3, 5)))
@@ -274,7 +284,7 @@ def test_router_loss_refuses_mask_of_another_shape():
     [B, S, M] and weigh the one routed row S times."""
     pools = moe.init_pools(1, 6, 4, 2, np.random.default_rng(0))
     _, record = moe.token_mix_weights(pools[(0, "q")], Tensor(RNG.normal(size=(2, 1, 6))), 2)
-    record["mask"] = np.ones((2, 3))
+    record["key"], record["mask"] = (0, "q"), np.ones((2, 3))  # as the encoder sets them
     with pytest.raises(T.ShapeError, match=r"\(0, 'q'\).*\(2, 3\).*\(2, 1\)"):
         moe.router_loss([record])
     record["mask"] = np.ones((2, 1))
