@@ -152,24 +152,24 @@ def parse_config(path, schema=SCHEMA) -> dict:
                 resolved[sec][key] = conv(value)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"bad value for [{sec}] {key}: {value!r} ({exc})") from exc
+    return check(resolved)
+
+
+def check(resolved: dict) -> dict:
+    """Return `resolved` once the dataclasses it feeds accept it; raise
+    ConfigError if not. Runs at parse time and on every derived config."""
     try:
-        _build(resolved)
+        if "generator" in resolved:
+            generator_spec(resolved)
+        else:
+            encoder_config(resolved, vocab_size=0)  # the vocabulary comes with the data
+            train_config(resolved)
+            rank, dim = resolved["moe"]["rank"], resolved["encoder"]["model_dim"]
+            if rank > dim:
+                raise ValueError(f"[moe] rank {rank} exceeds [encoder] model_dim {dim}")
     except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     return resolved
-
-
-def _build(resolved: dict) -> None:
-    """Build the dataclasses a resolved config feeds, so that their checks
-    run at parse time; raises ValueError."""
-    if "generator" in resolved:
-        generator_spec(resolved)
-        return
-    encoder_config(resolved, vocab_size=0)  # the vocabulary comes with the data
-    train_config(resolved)
-    rank, dim = resolved["moe"]["rank"], resolved["encoder"]["model_dim"]
-    if rank > dim:
-        raise ValueError(f"[moe] rank {rank} exceeds [encoder] model_dim {dim}")
 
 
 def write_snapshot(resolved: dict, path) -> None:

@@ -161,45 +161,20 @@ def index_texts(state: ModelState, texts) -> None:
     state.table = TextTable(row, ids, mask, cls)
 
 
-def _frozen_cls(state: ModelState, rows: np.ndarray, ids, mask,
-                embed_noise: np.ndarray | None) -> np.ndarray:
-    """[B, d] frozen-backbone [CLS] rows of table `rows`, looked up; rows with
-    non-zero noise go through the encoder instead and are never stored."""
-    out = state.table.cls[rows]
-    if embed_noise is not None:
-        noisy = embed_noise.reshape(len(rows), -1).any(axis=1)
-        if noisy.any():
-            with T.no_grad():
-                out[noisy] = enc.encode_base(ids[noisy], mask[noisy], state.weights,
-                                             embed_noise=embed_noise[noisy]).data
-    return out
-
-
-def _noise_for(state: ModelState, augmented: np.ndarray, ids_shape) -> np.ndarray | None:
-    """Noise for the rows `augmented` marks, zero elsewhere: one [max_seq_len, d]
-    draw per row, whatever the table's width, then cut to that width."""
-    k = int(augmented.sum())
-    if not k:
-        return None
-    noise = np.zeros(ids_shape + (state.weights.config.model_dim,))
-    noise[augmented] = state.rng.normal(0.0, SIGMA_AUG, (k,) + noise.shape[1:])
-    return noise[:, :state.table.ids.shape[1]]
-
-
 def forward_features(state: ModelState, instances, pools=None,
                      embed_noise: np.ndarray | None = None,
                      cls: np.ndarray | None = None):
     """Two-stage forward for a batch: frozen [CLS] -> routing -> expert
     forward (`enc.encode_with_experts`). Returns (features [B, d] Tensor,
     per-pool routing records, frozen [CLS] rows or None under token
-    routing). A caller that already has the [CLS] rows of this batch and
-    noise passes them as `cls`."""
+    routing). A batch with `embed_noise` comes with its noisy [CLS] rows as
+    `cls`; noise-free ones are looked up in the table."""
     cfg = state.config
     pools = state.pools if pools is None else pools
     rows = np.array([state.table.row[inst.text] for inst in instances])
     ids, mask = state.table.ids[rows], state.table.mask[rows]
     if cls is None and cfg.routing != "token":
-        cls = _frozen_cls(state, rows, ids, mask, embed_noise)
+        cls = state.table.cls[rows]
     feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
                                              cfg.combine_mode, embed_noise)
     return feats, records, cls
@@ -244,15 +219,16 @@ def snapshot_model(state: ModelState) -> Snapshot:
 
 
 def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
-               noise: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
+               noise: np.ndarray | None = None,
+               cls: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
     """The training objective on one batch of task index `t`: cross-entropy
     plus every switched-on term (router, label contrast over the labels
     seen so far, feature and prediction distillation against the snapshot
-    on the old labels). The teacher forward reuses the student's [CLS]
-    rows. Returns (total, breakdown)."""
+    on the old labels). `noise` and `cls` go to `forward_features`; the
+    teacher forward reuses the student's `cls`. Returns (total, breakdown)."""
     cfg = state.config
     w = cfg.loss_weights
-    feats, routing, cls = forward_features(state, batch, embed_noise=noise)
+    feats, routing, cls = forward_features(state, batch, embed_noise=noise, cls=cls)
     gold = [inst.label for inst in batch]
     seen = stream.seen_labels(t)
     parts = {"ce": obj.ce_loss(state.head, feats, gold)}
@@ -289,20 +265,36 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
         if old is not new:
             state.opt.replace_param(old, new)
 
-    # the copies get fresh embedding noise in every batch they land in
+    # the copies get fresh embedding noise in every epoch
     memory = [state.buffer[y] for y in sorted(state.buffer)]
     copies = [inst for inst in memory for _ in range(AUG_COPIES)] if cfg.augment else []
     data = task.train + memory + copies
     augmented = np.arange(len(data)) >= len(data) - len(copies)
+    table = state.table
+    table_rows = np.array([table.row[inst.text] for inst in data])
+    width, ecfg = table.ids.shape[1], state.weights.config
 
     for epoch in range(cfg.epochs):
         order = state.rng.permutation(len(data))
+        # The epoch's noisy rows, in the order its batches meet them: one
+        # [max_seq_len, d] draw each, cut to the table's width, and one
+        # frozen [CLS] pass for all of them.
+        rows, noisy = table_rows[order], augmented[order]
+        cls = None if table.cls is None else table.cls[rows]
+        noise = None
+        if noisy.any():
+            noise = np.zeros((len(data), width, ecfg.model_dim))
+            noise[noisy] = state.rng.normal(0.0, SIGMA_AUG, (
+                int(noisy.sum()), ecfg.max_seq_len, ecfg.model_dim))[:, :width]
+            if cls is not None:
+                cls[noisy] = enc.frozen_cls(table.ids[rows[noisy]], table.mask[rows[noisy]],
+                                            state.weights, noise[noisy])
         for start in range(0, len(data), cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            batch = [data[i] for i in rows]
-            ids_shape = (len(batch), state.weights.config.max_seq_len)
-            noise = _noise_for(state, augmented[rows], ids_shape)
-            total, breakdown = batch_loss(state, batch, t, stream, noise)
+            span = slice(start, start + cfg.batch_size)
+            batch = [data[i] for i in order[span]]
+            total, breakdown = batch_loss(state, batch, t, stream,
+                                          noise[span] if noisy[span].any() else None,
+                                          None if cls is None else cls[span])
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()

@@ -183,9 +183,10 @@ def load_jsonl(path) -> Dataset:
                 raise DatasetFormatError(f"{path}:{lineno}: bad split {rec['split']!r}")
             if not isinstance(rec["text"], str) or not rec["text"].split():
                 raise DatasetFormatError(f"{path}:{lineno}: text {rec['text']!r} has no word")
-            label = str(rec["label"])
-            if not label:
-                raise DatasetFormatError(f"{path}:{lineno}: empty label")
+            label = rec["label"]
+            if not isinstance(label, str) or not label.strip():
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: label {label!r} is not a non-blank string")
             if label not in idx:
                 idx[label] = len(names)
                 names.append(label)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -274,13 +275,16 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: in
 EVAL_CHUNK = 96
 
 
-def frozen_cls(ids, mask, weights: EncoderWeights) -> np.ndarray:
-    """[N, d] noise-free [CLS] rows of a tokenized set (`tokenize_set`),
-    encoded without a graph, EVAL_CHUNK rows per pass."""
+def frozen_cls(ids, mask, weights: EncoderWeights,
+               embed_noise: np.ndarray | None = None) -> np.ndarray:
+    """[N, d] frozen [CLS] rows of tokenized rows (`tokenize_set`), encoded
+    without a graph, EVAL_CHUNK rows per pass. `embed_noise` ([N, S, d]),
+    when given, is sliced with them: the noisy memory copies of an epoch."""
     with T.no_grad():
-        return np.concatenate([encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK],
-                                           weights).data
-                               for s in range(0, len(ids), EVAL_CHUNK)])
+        return np.concatenate([
+            encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK], weights,
+                        None if embed_noise is None else embed_noise[s:s + EVAL_CHUNK]).data
+            for s in range(0, len(ids), EVAL_CHUNK)])
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
@@ -367,6 +371,7 @@ def save_tensors(tensors: dict[str, np.ndarray], path, meta: dict | None = None)
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise WeightsFormatError("not a leaf weight container (bad magic)")
@@ -396,12 +401,11 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             if not (isinstance(shape, list)
                     and all(type(n) is int and n >= 0 for n in shape)):
                 raise WeightsFormatError(f"tensor {name!r} has a bad shape {shape!r}")
-            shape = tuple(shape)
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise WeightsFormatError(f"truncated payload for tensor {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+            nbytes, left = 8 * math.prod(shape), size - fh.tell()
+            if nbytes > left:  # checked before reading: the shape table can claim any size
+                raise WeightsFormatError(f"truncated payload for tensor {name!r}: its shape "
+                                         f"needs {nbytes} bytes, {left} are left in the file")
+            out[name] = np.frombuffer(fh.read(nbytes), "<f8").astype(np.float64).reshape(shape)
     return out, header.get("meta", {})
 
 

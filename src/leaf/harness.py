@@ -51,7 +51,7 @@ def _set(resolved: dict, values: dict) -> dict:
     out = copy.deepcopy(resolved)
     for section, keys in values.items():
         out[section].update(keys)
-    return out
+    return cfgmod.check(out)
 
 
 def apply_mode(resolved: dict, mode: str) -> dict:

@@ -177,11 +177,13 @@ def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
     return preds
 
 
-def uncached_cls(state, rows, ids, mask, embed_noise):
-    """`leaf.continual._frozen_cls` without the table's [CLS] rows: every
-    row of the batch goes through the frozen encoder."""
+def one_row_frozen_cls(ids, mask, weights, embed_noise=None):
+    """`leaf.encoder.frozen_cls` one row per pass, not EVAL_CHUNK rows."""
     with T.no_grad():
-        return E.encode_base(ids, mask, state.weights, embed_noise=embed_noise).data
+        return np.concatenate([
+            E.encode_base(ids[i:i + 1], mask[i:i + 1], weights,
+                          None if embed_noise is None else embed_noise[i:i + 1]).data
+            for i in range(len(ids))])
 
 
 def per_label_exemplars(state, instances_by_label) -> dict:

@@ -352,23 +352,38 @@ class TestTrain:
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["pretrain-base", "train"])
-    def test_blank_text_is_runtime_error_before_any_output(self, workspace, capsys, command):
+    @staticmethod
+    def bad_record_run(workspace, capsys, command, key, value):
+        """Exit code and stderr of `command` on the workspace's dataset with
+        `key` of its first test record set to `value`, and that line's
+        `path:line`; no output may exist."""
         root, cfg = workspace
         lines = (root / "data" / "dataset.jsonl").read_text().splitlines()
         lineno = next(i for i, ln in enumerate(lines, 1) if '"split": "test"' in ln)
         record = json.loads(lines[lineno - 1])
-        record["text"] = " "
+        record[key] = value
         lines[lineno - 1] = json.dumps(record, sort_keys=True)
-        blank = root / "blank_text.jsonl"
-        blank.write_text("\n".join(lines) + "\n")
-        bad = config_with(cfg, "paths", f"dataset = {blank}", root / "blank_text.ini")
-        out = root / "blank_text_out"
+        data = root / f"bad_{key}.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        bad = config_with(cfg, "paths", f"dataset = {data}", root / f"bad_{key}.ini")
+        out = root / f"bad_{key}_out"
         argv = [command, "--config", str(bad), "--out", str(out)]
         capsys.readouterr()
-        assert main(argv + (["--mode", "leaf"] if command == "train" else [])) == 1
-        assert f"{blank}:{lineno}: text ' ' has no word" in capsys.readouterr().err
+        code = main(argv + (["--mode", "leaf"] if command == "train" else []))
         assert not out.exists()
+        return code, capsys.readouterr().err, f"{data}:{lineno}"
+
+    @pytest.mark.parametrize("command", ["pretrain-base", "train"])
+    def test_blank_text_is_runtime_error_before_any_output(self, workspace, capsys, command):
+        code, err, where = self.bad_record_run(workspace, capsys, command, "text", " ")
+        assert code == 1 and f"{where}: text ' ' has no word" in err
+
+    @pytest.mark.parametrize("label", [None, ["x"], 7, " "],
+                             ids=["null", "list", "number", "blank"])
+    def test_label_that_is_not_a_string_is_runtime_error(self, workspace, capsys, label):
+        # it used to load as the label "None", "['x']" or "7"
+        code, err, where = self.bad_record_run(workspace, capsys, "train", "label", label)
+        assert code == 1 and f"{where}: label {label!r} is not a non-blank string" in err
 
 
 class TestAblate:
@@ -406,6 +421,19 @@ class TestAblate:
         assert main(["ablate", "--config", str(bad), "--axis", "n_descriptions",
                      "--out", str(out), "--seed", "0"]) == 2
         assert "n_descriptions 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_a_setting_derives_is_checked_before_the_first_run(self, workspace,
+                                                                         capsys):
+        root, cfg = workspace
+        bad = config_with(cfg, "moe", "num_experts = 6", root / "top5_of_6.ini")
+        bad = config_with(bad, "moe", "topk = 5", bad)
+        assert cfgmod.parse_config(bad)["moe"]["topk"] == 5  # 5 of 6 experts parses
+        out = root / "ablate_top5_of_4"
+        # the first setting, 4 experts, cannot route to 5 of them
+        assert main(["ablate", "--config", str(bad), "--axis", "n_experts",
+                     "--out", str(out), "--seed", "0"]) == 2
+        assert "topk cannot exceed num_experts" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_axis_rejected(self, workspace):

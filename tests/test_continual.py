@@ -21,7 +21,7 @@ from leaf import objectives as obj
 from leaf import tensor as T
 from leaf.gradcheck import build_tiny_problem
 import oracles
-from oracles import dataset_order_predict, per_label_exemplars, run_files, uncached_cls
+from oracles import dataset_order_predict, one_row_frozen_cls, per_label_exemplars, run_files
 
 
 def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0):
@@ -270,6 +270,18 @@ def record_encodes(monkeypatch) -> list:
     return calls
 
 
+def record_steps(monkeypatch) -> list:
+    """Patch `continual.batch_loss` to log each step's (batch, noise, cls)."""
+    steps, real = [], C.batch_loss
+
+    def batch_loss(st, batch, t, stream, noise=None, cls=None):
+        steps.append((batch, noise, cls))
+        return real(st, batch, t, stream, noise, cls)
+
+    monkeypatch.setattr(C, "batch_loss", batch_loss)
+    return steps
+
+
 class TestFrozenCache:
     """The run's table of frozen inputs (`continual.index_texts`)."""
 
@@ -324,48 +336,84 @@ class TestFrozenCache:
         assert state.table.ids.shape[0] == len(state.table.row)
 
     def test_augmented_rows_never_cached(self, monkeypatch):
+        """Each noisy row's [CLS] equals that row encoded alone with its noise;
+        the other rows are the table's, whose bytes the epoch leaves as
+        they were."""
         ds = tiny_dataset()
-        state = tiny_state(ds, augment=True)
-        clean = [DS.Instance(text=t, label=0) for t in ds.train[0][:2]]
-        noisy = [DS.Instance(text=t, label=1) for t in ds.train[1][:2]]
-        batch = clean + noisy
-        stored = state.table.cls.copy()
-        rows = [state.table.row[i.text] for i in batch]
-        noise = C._noise_for(state, np.array([False, False, True, True]),
-                             (len(batch), state.weights.config.max_seq_len))
-        calls = record_encodes(monkeypatch)
-        _, _, cls = C.forward_features(state, batch, embed_noise=noise)
-        assert calls == [2]  # the noisy rows only, in one call
-        assert state.table.cls.tobytes() == stored.tobytes()
-        assert cls[:2].tobytes() == stored[rows[:2]].tobytes()
-        with T.no_grad():
-            fresh = E.encode_base(state.table.ids[rows[2:]], state.table.mask[rows[2:]],
-                                  state.weights, embed_noise=noise[2:]).data
-        assert cls[2:].tobytes() == fresh.tobytes()
-        assert np.abs(cls[2:] - stored[rows[2:]]).max() > 0.0
+        state = tiny_state(ds, augment=True, epochs=1)
+        stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=2, seed=0)
+        C.train_task(0, stream, state)
+        table = state.table
+        stored = [table.ids.tobytes(), table.mask.tobytes(), table.cls.tobytes()]
+        steps = record_steps(monkeypatch)
+        C.train_task(1, stream, state)
+        assert [table.ids.tobytes(), table.mask.tobytes(), table.cls.tobytes()] == stored
+        n_noisy = 0
+        for batch, noise, cls in steps:
+            for i, row in enumerate(table.row[inst.text] for inst in batch):
+                if noise is None or not noise[i].any():
+                    assert cls[i].tobytes() == table.cls[row].tobytes()
+                    continue
+                n_noisy += 1
+                with T.no_grad():
+                    alone = E.encode_base(table.ids[[row]], table.mask[[row]], state.weights,
+                                          embed_noise=noise[[i]]).data
+                assert cls[i].tobytes() == alone[0].tobytes()
+                assert np.abs(cls[i] - table.cls[row]).max() > 0.0
+        assert n_noisy == C.AUG_COPIES * len(stream.tasks[0].labels)
 
-    def test_noise_keeps_full_width_rng_stream(self):
-        # one [max_seq_len, d] draw per augmented row, whatever the batch's
-        # real length: the forward trims the block, the RNG stream is unchanged
+    def test_noise_keeps_full_width_rng_stream(self, monkeypatch):
+        # per epoch, one [max_seq_len, d] draw per noisy row, in the order the
+        # batches meet them, whatever the table's width: the stream that one
+        # draw per batch took
         ds = tiny_dataset()
-        state = tiny_state(ds, augment=True)
-        cfg = state.weights.config
-        ref = np.random.default_rng()
-        ref.bit_generator.state = state.rng.bit_generator.state
-        noise = C._noise_for(state, np.array([False, True, True]), (3, cfg.max_seq_len))
-        width = state.table.ids.shape[1]
-        assert noise.shape == (3, width, cfg.model_dim) and width < cfg.max_seq_len
-        assert not noise[0].any()
-        for i in (1, 2):
-            expected = ref.normal(0.0, C.SIGMA_AUG, (cfg.max_seq_len, cfg.model_dim))
-            assert noise[i].tobytes() == expected[:width].tobytes()
-        assert state.rng.bit_generator.state == ref.bit_generator.state
+        state = tiny_state(ds, augment=True, epochs=2)
+        stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=2, seed=0)
+        C.train_task(0, stream, state)
+        rng, around_permutation = state.rng, []
+
+        class Recording:  # the run's generator, noting its state around each epoch's order
+            def permutation(self, n):
+                before = rng.bit_generator.state
+                order = rng.permutation(n)
+                around_permutation.append((before, rng.bit_generator.state))
+                return order
+
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+        state.rng = Recording()
+        steps = record_steps(monkeypatch)
+        C.train_task(1, stream, state)
+        cfg, width = state.weights.config, state.table.ids.shape[1]
+        assert width < cfg.max_seq_len and len(around_permutation) == 2
+        per_epoch = len(steps) // 2
+        (_, start_1), (end_1, start_2) = around_permutation
+        for epoch, (start, end) in enumerate([(start_1, end_1),
+                                              (start_2, rng.bit_generator.state)]):
+            ref = np.random.default_rng()
+            ref.bit_generator.state = start
+            n_noisy = 0
+            for batch, noise, _ in steps[epoch * per_epoch:(epoch + 1) * per_epoch]:
+                if noise is None:
+                    continue
+                assert noise.shape == (len(batch), width, cfg.model_dim)
+                for row in noise[noise.reshape(len(batch), -1).any(axis=1)]:
+                    expected = ref.normal(0.0, C.SIGMA_AUG, (cfg.max_seq_len, cfg.model_dim))
+                    assert row.tobytes() == expected[:width].tobytes()
+                    n_noisy += 1
+            assert n_noisy == C.AUG_COPIES * len(stream.tasks[0].labels)
+            assert ref.bit_generator.state == end
 
     def test_teacher_call_does_not_encode(self, monkeypatch):
+        """No forward pass, student or teacher, calls `encode_base`: each
+        epoch's noisy rows go through `frozen_cls` once, EVAL_CHUNK rows per
+        call."""
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
         C.train_task(0, stream, state)
+        monkeypatch.setattr(E, "EVAL_CHUNK", 3)
         real_forward, real_encode = C.forward_features, E.encode_base
         roles, called, encodes = [], set(), []
 
@@ -377,16 +425,17 @@ class TestFrozenCache:
             finally:
                 roles.pop()
 
-        def encode(*args, **kw):
-            encodes.append(roles[-1] if roles else None)
-            return real_encode(*args, **kw)
+        def encode(ids, *args, **kw):
+            encodes.append((roles[-1] if roles else None, len(ids)))
+            return real_encode(ids, *args, **kw)
 
         monkeypatch.setattr(C, "forward_features", forward)
         monkeypatch.setattr(E, "encode_base", encode)
         C.train_task(1, stream, state)
         assert called == {"student", "teacher"}
-        assert "student" in encodes  # augmented rows are encoded every step
-        assert "teacher" not in encodes
+        k = C.AUG_COPIES * len(stream.tasks[0].labels)  # noisy rows per epoch
+        assert k > 3 and k % 3
+        assert encodes == [(None, min(3, k - s)) for s in range(0, k, 3)] * state.config.epochs
 
 
 # --------------------------------------------------------------- checkpoints
@@ -476,11 +525,11 @@ class TestTraining:
         memory = list(state.buffer.values())
         seen, real = [], C.batch_loss
 
-        def batch_loss(st, batch, t, stream, noise=None):
+        def batch_loss(st, batch, t, stream, noise=None, cls=None):
             noisy = (np.zeros(len(batch), dtype=bool) if noise is None
                      else noise.reshape(len(batch), -1).any(axis=1))
             seen.extend(zip(map(id, batch), noisy))
-            return real(st, batch, t, stream, noise)
+            return real(st, batch, t, stream, noise, cls)
 
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
@@ -584,9 +633,9 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     included, when the expert pools, router scores, masked softmax and the
     label loss's log-sum-exps run as the compositions of primitives that
     their fused nodes replaced, evaluation predicts in 32-row chunks,
-    exemplars are picked with one forward per label and the frozen [CLS]
-    rows of every batch are encoded afresh instead of cached. Both runs
-    share the base weights and bank."""
+    exemplars are picked with one forward per label and every frozen [CLS]
+    row (the table, the description bank, each epoch's noisy rows) is
+    encoded in a batch of one. Both runs share the base weights."""
     ds = tiny_dataset()
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
@@ -609,7 +658,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     fused = run("fused")
     monkeypatch.setattr(C, "predict", dataset_order_predict)
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
-    monkeypatch.setattr(C, "_frozen_cls", uncached_cls)
+    monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -183,6 +183,18 @@ def test_load_jsonl_error_cases(tmp_path):
             ds_mod.load_jsonl(p)
 
 
+@pytest.mark.parametrize("label", ["null", '["x"]', "3", '" "'],
+                         ids=["null", "list", "number", "blank"])
+def test_load_jsonl_label_must_be_a_nonblank_string(tmp_path, label):
+    # `null` used to load as the label "None" and `["x"]` as "['x']"
+    p = tmp_path / "label.jsonl"
+    p.write_text('{"text": "a b", "label": "y", "split": "train"}\n'
+                 f'{{"text": "a", "label": {label}, "split": "train"}}\n')
+    with pytest.raises(ds_mod.DatasetFormatError,
+                       match=rf"label\.jsonl:2: label .* is not a non-blank string"):
+        ds_mod.load_jsonl(p)
+
+
 def test_load_jsonl_skips_blank_lines_and_orders_labels(tmp_path):
     p = tmp_path / "ok.jsonl"
     p.write_text('{"text": "a b", "label": "second", "split": "train"}\n'

@@ -617,6 +617,17 @@ class TestWeightContainer:
         with pytest.raises(E.WeightsFormatError):
             E.load_tensors(path)
 
+    def test_shape_larger_than_the_file_raises_before_reading(self, tmp_path):
+        # 2**40 float64s (8 TiB) declared over a 16-byte payload: refused from
+        # the file's size, never by asking for that much memory
+        header = {"version": E.WEIGHTS_FORMAT_VERSION, "shapes": {"a": [2 ** 40]}}
+        hbytes = json.dumps(header).encode()
+        path = tmp_path / "huge.bin"
+        path.write_bytes(E._MAGIC + struct.pack("<I", len(hbytes)) + hbytes + b"\x00" * 16)
+        with pytest.raises(E.WeightsFormatError,
+                           match=f"tensor 'a': its shape needs {2 ** 43} bytes, 16 are left"):
+            E.load_tensors(path)
+
     def test_wrong_version_raises(self, tmp_path):
         path = tmp_path / "t.leafwt"
         E.save_tensors({"a": np.zeros(2)}, path)
