@@ -180,6 +180,22 @@ def forward_features(state: ModelState, instances, pools=None,
     return feats, records, cls
 
 
+def teacher_features(state: ModelState, instances, noise: np.ndarray | None = None,
+                     cls: np.ndarray | None = None) -> np.ndarray:
+    """[N, d] features of the snapshot (the distillation teacher), without a
+    graph, EVAL_CHUNK rows per pass. `noise` ([N, S, d], zero on clean rows)
+    and `cls` are sliced with the rows, so the teacher sees the view the
+    student sees."""
+    def part(a, s):
+        return None if a is None else a[s:s + enc.EVAL_CHUNK]
+
+    with T.no_grad():
+        return np.concatenate([
+            forward_features(state, instances[s:s + enc.EVAL_CHUNK], pools=state.snapshot.pools,
+                             embed_noise=part(noise, s), cls=part(cls, s))[0].data
+            for s in range(0, len(instances), enc.EVAL_CHUNK)])
+
+
 # ---------------------------------------------------------------------------
 # memory handling
 
@@ -219,13 +235,14 @@ def snapshot_model(state: ModelState) -> Snapshot:
 
 
 def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
-               noise: np.ndarray | None = None,
-               cls: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
+               noise: np.ndarray | None = None, cls: np.ndarray | None = None,
+               prev: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
     """The training objective on one batch of task index `t`: cross-entropy
     plus every switched-on term (router, label contrast over the labels
     seen so far, feature and prediction distillation against the snapshot
-    on the old labels). `noise` and `cls` go to `forward_features`; the
-    teacher forward reuses the student's `cls`. Returns (total, breakdown)."""
+    on the old labels). `noise` and `cls` go to `forward_features`; `prev`
+    holds the batch's teacher rows (`teacher_features`), which distillation
+    needs. Returns (total, breakdown)."""
     cfg = state.config
     w = cfg.loss_weights
     feats, routing, cls = forward_features(state, batch, embed_noise=noise, cls=cls)
@@ -236,27 +253,29 @@ def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
         parts["router"] = moe.router_loss(routing)
     if w.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
         parts["label"] = obj.label_contrastive_loss(feats, gold, state.bank, seen)
-    if t > 0 and (w.alpha_fd > 0 or w.alpha_pd > 0):
-        with T.no_grad():
-            prev_feats, _, _ = forward_features(state, batch, pools=state.snapshot.pools,
-                                                embed_noise=noise, cls=cls)
-        prev_np = prev_feats.data
+    if _distills(t, w):
+        if prev is None:
+            raise ValueError(f"task {t + 1} distills, but the batch has no teacher rows")
         if w.alpha_fd > 0:
-            parts["fd"] = obj.feature_distill_loss(prev_np, feats)
+            parts["fd"] = obj.feature_distill_loss(prev, feats)
         if w.alpha_pd > 0:
             parts["pd"] = obj.prediction_distill_loss(
-                state.snapshot.head, prev_np, state.head, feats,
+                state.snapshot.head, prev, state.head, feats,
                 stream.seen_labels(t - 1), temperature=cfg.temperature)
     return obj.total_loss(parts, w)
+
+
+def _distills(t: int, w: obj.LossWeights) -> bool:
+    return t > 0 and (w.alpha_fd > 0 or w.alpha_pd > 0)
 
 
 def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     """Algorithm: grow head, mix current data with rehearsal memory, train
     for E epochs on the full objective, then update memory and snapshot."""
     cfg = state.config
-    w = cfg.loss_weights
     task = stream.tasks[t]
-    if t > 0 and (w.alpha_fd > 0 or w.alpha_pd > 0) and state.snapshot is None:
+    distill = _distills(t, cfg.loss_weights)
+    if distill and state.snapshot is None:
         raise RuntimeError(f"task {t} needs a snapshot for distillation")
 
     old_head = state.head.params()
@@ -289,12 +308,16 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
             if cls is not None:
                 cls[noisy] = enc.frozen_cls(table.ids[rows[noisy]], table.mask[rows[noisy]],
                                             state.weights, noise[noisy])
+        # the snapshot is frozen for the task: its rows for the whole epoch
+        # in one no-grad pass, on the noisy view the student sees
+        epoch_data = [data[i] for i in order]
+        prev = teacher_features(state, epoch_data, noise, cls) if distill else None
         for start in range(0, len(data), cfg.batch_size):
             span = slice(start, start + cfg.batch_size)
-            batch = [data[i] for i in order[span]]
-            total, breakdown = batch_loss(state, batch, t, stream,
+            total, breakdown = batch_loss(state, epoch_data[span], t, stream,
                                           noise[span] if noisy[span].any() else None,
-                                          None if cls is None else cls[span])
+                                          None if cls is None else cls[span],
+                                          None if prev is None else prev[span])
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()

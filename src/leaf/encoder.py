@@ -423,16 +423,26 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     """Returns (weights, vocab, meta). Raises WeightsFormatError for a
     container that does not hold encoder weights alone (a checkpoint, say),
     whose tensors are not exactly those `weight_shapes` names for its
-    config, each at its shape, or whose vocabulary is not the token list
-    `Vocab.to_list` writes, with `vocab_size` tokens."""
+    config, each at its shape, whose config sizes are not integers or whose
+    `layernorm_eps` is not a finite number > 0, or whose vocabulary is not
+    the token list `Vocab.to_list` writes, with `vocab_size` tokens."""
     arrays, meta = load_tensors(path)
-    if not isinstance(meta.get("config"), dict):
+    config = meta.get("config")
+    if not isinstance(config, dict):
         raise WeightsFormatError(f"{path}: no encoder config in the header")
     outside = sorted(name for name in arrays if not name.startswith("encoder/"))
     if outside:
         raise WeightsFormatError(f"{path}: entry {outside[0]!r} is not an encoder tensor")
+    for key in ("num_layers", "model_dim", "num_heads", "ffn_dim", "max_seq_len", "vocab_size"):
+        if type(config.get(key)) is not int:
+            raise WeightsFormatError(f"{path}: encoder config {key} is "
+                                     f"{config.get(key)!r}, not an integer")
+    eps = config.get("layernorm_eps")
+    if type(eps) not in (int, float) or not (math.isfinite(eps) and eps > 0):
+        raise WeightsFormatError(f"{path}: encoder config layernorm_eps is {eps!r}, "
+                                 "not a finite number > 0")
     try:
-        cfg = EncoderConfig(**meta["config"])
+        cfg = EncoderConfig(**config)
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{path}: bad encoder config: {exc}") from exc
     arrays = {name[len("encoder/"):]: arr for name, arr in arrays.items()}

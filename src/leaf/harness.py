@@ -231,12 +231,13 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
 
 def load_run_matrix(run_dir) -> metrics.MetricMatrix:
     """The metric matrix of a run's metrics.json; ValueError naming
-    `run_dir` unless the file is JSON holding one with every field."""
+    `run_dir` unless the file is JSON holding a complete one
+    (`MetricMatrix.from_dict`)."""
     with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
         try:
             return metrics.MetricMatrix.from_dict(json.load(fh)["matrix"])
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is one
-            raise ValueError(f"{run_dir}: metrics.json holds no metric matrix") from exc
+            raise ValueError(f"{run_dir}: metrics.json holds no metric matrix ({exc})") from exc
 
 
 def _task_fields(runs) -> list[str]:

@@ -97,14 +97,23 @@ class MetricMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricMatrix":
-        """Inverse of `to_dict` (None reads as NaN); ValueError unless every
-        field is numeric with the shape `num_tasks` gives it."""
+        """Inverse of `to_dict` (None reads as NaN) for a complete matrix;
+        ValueError unless `num_tasks` is a positive int and every field is
+        numeric with the shape it gives, with each lower-triangle and
+        cumulative cell a fraction in [0, 1]."""
         T = d["num_tasks"]
+        if type(T) is not int or T < 1:
+            raise ValueError(f"num_tasks {T!r} is not a positive integer")
         m = cls(T, *(np.array(d[k], dtype=np.float64) for k in
                      ("micro", "macro", "cumulative_micro", "cumulative_macro")))
         if not (m.micro.shape == m.macro.shape == (T, T)
                 and m.cumulative_micro.shape == m.cumulative_macro.shape == (T,)):
             raise ValueError(f"metric matrix fields do not fit num_tasks = {T}")
+        low = np.tril_indices(T)
+        cells = np.concatenate([m.micro[low], m.macro[low], m.cumulative_micro,
+                                m.cumulative_macro])
+        if not (np.isfinite(cells).all() and cells.min() >= 0.0 and cells.max() <= 1.0):
+            raise ValueError("a metric matrix cell is missing or outside [0, 1]")
         return m
 
 

@@ -186,6 +186,21 @@ def one_row_frozen_cls(ids, mask, weights, embed_noise=None):
             for i in range(len(ids))])
 
 
+def per_batch_teacher(state, instances, noise=None, cls=None):
+    """`leaf.continual.teacher_features` one `batch_size` slice per pass, with
+    noise only on a slice that holds a noisy row: the teacher forward each
+    training step once ran."""
+    size, feats = state.config.batch_size, []
+    for s in range(0, len(instances), size):
+        part = slice(s, s + size)
+        noisy = noise is not None and noise[part].any()
+        with T.no_grad():
+            feats.append(C.forward_features(state, instances[part], pools=state.snapshot.pools,
+                                            embed_noise=noise[part] if noisy else None,
+                                            cls=None if cls is None else cls[part])[0].data)
+    return np.concatenate(feats)
+
+
 def per_label_exemplars(state, instances_by_label) -> dict:
     """`leaf.continual.select_exemplar` with one forward pass per label."""
     out = {}

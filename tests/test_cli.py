@@ -444,6 +444,9 @@ class TestAblate:
 
 ONE_TASK_MATRIX = {"num_tasks": 1, "micro": [[0.5]], "macro": [[0.5]],
                    "cumulative_micro": [0.5], "cumulative_macro": [0.5]}
+TWO_TASK_MATRIX = {"num_tasks": 2, "micro": [[0.5, None], [0.25, 0.75]],
+                   "macro": [[0.5, None], [0.25, 0.75]], "cumulative_micro": [0.5, 0.5],
+                   "cumulative_macro": [0.5, 0.5]}
 
 
 class TestGradcheckAndReport:
@@ -493,6 +496,34 @@ class TestGradcheckAndReport:
         assert main(["report", "--runs", str(run), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{run}: metrics.json holds no metric matrix" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("matrix", [
+        {**TWO_TASK_MATRIX, "micro": [[0.5, None], [None, None]]},
+        {**TWO_TASK_MATRIX, "macro": [[0.5, None], [None, 0.5]]},
+        {**TWO_TASK_MATRIX, "micro": [[0.5, None], [7.5, 0.5]]},
+        {**TWO_TASK_MATRIX, "cumulative_micro": [0.5, -3]},
+        {**TWO_TASK_MATRIX, "cumulative_macro": [0.5, float("nan")]},
+        {**TWO_TASK_MATRIX, "cumulative_micro": [float("inf"), 0.5]},
+        {**ONE_TASK_MATRIX, "num_tasks": True}, {**ONE_TASK_MATRIX, "num_tasks": 1.0},
+        {"num_tasks": 0, "micro": [], "macro": [], "cumulative_micro": [],
+         "cumulative_macro": []}],
+        ids=["final-row-null", "macro-null", "micro-above-1", "cumulative-negative",
+             "cumulative-nan", "cumulative-inf", "num-tasks-bool", "num-tasks-float",
+             "no-tasks"])
+    def test_report_rejects_incomplete_or_out_of_range_matrix(self, tmp_path, capsys, matrix):
+        """Two runs, so the table could be built: a missing cell, a fraction
+        outside [0, 1] or a `num_tasks` that is not a positive int is an
+        error naming the run, not a row of nan or 750.0."""
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            (run / "metrics.json").write_text(json.dumps({"matrix": matrix}) + "\n")
+        out = tmp_path / "r.csv"
+        assert main(["report", "--runs", *map(str, runs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{runs[0]}: metrics.json holds no metric matrix" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -21,7 +21,8 @@ from leaf import objectives as obj
 from leaf import tensor as T
 from leaf.gradcheck import build_tiny_problem
 import oracles
-from oracles import dataset_order_predict, one_row_frozen_cls, per_label_exemplars, run_files
+from oracles import (dataset_order_predict, one_row_frozen_cls, per_batch_teacher,
+                     per_label_exemplars, run_files)
 
 
 def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0):
@@ -274,9 +275,9 @@ def record_steps(monkeypatch) -> list:
     """Patch `continual.batch_loss` to log each step's (batch, noise, cls)."""
     steps, real = [], C.batch_loss
 
-    def batch_loss(st, batch, t, stream, noise=None, cls=None):
+    def batch_loss(st, batch, t, stream, noise=None, cls=None, prev=None):
         steps.append((batch, noise, cls))
-        return real(st, batch, t, stream, noise, cls)
+        return real(st, batch, t, stream, noise, cls, prev)
 
     monkeypatch.setattr(C, "batch_loss", batch_loss)
     return steps
@@ -408,18 +409,20 @@ class TestFrozenCache:
     def test_teacher_call_does_not_encode(self, monkeypatch):
         """No forward pass, student or teacher, calls `encode_base`: each
         epoch's noisy rows go through `frozen_cls` once, EVAL_CHUNK rows per
-        call."""
+        call. The teacher runs once per epoch too, EVAL_CHUNK rows per
+        call, and never inside `batch_loss`."""
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
         C.train_task(0, stream, state)
         monkeypatch.setattr(E, "EVAL_CHUNK", 3)
-        real_forward, real_encode = C.forward_features, E.encode_base
-        roles, called, encodes = [], set(), []
+        real_forward, real_encode, real_loss = C.forward_features, E.encode_base, C.batch_loss
+        roles, teacher_calls, encodes, in_step = [], [], [], []
 
         def forward(st, instances, pools=None, **kw):
             roles.append("teacher" if pools is st.snapshot.pools else "student")
-            called.add(roles[-1])
+            if roles[-1] == "teacher":
+                teacher_calls.append((bool(in_step), len(instances)))
             try:
                 return real_forward(st, instances, pools=pools, **kw)
             finally:
@@ -429,13 +432,39 @@ class TestFrozenCache:
             encodes.append((roles[-1] if roles else None, len(ids)))
             return real_encode(ids, *args, **kw)
 
+        def batch_loss(*args, **kw):
+            in_step.append(True)
+            try:
+                return real_loss(*args, **kw)
+            finally:
+                in_step.pop()
+
         monkeypatch.setattr(C, "forward_features", forward)
         monkeypatch.setattr(E, "encode_base", encode)
+        monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
-        assert called == {"student", "teacher"}
-        k = C.AUG_COPIES * len(stream.tasks[0].labels)  # noisy rows per epoch
+        memory = len(stream.tasks[0].labels)  # one exemplar per label of task 1
+        k = C.AUG_COPIES * memory  # noisy rows per epoch
         assert k > 3 and k % 3
         assert encodes == [(None, min(3, k - s)) for s in range(0, k, 3)] * state.config.epochs
+        n = len(stream.tasks[1].train) + memory + k  # rows per epoch
+        assert n > 3 and n % 3
+        assert teacher_calls == [(False, min(3, n - s))
+                                 for s in range(0, n, 3)] * state.config.epochs
+
+    def test_distillation_without_teacher_rows_raises(self):
+        """`batch_loss` runs no teacher forward: at t > 0 with distillation
+        on, a batch without its teacher rows is an error."""
+        state, batch, stream = build_tiny_problem(seed=7)
+        with pytest.raises(ValueError, match="no teacher rows"):
+            C.batch_loss(state, batch, 1, stream)
+        for alpha_fd, alpha_pd in ((1.0, 0.0), (0.0, 1.0)):
+            state.config = replace(state.config, loss_weights=replace(
+                state.config.loss_weights, alpha_fd=alpha_fd, alpha_pd=alpha_pd))
+            with pytest.raises(ValueError, match="no teacher rows"):
+                C.batch_loss(state, batch, 1, stream)
+        _, breakdown = C.batch_loss(state, batch[:2], 0, stream)  # task 1 has no teacher
+        assert breakdown.fd == breakdown.pd == 0.0
 
 
 # --------------------------------------------------------------- checkpoints
@@ -525,11 +554,11 @@ class TestTraining:
         memory = list(state.buffer.values())
         seen, real = [], C.batch_loss
 
-        def batch_loss(st, batch, t, stream, noise=None, cls=None):
+        def batch_loss(st, batch, t, stream, noise=None, cls=None, prev=None):
             noisy = (np.zeros(len(batch), dtype=bool) if noise is None
                      else noise.reshape(len(batch), -1).any(axis=1))
             seen.extend(zip(map(id, batch), noisy))
-            return real(st, batch, t, stream, noise, cls)
+            return real(st, batch, t, stream, noise, cls, prev)
 
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
@@ -633,9 +662,10 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     included, when the expert pools, router scores, masked softmax and the
     label loss's log-sum-exps run as the compositions of primitives that
     their fused nodes replaced, evaluation predicts in 32-row chunks,
-    exemplars are picked with one forward per label and every frozen [CLS]
+    exemplars are picked with one forward per label, every frozen [CLS]
     row (the table, the description bank, each epoch's noisy rows) is
-    encoded in a batch of one. Both runs share the base weights."""
+    encoded in a batch of one and the teacher runs one training batch per
+    pass. Both runs share the base weights."""
     ds = tiny_dataset()
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
@@ -659,6 +689,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     monkeypatch.setattr(C, "predict", dataset_order_predict)
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
     monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
+    monkeypatch.setattr(C, "teacher_features", per_batch_teacher)
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -2,6 +2,7 @@
 base-task training, and the versioned weight container."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -564,6 +565,36 @@ class TestWeightContainer:
         meta["vocab"] = edit(meta["vocab"])
         E.save_tensors(arrays, path, meta=meta)
         with pytest.raises(E.WeightsFormatError, match="vocabulary is not a list of 7 distinct"):
+            E.load_weights(path)
+
+    @pytest.mark.parametrize("edit", [float, str, bool, lambda v: None],
+                             ids=["float", "str", "bool", "none"])
+    @pytest.mark.parametrize("key", ["num_layers", "model_dim", "num_heads", "ffn_dim",
+                                     "max_seq_len", "vocab_size"])
+    def test_load_weights_requires_integer_sizes(self, tmp_path, key, edit):
+        """A size of 16.0 equals 16, so it passes every shape check and would
+        fail only inside the run."""
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        meta["config"][key] = edit(meta["config"][key])
+        E.save_tensors(arrays, path, meta=meta)
+        match = re.escape(f"{path}: encoder config {key} is ") + ".* not an integer"
+        with pytest.raises(E.WeightsFormatError, match=match):
+            E.load_weights(path)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf"), "1e-05", True,
+                                     None])
+    def test_load_weights_requires_positive_finite_layernorm_eps(self, tmp_path, eps):
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        meta["config"]["layernorm_eps"] = eps
+        E.save_tensors(arrays, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError, match="encoder config layernorm_eps is .*"
+                                                       "not a finite number > 0"):
             E.load_weights(path)
 
     def test_weight_shapes_are_the_initialized_ones(self):
