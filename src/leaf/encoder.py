@@ -53,6 +53,14 @@ class EncoderConfig:
     layernorm_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("num_layers", "model_dim", "num_heads", "ffn_dim", "max_seq_len",
+                     "vocab_size"):
+            value = getattr(self, name)
+            if type(value) is not int:  # 16.0 == 16 would pass every shape check
+                raise ValueError(f"{name} is {value!r}, not an integer")
+        eps = self.layernorm_eps
+        if type(eps) not in (int, float) or not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"layernorm_eps is {eps!r}, not a finite number > 0")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
         if self.max_seq_len < 2:
@@ -427,22 +435,13 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     `layernorm_eps` is not a finite number > 0, or whose vocabulary is not
     the token list `Vocab.to_list` writes, with `vocab_size` tokens."""
     arrays, meta = load_tensors(path)
-    config = meta.get("config")
-    if not isinstance(config, dict):
+    if not isinstance(meta.get("config"), dict):
         raise WeightsFormatError(f"{path}: no encoder config in the header")
     outside = sorted(name for name in arrays if not name.startswith("encoder/"))
     if outside:
         raise WeightsFormatError(f"{path}: entry {outside[0]!r} is not an encoder tensor")
-    for key in ("num_layers", "model_dim", "num_heads", "ffn_dim", "max_seq_len", "vocab_size"):
-        if type(config.get(key)) is not int:
-            raise WeightsFormatError(f"{path}: encoder config {key} is "
-                                     f"{config.get(key)!r}, not an integer")
-    eps = config.get("layernorm_eps")
-    if type(eps) not in (int, float) or not (math.isfinite(eps) and eps > 0):
-        raise WeightsFormatError(f"{path}: encoder config layernorm_eps is {eps!r}, "
-                                 "not a finite number > 0")
     try:
-        cfg = EncoderConfig(**config)
+        cfg = EncoderConfig(**meta["config"])
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{path}: bad encoder config: {exc}") from exc
     arrays = {name[len("encoder/"):]: arr for name, arr in arrays.items()}

@@ -417,10 +417,11 @@ class TestFrozenCache:
         C.train_task(0, stream, state)
         monkeypatch.setattr(E, "EVAL_CHUNK", 3)
         real_forward, real_encode, real_loss = C.forward_features, E.encode_base, C.batch_loss
-        roles, teacher_calls, encodes, in_step = [], [], [], []
+        roles, called, teacher_calls, encodes, in_step = [], set(), [], [], []
 
         def forward(st, instances, pools=None, **kw):
             roles.append("teacher" if pools is st.snapshot.pools else "student")
+            called.add(roles[-1])
             if roles[-1] == "teacher":
                 teacher_calls.append((bool(in_step), len(instances)))
             try:
@@ -443,6 +444,7 @@ class TestFrozenCache:
         monkeypatch.setattr(E, "encode_base", encode)
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
+        assert called == {"student", "teacher"}
         memory = len(stream.tasks[0].labels)  # one exemplar per label of task 1
         k = C.AUG_COPIES * memory  # noisy rows per epoch
         assert k > 3 and k % 3

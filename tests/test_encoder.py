@@ -580,7 +580,7 @@ class TestWeightContainer:
         arrays, meta = E.load_tensors(path)
         meta["config"][key] = edit(meta["config"][key])
         E.save_tensors(arrays, path, meta=meta)
-        match = re.escape(f"{path}: encoder config {key} is ") + ".* not an integer"
+        match = re.escape(f"{path}: bad encoder config: {key} is ") + ".* not an integer"
         with pytest.raises(E.WeightsFormatError, match=match):
             E.load_weights(path)
 
@@ -593,8 +593,8 @@ class TestWeightContainer:
         arrays, meta = E.load_tensors(path)
         meta["config"]["layernorm_eps"] = eps
         E.save_tensors(arrays, path, meta=meta)
-        with pytest.raises(E.WeightsFormatError, match="encoder config layernorm_eps is .*"
-                                                       "not a finite number > 0"):
+        with pytest.raises(E.WeightsFormatError, match="bad encoder config: layernorm_eps is "
+                                                       ".*not a finite number > 0"):
             E.load_weights(path)
 
     def test_weight_shapes_are_the_initialized_ones(self):
