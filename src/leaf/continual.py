@@ -104,9 +104,12 @@ class ModelState:
 
     def __post_init__(self):
         if self.opt is None:
-            self.opt = T.Adam(moe.pool_params(self.pools) + self.head.params(),
-                              lr=self.config.lr, weight_decay=ROUTING_L2,
+            self.opt = T.Adam(self.params(), lr=self.config.lr, weight_decay=ROUTING_L2,
                               decay=moe.routing_params(self.pools))
+
+    def params(self) -> list[Tensor]:
+        """The trainable tensors: the pools', then the head's."""
+        return moe.pool_params(self.pools) + self.head.params()
 
 
 def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
@@ -166,34 +169,28 @@ def forward_features(state: ModelState, instances, pools=None,
                      cls: np.ndarray | None = None):
     """Two-stage forward for a batch: frozen [CLS] -> routing -> expert
     forward (`enc.encode_with_experts`). Returns (features [B, d] Tensor,
-    per-pool routing records, frozen [CLS] rows or None under token
-    routing). A batch with `embed_noise` comes with its noisy [CLS] rows as
-    `cls`; noise-free ones are looked up in the table."""
+    per-pool routing records). A batch with `embed_noise` comes with its
+    noisy [CLS] rows as `cls`; noise-free ones are looked up in the table."""
     cfg = state.config
     pools = state.pools if pools is None else pools
     rows = np.array([state.table.row[inst.text] for inst in instances])
     ids, mask = state.table.ids[rows], state.table.mask[rows]
     if cls is None and cfg.routing != "token":
         cls = state.table.cls[rows]
-    feats, records = enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
-                                             cfg.combine_mode, embed_noise)
-    return feats, records, cls
+    return enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
+                                   cfg.combine_mode, embed_noise)
 
 
-def teacher_features(state: ModelState, instances, noise: np.ndarray | None = None,
-                     cls: np.ndarray | None = None) -> np.ndarray:
-    """[N, d] features of the snapshot (the distillation teacher), without a
-    graph, EVAL_CHUNK rows per pass. `noise` ([N, S, d], zero on clean rows)
+def features(state: ModelState, instances, pools=None, noise: np.ndarray | None = None,
+             cls: np.ndarray | None = None) -> np.ndarray:
+    """[N, d] features of `instances` without a graph, EVAL_CHUNK rows per
+    pass (`enc.in_chunks`): the model's, or those of `pools` (the snapshot's
+    for the distillation teacher). `noise` ([N, S, d], zero on clean rows)
     and `cls` are sliced with the rows, so the teacher sees the view the
     student sees."""
-    def part(a, s):
-        return None if a is None else a[s:s + enc.EVAL_CHUNK]
-
-    with T.no_grad():
-        return np.concatenate([
-            forward_features(state, instances[s:s + enc.EVAL_CHUNK], pools=state.snapshot.pools,
-                             embed_noise=part(noise, s), cls=part(cls, s))[0].data
-            for s in range(0, len(instances), enc.EVAL_CHUNK)])
+    return enc.in_chunks(lambda batch, batch_noise, batch_cls: forward_features(
+        state, batch, pools=pools, embed_noise=batch_noise, cls=batch_cls)[0].data,
+        len(instances), instances, noise, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def teacher_features(state: ModelState, instances, noise: np.ndarray | None = No
 def select_exemplar(state: ModelState, instances_by_label: dict[int, list[Instance]]):
     """Per label, the instance whose feature is most cosine-similar to the
     label's mean feature; ties break toward dataset order. All candidates
-    go through one forward pass, in ascending label order."""
+    go through one `features` pass, in ascending label order."""
     labels = sorted(instances_by_label)
     for y in labels:
         if not instances_by_label[y]:
@@ -211,12 +208,11 @@ def select_exemplar(state: ModelState, instances_by_label: dict[int, list[Instan
     if not labels:
         return {}
     candidates = [inst for y in labels for inst in instances_by_label[y]]
-    with T.no_grad():
-        feats, _, _ = forward_features(state, candidates)
+    feats = features(state, candidates)
     out, start = {}, 0
     for y in labels:
         group = instances_by_label[y]
-        f = feats.data[start:start + len(group)]
+        f = feats[start:start + len(group)]
         start += len(group)
         mean = f.mean(axis=0)
         norm_m = max(np.linalg.norm(mean), 1e-12)
@@ -241,11 +237,11 @@ def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
     plus every switched-on term (router, label contrast over the labels
     seen so far, feature and prediction distillation against the snapshot
     on the old labels). `noise` and `cls` go to `forward_features`; `prev`
-    holds the batch's teacher rows (`teacher_features`), which distillation
-    needs. Returns (total, breakdown)."""
+    holds the batch's teacher rows (`features` over the snapshot's pools),
+    which distillation needs. Returns (total, breakdown)."""
     cfg = state.config
     w = cfg.loss_weights
-    feats, routing, cls = forward_features(state, batch, embed_noise=noise, cls=cls)
+    feats, routing = forward_features(state, batch, embed_noise=noise, cls=cls)
     gold = [inst.label for inst in batch]
     seen = stream.seen_labels(t)
     parts = {"ce": obj.ce_loss(state.head, feats, gold)}
@@ -278,11 +274,8 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     if distill and state.snapshot is None:
         raise RuntimeError(f"task {t} needs a snapshot for distillation")
 
-    old_head = state.head.params()
     state.head.grow(task.labels)
-    for old, new in zip(old_head, state.head.params()):
-        if old is not new:
-            state.opt.replace_param(old, new)
+    state.opt.set_params(state.params())
 
     # the copies get fresh embedding noise in every epoch
     memory = [state.buffer[y] for y in sorted(state.buffer)]
@@ -311,7 +304,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
         # the snapshot is frozen for the task: its rows for the whole epoch
         # in one no-grad pass, on the noisy view the student sees
         epoch_data = [data[i] for i in order]
-        prev = teacher_features(state, epoch_data, noise, cls) if distill else None
+        prev = features(state, epoch_data, state.snapshot.pools, noise, cls) if distill else None
         for start in range(0, len(data), cfg.batch_size):
             span = slice(start, start + cfg.batch_size)
             total, breakdown = batch_loss(state, epoch_data[span], t, stream,
@@ -344,14 +337,9 @@ def _check_finite(total: Tensor, params, t: int, step: int) -> None:
 
 
 def predict(state: ModelState, instances) -> list[int]:
-    """Inference path: deterministic, no jitter, argmax over all head rows,
-    in chunks of EVAL_CHUNK rows in input order."""
-    preds = []
-    for start in range(0, len(instances), enc.EVAL_CHUNK):
-        with T.no_grad():
-            feats, _, _ = forward_features(state, instances[start:start + enc.EVAL_CHUNK])
-        preds.extend(state.head.predict(feats).tolist())
-    return preds
+    """Inference path: deterministic, no jitter, argmax over all head rows
+    for the `features` of `instances`, in input order."""
+    return state.head.predict(features(state, instances)).tolist() if instances else []
 
 
 def run_experiment(stream: TaskStream, state: ModelState, after_task=None):

@@ -61,13 +61,13 @@ class EncoderConfig:
         eps = self.layernorm_eps
         if type(eps) not in (int, float) or not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"layernorm_eps is {eps!r}, not a finite number > 0")
-        if self.model_dim % self.num_heads != 0:
-            raise ValueError("model_dim must be divisible by num_heads")
-        if self.max_seq_len < 2:
-            raise ValueError("max_seq_len must be at least 2")
         for name in ("num_layers", "model_dim", "num_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.max_seq_len < 2:
+            raise ValueError("max_seq_len must be at least 2")
+        if self.model_dim % self.num_heads != 0:
+            raise ValueError("model_dim must be divisible by num_heads")
 
 
 class Vocab:
@@ -283,16 +283,21 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: in
 EVAL_CHUNK = 96
 
 
+def in_chunks(fn, n: int, *arrays) -> np.ndarray:
+    """`fn` run without a graph on consecutive EVAL_CHUNK-row slices of the
+    n-row `arrays` (a None array stays None), its results stacked."""
+    with T.no_grad():
+        return np.concatenate([fn(*(None if a is None else a[s:s + EVAL_CHUNK] for a in arrays))
+                               for s in range(0, n, EVAL_CHUNK)])
+
+
 def frozen_cls(ids, mask, weights: EncoderWeights,
                embed_noise: np.ndarray | None = None) -> np.ndarray:
     """[N, d] frozen [CLS] rows of tokenized rows (`tokenize_set`), encoded
     without a graph, EVAL_CHUNK rows per pass. `embed_noise` ([N, S, d]),
     when given, is sliced with them: the noisy memory copies of an epoch."""
-    with T.no_grad():
-        return np.concatenate([
-            encode_base(ids[s:s + EVAL_CHUNK], mask[s:s + EVAL_CHUNK], weights,
-                        None if embed_noise is None else embed_noise[s:s + EVAL_CHUNK]).data
-            for s in range(0, len(ids), EVAL_CHUNK)])
+    return in_chunks(lambda i, m, noise: encode_base(i, m, weights, noise).data,
+                     len(ids), ids, mask, embed_noise)
 
 
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
@@ -414,6 +419,9 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise WeightsFormatError(f"truncated payload for tensor {name!r}: its shape "
                                          f"needs {nbytes} bytes, {left} are left in the file")
             out[name] = np.frombuffer(fh.read(nbytes), "<f8").astype(np.float64).reshape(shape)
+        extra = size - fh.tell()
+        if extra:
+            raise WeightsFormatError(f"{extra} bytes follow the last declared payload")
     return out, header.get("meta", {})
 
 
@@ -432,8 +440,9 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     container that does not hold encoder weights alone (a checkpoint, say),
     whose tensors are not exactly those `weight_shapes` names for its
     config, each at its shape, whose config sizes are not integers or whose
-    `layernorm_eps` is not a finite number > 0, or whose vocabulary is not
-    the token list `Vocab.to_list` writes, with `vocab_size` tokens."""
+    `layernorm_eps` is not a finite number > 0, whose `frozen` is not a
+    bool, or whose vocabulary is not the token list `Vocab.to_list` writes,
+    with `vocab_size` tokens."""
     arrays, meta = load_tensors(path)
     if not isinstance(meta.get("config"), dict):
         raise WeightsFormatError(f"{path}: no encoder config in the header")
@@ -460,8 +469,11 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
             and len(tokens) == cfg.vocab_size and Vocab.from_list(tokens).to_list() == tokens):
         raise WeightsFormatError(f"{path}: the vocabulary is not a list of {cfg.vocab_size} "
                                  "distinct tokens that starts with the reserved ones")
+    frozen = meta.get("frozen")
+    if type(frozen) is not bool:
+        raise WeightsFormatError(f"{path}: frozen is {frozen!r}, not a bool")
     tensors = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
     weights = EncoderWeights(config=cfg, tensors=tensors)
-    if meta.get("frozen"):
+    if frozen:
         weights.freeze()
     return weights, Vocab.from_list(tokens), meta

@@ -8,9 +8,9 @@ perturbed snapshot, and the batch holds ragged sentences (2-6 words,
 indexed as a run's stream is: all rows but the longest carry padding).
 Analytic gradients are compared with central finite differences. The
 teacher rows depend only on the snapshot, so they are computed once
-(`teacher_features`), as a training epoch does; the student's routing is
-recomputed on every forward, and a step that flipped a top-K selection
-could only make the check fail.
+(`continual.features` over its pools), as a training epoch does; the
+student's routing is recomputed on every forward, and a step that
+flipped a top-K selection could only make the check fail.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import continual
 from . import encoder as enc
-from . import moe
 from . import objectives as obj
 from . import tensor as T
 from .data_synth import Instance
@@ -31,7 +30,7 @@ TINY = dict(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
 
 def build_tiny_problem(seed: int = 7):
     """Returns (state, batch, stream): the objective of the check is
-    `batch_loss(state, batch, 1, stream, prev=teacher_features(state, batch))`."""
+    `batch_loss(state, batch, 1, stream, prev=features(state, batch, state.snapshot.pools))`."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(40)]
     vocab = enc.Vocab(words)
@@ -74,7 +73,7 @@ def build_tiny_problem(seed: int = 7):
 def run_gradcheck(seed: int = 7, max_coords: int = 64, h: float = 1e-5) -> float:
     """Max relative gradient error of the training objective on the tiny model."""
     state, batch, stream = build_tiny_problem(seed=seed)
-    prev = continual.teacher_features(state, batch)
+    prev = continual.features(state, batch, state.snapshot.pools)
     return T.grad_check(lambda: continual.batch_loss(state, batch, 1, stream, prev=prev)[0],
-                        moe.pool_params(state.pools) + state.head.params(), h=h,
-                        max_coords=max_coords, rng=np.random.default_rng(seed))
+                        state.params(), h=h, max_coords=max_coords,
+                        rng=np.random.default_rng(seed))

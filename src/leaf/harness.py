@@ -79,8 +79,9 @@ def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: in
     """Raise ConfigError for the config values only the data can refute.
 
     `base_names` are a frozen encoder's base labels, each a dataset label;
-    without them, the labels `pretrain_base` picks for `seed` stand in, and
-    there must be fewer of them than labels. The labels left must fill
+    without them, the labels `pretrain_base` picks for `seed` stand in:
+    there must be fewer of them than labels, and each needs a train
+    instance to pretrain on. The labels left must fill
     n_way x num_tasks, and each must have k_shot train instances and a test
     instance. Every label must have n_descriptions descriptions.
     """
@@ -92,6 +93,10 @@ def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: in
             raise cfgmod.ConfigError(
                 f"[run] n_base_labels {n_base} >= the {len(names)} labels of the dataset")
         base_names = pick_base_labels(dataset, n_base, seed)
+        for name in base_names:
+            if not dataset.train.get(names.index(name)):
+                raise cfgmod.ConfigError(f"base label {name!r}, picked for seed {seed}, "
+                                         "has no train instances to pretrain on")
     base = set(base_names)
     unknown = sorted(base - set(names))
     if unknown:

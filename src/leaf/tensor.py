@@ -502,23 +502,22 @@ class Adam:
         self.step_count = 0
         self.params: list[Tensor] = []
         self._spans: list[tuple[int, int]] = []
-        self._pack(list(params))
-        self._decay = [p for p in self.params if any(p is d for d in decay)]
+        self._decay = list(decay)
+        self.set_params(params)
 
-    def replace_param(self, old: Tensor, new: Tensor) -> None:
-        self._decay = [p for p in self._decay if p is not old]
-        self._pack([p for p in self.params if p is not old] + [new])
-
-    def _pack(self, params: list[Tensor]) -> None:
-        """Lay `params` out in fresh flat buffers and make each `p.data` a
-        view into them. A parameter this optimizer already had keeps its
-        moments; a new one starts from zero."""
+    def set_params(self, params: Sequence[Tensor]) -> None:
+        """Manage exactly `params`, laid out in fresh flat buffers, with each
+        `p.data` a view into them. A parameter this optimizer already had
+        keeps its moments and a new one starts from zero; decay stays on the
+        marked parameters that are still in the list."""
+        params = list(params)
         old = [(p, self._m[lo:hi], self._v[lo:hi])
                for p, (lo, hi) in zip(self.params, self._spans)]
         n = sum(p.data.size for p in params)
         self._flat = np.zeros(n)
         # m, v, the gathered gradient and two scratch rows for the update
         self._m, self._v, self._g, self._tmp_a, self._tmp_b = np.zeros((5, n))
+        self._decay = [p for p in params if any(p is d for d in self._decay)]
         self.params, self._spans = params, []
         start = 0
         for p in params:

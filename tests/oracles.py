@@ -172,7 +172,7 @@ def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
     preds = []
     for start in range(0, len(instances), chunk):
         with T.no_grad():
-            feats, _, _ = C.forward_features(state, instances[start:start + chunk])
+            feats, _ = C.forward_features(state, instances[start:start + chunk])
         preds.extend(state.head.predict(feats).tolist())
     return preds
 
@@ -186,16 +186,17 @@ def one_row_frozen_cls(ids, mask, weights, embed_noise=None):
             for i in range(len(ids))])
 
 
-def per_batch_teacher(state, instances, noise=None, cls=None):
-    """`leaf.continual.teacher_features` one `batch_size` slice per pass, with
-    noise only on a slice that holds a noisy row: the teacher forward each
-    training step once ran."""
+def per_batch_teacher(state, instances, pools, noise=None, cls=None):
+    """`leaf.continual.features` over the snapshot's `pools` one `batch_size`
+    slice per pass, with noise only on a slice that holds a noisy row: the
+    teacher forward each training step once ran."""
+    assert pools is state.snapshot.pools
     size, feats = state.config.batch_size, []
     for s in range(0, len(instances), size):
         part = slice(s, s + size)
         noisy = noise is not None and noise[part].any()
         with T.no_grad():
-            feats.append(C.forward_features(state, instances[part], pools=state.snapshot.pools,
+            feats.append(C.forward_features(state, instances[part], pools=pools,
                                             embed_noise=noise[part] if noisy else None,
                                             cls=None if cls is None else cls[part])[0].data)
     return np.concatenate(feats)
@@ -209,7 +210,7 @@ def per_label_exemplars(state, instances_by_label) -> dict:
         if not group:
             raise ValueError(f"no instances for label {y}")
         with T.no_grad():
-            feats, _, _ = C.forward_features(state, group)
+            feats, _ = C.forward_features(state, group)
         f = feats.data
         mean = f.mean(axis=0)
         norm_m = max(np.linalg.norm(mean), 1e-12)

@@ -35,8 +35,8 @@ GENERATOR_INI = os.path.join(REPO, "configs", "generator.ini")
 
 def test_acceptance_1_gradcheck_full_objective():
     state, batch, stream = build_tiny_problem(seed=7)
-    _, breakdown = continual.batch_loss(state, batch, 1, stream,
-                                        prev=continual.teacher_features(state, batch))
+    prev = continual.features(state, batch, state.snapshot.pools)
+    _, breakdown = continual.batch_loss(state, batch, 1, stream, prev=prev)
     assert all(getattr(breakdown, name) != 0.0 for name in obj.LOSS_TERMS), breakdown
     start = time.monotonic()
     err = run_gradcheck(seed=7)

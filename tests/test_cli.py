@@ -15,6 +15,7 @@ import leaf.cli as leaf_cli
 from leaf import config as cfgmod
 from leaf import encoder, harness, metrics
 from leaf.cli import main
+from leaf.data_synth import load_jsonl
 from oracles import run_files
 
 GEN_SPEC = """\
@@ -350,6 +351,28 @@ class TestTrain:
         argv = [command, "--config", str(bad), "--out", str(out)]
         assert main(argv + (["--mode", "leaf"] if command == "train" else [])) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_base_label_without_train_instances_is_usage_error(self, workspace, capsys):
+        """A label whose records are all test ones can still be picked as a
+        base label; pretraining would look up its train texts."""
+        root, cfg = workspace
+        lines = (root / "data" / "dataset.jsonl").read_text().splitlines()
+        name = json.loads(lines[0])["label"]
+        kept = [ln for ln in lines
+                if (json.loads(ln)["label"], json.loads(ln)["split"]) != (name, "train")]
+        data = root / "no_train_label.jsonl"
+        data.write_text("\n".join(kept) + "\n")
+        dataset = load_jsonl(data)
+        assert name in dataset.label_names and not dataset.train.get(
+            dataset.label_names.index(name))
+        seed = next(s for s in range(100) if name in harness.pick_base_labels(dataset, 4, s))
+        bad = config_with(cfg, "paths", f"dataset = {data}", root / "no_train_label.ini")
+        out = root / "no_train_label_out"
+        assert main(["pretrain-base", "--config", str(bad), "--out", str(out),
+                     "--seed", str(seed)]) == 2
+        assert f"base label {name!r}, picked for seed {seed}, has no train instances" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     @staticmethod

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaf import config as cfgmod
+from leaf.cli import main as cli_main
 
 # Settings no run moved, now constants: `continual.ROUTING_L2`, `SIGMA_AUG`
 # and `AUG_COPIES`, the q/v pools of `moe.init_pools` and the default
@@ -95,6 +96,16 @@ def test_bad_combination_rejected_at_parse_time(tmp_path, schema, text, message)
     path.write_text(text + "\n")
     with pytest.raises(cfgmod.ConfigError, match=message):
         cfgmod.parse_config(path, schema=schema)
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_num_heads_below_one_is_usage_error(tmp_path, capsys, value):
+    """Checked before `model_dim % num_heads`, which a zero would divide by."""
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", str(write_ini(tmp_path, "encoder", "num_heads", value)),
+                     "--out", str(out)]) == 2
+    assert "bad config: num_heads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_duplicate_key_is_config_error(tmp_path):

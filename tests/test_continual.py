@@ -141,7 +141,7 @@ class TestMemoryBuffer:
         picked = C.select_exemplar(state, {0: group})
         assert picked[0] in group
         # oracle: recompute features directly and compare cosine-to-mean argmax
-        feats, _, _ = C.forward_features(state, group)
+        feats, _ = C.forward_features(state, group)
         f = feats.data
         mean = f.mean(axis=0)
         sims = (f @ mean) / (np.linalg.norm(f, axis=1) * np.linalg.norm(mean))
@@ -164,6 +164,26 @@ class TestMemoryBuffer:
         assert list(got) == sorted(by_label)
         assert all(got[y] is want[y] for y in by_label)
         assert got[2] is by_label[2][0]
+
+    def test_select_exemplar_runs_in_eval_chunks(self, monkeypatch):
+        """A task's candidates go through `features` EVAL_CHUNK rows per pass
+        and pick what one forward per label picks."""
+        ds = tiny_dataset()
+        state = tiny_state(ds)
+        live_experts(state)
+        stream = C.build_stream(ds, n_way=2, k_shot=4, num_tasks=1, seed=0)
+        by_label = {y: [inst for inst in stream.tasks[0].train if inst.label == y]
+                    for y in stream.tasks[0].labels}
+        want = per_label_exemplars(state, by_label)
+        monkeypatch.setattr(E, "EVAL_CHUNK", 3)
+        calls = record_forwards(monkeypatch)
+        got = C.select_exemplar(state, by_label)
+        n = sum(map(len, by_label.values()))
+        assert n > 3 and len(calls) == -(-n // 3)
+        assert all(len(batch) == 3 for batch in calls[:-1])
+        assert [inst for batch in calls for inst in batch] == [
+            inst for y in sorted(by_label) for inst in by_label[y]]
+        assert list(got) == sorted(by_label) and all(got[y] is want[y] for y in by_label)
 
     def test_select_exemplar_empty_group_raises_before_any_forward(self, monkeypatch):
         ds = tiny_dataset()
@@ -323,10 +343,18 @@ class TestFrozenCache:
                                       state.weights).data for s in range(0, n, size)]
             assert np.concatenate(rows).tobytes() == table.cls.tobytes()
         batch = [DS.Instance(text=t, label=y) for y in (1, 0) for t in ds.train[y][:3]]
+        routed, real = [], E.encode_with_experts
+
+        def encode_with_experts(ids, mask, weights, pools, cls, *args):
+            routed.append(cls)
+            return real(ids, mask, weights, pools, cls, *args)
+
+        monkeypatch.setattr(E, "encode_with_experts", encode_with_experts)
         del calls[:]
-        _, _, cls = C.forward_features(state, batch)
+        C.forward_features(state, batch)
         assert calls == []  # noise-free rows are looked up
-        assert cls.tobytes() == table.cls[[table.row[i.text] for i in batch]].tobytes()
+        assert len(routed) == 1
+        assert routed[0].tobytes() == table.cls[[table.row[i.text] for i in batch]].tobytes()
 
     def test_token_routing_builds_no_cls(self, monkeypatch):
         ds = tiny_dataset()
@@ -691,7 +719,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     monkeypatch.setattr(C, "predict", dataset_order_predict)
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
     monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
-    monkeypatch.setattr(C, "teacher_features", per_batch_teacher)
+    monkeypatch.setattr(C, "features", per_batch_teacher)  # the teacher is its one caller
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -597,6 +597,31 @@ class TestWeightContainer:
                                                        ".*not a finite number > 0"):
             E.load_weights(path)
 
+    def test_load_weights_rejects_zero_heads(self, tmp_path):
+        """Refused before model_dim is divided by it."""
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        meta["config"]["num_heads"] = 0
+        E.save_tensors(arrays, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError,
+                           match="bad encoder config: num_heads must be >= 1"):
+            E.load_weights(path)
+
+    @pytest.mark.parametrize("frozen", ["no", "yes", 0, 1, None])
+    def test_load_weights_requires_a_bool_frozen(self, tmp_path, frozen):
+        """A truthy string such as "no" must not freeze the weights."""
+        w, vocab, _ = make_weights()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        arrays, meta = E.load_tensors(path)
+        meta["frozen"] = frozen
+        E.save_tensors(arrays, path, meta=meta)
+        with pytest.raises(E.WeightsFormatError,
+                           match=re.escape(f"{path}: frozen is {frozen!r}, not a bool")):
+            E.load_weights(path)
+
     def test_weight_shapes_are_the_initialized_ones(self):
         w, _, cfg = make_weights()
         assert {k: t.shape for k, t in w.tensors.items()} == E.weight_shapes(cfg)
@@ -646,6 +671,13 @@ class TestWeightContainer:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(E.WeightsFormatError):
+            E.load_tensors(path)
+
+    def test_bytes_after_the_last_payload_raise(self, tmp_path):
+        path = tmp_path / "t.leafwt"
+        E.save_tensors({"a": np.zeros(8)}, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 16)
+        with pytest.raises(E.WeightsFormatError, match="16 bytes follow the last declared"):
             E.load_tensors(path)
 
     def test_shape_larger_than_the_file_raises_before_reading(self, tmp_path):

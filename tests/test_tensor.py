@@ -604,10 +604,11 @@ def test_adam_skips_params_without_grad():
 
 
 def test_adam_replace_param():
+    """`set_params` with a's place taken by b: b is managed, a is not."""
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([2.0]), requires_grad=True)
     opt = T.Adam([a], lr=0.1)
-    opt.replace_param(a, b)
+    opt.set_params([b])
     b.grad = np.array([1.0])
     opt.step()
     assert b.data[0] != 2.0
@@ -628,8 +629,9 @@ def reference_adam_step(p, g, m, v, t, lr, decay=0.0):
 
 def test_flat_adam_matches_per_parameter_reference_bit_for_bit():
     """Decay on "d"; "idle" has no gradient until step 5, so it keeps its
-    value and zero moments until then; "head" is replaced at step 3, as head
-    growth does, and the other parameters keep their moments across it."""
+    value and zero moments until then; "head" is replaced at step 3 through
+    `set_params`, as head growth does: the grown head starts from zero
+    moments, the other parameters keep theirs, and "d" keeps its decay."""
     rng = np.random.default_rng(11)
     shapes = {"w": (3, 4), "d": (5,), "idle": (2, 2), "head": (2, 3)}
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
@@ -639,8 +641,8 @@ def test_flat_adam_matches_per_parameter_reference_bit_for_bit():
         if t == 3:
             grown = Tensor(np.concatenate([params["head"].data, rng.normal(size=(1, 3))]),
                            requires_grad=True)
-            opt.replace_param(params["head"], grown)
             params["head"] = grown
+            opt.set_params(params.values())
             ref["head"] = [grown.data.copy(), np.zeros((3, 3)), np.zeros((3, 3))]
         for name, p in params.items():
             if name == "idle" and t < 5:
