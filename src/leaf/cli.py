@@ -110,8 +110,13 @@ def _load_weights(resolved):
 
 
 def _check_out(path) -> None:
-    """A run dir holds one run: ConfigError unless `path` is new or empty."""
-    if os.path.exists(path) and (not os.path.isdir(path) or os.listdir(path)):
+    """A run dir holds one run: ConfigError unless `path` is a new or empty dir."""
+    if not os.path.exists(path):
+        return
+    if not os.path.isdir(path):
+        raise cfgmod.ConfigError(f"--out {path} is a file, not a directory; "
+                                 "use a new or empty dir")
+    if os.listdir(path):
         raise cfgmod.ConfigError(f"--out {path} already holds files; use a new or empty dir")
 
 

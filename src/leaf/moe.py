@@ -165,15 +165,14 @@ def router_loss(records) -> Tensor:
     """
     if not records:
         return Tensor(0.0)
-    total = None
+    weights, scales = [], []
     for record in records:
         mask = record["mask"]
         if mask.shape != record["selected"].shape[:-1]:
             raise T.ShapeError(f"router record for pool {record['key']}: mask "
                                f"{mask.shape} does not match its selection "
                                f"{record['selected'].shape[:-1]}")
-        weights = record["selected"] * mask[..., None]
-        per_row = T.tsum(T.mul(record["scores"], Tensor(weights)), axis=-1)
-        term = T.mul(T.tsum(per_row), 1.0 / mask.sum())
-        total = term if total is None else T.add(total, term)
-    return T.mul(total, -1.0 / len(records))
+        weights.append(record["selected"] * mask[..., None])
+        scales.append(1.0 / mask.sum())
+    return T.masked_sums([record["scores"] for record in records], weights, scales,
+                         -1.0 / len(records))

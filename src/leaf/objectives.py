@@ -93,44 +93,41 @@ class DetectorHead:
         return dup
 
 
-def _soft_ce(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over rows of -sum(target * log softmax(logits)); `target` rows
-    are constant distributions."""
-    logp = T.log_softmax(logits, axis=-1)
-    return T.mul(T.tsum(T.mul(logp, Tensor(target))), -1.0 / target.shape[0])
-
-
 def ce_loss(head: DetectorHead, features: Tensor, gold) -> Tensor:
     """Mean -log softmax(head(f))[gold] over the batch."""
     rows = np.asarray([head.row_of(int(y)) for y in gold])
     logits = head.logits(features)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(len(rows)), rows] = 1.0
-    return _soft_ce(logits, onehot)
+    return T.soft_ce(logits, onehot)
 
 
-def label_contrastive_loss(features: Tensor, gold, bank, seen_labels) -> Tensor:
-    """Alignment of features with their label's description vectors.
-
-    Per instance: -log[ sum_{z in Z_gold} exp(f.z) / D ] where D sums
-    exp(f.z') over the OTHER labels' descriptions (so the loss can go
-    negative). All rows at once: both log-sums run over the [B, n_desc]
-    similarities, each with the other side masked out.
-    """
+def label_rows(bank, seen_labels) -> tuple[np.ndarray, np.ndarray]:
+    """The bank's description vectors of the seen labels and the label of
+    each, the constants of `label_contrastive_loss` for one label set."""
     seen = sorted(int(y) for y in seen_labels)
     if len(seen) < 2:
         raise ValueError("label contrastive loss needs at least 2 seen labels")
     rows = np.isin(bank.labels, seen)
-    owner = bank.labels[rows]
+    return bank.vectors[rows], bank.labels[rows]
+
+
+def label_contrastive_loss(features: Tensor, gold, rows) -> Tensor:
+    """Alignment of features with their label's description vectors.
+
+    Per instance: -log[ sum_{z in Z_gold} exp(f.z) / D ] where D sums
+    exp(f.z') over the OTHER labels' descriptions (so the loss can go
+    negative). `rows` is `label_rows` of the seen labels. All rows at once:
+    both log-sums run over the [B, n_desc] similarities, each with the
+    other side masked out.
+    """
+    vectors, owner = rows
     gold = np.asarray([int(y) for y in gold])
-    missing = np.setdiff1d(gold, owner)
-    if missing.size:
-        raise ValueError(f"label {int(missing[0])} has no description vectors")
-    sims = T.scores(features, bank.vectors[rows])   # [B, n_desc]
     is_gold = owner[None, :] == gold[:, None]
-    num = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, 0.0, T.MASK_BIAS))
-    den = T.logsumexp(sims, axis=-1, bias=np.where(is_gold, T.MASK_BIAS, 0.0))
-    return T.mul(T.tsum(T.add(den, T.mul(num, -1.0))), 1.0 / len(gold))
+    has_rows = is_gold.any(axis=1)
+    if not has_rows.all():
+        raise ValueError(f"label {int(gold[~has_rows].min())} has no description vectors")
+    return T.lse_gap(T.scores(features, vectors), is_gold)   # sims: [B, n_desc]
 
 
 def feature_distill_loss(prev_features: np.ndarray, curr_features: Tensor) -> Tensor:
@@ -139,34 +136,40 @@ def feature_distill_loss(prev_features: np.ndarray, curr_features: Tensor) -> Te
     where curr equals prev; prev rows are detached constants."""
     prev = np.asarray(prev_features, dtype=np.float64)
     prev_norm = np.sqrt((prev * prev).sum(axis=-1, keepdims=True))
-    curr_norm = T.sqrt(T.tsum(T.mul(curr_features, curr_features), axis=-1, keepdims=True))
-    if prev_norm.min() < T.EPS_NORM or curr_norm.data.min() < T.EPS_NORM:
+    if prev_norm.min() < T.EPS_NORM:
         raise T.DegenerateVectorError(
             f"feature_distill_loss: row norm below {T.EPS_NORM} "
-            f"(min |prev|={prev_norm.min():.3g}, min |curr|={curr_norm.data.min():.3g})")
-    diff = T.add(T.div(curr_features, curr_norm), Tensor(-(prev / prev_norm)))
-    return T.mul(T.tsum(T.mul(diff, diff)), 0.5 / prev.shape[0])
+            f"(min |prev|={prev_norm.min():.3g})")
+    return T.unit_distance(curr_features, -(prev / prev_norm))
 
 
-def prediction_distill_loss(prev_head: DetectorHead, prev_features: np.ndarray,
-                            curr_head: DetectorHead, curr_features: Tensor,
-                            old_labels, temperature: float = 1.0) -> Tensor:
-    """Soft-target cross-entropy over the old classes.
-
-    Teacher distribution comes from the snapshot head on snapshot
-    features (detached); student uses the same old-class rows of the
-    current head at the same temperature.
-    """
+def soft_targets(prev_head: DetectorHead, prev_features: np.ndarray, old_labels,
+                 temperature: float = 1.0) -> np.ndarray:
+    """The teacher distribution of prediction distillation: softmax over the
+    old classes of the snapshot head on snapshot features, at `temperature`."""
     old = sorted(int(y) for y in old_labels)
     if not old:
         raise ValueError("prediction distillation needs a non-empty old label set")
     prev_rows = [prev_head.row_of(y) for y in old]
-    curr_rows = [curr_head.row_of(y) for y in old]
     with T.no_grad():
         prev_logits = prev_head.logits(Tensor(np.asarray(prev_features))).data[:, prev_rows]
-        p_hat = T.softmax(prev_logits / temperature).data
-    curr_logits = T.take(curr_head.logits(curr_features), curr_rows, axis=1)
-    return _soft_ce(T.mul(curr_logits, 1.0 / temperature), p_hat)
+        return T.softmax(prev_logits / temperature).data
+
+
+def prediction_distill_loss(p_hat: np.ndarray, curr_head: DetectorHead, curr_features: Tensor,
+                            old_labels, temperature: float = 1.0) -> Tensor:
+    """Soft-target cross-entropy over the old classes.
+
+    `p_hat` is the teacher distribution (`soft_targets`, one row per feature
+    row); the student uses the same old-class rows of the current head at
+    the same temperature.
+    """
+    old = sorted(int(y) for y in old_labels)
+    if p_hat.shape != (curr_features.shape[0], len(old)):
+        raise T.ShapeError(f"soft targets {p_hat.shape} for {curr_features.shape[0]} rows "
+                           f"and {len(old)} old labels")
+    curr_rows = [curr_head.row_of(y) for y in old]
+    return T.soft_ce(curr_head.logits(curr_features), p_hat, curr_rows, 1.0 / temperature)
 
 
 def total_loss(parts: dict[str, Tensor], weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
@@ -177,10 +180,8 @@ def total_loss(parts: dict[str, Tensor], weights: LossWeights) -> tuple[Tensor, 
     """
     zero = Tensor(0.0)
     terms = {name: parts.get(name, zero) for name in LOSS_TERMS}
-    total = terms["ce"]
-    for name in LOSS_TERMS[1:]:
-        alpha = getattr(weights, f"alpha_{name}")
-        if alpha != 0.0:
-            total = T.add(total, T.mul(terms[name], alpha))
+    used = [name for name in LOSS_TERMS[1:] if getattr(weights, f"alpha_{name}") != 0.0]
+    total = T.weighted_sum(terms["ce"], [terms[name] for name in used],
+                           [getattr(weights, f"alpha_{name}") for name in used])
     return total, LossBreakdown(**{name: float(t.data) for name, t in terms.items()},
                                 total=float(total.data))

@@ -9,9 +9,14 @@ weights, constants and masks never receive one.
 
 Fused nodes with hand-written backward rules: `linear` (x @ Wᵀ + b),
 `scores` (x @ Wᵀ), `attention` (multi-head scaled dot-product attention),
-`lora` (a pool of mixed low-rank experts), and `softmax` and `logsumexp`
-with a constant additive bias (masking). Their values and gradients are
-bit-identical to the compositions of primitives they replace.
+`lora` (a pool of mixed low-rank experts), `softmax` and `logsumexp`
+with a constant additive bias (masking), and one node per training-loss
+term: `soft_ce` (cross-entropy and prediction distillation), `lse_gap`
+(the label contrast after its similarities), `unit_distance` (feature
+distillation), `masked_sums` (the router loss over every pool) and
+`weighted_sum` (the weighted total). Their values and gradients are
+bit-identical to the compositions of primitives they replace; the loss
+nodes hand a parent its gradient in the parts and order the chain did.
 
 Invariant: no code writes into a `.grad` array in place. So
 `accumulate_grad` keeps the first gradient it receives without a defensive
@@ -201,16 +206,6 @@ def div(a, b) -> Tensor:
             b.accumulate_grad(_unbroadcast(-g * a.data / (b.data ** 2), b.shape))
 
     return _node(data, (a, b), bw)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        a.accumulate_grad(g * 0.5 / data)
-
-    return _node(data, (a,), bw)
 
 
 def gelu(a) -> Tensor:
@@ -411,23 +406,6 @@ def softmax(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    if np.isnan(a.data).any():
-        raise NumericalError("log_softmax received NaN input")
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    sm = np.exp(data)
-
-    def bw(g):
-        gsum = np.asarray(g).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(g - sm * gsum)
-
-    return _node(data, (a,), bw)
-
-
 def logsumexp(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
     """Stable log-sum-exp of a + bias over `axis`, which is dropped; the
     constant `bias` (masking) gets no gradient, and the max shift is
@@ -474,6 +452,130 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 EPS_NORM = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# loss terms: one node each, with the floating-point operations, forward and
+# backward, of the primitive chain it replaced, in the same order
+
+
+def soft_ce(logits, target: np.ndarray, cols=None, scale: float = 1.0) -> Tensor:
+    """Mean over rows of -sum(target * log softmax(scale * logits[:, cols]));
+    `target` rows are constant distributions over the `cols` (every column
+    when None). A NaN input raises NumericalError."""
+    logits = as_tensor(logits)
+    x = logits.data if cols is None else np.take(logits.data, cols, axis=1)
+    x = x * scale
+    if np.isnan(x).any():
+        raise NumericalError("soft_ce received NaN input")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    coef = -1.0 / target.shape[0]
+    data = (logp * target).sum() * coef
+
+    def bw(g):
+        # in C order, as the chain's gradient arrays were (`accumulate_grad`),
+        # so that the row sums add in one fixed order whatever target's layout
+        glogp = np.asarray((g * coef) * target, order="C")
+        gx = (glogp - np.exp(logp) * glogp.sum(axis=-1, keepdims=True)) * scale
+        if cols is not None:
+            full = np.zeros_like(logits.data)
+            np.add.at(full, (slice(None), cols), gx)
+            gx = full
+        logits.accumulate_grad(gx)
+
+    return _node(data, (logits,), bw)
+
+
+def lse_gap(a, member: np.ndarray) -> Tensor:
+    """Mean over the rows of a [B, n] of the log-sum-exp of the entries
+    outside the constant bool mask `member` minus that of the entries in
+    it, each computed as `logsumexp` with a masking bias."""
+    a = as_tensor(a)
+
+    def lse(bias):
+        z = a.data + bias
+        m = z.max(axis=-1, keepdims=True)
+        e = np.exp(z - m)
+        inner = e.sum(axis=-1)
+        return np.log(inner) + np.squeeze(m, axis=-1), e, inner
+
+    inside, e_in, sum_in = lse(np.where(member, 0.0, MASK_BIAS))
+    outside, e_out, sum_out = lse(np.where(member, MASK_BIAS, 0.0))
+    coef = 1.0 / a.shape[0]
+    data = (outside + inside * -1.0).sum() * coef
+
+    def bw(g):
+        grow = g * coef
+        a.accumulate_grad(np.expand_dims(grow / sum_out, -1) * e_out
+                          + np.expand_dims((grow * -1.0) / sum_in, -1) * e_in)
+
+    return _node(data, (a,), bw)
+
+
+def unit_distance(x, ref: np.ndarray) -> Tensor:
+    """Half the mean over the rows of x [B, d] of |x / |x| + ref|^2, with
+    `ref` constant rows. A row of x with norm below EPS_NORM raises
+    DegenerateVectorError. The gradient reaches x in three parts, as from
+    the division by the norm and the two factors of x * x."""
+    x = as_tensor(x)
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    if norm.min() < EPS_NORM:
+        raise DegenerateVectorError(
+            f"unit_distance: row norm below {EPS_NORM} (min |x|={norm.min():.3g})")
+    diff = x.data / norm + ref
+    coef = 0.5 / x.shape[0]
+    data = (diff * diff).sum() * coef
+
+    def bw(g):
+        half = (g * coef) * diff
+        gdiff = np.asarray(half + half, order="C")
+        x.accumulate_grad(gdiff / norm)
+        gnorm = _unbroadcast(-gdiff * x.data / (norm ** 2), norm.shape)
+        gsquare = (gnorm * 0.5 / norm) * x.data
+        x.accumulate_grad(gsquare)
+        x.accumulate_grad(gsquare)
+
+    return _node(data, (x,), bw)
+
+
+def masked_sums(tensors: Sequence[Tensor], weights: Sequence[np.ndarray],
+                scales: Sequence[float], coef: float) -> Tensor:
+    """coef * sum_k scales[k] * sum(tensors[k] * weights[k]), with constant
+    weights and scales; each tensor is summed over its last axis first."""
+    data = None
+    for t, w, c in zip(tensors, weights, scales):
+        term = (t.data * w).sum(axis=-1).sum() * c
+        data = term if data is None else data + term
+    data = data * coef
+
+    def bw(g):
+        gterm = g * coef
+        for t, w, c in zip(tensors, weights, scales):
+            if t.requires_grad:
+                t.accumulate_grad((gterm * c) * w)
+
+    return _node(data, tuple(tensors), bw)
+
+
+def weighted_sum(first, terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """first + weights[0] * terms[0] + weights[1] * terms[1] + ..., added
+    left to right; `first` alone when `terms` is empty."""
+    first = as_tensor(first)
+    if not terms:
+        return first
+    data = first.data
+    for t, w in zip(terms, weights):
+        data = data + t.data * w
+
+    def bw(g):
+        if first.requires_grad:
+            first.accumulate_grad(g)
+        for t, w in zip(terms, weights):
+            if t.requires_grad:
+                t.accumulate_grad(g * w)
+
+    return _node(data, (first, *terms), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,26 @@ def log(a) -> T.Tensor:
     return T._node(np.log(a.data), (a,), lambda g: a.accumulate_grad(g / a.data))
 
 
+def sqrt(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    data = np.sqrt(a.data)
+    return T._node(data, (a,), lambda g: a.accumulate_grad(g * 0.5 / data))
+
+
+def log_softmax(a, axis: int = -1) -> T.Tensor:
+    a = T.as_tensor(a)
+    if np.isnan(a.data).any():
+        raise T.NumericalError("log_softmax received NaN input")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    sm = np.exp(data)
+
+    def bw(g):
+        a.accumulate_grad(g - sm * np.asarray(g).sum(axis=axis, keepdims=True))
+
+    return T._node(data, (a,), bw)
+
+
 # ---------------------------------------------------------------------------
 # The compositions of primitives that each fused node replaced
 
@@ -95,14 +115,67 @@ def pool_delta(pool, x, mix) -> T.Tensor:
     return matmul(reshape(scaled, low.shape), transpose(up))
 
 
+def soft_ce(logits, target, cols=None, scale=1.0) -> T.Tensor:
+    """`T.soft_ce`: take and scale the columns, then log_softmax, a product
+    with the targets, a sum and a mul by -1/rows."""
+    if cols is not None:
+        logits = T.take(logits, cols, axis=1)
+    if scale != 1.0 or cols is not None:
+        logits = T.mul(logits, scale)
+    logp = log_softmax(logits, axis=-1)
+    return T.mul(T.tsum(T.mul(logp, T.Tensor(target))), -1.0 / target.shape[0])
+
+
+def lse_gap(a, member) -> T.Tensor:
+    """`T.lse_gap`: two masked log-sum-exps, their difference and its mean."""
+    inside = logsumexp(a, axis=-1, bias=np.where(member, 0.0, T.MASK_BIAS))
+    outside = logsumexp(a, axis=-1, bias=np.where(member, T.MASK_BIAS, 0.0))
+    return T.mul(T.tsum(T.add(outside, T.mul(inside, -1.0))), 1.0 / a.shape[0])
+
+
+def unit_distance(x, ref) -> T.Tensor:
+    """`T.unit_distance`: the row norms, x over them, the offset, the square
+    and the mean as primitive nodes."""
+    norm = sqrt(T.tsum(T.mul(x, x), axis=-1, keepdims=True))
+    if norm.data.min() < T.EPS_NORM:
+        raise T.DegenerateVectorError(f"unit_distance: row norm below {T.EPS_NORM}")
+    diff = T.add(T.div(x, norm), T.Tensor(ref))
+    return T.mul(T.tsum(T.mul(diff, diff)), 0.5 / x.shape[0])
+
+
+def masked_sums(tensors, weights, scales, coef) -> T.Tensor:
+    """`T.masked_sums`: per tensor a product, a row sum, a sum and a scale,
+    added left to right, then scaled by `coef`."""
+    total = None
+    for t, w, c in zip(tensors, weights, scales):
+        term = T.mul(T.tsum(T.tsum(T.mul(t, T.Tensor(w)), axis=-1)), c)
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, coef)
+
+
+def weighted_sum(first, terms, weights) -> T.Tensor:
+    """`T.weighted_sum`: a mul and an add node per weighted term."""
+    total = T.as_tensor(first)
+    for t, w in zip(terms, weights):
+        total = T.add(total, T.mul(t, w))
+    return total
+
+
+COMPOSED = [(moe, "pool_delta", pool_delta), (T, "scores", scores), (T, "softmax", softmax),
+            (T, "logsumexp", logsumexp), (T, "soft_ce", soft_ce), (T, "lse_gap", lse_gap),
+            (T, "unit_distance", unit_distance), (T, "masked_sums", masked_sums),
+            (T, "weighted_sum", weighted_sum)]
+
+
 @contextlib.contextmanager
-def composed_ops():
+def composed_ops(names=None):
     """Inside the block, the expert pools, the router scores, the masked
-    softmax and the label loss's log-sum-exps run as their compositions."""
+    softmax, the log-sum-exps and the loss-term nodes (or only those in
+    `names`) run as their compositions."""
     with pytest.MonkeyPatch.context() as mp:
-        for mod, name, fn in [(moe, "pool_delta", pool_delta), (T, "scores", scores),
-                              (T, "softmax", softmax), (T, "logsumexp", logsumexp)]:
-            mp.setattr(mod, name, fn)
+        for mod, name, fn in COMPOSED:
+            if names is None or name in names:
+                mp.setattr(mod, name, fn)
         yield
 
 
@@ -118,7 +191,7 @@ def cosine_similarity(u, v, eps_norm: float = T.EPS_NORM) -> T.Tensor:
     def dot(a, b):
         return T.tsum(T.mul(a, b))
 
-    return T.div(dot(u, v), T.mul(T.sqrt(dot(u, u)), T.sqrt(dot(v, v))))
+    return T.div(dot(u, v), T.mul(sqrt(dot(u, u)), sqrt(dot(v, v))))
 
 
 def full_width_forward(ids, mask, weights, pools=None, cls=None, topk=None,

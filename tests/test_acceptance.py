@@ -180,8 +180,8 @@ def test_acceptance_5a_distillation_fixed_point():
     assert abs(float(fd.data)) <= 1e-12
 
     tau = 2.0
-    pd = obj.prediction_distill_loss(head.copy(), feats_np, head,
-                                     Tensor(feats_np.copy()), [0, 1, 2],
+    p_hat = obj.soft_targets(head.copy(), feats_np, [0, 1, 2], temperature=tau)
+    pd = obj.prediction_distill_loss(p_hat, head, Tensor(feats_np.copy()), [0, 1, 2],
                                      temperature=tau)
     logits = feats_np @ head.weight.data.T
     z = logits / tau
@@ -196,7 +196,7 @@ def test_acceptance_5b_symmetric_bank_zero_label_loss():
     feats = Tensor(rng.normal(0.0, 1.0, (4, 8)))
     vec = rng.normal(0.0, 1.0, 8)  # both labels carry this one description vector
     bank = descriptions.DescriptionBank(["a", "b"], np.array([0, 1]), np.stack([vec, vec]), "")
-    loss = obj.label_contrastive_loss(feats, [0, 1, 0, 1], bank, [0, 1])
+    loss = obj.label_contrastive_loss(feats, [0, 1, 0, 1], obj.label_rows(bank, [0, 1]))
     assert abs(float(loss.data)) <= 1e-9
 
 

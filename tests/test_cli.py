@@ -161,6 +161,19 @@ class TestTrain:
         assert main(["train", "--config", str(one_task), "--out", str(empty)]) == 0
         assert sorted(os.listdir(empty / "checkpoints")) == ["task_1.bin"]
 
+    def test_out_that_is_a_file_is_usage_error(self, workspace, capsys):
+        """`train` or `ablate` with `--out` an existing regular file exits 2,
+        says that the path is a file, and leaves the file as it was."""
+        root, cfg = workspace
+        out = root / "a_file"
+        out.write_bytes(b"keep")
+        for argv in (["train"], ["ablate", "--axis", "components"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"--out {out} is a file, not a directory" in err
+            assert "already holds files" not in err
+        assert out.read_bytes() == b"keep"
+
     def test_determinism_bit_identical(self, det_runs):
         a, b = det_runs
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()

@@ -295,9 +295,9 @@ def record_steps(monkeypatch) -> list:
     """Patch `continual.batch_loss` to log each step's (batch, noise, cls)."""
     steps, real = [], C.batch_loss
 
-    def batch_loss(st, batch, t, stream, noise=None, cls=None, prev=None):
+    def batch_loss(st, batch, t, stream, noise=None, cls=None, *args):
         steps.append((batch, noise, cls))
-        return real(st, batch, t, stream, noise, cls, prev)
+        return real(st, batch, t, stream, noise, cls, *args)
 
     monkeypatch.setattr(C, "batch_loss", batch_loss)
     return steps
@@ -496,6 +496,43 @@ class TestFrozenCache:
         _, breakdown = C.batch_loss(state, batch[:2], 0, stream)  # task 1 has no teacher
         assert breakdown.fd == breakdown.pd == 0.0
 
+    def test_loss_constants_once_per_task_and_epoch(self, monkeypatch):
+        """`train_task` takes the label rows once per task, and the teacher's
+        soft targets in each epoch's teacher pass, one call per step-sized
+        slice; no step computes either."""
+        ds = tiny_dataset()
+        state = tiny_state(ds, alpha_label=0.1)
+        stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
+        C.train_task(0, stream, state)
+        calls, in_step = [], []
+        real_loss, real_rows, real_targets = C.batch_loss, obj.label_rows, obj.soft_targets
+
+        def batch_loss(*args):
+            in_step.append(True)
+            try:
+                return real_loss(*args)
+            finally:
+                in_step.pop()
+
+        def label_rows(*args):
+            calls.append(("label_rows", bool(in_step), None))
+            return real_rows(*args)
+
+        def soft_targets(head, prev, *args):
+            calls.append(("soft_targets", bool(in_step), len(prev)))
+            return real_targets(head, prev, *args)
+
+        monkeypatch.setattr(C, "batch_loss", batch_loss)
+        monkeypatch.setattr(obj, "label_rows", label_rows)
+        monkeypatch.setattr(obj, "soft_targets", soft_targets)
+        state.config = replace(state.config, batch_size=3)
+        C.train_task(1, stream, state)
+        n, size = len(stream.tasks[1].train) + len(stream.tasks[0].labels), 3
+        assert n > size and n % size
+        assert calls == [("label_rows", False, None)] + [
+            ("soft_targets", False, min(size, n - s)) for s in range(0, n, size)
+        ] * state.config.epochs
+
 
 # --------------------------------------------------------------- checkpoints
 
@@ -584,11 +621,11 @@ class TestTraining:
         memory = list(state.buffer.values())
         seen, real = [], C.batch_loss
 
-        def batch_loss(st, batch, t, stream, noise=None, cls=None, prev=None):
+        def batch_loss(st, batch, t, stream, noise=None, cls=None, *args):
             noisy = (np.zeros(len(batch), dtype=bool) if noise is None
                      else noise.reshape(len(batch), -1).any(axis=1))
             seen.extend(zip(map(id, batch), noisy))
-            return real(st, batch, t, stream, noise, cls, prev)
+            return real(st, batch, t, stream, noise, cls, *args)
 
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
@@ -659,6 +696,31 @@ class TestTraining:
                            max_coords=16, rng=np.random.default_rng(0))
         assert err <= 1e-6
 
+    def test_loss_terms_are_one_node_each(self):
+        """The nodes with a backward rule that the loss reaches: at most 50
+        for a `leaf` step at t > 0 with all five terms on the gradcheck
+        model (94 when the terms were chains of primitives), and at most 46
+        for a mole-token step (67 before)."""
+        def recorded(loss):
+            seen, stack, count = {id(loss)}, [loss], 0
+            while stack:
+                node = stack.pop()
+                count += node._backward_fn is not None
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return count
+
+        state, batch, stream = build_tiny_problem(seed=7)
+        prev = C.features(state, batch, state.snapshot.pools)
+        total, breakdown = C.batch_loss(state, batch, 1, stream, prev=prev)
+        assert all(getattr(breakdown, name) != 0.0 for name in obj.LOSS_TERMS)
+        assert recorded(total) <= 50
+        state.config = replace(state.config, routing="token", loss_weights=obj.LossWeights(
+            alpha_router=0.05, alpha_label=0.0, alpha_fd=0.0, alpha_pd=0.0))
+        assert recorded(C.batch_loss(state, batch, 1, stream)[0]) <= 46
+
     def test_loss_rows_logged_per_step(self):
         _, state, stream = self.make_run()
         C.train_task(0, stream, state)
@@ -689,13 +751,15 @@ class TestTraining:
                                           ("mole-token", "softmax")])
 def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, combine):
     """A whole run (2 tasks, 2 epochs) writes the same bytes, checkpoints
-    included, when the expert pools, router scores, masked softmax and the
-    label loss's log-sum-exps run as the compositions of primitives that
-    their fused nodes replaced, evaluation predicts in 32-row chunks,
-    exemplars are picked with one forward per label, every frozen [CLS]
-    row (the table, the description bank, each epoch's noisy rows) is
-    encoded in a batch of one and the teacher runs one training batch per
-    pass. Both runs share the base weights."""
+    included, when the expert pools, router scores, masked softmax, the
+    log-sum-exps and the five loss terms with their weighted total run as
+    the compositions of primitives that their fused nodes replaced,
+    evaluation predicts in 32-row chunks, exemplars are picked with one
+    forward per label, every frozen [CLS] row (the table, the description
+    bank, each epoch's noisy rows) is encoded in a batch of one, the
+    teacher runs one training batch per pass and every step computes the
+    teacher's soft targets and the label rows itself. Both runs share the
+    base weights."""
     ds = tiny_dataset()
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
@@ -720,6 +784,8 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
     monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
     monkeypatch.setattr(C, "features", per_batch_teacher)  # the teacher is its one caller
+    real_loss = C.batch_loss   # without the epoch's p_hat and the task's label rows
+    monkeypatch.setattr(C, "batch_loss", lambda *args: real_loss(*args[:7]))
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -404,3 +404,54 @@ def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, mode, se
     for g, ref in zip(grads, ref_grads):
         assert (g is None) == (ref is None)
         assert g is None or np.array_equal(g, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["instance", "token"]),
+       mode=st.sampled_from(["softmax", "paper-literal"]), seed=st.integers(0, 2**16))
+def test_router_loss_matches_composition_bit_for_bit(data, kind, mode, seed):
+    """The router loss over every pool gives the value and every gradient of
+    the chain it replaced, bit for bit, while each pool's scores also feed
+    its mix: instance records, and token records whose mask leaves out
+    padded positions, with the router term explored first or last."""
+    B, S = data.draw(st.integers(1, 3), label="B"), data.draw(st.integers(1, 4), label="S")
+    layers = data.draw(st.integers(1, 2), label="layers")
+    M = data.draw(st.integers(1, 4), label="M")
+    K = data.draw(st.integers(1, M), label="K")
+    d = data.draw(st.integers(1, 4), label="d")
+    router_last = data.draw(st.booleans(), label="router last")
+    rng = np.random.default_rng(seed)
+    pools = moe.init_pools(layers, d, M, 1, rng)
+    for pool in pools.values():
+        pool.B.data[...] = rng.normal(0.0, 0.5, pool.B.shape)
+        pool.routing.data[...] = rng.normal(0.0, 1.0, pool.routing.shape)
+    x = Tensor(rng.normal(size=(B, S, d)), requires_grad=True)
+    cls = Tensor(rng.normal(size=(B, d)), requires_grad=True)
+    mask = (rng.random((B, S)) < 0.6).astype(float)
+    mask[:, 0] = 1.0
+    probe = Tensor(rng.normal(size=(B, S, d)))
+
+    def loss():
+        if kind == "instance":
+            mixes, records = moe.route_instance(pools, cls, K, mode)
+        else:
+            mixes, records = {}, []
+            for key in sorted(pools):
+                mixes[key], record = moe.token_mix_weights(pools[key], x, K, mode)
+                record["key"], record["mask"] = key, mask
+                records.append(record)
+        fit = None
+        for key in sorted(pools):
+            term = T.tsum(T.mul(moe.pool_delta(pools[key], x, mixes[key]), probe))
+            fit = term if fit is None else T.add(fit, term)
+        router = moe.router_loss(records)
+        return T.add(fit, router) if router_last else T.add(router, fit)
+
+    params = [x, cls] + moe.pool_params(pools)
+    value, grads = _values_and_grads(loss, params)
+    with oracles.composed_ops(["masked_sums"]):
+        ref_value, ref_grads = _values_and_grads(loss, params)
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert (g is None) == (ref is None)
+        assert g is None or np.array_equal(g, ref)

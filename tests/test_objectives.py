@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import leaf.moe as moe
 import leaf.objectives as obj
 import leaf.tensor as T
 import oracles
@@ -108,14 +109,14 @@ def test_label_loss_zero_for_symmetric_bank():
     z = RNG.normal(size=6)
     bank = stub_bank({0: [z], 1: [z]}, 6)
     feats = Tensor(RNG.normal(size=(3, 6)))
-    loss = float(obj.label_contrastive_loss(feats, [0, 1, 0], bank, [0, 1]).data)
+    loss = float(obj.label_contrastive_loss(feats, [0, 1, 0], obj.label_rows(bank, [0, 1])).data)
     assert abs(loss) <= 1e-9
 
 
 def test_label_loss_negative_when_gold_descriptions_closer():
     f = np.array([[1.0, 0.0]])
     bank = stub_bank({0: [np.array([5.0, 0.0])], 1: [np.array([-5.0, 0.0])]}, 2)
-    loss = float(obj.label_contrastive_loss(Tensor(f), [0], bank, [0, 1]).data)
+    loss = float(obj.label_contrastive_loss(Tensor(f), [0], obj.label_rows(bank, [0, 1])).data)
     assert loss < 0.0
 
 
@@ -125,7 +126,7 @@ def test_label_loss_numpy_reference():
              1: [RNG.normal(size=4) for _ in range(3)]}
     bank = stub_bank(table, 4)
     gold = [1, 0]
-    loss = float(obj.label_contrastive_loss(Tensor(feats), gold, bank, [0, 1]).data)
+    loss = float(obj.label_contrastive_loss(Tensor(feats), gold, obj.label_rows(bank, [0, 1])).data)
 
     def lse(v):
         m = np.max(v)
@@ -157,7 +158,7 @@ def test_label_loss_matches_composition_bit_for_bit(data, seed):
     runs = []
     for composed in (False, True):
         with oracles.composed_ops() if composed else contextlib.nullcontext():
-            loss = obj.label_contrastive_loss(feats, gold, bank, range(n_labels))
+            loss = obj.label_contrastive_loss(feats, gold, obj.label_rows(bank, range(n_labels)))
         loss.backward()
         runs.append((loss.data, feats.grad))
         feats.grad = None
@@ -168,16 +169,22 @@ def test_label_loss_matches_composition_bit_for_bit(data, seed):
 def test_label_loss_rejects_gold_label_without_descriptions():
     bank = stub_bank({0: [np.ones(3)], 1: [-np.ones(3)], 2: []}, 3)
     with pytest.raises(ValueError, match="label 2 has no description vectors"):
-        obj.label_contrastive_loss(Tensor(np.ones((2, 3))), [0, 2], bank, [0, 1, 2])
+        obj.label_contrastive_loss(Tensor(np.ones((2, 3))), [0, 2], obj.label_rows(bank, [0, 1, 2]))
 
 
 def test_label_loss_requires_two_labels():
     bank = stub_bank({0: [np.ones(3)]}, 3)
     with pytest.raises(ValueError):
-        obj.label_contrastive_loss(Tensor(np.ones((1, 3))), [0], bank, [0])
+        obj.label_contrastive_loss(Tensor(np.ones((1, 3))), [0], obj.label_rows(bank, [0]))
 
 
 # ---------------------------------------------------------------- distillation
+
+
+def pd_loss(prev_head, prev_features, curr_head, curr_features, old, temperature=1.0):
+    """Prediction distillation against the soft targets of the snapshot."""
+    p_hat = obj.soft_targets(prev_head, prev_features, old, temperature)
+    return obj.prediction_distill_loss(p_hat, curr_head, curr_features, old, temperature)
 
 
 def test_feature_distill_zero_on_identical_features():
@@ -242,7 +249,7 @@ def test_feature_distill_nonnegative_and_matches_cosine_oracle(data):
 def test_prediction_distill_self_equals_teacher_entropy():
     head = fresh_head([0, 1, 2])
     feats = RNG.normal(size=(4, 6))
-    loss = float(obj.prediction_distill_loss(
+    loss = float(pd_loss(
         head, feats, head, Tensor(feats.copy()), [0, 1, 2]).data)
     logits = feats @ head.weight.data.T + head.bias.data
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -257,8 +264,8 @@ def test_prediction_distill_restricts_to_old_classes():
     curr._rng = np.random.default_rng(1)
     curr.grow([2, 3])  # new classes must not affect the old-class distribution
     feats = RNG.normal(size=(3, 6))
-    a = float(obj.prediction_distill_loss(prev, feats, prev, Tensor(feats.copy()), [0, 1]).data)
-    b = float(obj.prediction_distill_loss(prev, feats, curr, Tensor(feats.copy()), [0, 1]).data)
+    a = float(pd_loss(prev, feats, prev, Tensor(feats.copy()), [0, 1]).data)
+    b = float(pd_loss(prev, feats, curr, Tensor(feats.copy()), [0, 1]).data)
     assert abs(a - b) <= 1e-12
 
 
@@ -275,7 +282,7 @@ def test_prediction_distill_temperature_smooths():
     assert max_prob(2.0) < max_prob(1.0)
     # and the loss stays finite at both temperatures
     for tau in (1.0, 2.0):
-        val = float(obj.prediction_distill_loss(
+        val = float(pd_loss(
             head, feats, head, Tensor(feats.copy()), [0, 1, 2], temperature=tau).data)
         assert np.isfinite(val)
 
@@ -283,7 +290,7 @@ def test_prediction_distill_temperature_smooths():
 def test_prediction_distill_needs_old_labels():
     head = fresh_head([0])
     with pytest.raises(ValueError):
-        obj.prediction_distill_loss(head, np.ones((1, 6)), head,
+        pd_loss(head, np.ones((1, 6)), head,
                                     Tensor(np.ones((1, 6))), [])
 
 
@@ -292,7 +299,7 @@ def test_prediction_distill_rejects_nan_teacher():
     prev = np.ones((2, 6))
     prev[1, 0] = np.nan
     with pytest.raises(T.NumericalError, match="softmax"):
-        obj.prediction_distill_loss(head, prev, head, Tensor(np.ones((2, 6))), [0, 1])
+        pd_loss(head, prev, head, Tensor(np.ones((2, 6))), [0, 1])
 
 
 # ---------------------------------------------------------------- total
@@ -326,3 +333,67 @@ def test_loss_weights_reject_negative_or_nonfinite():
         obj.LossWeights(alpha_fd=-0.1)
     with pytest.raises(ValueError):
         obj.LossWeights(alpha_pd=float("nan"))
+
+
+# ---------------------------------------------------------------- one node per term
+
+LOSS_NODES = ("soft_ce", "lse_gap", "unit_distance", "masked_sums", "weighted_sum")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["softmax", "paper-literal"]),
+       seed=st.integers(0, 2**16))
+def test_loss_terms_match_compositions_bit_for_bit(data, mode, seed):
+    """All five terms and their weighted total, on features that feed every
+    term and pass through a routed expert pool, give the value and the
+    gradient of every parent of the primitive chains that their nodes
+    replaced, bit for bit. Batch size, class counts, temperature and weights
+    are drawn (a zero weight drops its term); the old classes' head rows are
+    out of label order, so prediction distillation takes permuted columns,
+    and its soft targets come in the column-major layout of that gather."""
+    B, d = data.draw(st.integers(1, 6), label="B"), data.draw(st.integers(2, 6), label="d")
+    n_old = data.draw(st.integers(1, 12), label="old classes")   # 8+ sum rows pairwise
+    n_new = data.draw(st.integers(1, 4), label="new classes")
+    temperature = data.draw(st.sampled_from([1.0, 0.5, 2.0, 3.0]), label="temperature")
+    alphas = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.1, 1.0, 2.5]),
+                                min_size=4, max_size=4), label="alphas")
+    rng = np.random.default_rng(seed)
+    old = rng.permutation(n_old).tolist()
+    labels = list(range(n_old + n_new))
+    head = fresh_head(old, d=d, rng=rng)
+    snapshot = head.copy()
+    snapshot.weight.data[...] += rng.normal(0.0, 0.1, head.weight.shape)
+    head.grow(labels[n_old:])
+    bank = stub_bank({y: list(rng.normal(size=(int(rng.integers(1, 3)), d))) for y in labels}, d)
+    gold = rng.choice(labels, B).tolist()
+    prev = rng.normal(size=(B, d))
+    p_hat = obj.soft_targets(snapshot, prev, old, temperature)
+    pool = moe.init_pools(1, d, 3, 1, rng)[(0, "q")]
+    pool.B.data[...] = rng.normal(0.0, 0.5, pool.B.shape)
+    x = Tensor(rng.normal(size=(B, d)), requires_grad=True)
+    x3 = Tensor(rng.normal(size=(B, 1, d)), requires_grad=True)
+    W, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((d, d), (d,)))
+    cls = rng.normal(size=(B, d))
+    weights = obj.LossWeights(*alphas)
+    params = [x, x3, W, b, *head.params(), *pool.params()]
+
+    def run():
+        for p in params:
+            p.grad = None
+        mixes, records = moe.route_instance({(0, "q"): pool}, cls, 2, mode)
+        delta = T.take(moe.pool_delta(pool, x3, mixes[(0, "q")]), 0, axis=1)
+        feats = T.add(T.linear(x, W, b), delta)
+        parts = {"ce": obj.ce_loss(head, feats, gold), "router": moe.router_loss(records),
+                 "label": obj.label_contrastive_loss(feats, gold, obj.label_rows(bank, labels)),
+                 "fd": obj.feature_distill_loss(prev, feats),
+                 "pd": obj.prediction_distill_loss(p_hat, head, feats, old, temperature)}
+        total, _ = obj.total_loss(parts, weights)
+        total.backward()
+        return [total.data, *(p.grad for p in params)]
+
+    fused = run()
+    with oracles.composed_ops(LOSS_NODES):
+        composed = run()
+    for got, want in zip(fused, composed):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
