@@ -231,19 +231,16 @@ def snapshot_model(state: ModelState) -> Snapshot:
 
 
 def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
+               labels: tuple[np.ndarray, np.ndarray] | None,
                noise: np.ndarray | None = None, cls: np.ndarray | None = None,
-               prev: np.ndarray | None = None, p_hat: np.ndarray | None = None,
-               labels: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[Tensor, obj.LossBreakdown]:
+               prev: np.ndarray | None = None) -> tuple[Tensor, obj.LossBreakdown]:
     """The training objective on one batch of task index `t`: cross-entropy
     plus every switched-on term (router, label contrast over the labels
     seen so far, feature and prediction distillation against the snapshot
-    on the old labels). `noise` and `cls` go to `forward_features`; `prev`
+    on the old labels). `labels` is `task_label_rows(state, t, stream)`,
+    fixed for the task; `noise` and `cls` go to `forward_features`; `prev`
     holds the batch's teacher rows (`features` over the snapshot's pools),
-    which distillation needs. The constants no step changes are computed
-    here unless given: `p_hat`, the teacher's soft targets of the batch
-    (`obj.soft_targets` of `prev`), and `labels`, the task's
-    `obj.label_rows`. Returns (total, breakdown)."""
+    which distillation needs. Returns (total, breakdown)."""
     cfg = state.config
     w = cfg.loss_weights
     feats, routing = forward_features(state, batch, embed_noise=noise, cls=cls)
@@ -251,8 +248,6 @@ def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
     parts = {"ce": obj.ce_loss(state.head, feats, gold)}
     if w.alpha_router > 0:
         parts["router"] = moe.router_loss(routing)
-    if labels is None:
-        labels = _label_rows(state, t, stream)
     if labels is not None:
         parts["label"] = obj.label_contrastive_loss(feats, gold, labels)
     if _distills(t, w):
@@ -261,15 +256,13 @@ def batch_loss(state: ModelState, batch, t: int, stream: TaskStream,
         if w.alpha_fd > 0:
             parts["fd"] = obj.feature_distill_loss(prev, feats)
         if w.alpha_pd > 0:
-            old = stream.seen_labels(t - 1)
-            if p_hat is None:
-                p_hat = obj.soft_targets(state.snapshot.head, prev, old, cfg.temperature)
-            parts["pd"] = obj.prediction_distill_loss(p_hat, state.head, feats, old,
-                                                      temperature=cfg.temperature)
+            parts["pd"] = obj.prediction_distill_loss(
+                state.snapshot.head, prev, state.head, feats,
+                stream.seen_labels(t - 1), temperature=cfg.temperature)
     return obj.total_loss(parts, w)
 
 
-def _label_rows(state: ModelState, t: int, stream: TaskStream):
+def task_label_rows(state: ModelState, t: int, stream: TaskStream):
     """`obj.label_rows` of the labels seen through task `t`, or None when the
     label term is off."""
     seen = stream.seen_labels(t)
@@ -299,8 +292,7 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
     copies = [inst for inst in memory for _ in range(AUG_COPIES)] if cfg.augment else []
     data = task.train + memory + copies
     augmented = np.arange(len(data)) >= len(data) - len(copies)
-    spans = [slice(s, s + cfg.batch_size) for s in range(0, len(data), cfg.batch_size)]
-    labels = _label_rows(state, t, stream)   # fixed for the task
+    labels = task_label_rows(state, t, stream)
     table = state.table
     table_rows = np.array([table.row[inst.text] for inst in data])
     width, ecfg = table.ids.shape[1], state.weights.config
@@ -321,23 +313,15 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
                 cls[noisy] = enc.frozen_cls(table.ids[rows[noisy]], table.mask[rows[noisy]],
                                             state.weights, noise[noisy])
         # the snapshot is frozen for the task: its rows for the whole epoch
-        # in one no-grad pass, on the noisy view the student sees, and its
-        # soft targets one step's slice at a time: a row of the head's matmul
-        # depends on how many rows it takes
+        # in one no-grad pass, on the noisy view the student sees
         epoch_data = [data[i] for i in order]
-        prev = p_hat = None
-        if distill:
-            prev = features(state, epoch_data, state.snapshot.pools, noise, cls)
-            if cfg.loss_weights.alpha_pd > 0:
-                p_hat = np.concatenate([obj.soft_targets(
-                    state.snapshot.head, prev[span], stream.seen_labels(t - 1),
-                    cfg.temperature) for span in spans])
-        for span in spans:
-            total, breakdown = batch_loss(state, epoch_data[span], t, stream,
+        prev = features(state, epoch_data, state.snapshot.pools, noise, cls) if distill else None
+        for start in range(0, len(data), cfg.batch_size):
+            span = slice(start, start + cfg.batch_size)
+            total, breakdown = batch_loss(state, epoch_data[span], t, stream, labels,
                                           noise[span] if noisy[span].any() else None,
                                           None if cls is None else cls[span],
-                                          None if prev is None else prev[span],
-                                          None if p_hat is None else p_hat[span], labels)
+                                          None if prev is None else prev[span])
             total.backward()
             _check_finite(total, state.opt.params, t, state.opt.step_count + 1)
             state.opt.step()

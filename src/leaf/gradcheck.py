@@ -30,7 +30,8 @@ TINY = dict(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
 
 def build_tiny_problem(seed: int = 7):
     """Returns (state, batch, stream): the objective of the check is
-    `batch_loss(state, batch, 1, stream, prev=features(state, batch, state.snapshot.pools))`."""
+    `batch_loss(state, batch, 1, stream, task_label_rows(state, 1, stream),
+    prev=features(state, batch, state.snapshot.pools))`."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(40)]
     vocab = enc.Vocab(words)
@@ -74,6 +75,7 @@ def run_gradcheck(seed: int = 7, max_coords: int = 64, h: float = 1e-5) -> float
     """Max relative gradient error of the training objective on the tiny model."""
     state, batch, stream = build_tiny_problem(seed=seed)
     prev = continual.features(state, batch, state.snapshot.pools)
-    return T.grad_check(lambda: continual.batch_loss(state, batch, 1, stream, prev=prev)[0],
+    labels = continual.task_label_rows(state, 1, stream)
+    return T.grad_check(lambda: continual.batch_loss(state, batch, 1, stream, labels, prev=prev)[0],
                         state.params(), h=h, max_coords=max_coords,
                         rng=np.random.default_rng(seed))

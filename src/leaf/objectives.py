@@ -143,32 +143,23 @@ def feature_distill_loss(prev_features: np.ndarray, curr_features: Tensor) -> Te
     return T.unit_distance(curr_features, -(prev / prev_norm))
 
 
-def soft_targets(prev_head: DetectorHead, prev_features: np.ndarray, old_labels,
-                 temperature: float = 1.0) -> np.ndarray:
-    """The teacher distribution of prediction distillation: softmax over the
-    old classes of the snapshot head on snapshot features, at `temperature`."""
+def prediction_distill_loss(prev_head: DetectorHead, prev_features: np.ndarray,
+                            curr_head: DetectorHead, curr_features: Tensor,
+                            old_labels, temperature: float = 1.0) -> Tensor:
+    """Soft-target cross-entropy over the old classes.
+
+    Teacher distribution comes from the snapshot head on snapshot
+    features (detached); student uses the same old-class rows of the
+    current head at the same temperature.
+    """
     old = sorted(int(y) for y in old_labels)
     if not old:
         raise ValueError("prediction distillation needs a non-empty old label set")
     prev_rows = [prev_head.row_of(y) for y in old]
+    curr_rows = [curr_head.row_of(y) for y in old]
     with T.no_grad():
         prev_logits = prev_head.logits(Tensor(np.asarray(prev_features))).data[:, prev_rows]
-        return T.softmax(prev_logits / temperature).data
-
-
-def prediction_distill_loss(p_hat: np.ndarray, curr_head: DetectorHead, curr_features: Tensor,
-                            old_labels, temperature: float = 1.0) -> Tensor:
-    """Soft-target cross-entropy over the old classes.
-
-    `p_hat` is the teacher distribution (`soft_targets`, one row per feature
-    row); the student uses the same old-class rows of the current head at
-    the same temperature.
-    """
-    old = sorted(int(y) for y in old_labels)
-    if p_hat.shape != (curr_features.shape[0], len(old)):
-        raise T.ShapeError(f"soft targets {p_hat.shape} for {curr_features.shape[0]} rows "
-                           f"and {len(old)} old labels")
-    curr_rows = [curr_head.row_of(y) for y in old]
+        p_hat = T.softmax(prev_logits / temperature).data
     return T.soft_ce(curr_head.logits(curr_features), p_hat, curr_rows, 1.0 / temperature)
 
 

@@ -36,7 +36,8 @@ GENERATOR_INI = os.path.join(REPO, "configs", "generator.ini")
 def test_acceptance_1_gradcheck_full_objective():
     state, batch, stream = build_tiny_problem(seed=7)
     prev = continual.features(state, batch, state.snapshot.pools)
-    _, breakdown = continual.batch_loss(state, batch, 1, stream, prev=prev)
+    _, breakdown = continual.batch_loss(state, batch, 1, stream,
+                                        continual.task_label_rows(state, 1, stream), prev=prev)
     assert all(getattr(breakdown, name) != 0.0 for name in obj.LOSS_TERMS), breakdown
     start = time.monotonic()
     err = run_gradcheck(seed=7)
@@ -180,8 +181,8 @@ def test_acceptance_5a_distillation_fixed_point():
     assert abs(float(fd.data)) <= 1e-12
 
     tau = 2.0
-    p_hat = obj.soft_targets(head.copy(), feats_np, [0, 1, 2], temperature=tau)
-    pd = obj.prediction_distill_loss(p_hat, head, Tensor(feats_np.copy()), [0, 1, 2],
+    pd = obj.prediction_distill_loss(head.copy(), feats_np, head,
+                                     Tensor(feats_np.copy()), [0, 1, 2],
                                      temperature=tau)
     logits = feats_np @ head.weight.data.T
     z = logits / tau

@@ -291,13 +291,18 @@ def record_encodes(monkeypatch) -> list:
     return calls
 
 
+def step_loss(state, batch, t, stream, **kw):
+    """`batch_loss` with the task's label rows."""
+    return C.batch_loss(state, batch, t, stream, C.task_label_rows(state, t, stream), **kw)
+
+
 def record_steps(monkeypatch) -> list:
     """Patch `continual.batch_loss` to log each step's (batch, noise, cls)."""
     steps, real = [], C.batch_loss
 
-    def batch_loss(st, batch, t, stream, noise=None, cls=None, *args):
+    def batch_loss(st, batch, t, stream, labels, noise=None, cls=None, prev=None):
         steps.append((batch, noise, cls))
-        return real(st, batch, t, stream, noise, cls, *args)
+        return real(st, batch, t, stream, labels, noise, cls, prev)
 
     monkeypatch.setattr(C, "batch_loss", batch_loss)
     return steps
@@ -487,25 +492,24 @@ class TestFrozenCache:
         on, a batch without its teacher rows is an error."""
         state, batch, stream = build_tiny_problem(seed=7)
         with pytest.raises(ValueError, match="no teacher rows"):
-            C.batch_loss(state, batch, 1, stream)
+            step_loss(state, batch, 1, stream)
         for alpha_fd, alpha_pd in ((1.0, 0.0), (0.0, 1.0)):
             state.config = replace(state.config, loss_weights=replace(
                 state.config.loss_weights, alpha_fd=alpha_fd, alpha_pd=alpha_pd))
             with pytest.raises(ValueError, match="no teacher rows"):
-                C.batch_loss(state, batch, 1, stream)
-        _, breakdown = C.batch_loss(state, batch[:2], 0, stream)  # task 1 has no teacher
+                step_loss(state, batch, 1, stream)
+        _, breakdown = step_loss(state, batch[:2], 0, stream)  # task 1 has no teacher
         assert breakdown.fd == breakdown.pd == 0.0
 
-    def test_loss_constants_once_per_task_and_epoch(self, monkeypatch):
-        """`train_task` takes the label rows once per task, and the teacher's
-        soft targets in each epoch's teacher pass, one call per step-sized
-        slice; no step computes either."""
+    def test_label_rows_once_per_task(self, monkeypatch):
+        """`train_task` takes the label rows once per task; no step
+        computes them."""
         ds = tiny_dataset()
         state = tiny_state(ds, alpha_label=0.1)
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
         C.train_task(0, stream, state)
         calls, in_step = [], []
-        real_loss, real_rows, real_targets = C.batch_loss, obj.label_rows, obj.soft_targets
+        real_loss, real_rows = C.batch_loss, obj.label_rows
 
         def batch_loss(*args):
             in_step.append(True)
@@ -515,23 +519,13 @@ class TestFrozenCache:
                 in_step.pop()
 
         def label_rows(*args):
-            calls.append(("label_rows", bool(in_step), None))
+            calls.append(bool(in_step))
             return real_rows(*args)
-
-        def soft_targets(head, prev, *args):
-            calls.append(("soft_targets", bool(in_step), len(prev)))
-            return real_targets(head, prev, *args)
 
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         monkeypatch.setattr(obj, "label_rows", label_rows)
-        monkeypatch.setattr(obj, "soft_targets", soft_targets)
-        state.config = replace(state.config, batch_size=3)
         C.train_task(1, stream, state)
-        n, size = len(stream.tasks[1].train) + len(stream.tasks[0].labels), 3
-        assert n > size and n % size
-        assert calls == [("label_rows", False, None)] + [
-            ("soft_targets", False, min(size, n - s)) for s in range(0, n, size)
-        ] * state.config.epochs
+        assert calls == [False]
 
 
 # --------------------------------------------------------------- checkpoints
@@ -621,11 +615,11 @@ class TestTraining:
         memory = list(state.buffer.values())
         seen, real = [], C.batch_loss
 
-        def batch_loss(st, batch, t, stream, noise=None, cls=None, *args):
+        def batch_loss(st, batch, t, stream, labels, noise=None, cls=None, prev=None):
             noisy = (np.zeros(len(batch), dtype=bool) if noise is None
                      else noise.reshape(len(batch), -1).any(axis=1))
             seen.extend(zip(map(id, batch), noisy))
-            return real(st, batch, t, stream, noise, cls, *args)
+            return real(st, batch, t, stream, labels, noise, cls, prev)
 
         monkeypatch.setattr(C, "batch_loss", batch_loss)
         C.train_task(1, stream, state)
@@ -688,10 +682,10 @@ class TestTraining:
         state, batch, stream = build_tiny_problem(seed=7)
         state.config = replace(state.config, routing="token", loss_weights=obj.LossWeights(
             alpha_router=0.05, alpha_label=0.0, alpha_fd=0.0, alpha_pd=0.0))
-        _, breakdown = C.batch_loss(state, batch, 1, stream)
+        _, breakdown = step_loss(state, batch, 1, stream)
         assert breakdown.ce != 0.0 and breakdown.router != 0.0
         assert breakdown.label == breakdown.fd == breakdown.pd == 0.0
-        err = T.grad_check(lambda: C.batch_loss(state, batch, 1, stream)[0],
+        err = T.grad_check(lambda: step_loss(state, batch, 1, stream)[0],
                            moe.pool_params(state.pools) + state.head.params(),
                            max_coords=16, rng=np.random.default_rng(0))
         assert err <= 1e-6
@@ -714,12 +708,12 @@ class TestTraining:
 
         state, batch, stream = build_tiny_problem(seed=7)
         prev = C.features(state, batch, state.snapshot.pools)
-        total, breakdown = C.batch_loss(state, batch, 1, stream, prev=prev)
+        total, breakdown = step_loss(state, batch, 1, stream, prev=prev)
         assert all(getattr(breakdown, name) != 0.0 for name in obj.LOSS_TERMS)
         assert recorded(total) <= 50
         state.config = replace(state.config, routing="token", loss_weights=obj.LossWeights(
             alpha_router=0.05, alpha_label=0.0, alpha_fd=0.0, alpha_pd=0.0))
-        assert recorded(C.batch_loss(state, batch, 1, stream)[0]) <= 46
+        assert recorded(step_loss(state, batch, 1, stream)[0]) <= 46
 
     def test_loss_rows_logged_per_step(self):
         _, state, stream = self.make_run()
@@ -757,9 +751,8 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     evaluation predicts in 32-row chunks, exemplars are picked with one
     forward per label, every frozen [CLS] row (the table, the description
     bank, each epoch's noisy rows) is encoded in a batch of one, the
-    teacher runs one training batch per pass and every step computes the
-    teacher's soft targets and the label rows itself. Both runs share the
-    base weights."""
+    teacher runs one training batch per pass and every step takes the
+    label rows itself. Both runs share the base weights."""
     ds = tiny_dataset()
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
@@ -784,8 +777,12 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
     monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
     monkeypatch.setattr(C, "features", per_batch_teacher)  # the teacher is its one caller
-    real_loss = C.batch_loss   # without the epoch's p_hat and the task's label rows
-    monkeypatch.setattr(C, "batch_loss", lambda *args: real_loss(*args[:7]))
+    real_loss = C.batch_loss   # without the task's label rows
+
+    def per_step_label_rows(st, batch, t, stream, labels, *args):
+        return real_loss(st, batch, t, stream, C.task_label_rows(st, t, stream), *args)
+
+    monkeypatch.setattr(C, "batch_loss", per_step_label_rows)
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -181,12 +181,6 @@ def test_label_loss_requires_two_labels():
 # ---------------------------------------------------------------- distillation
 
 
-def pd_loss(prev_head, prev_features, curr_head, curr_features, old, temperature=1.0):
-    """Prediction distillation against the soft targets of the snapshot."""
-    p_hat = obj.soft_targets(prev_head, prev_features, old, temperature)
-    return obj.prediction_distill_loss(p_hat, curr_head, curr_features, old, temperature)
-
-
 def test_feature_distill_zero_on_identical_features():
     feats = RNG.normal(size=(4, 6))
     loss = float(obj.feature_distill_loss(feats, Tensor(feats.copy())).data)
@@ -249,7 +243,7 @@ def test_feature_distill_nonnegative_and_matches_cosine_oracle(data):
 def test_prediction_distill_self_equals_teacher_entropy():
     head = fresh_head([0, 1, 2])
     feats = RNG.normal(size=(4, 6))
-    loss = float(pd_loss(
+    loss = float(obj.prediction_distill_loss(
         head, feats, head, Tensor(feats.copy()), [0, 1, 2]).data)
     logits = feats @ head.weight.data.T + head.bias.data
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -264,8 +258,8 @@ def test_prediction_distill_restricts_to_old_classes():
     curr._rng = np.random.default_rng(1)
     curr.grow([2, 3])  # new classes must not affect the old-class distribution
     feats = RNG.normal(size=(3, 6))
-    a = float(pd_loss(prev, feats, prev, Tensor(feats.copy()), [0, 1]).data)
-    b = float(pd_loss(prev, feats, curr, Tensor(feats.copy()), [0, 1]).data)
+    a = float(obj.prediction_distill_loss(prev, feats, prev, Tensor(feats.copy()), [0, 1]).data)
+    b = float(obj.prediction_distill_loss(prev, feats, curr, Tensor(feats.copy()), [0, 1]).data)
     assert abs(a - b) <= 1e-12
 
 
@@ -282,7 +276,7 @@ def test_prediction_distill_temperature_smooths():
     assert max_prob(2.0) < max_prob(1.0)
     # and the loss stays finite at both temperatures
     for tau in (1.0, 2.0):
-        val = float(pd_loss(
+        val = float(obj.prediction_distill_loss(
             head, feats, head, Tensor(feats.copy()), [0, 1, 2], temperature=tau).data)
         assert np.isfinite(val)
 
@@ -290,7 +284,7 @@ def test_prediction_distill_temperature_smooths():
 def test_prediction_distill_needs_old_labels():
     head = fresh_head([0])
     with pytest.raises(ValueError):
-        pd_loss(head, np.ones((1, 6)), head,
+        obj.prediction_distill_loss(head, np.ones((1, 6)), head,
                                     Tensor(np.ones((1, 6))), [])
 
 
@@ -299,7 +293,7 @@ def test_prediction_distill_rejects_nan_teacher():
     prev = np.ones((2, 6))
     prev[1, 0] = np.nan
     with pytest.raises(T.NumericalError, match="softmax"):
-        pd_loss(head, prev, head, Tensor(np.ones((2, 6))), [0, 1])
+        obj.prediction_distill_loss(head, prev, head, Tensor(np.ones((2, 6))), [0, 1])
 
 
 # ---------------------------------------------------------------- total
@@ -367,7 +361,6 @@ def test_loss_terms_match_compositions_bit_for_bit(data, mode, seed):
     bank = stub_bank({y: list(rng.normal(size=(int(rng.integers(1, 3)), d))) for y in labels}, d)
     gold = rng.choice(labels, B).tolist()
     prev = rng.normal(size=(B, d))
-    p_hat = obj.soft_targets(snapshot, prev, old, temperature)
     pool = moe.init_pools(1, d, 3, 1, rng)[(0, "q")]
     pool.B.data[...] = rng.normal(0.0, 0.5, pool.B.shape)
     x = Tensor(rng.normal(size=(B, d)), requires_grad=True)
@@ -386,7 +379,7 @@ def test_loss_terms_match_compositions_bit_for_bit(data, mode, seed):
         parts = {"ce": obj.ce_loss(head, feats, gold), "router": moe.router_loss(records),
                  "label": obj.label_contrastive_loss(feats, gold, obj.label_rows(bank, labels)),
                  "fd": obj.feature_distill_loss(prev, feats),
-                 "pd": obj.prediction_distill_loss(p_hat, head, feats, old, temperature)}
+                 "pd": obj.prediction_distill_loss(snapshot, prev, head, feats, old, temperature)}
         total, _ = obj.total_loss(parts, weights)
         total.backward()
         return [total.data, *(p.grad for p in params)]
