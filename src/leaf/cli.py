@@ -5,12 +5,15 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error (also a
 seed that is negative or not an integer, and a config value the dataset
 cannot satisfy), 3 numerical failure. The LEAF_SEED environment variable
 overrides the config seed; an explicit --seed flag overrides both.
+`--log-level` (before the command) sets the least severe log record
+printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import os
 import sys
 
@@ -23,6 +26,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _log(msg: str) -> None:
@@ -181,6 +186,8 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leaf",
                                      description="few-shot continual event detection harness")
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="WARNING",
+                        help="least severe log records printed to stderr (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
@@ -226,6 +233,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    logging.basicConfig(level=args.log_level)
     try:
         return args.fn(args)
     except cfgmod.ConfigError as exc:

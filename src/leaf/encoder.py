@@ -186,13 +186,25 @@ def tokenize_set(texts, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return np.stack(ids), np.stack(mask)
 
 
+def _token_widths(cfg: EncoderConfig, pools, cls) -> list[int]:
+    """Output widths of the matmuls that a forward runs per token: the
+    projections and the FFN, each pool's LoRA down-projection (M·r) and,
+    under token routing, its router scores (M)."""
+    widths = [cfg.model_dim, cfg.ffn_dim]
+    for pool in (pools or {}).values():
+        M, _, r = pool.A.shape
+        widths += [M * r] if cls is not None else [M * r, M]
+    return widths
+
+
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
              cls=None, topk: int | None = None, combine_mode: str = "softmax",
              embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Shared forward over a [B, S] batch of ids/mask (a single sentence is
     a batch of one). Returns the [B, d] [CLS] rows and the routing records.
     Each projection with a pool in `pools` adds that pool's LoRA delta,
-    routed as `encode_with_experts` describes.
+    routed as `encode_with_experts` describes. Position 0 of every row
+    ([CLS]) must be real.
 
     Padded keys get exactly zero attention (`T.MASK_BIAS`), but a row's
     bits depend on the width S it is padded to, not on the other rows. So
@@ -200,12 +212,36 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     set to the set's one length (`tokenize_set`), and `embed_noise` is
     [B, S, d].
 
+    Two layouts of the per-token rows. Under a graph they stay [B, S, d],
+    padding included: a weight's gradient is one matmul per sentence,
+    summed over sentences, and another layout would sum in another order.
+    Without one (evaluation, the frozen [CLS] passes, the teacher, exemplar
+    selection) the real tokens alone are packed row by row into [P, S, d]
+    slices of exactly S rows, the last one completed with zero rows, and
+    every per-token op after the embedding lookup runs on them: the
+    projections, their LoRA deltas (the instance mix repeated per token),
+    token routing, the residual adds, both layer norms and the FFN. Only
+    `T.attention` sees [B, S, d], each padded position holding a copy of
+    its row's [CLS], and its context is gathered back. The bits are those
+    of the padded layout, because
+    - a matmul row depends only on that row and on the rows per call, S in
+      both layouts, when the output width is a multiple of 4 (measured with
+      OpenBLAS on x86-64: widths 4 to 160, 2 to 24 rows per call); at
+      widths such as 3, 6 or 10 it also depends on the row's index in the
+      call, so a forward with such a width (`_token_widths`) stays padded;
+    - a padded key gets exactly zero attention weight, whatever its value,
+      and no real position reads a padded query's output;
+    - layer norm, GELU and the adds act per row or per element.
+    Token-routing records come back as [B, S]; where padded (mask 0) they
+    hold the row's [CLS] entry.
+
     Only [CLS] leaves the last block, and a position's output there depends
     on the other positions through the keys and values alone. So that block
     projects `k` and `v` over all positions and runs everything else (the
-    query, attention output, `o`, both layer norms and the FFN) on row 0:
-    the lossless end of PoWER-BERT's word-vector elimination. Its `q` token
-    router still scores every position; only the [CLS] row's delta applies."""
+    query, attention output, `o`, both layer norms and the FFN) on the
+    [B, 1, d] [CLS] rows: the lossless end of PoWER-BERT's word-vector
+    elimination. Its `q` token router still scores every position; only the
+    [CLS] row's delta applies."""
     cfg = weights.config
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
@@ -213,36 +249,83 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
         raise T.ShapeError(f"ids and mask must both be [B, S], got {ids.shape} and {mask.shape}")
     if ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id {int(ids.max())} >= vocab_size {cfg.vocab_size}")
+    if not (mask[:, 0] == 1).all():
+        raise ValueError("position 0 ([CLS]) of every row must be real (mask 1)")
     w = weights.tensors
     mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk,
                                                                       combine_mode)
+    bsz, width = ids.shape
+    packed = not T.grad_enabled() and all(n % 4 == 0 for n in _token_widths(cfg, pools, cls))
+    if packed:
+        real = np.flatnonzero(mask == 1)  # flat position of every real token, row by row
+        owner = real // width  # the row of each real token
+        cls_at = np.searchsorted(real, np.arange(bsz) * width)  # each row's [CLS] among them
+        spread = np.repeat(cls_at, width)  # each position's packed row: its own if real,
+        spread[real] = np.arange(real.size)  # else its row's [CLS]
+
+        def pack(a: np.ndarray, at: np.ndarray) -> Tensor:
+            """Rows `at` of a ([N, ...]) -> [P, S, ...] slices."""
+            out = np.empty((-(-at.size // width) * width,) + a.shape[1:])
+            np.take(a, at, axis=0, out=out[:at.size])
+            out[at.size:] = 0.0
+            return Tensor(out.reshape((-1, width) + a.shape[1:]))
+
+        def unpack(a: np.ndarray) -> np.ndarray:
+            """[P, S, ...] packed rows -> [B, S, ...], a padded position
+            holding its row's [CLS] entry."""
+            rows = np.take(a.reshape((-1,) + a.shape[2:]), spread, axis=0)
+            return rows.reshape((bsz, width) + a.shape[2:])
+
+    def batched(t: Tensor) -> Tensor:
+        """Per-token rows in the [B, S, ...] layout."""
+        return Tensor(unpack(t.data)) if packed else t
+
+    def cls_rows(t: Tensor) -> Tensor:
+        """The [B, 1, ...] [CLS] rows of per-token rows."""
+        if packed:
+            return Tensor(t.data.reshape((-1,) + t.shape[2:])[cls_at, None])
+        return T.take(t, [0], axis=1)
 
     def project(h, l, tag, routed=None):
+        """Projection `tag` of block l with its pool's delta; given `routed`,
+        h is the [CLS] rows of those per-token rows."""
         out = T.linear(h, w[f"layer{l}.{tag}.weight"], w[f"layer{l}.{tag}.bias"])
         pool = (pools or {}).get((l, tag))
         if pool is None:
             return out
         if mix is not None:
             pool_mix = mix[(l, tag)]
+            if packed and routed is None:  # the instance's mix row for each token
+                pool_mix = pack(pool_mix.data, owner)
         else:
-            routed = h if routed is None else routed
-            pool_mix, record = moe.token_mix_weights(pool, routed, topk, combine_mode)
+            pool_mix, record = moe.token_mix_weights(pool, h if routed is None else routed,
+                                                     topk, combine_mode)
+            if packed:
+                record.update(scores=batched(record["scores"]),
+                              selected=unpack(record["selected"]),
+                              fallback=unpack(record["fallback"]))
             record["key"] = (l, tag)
             record["mask"] = mask  # the router loss averages real tokens only
             records.append(record)
-            if h.shape[1] < routed.shape[1]:  # h is the [CLS] row of `routed`
-                pool_mix = T.take(pool_mix, [0], axis=1)
+            if routed is not None:
+                pool_mix = cls_rows(pool_mix)
         return T.add(out, moe.pool_delta(pool, h, pool_mix))
 
-    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(ids.shape[1])))
+    x = T.add(T.take(w["tok_emb"], ids), T.take(w["pos_emb"], np.arange(width)))
     if embed_noise is not None:
         x = T.add(x, Tensor(embed_noise))
+    if packed:
+        x = pack(x.data.reshape(-1, cfg.model_dim), real)
     key_bias = np.where(mask[:, None, None, :] == 1, 0.0, T.MASK_BIAS)
 
     for l in range(cfg.num_layers):
-        rows = T.take(x, [0], axis=1) if l == cfg.num_layers - 1 else x
-        ctx = T.attention(project(rows, l, "q", routed=x), project(x, l, "k"),
-                          project(x, l, "v"), key_bias, cfg.num_heads)
+        last = l == cfg.num_layers - 1
+        rows = cls_rows(x) if last else x
+        q = project(rows, l, "q", routed=x if last else None)
+        ctx = T.attention(q if last else batched(q), batched(project(x, l, "k")),
+                          batched(project(x, l, "v")), key_bias, cfg.num_heads)
+        if packed and not last:
+            ctx = pack(ctx.data.reshape(-1, cfg.model_dim), real)
         x = T.layer_norm(T.add(rows, project(ctx, l, "o")), w[f"layer{l}.ln1.gain"],
                          w[f"layer{l}.ln1.bias"], cfg.layernorm_eps)
         ff = T.gelu(T.linear(x, w[f"layer{l}.ffn1.weight"], w[f"layer{l}.ffn1.bias"]))

@@ -9,14 +9,15 @@ weights, constants and masks never receive one.
 
 Fused nodes with hand-written backward rules: `linear` (x @ Wᵀ + b),
 `scores` (x @ Wᵀ), `attention` (multi-head scaled dot-product attention),
-`lora` (a pool of mixed low-rank experts), `softmax` and `logsumexp`
-with a constant additive bias (masking), and one node per training-loss
-term: `soft_ce` (cross-entropy and prediction distillation), `lse_gap`
-(the label contrast after its similarities), `unit_distance` (feature
-distillation), `masked_sums` (the router loss over every pool) and
-`weighted_sum` (the weighted total). Their values and gradients are
-bit-identical to the compositions of primitives they replace; the loss
-nodes hand a parent its gradient in the parts and order the chain did.
+`lora` (a pool of mixed low-rank experts), `softmax` with a constant
+additive bias (masking), and one node per training-loss term: `soft_ce`
+(cross-entropy and prediction distillation), `lse_gap` (the label
+contrast after its similarities: two masked log-sum-exps and their
+mean), `unit_distance` (feature distillation), `masked_sums` (the router
+loss over every pool) and `weighted_sum` (the weighted total). Their
+values and gradients are bit-identical to the compositions of primitives
+they replace; the loss nodes hand a parent its gradient in the parts and
+order the chain did.
 
 Invariant: no code writes into a `.grad` array in place. So
 `accumulate_grad` keeps the first gradient it receives without a defensive
@@ -406,23 +407,6 @@ def softmax(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def logsumexp(a, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
-    """Stable log-sum-exp of a + bias over `axis`, which is dropped; the
-    constant `bias` (masking) gets no gradient, and the max shift is
-    treated as a constant."""
-    a = as_tensor(a)
-    z = a.data if bias is None else a.data + bias
-    m = z.max(axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    inner = e.sum(axis=axis)
-    data = np.log(inner) + np.squeeze(m, axis=axis)
-
-    def bw(g):
-        a.accumulate_grad(np.expand_dims(g / inner, axis) * e)
-
-    return _node(data, (a,), bw)
-
-
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -490,7 +474,8 @@ def soft_ce(logits, target: np.ndarray, cols=None, scale: float = 1.0) -> Tensor
 def lse_gap(a, member: np.ndarray) -> Tensor:
     """Mean over the rows of a [B, n] of the log-sum-exp of the entries
     outside the constant bool mask `member` minus that of the entries in
-    it, each computed as `logsumexp` with a masking bias."""
+    it, each over the row plus a masking bias (MASK_BIAS), shifted by its
+    max."""
     a = as_tensor(a)
 
     def lse(bias):

@@ -78,6 +78,23 @@ def log_softmax(a, axis: int = -1) -> T.Tensor:
     return T._node(data, (a,), bw)
 
 
+def logsumexp(a, axis: int = -1, bias: np.ndarray | None = None) -> T.Tensor:
+    """Stable log-sum-exp of a + bias over `axis`, which is dropped; the
+    constant `bias` (masking) gets no gradient, and the max shift is
+    treated as a constant. `T.lse_gap` replaced a chain of two of these."""
+    a = T.as_tensor(a)
+    z = a.data if bias is None else a.data + bias
+    m = z.max(axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    inner = e.sum(axis=axis)
+    data = np.log(inner) + np.squeeze(m, axis=axis)
+
+    def bw(g):
+        a.accumulate_grad(np.expand_dims(g / inner, axis) * e)
+
+    return T._node(data, (a,), bw)
+
+
 # ---------------------------------------------------------------------------
 # The compositions of primitives that each fused node replaced
 
@@ -94,8 +111,8 @@ def softmax(a, axis=-1, bias=None) -> T.Tensor:
     return _softmax(a if bias is None else T.add(a, T.Tensor(bias)), axis=axis)
 
 
-def logsumexp(a, axis=-1, bias=None) -> T.Tensor:
-    """`T.logsumexp`: exp, sum and log nodes around a constant max shift."""
+def composed_logsumexp(a, axis=-1, bias=None) -> T.Tensor:
+    """`logsumexp`: exp, sum and log nodes around a constant max shift."""
     if bias is not None:
         a = T.add(a, T.Tensor(bias))
     m = a.data.max(axis=axis, keepdims=True)
@@ -162,7 +179,7 @@ def weighted_sum(first, terms, weights) -> T.Tensor:
 
 
 COMPOSED = [(moe, "pool_delta", pool_delta), (T, "scores", scores), (T, "softmax", softmax),
-            (T, "logsumexp", logsumexp), (T, "soft_ce", soft_ce), (T, "lse_gap", lse_gap),
+            (T, "soft_ce", soft_ce), (T, "lse_gap", lse_gap),
             (T, "unit_distance", unit_distance), (T, "masked_sums", masked_sums),
             (T, "weighted_sum", weighted_sum)]
 
@@ -170,8 +187,8 @@ COMPOSED = [(moe, "pool_delta", pool_delta), (T, "scores", scores), (T, "softmax
 @contextlib.contextmanager
 def composed_ops(names=None):
     """Inside the block, the expert pools, the router scores, the masked
-    softmax, the log-sum-exps and the loss-term nodes (or only those in
-    `names`) run as their compositions."""
+    softmax and the loss-term nodes (or only those in `names`) run as their
+    compositions."""
     with pytest.MonkeyPatch.context() as mp:
         for mod, name, fn in COMPOSED:
             if names is None or name in names:
@@ -273,6 +290,19 @@ def per_batch_teacher(state, instances, pools, noise=None, cls=None):
                                             embed_noise=noise[part] if noisy else None,
                                             cls=None if cls is None else cls[part])[0].data)
     return np.concatenate(feats)
+
+
+def per_step_prediction_distill(prev_head, prev_features, curr_head, curr_features,
+                                old_labels, temperature=1.0) -> T.Tensor:
+    """`leaf.objectives.prediction_distill_loss`: the teacher's soft targets
+    from the batch's teacher rows in each step, one head matmul per batch."""
+    old = sorted(int(y) for y in old_labels)
+    prev_rows = [prev_head.row_of(y) for y in old]
+    with T.no_grad():
+        logits = prev_head.logits(T.Tensor(np.asarray(prev_features))).data[:, prev_rows]
+        p_hat = T.softmax(logits / temperature).data
+    return T.soft_ce(curr_head.logits(curr_features), p_hat,
+                     [curr_head.row_of(y) for y in old], 1.0 / temperature)
 
 
 def per_label_exemplars(state, instances_by_label) -> dict:

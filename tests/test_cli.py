@@ -736,3 +736,33 @@ def test_blas_thread_count_does_not_move_bytes(workspace):
         runs.append(run_files(out))
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(runs[0])
     assert runs[0] == runs[1]
+
+
+class TestLogLevel:
+    @staticmethod
+    def train(workspace, name, *argv, config=None):
+        """stderr of `leaf [argv] train` in a child process: the logging
+        set-up of a real `leaf` process, not the test runner's."""
+        root, cfg = workspace
+        proc = subprocess.run([sys.executable, "-m", "leaf.cli", *argv, "train", "--config",
+                               str(config or cfg), "--mode", "leaf", "--out", str(root / name)],
+                              env=leaf_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_clean_run_stderr_is_unchanged_at_the_default(self, workspace):
+        lines = self.train(workspace, "log_default").splitlines()
+        assert len(lines) == 2 and lines[0] == "training mode=leaf seed=0"
+        assert lines[1].startswith("final cumulative micro-F1: ")
+
+    def test_info_prints_the_paper_literal_fallbacks(self, workspace):
+        root, cfg = workspace
+        literal = config_with(cfg, "moe", "combine_mode = paper-literal",
+                              root / "paper_literal.ini")
+        assert "paper-literal" not in self.train(workspace, "log_warning", config=literal)
+        err = self.train(workspace, "log_info", "--log-level", "INFO", config=literal)
+        assert "INFO:leaf.moe:paper-literal normalizer degenerate for " in err
+
+    def test_unknown_level_is_usage_error(self, capsys):
+        assert main(["--log-level", "TRACE", "gradcheck"]) == 2
+        assert "invalid choice: 'TRACE'" in capsys.readouterr().err

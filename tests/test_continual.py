@@ -25,9 +25,9 @@ from oracles import (dataset_order_predict, one_row_frozen_cls, per_batch_teache
                      per_label_exemplars, run_files)
 
 
-def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0):
+def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0, vocab_size=400):
     spec = DS.GeneratorSpec(n_labels=n_labels, instances_per_label=per_label,
-                            test_per_label=test_per_label, vocab_size=400,
+                            test_per_label=test_per_label, vocab_size=vocab_size,
                             confusability=0.5, sentence_len=(4, 6),
                             triggers_per_sentence=(1, 2), seed=seed)
     return DS.generate(spec)
@@ -741,10 +741,14 @@ class TestTraining:
 
 # ------------------------------------------------------ run-level exactness
 
-@pytest.mark.parametrize("mode,combine", [("leaf", "softmax"), ("leaf", "paper-literal"),
-                                          ("mole-token", "softmax")])
-def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, combine):
-    """A whole run (2 tasks, 2 epochs) writes the same bytes, checkpoints
+@pytest.mark.parametrize("mode,combine,n_way,num_tasks,dim,experts", [
+    pytest.param("leaf", "softmax", 2, 2, 16, 3, id="leaf-softmax"),
+    pytest.param("leaf", "paper-literal", 2, 2, 16, 3, id="leaf-paper-literal"),
+    pytest.param("mole-token", "softmax", 2, 2, 16, 3, id="mole-token-softmax"),
+    pytest.param("leaf", "softmax", 4, 3, 64, 4, id="leaf-softmax-12-classes")])
+def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, combine,
+                                                      n_way, num_tasks, dim, experts):
+    """A whole run (2 epochs) writes the same bytes, checkpoints
     included, when the expert pools, router scores, masked softmax, the
     log-sum-exps and the five loss terms with their weighted total run as
     the compositions of primitives that their fused nodes replaced,
@@ -752,19 +756,24 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     forward per label, every frozen [CLS] row (the table, the description
     bank, each epoch's noisy rows) is encoded in a batch of one, the
     teacher runs one training batch per pass and every step takes the
-    label rows itself. Both runs share the base weights."""
-    ds = tiny_dataset()
+    label rows and the teacher's soft targets itself. Both runs share the
+    base weights. The 12-class run (3 tasks of 4 labels, reference model
+    width) has rows of 8 old classes and more, where a sum over a row in
+    another order than the chain's moves bits, and at d = 64 a matmul row
+    depends on the rows per call, so a head matmul over more rows does too
+    (at d = 16 it does not)."""
+    ds = tiny_dataset(n_labels=n_way * num_tasks, vocab_size=600)
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
-    ecfg = E.EncoderConfig(num_layers=2, model_dim=16, num_heads=2, ffn_dim=32,
+    ecfg = E.EncoderConfig(num_layers=2, model_dim=dim, num_heads=2, ffn_dim=2 * dim,
                            max_seq_len=12, vocab_size=len(vocab))
     weights = E.init_encoder_weights(ecfg, np.random.default_rng(0))
     weights.freeze()
     resolved = cfgmod.defaults()
-    resolved["moe"].update(num_experts=3, topk=2, rank=2, combine_mode=combine)
+    resolved["moe"].update(num_experts=experts, topk=2, rank=2, combine_mode=combine)
     # lr 1e-2: at the default 1e-3 the tiny model gives most test rows one
     # label, and F1 cannot show a prediction written into the wrong row
-    resolved["continual"].update(n_way=2, k_shot=3, num_tasks=2, epochs=2, batch_size=4,
-                                 lr=1e-2, n_descriptions=2)
+    resolved["continual"].update(n_way=n_way, k_shot=3, num_tasks=num_tasks, epochs=2,
+                                 batch_size=4, lr=1e-2, n_descriptions=2)
     resolved = harness.apply_mode(resolved, mode)
 
     def run(name):
@@ -783,6 +792,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
         return real_loss(st, batch, t, stream, C.task_label_rows(st, t, stream), *args)
 
     monkeypatch.setattr(C, "batch_loss", per_step_label_rows)
+    monkeypatch.setattr(obj, "prediction_distill_loss", oracles.per_step_prediction_distill)
     with oracles.composed_ops():
         composed = run("composed")
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)

@@ -356,6 +356,72 @@ class TestTrimmedPadding:
         assert err < 1e-6
 
 
+# ------------------------------------- no-grad passes pack the real tokens
+
+
+class TestPackedLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_no_grad_matches_the_graph_byte_for_byte(self, data):
+        """Without a graph the forward packs the real tokens into slices of
+        S rows; with one it keeps [B, S]. Both give the same [CLS] bytes and
+        the same routing records at every real position, and the same router
+        loss: instance and token routing, softmax and paper-literal, with and
+        without noise, on ragged batches of 1-100 rows that mix one-word
+        rows with full-width ones, with pools of 4 experts of rank 4 or 8
+        (packed) or 3 of rank 2 (too narrow to pack). The encoder has the
+        reference size: at d = 16 a matmul row's bits do not depend on the
+        rows per call."""
+        vocab = E.Vocab([f"w{i}" for i in range(12)])
+        cfg = E.EncoderConfig(vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        experts, rank = data.draw(st.sampled_from([(4, 4), (4, 8), (3, 2)]), label="pools")
+        rng = np.random.default_rng(1)
+        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, experts, rank, rng)
+        for pool in pools.values():
+            pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
+        width = data.draw(st.integers(2, cfg.max_seq_len), label="width")
+        lengths = data.draw(st.lists(st.just(2) | st.just(width) | st.integers(1, width),
+                                     min_size=1, max_size=100), label="lengths")
+        routing = data.draw(st.sampled_from(["instance", "token"]), label="routing")
+        mode = data.draw(st.sampled_from(["softmax", "paper-literal"]), label="combine")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+        ids, mask = padded(ragged_rows(rng, vocab, lengths), width)
+        noise = None
+        if data.draw(st.booleans(), label="noise"):
+            noise = rng.normal(0.0, 0.05, ids.shape + (cfg.model_dim,))
+            noise[rng.random(len(lengths)) < 0.5] = 0.0  # clean and noisy rows
+
+        def encode():
+            base = E.encode_base(ids, mask, w, embed_noise=noise)
+            cls = base.data if routing == "instance" else None
+            out, records = E.encode_with_experts(ids, mask, w, pools, cls, 2, mode, noise)
+            return base.data, out.data, records, moe.router_loss(records).data
+
+        with T.no_grad():
+            packed = encode()
+        graph = encode()
+        assert packed[0].tobytes() == graph[0].tobytes()
+        assert packed[1].tobytes() == graph[1].tobytes()
+        assert packed[3].tobytes() == graph[3].tobytes()
+        assert [r["key"] for r in packed[2]] == [r["key"] for r in graph[2]] == sorted(pools)
+        for got, ref in zip(packed[2], graph[2]):
+            np.testing.assert_array_equal(got["mask"], ref["mask"])
+            real = ref["mask"] == 1
+            assert got["scores"].shape == ref["scores"].shape
+            assert got["scores"].data[real].tobytes() == ref["scores"].data[real].tobytes()
+            for field in ("selected", "fallback"):
+                assert got[field].shape == ref[field].shape
+                np.testing.assert_array_equal(got[field][real], ref[field][real])
+
+    def test_cls_must_be_real(self):
+        w, vocab, cfg = make_weights()
+        ids, mask = batch_of_one("alpha beta", vocab, cfg)
+        mask[0, 0] = 0
+        with pytest.raises(ValueError, match=r"position 0 \(\[CLS\]\) of every row"):
+            E.encode_base(ids, mask, w)
+
+
 # ------------------------------------------- the last block is [CLS] only
 
 
