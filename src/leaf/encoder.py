@@ -216,19 +216,22 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     padding included: a weight's gradient is one matmul per sentence,
     summed over sentences, and another layout would sum in another order.
     Without one (evaluation, the frozen [CLS] passes, the teacher, exemplar
-    selection) the real tokens alone are packed row by row into [P, S, d]
-    slices of exactly S rows, the last one completed with zero rows, and
-    every per-token op after the embedding lookup runs on them: the
-    projections, their LoRA deltas (the instance mix repeated per token),
-    token routing, the residual adds, both layer norms and the FFN. Only
-    `T.attention` sees [B, S, d], each padded position holding a copy of
-    its row's [CLS], and its context is gathered back. The bits are those
-    of the padded layout, because
+    selection), in a batch with padding, the real tokens alone are packed
+    row by row into [P, S, d] slices of exactly S rows, the last one
+    completed with zero rows, and every per-token op after the embedding
+    lookup runs on them: the projections, their LoRA deltas (the instance
+    mix repeated per token), token routing, the residual adds, both layer
+    norms and the FFN. Only `T.attention` sees [B, S, d], each padded
+    position holding a copy of its row's [CLS], and its context is
+    gathered back. The bits are those of the padded layout, because
     - a matmul row depends only on that row and on the rows per call, S in
       both layouts, when the output width is a multiple of 4 (measured with
-      OpenBLAS on x86-64: widths 4 to 160, 2 to 24 rows per call); at
-      widths such as 3, 6 or 10 it also depends on the row's index in the
-      call, so a forward with such a width (`_token_widths`) stays padded;
+      scipy-openblas 0.3.31, SkylakeX kernels: widths 4 to 160, 2 to 24
+      rows per call); at widths such as 3, 6 or 10 it also depends on the
+      row's index in the call, so a forward with such a width
+      (`_token_widths`) stays padded. Rows of different sentences share a
+      call, so batch invariance here rests on this property of the BLAS
+      kernel, not on one call per sentence as under a graph;
     - a padded key gets exactly zero attention weight, whatever its value,
       and no real position reads a padded query's output;
     - layer norm, GELU and the adds act per row or per element.
@@ -255,7 +258,8 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk,
                                                                       combine_mode)
     bsz, width = ids.shape
-    packed = not T.grad_enabled() and all(n % 4 == 0 for n in _token_widths(cfg, pools, cls))
+    packed = (not T.grad_enabled() and not mask.all()
+              and all(n % 4 == 0 for n in _token_widths(cfg, pools, cls)))
     if packed:
         real = np.flatnonzero(mask == 1)  # flat position of every real token, row by row
         owner = real // width  # the row of each real token
@@ -306,6 +310,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
                               fallback=unpack(record["fallback"]))
             record["key"] = (l, tag)
             record["mask"] = mask  # the router loss averages real tokens only
+            moe.log_fallbacks(record)
             records.append(record)
             if routed is not None:
                 pool_mix = cls_rows(pool_mix)

@@ -101,15 +101,22 @@ def combine_weights(scores: Tensor, selected: np.ndarray,
     s = scores.data
     sums = np.where(selected, s, 0.0).sum(axis=-1, keepdims=True)
     ok = ~((np.where(selected, s, np.inf) <= 0).any(axis=-1, keepdims=True) | (sums < 1e-6))
-    if not ok.all():
-        logger.info("paper-literal normalizer degenerate for %d rows; softmax fallback",
-                    int((~ok).sum()))
     # zero out degenerate rows before dividing so no NaN enters the graph
     fallback = Tensor(1.0 - ok.astype(float))
     numer = T.mul(scores, Tensor((selected & ok).astype(float)))
     denom = T.add(T.tsum(numer, axis=-1, keepdims=True), fallback)
     mix = T.add(T.div(numer, denom), T.mul(soft, fallback))
     return mix, ~ok[..., 0]
+
+
+def log_fallbacks(record) -> None:
+    """Log (INFO) how many real rows of a routing record, those its `mask`
+    marks, fell back to softmax under paper-literal combining."""
+    if record["fallback"].any():
+        n = int((record["fallback"] & (record["mask"] == 1)).sum())
+        if n:
+            logger.info("paper-literal normalizer degenerate for %d rows of pool %s; "
+                        "softmax fallback", n, record["key"])
 
 
 def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict]:
@@ -133,6 +140,7 @@ def route_instance(pools, cls, K: int, mode: str = "softmax") -> tuple[dict, lis
     for key in sorted(pools):
         mix[key], record = _route(pools[key], cls, K, mode)
         record["key"] = key
+        log_fallbacks(record)
         records.append(record)
     return mix, records
 

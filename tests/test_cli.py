@@ -5,6 +5,7 @@ precedence, exit codes, and run-directory determinism."""
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -761,7 +762,11 @@ class TestLogLevel:
                               root / "paper_literal.ini")
         assert "paper-literal" not in self.train(workspace, "log_warning", config=literal)
         err = self.train(workspace, "log_info", "--log-level", "INFO", config=literal)
-        assert "INFO:leaf.moe:paper-literal normalizer degenerate for " in err
+        counts = re.findall(r"^INFO:leaf\.moe:paper-literal normalizer degenerate for (\d+) "
+                            r"rows of pool \(\d, '[qkvo]'\); softmax fallback$", err, re.M)
+        assert counts and err.count("INFO:") == len(counts)
+        # instance routing: one row per instance of a batch or EVAL_CHUNK slice
+        assert all(1 <= int(n) <= encoder.EVAL_CHUNK for n in counts)
 
     def test_unknown_level_is_usage_error(self, capsys):
         assert main(["--log-level", "TRACE", "gradcheck"]) == 2

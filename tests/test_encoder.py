@@ -414,6 +414,35 @@ class TestPackedLayout:
                 assert got[field].shape == ref[field].shape
                 np.testing.assert_array_equal(got[field][real], ref[field][real])
 
+    def test_fallback_log_counts_real_rows_only(self, caplog):
+        """The INFO line of paper-literal fallbacks counts the real tokens of
+        each token-routed pool, the same number in both layouts: neither
+        padded positions nor the packed layout's fill rows."""
+        vocab = E.Vocab([f"w{i}" for i in range(12)])
+        cfg = E.EncoderConfig(vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
+        for pool in pools.values():
+            pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
+        ids, mask = padded(ragged_rows(rng, vocab, [2, 9, 4, 1, 9, 6, 3]), 9)
+
+        def logged_counts():
+            caplog.clear()
+            with caplog.at_level("INFO", logger="leaf.moe"):
+                _, records = E.encode_with_experts(ids, mask, w, pools, None, 2,
+                                                   "paper-literal")
+            counts = {r.args[1]: r.args[0] for r in caplog.records}
+            real = {r["key"]: int((r["fallback"] & (mask == 1)).sum()) for r in records}
+            return counts, {key: n for key, n in real.items() if n}, records
+
+        with T.no_grad():
+            packed, packed_real, _ = logged_counts()
+        graph, graph_real, records = logged_counts()
+        padded_flags = sum(int((r["fallback"] & (mask == 0)).sum()) for r in records)
+        assert packed == packed_real == graph == graph_real
+        assert len(graph) >= 2 and padded_flags > 0  # both kinds of row occur
+
     def test_cls_must_be_real(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
