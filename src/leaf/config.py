@@ -71,7 +71,6 @@ SCHEMA = {
         "num_experts": (int, 4),
         "topk": (int, 2),
         "rank": (int, 8),
-        "combine_mode": (_choice("softmax", "paper-literal"), "softmax"),
         "routing": (_choice("instance", "token"), "instance"),
     },
     "losses": {
@@ -140,13 +139,11 @@ def parse_config(path, schema=SCHEMA) -> dict:
         raise ConfigError(f"config file not found: {path}")
     if parser.defaults():  # its keys would silently apply to every section
         raise ConfigError(f"unknown config section [{parser.default_section}]")
+    raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    _check_keys(raw, schema)
     resolved = defaults(schema)
-    for sec in parser.sections():
-        if sec not in schema:
-            raise ConfigError(f"unknown config section [{sec}]")
-        for key, value in parser.items(sec):
-            if key not in schema[sec]:
-                raise ConfigError(f"unknown config key [{sec}] {key}")
+    for sec, items in raw.items():
+        for key, value in items.items():
             conv = schema[sec][key][0]
             try:
                 resolved[sec][key] = conv(value)
@@ -155,9 +152,21 @@ def parse_config(path, schema=SCHEMA) -> dict:
     return check(resolved)
 
 
+def _check_keys(sections: dict, schema) -> None:
+    """Raise ConfigError for a section or key that `schema` lacks."""
+    for sec, keys in sections.items():
+        if sec not in schema:
+            raise ConfigError(f"unknown config section [{sec}]")
+        for key in keys:
+            if key not in schema[sec]:
+                raise ConfigError(f"unknown config key [{sec}] {key}")
+
+
 def check(resolved: dict) -> dict:
-    """Return `resolved` once the dataclasses it feeds accept it; raise
-    ConfigError if not. Runs at parse time and on every derived config."""
+    """Return `resolved` once its sections and keys are the schema's and the
+    dataclasses it feeds accept it; raise ConfigError if not. Runs at parse
+    time and on every derived config."""
+    _check_keys(resolved, GENERATOR_SCHEMA if "generator" in resolved else SCHEMA)
     try:
         if "generator" in resolved:
             generator_spec(resolved)
@@ -188,8 +197,7 @@ def train_config(resolved: dict, seed: int | None = None) -> TrainConfig:
         epochs=c["epochs"], batch_size=c["batch_size"], lr=c["lr"],
         loss_weights=LossWeights(**{f"alpha_{n}": lo[f"alpha_{n}"] for n in LOSS_TERMS[1:]}),
         topk=m["topk"], num_experts=m["num_experts"], rank=m["rank"],
-        combine_mode=m["combine_mode"], routing=m["routing"], augment=c["augment"],
-        temperature=lo["temperature"],
+        routing=m["routing"], augment=c["augment"], temperature=lo["temperature"],
         seed=resolved["run"]["seed"] if seed is None else seed)
 
 

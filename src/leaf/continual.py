@@ -73,7 +73,6 @@ class TrainConfig:
     topk: int = 2
     num_experts: int = 4
     rank: int = 8
-    combine_mode: str = "softmax"
     routing: str = "instance"          # "instance" or "token" (comparison mode)
     augment: bool = False
     temperature: float = 1.0
@@ -178,7 +177,7 @@ def forward_features(state: ModelState, instances, pools=None,
     if cls is None and cfg.routing != "token":
         cls = state.table.cls[rows]
     return enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
-                                   cfg.combine_mode, embed_noise)
+                                   embed_noise)
 
 
 def features(state: ModelState, instances, pools=None, noise: np.ndarray | None = None,

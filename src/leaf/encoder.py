@@ -198,7 +198,7 @@ def _token_widths(cfg: EncoderConfig, pools, cls) -> list[int]:
 
 
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
-             cls=None, topk: int | None = None, combine_mode: str = "softmax",
+             cls=None, topk: int | None = None,
              embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Shared forward over a [B, S] batch of ids/mask (a single sentence is
     a batch of one). Returns the [B, d] [CLS] rows and the routing records.
@@ -255,8 +255,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     if not (mask[:, 0] == 1).all():
         raise ValueError("position 0 ([CLS]) of every row must be real (mask 1)")
     w = weights.tensors
-    mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk,
-                                                                      combine_mode)
+    mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk)
     bsz, width = ids.shape
     packed = (not T.grad_enabled() and not mask.all()
               and all(n % 4 == 0 for n in _token_widths(cfg, pools, cls)))
@@ -302,15 +301,11 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
             if packed and routed is None:  # the instance's mix row for each token
                 pool_mix = pack(pool_mix.data, owner)
         else:
-            pool_mix, record = moe.token_mix_weights(pool, h if routed is None else routed,
-                                                     topk, combine_mode)
+            pool_mix, record = moe.token_mix_weights(pool, h if routed is None else routed, topk)
             if packed:
-                record.update(scores=batched(record["scores"]),
-                              selected=unpack(record["selected"]),
-                              fallback=unpack(record["fallback"]))
+                record.update(scores=batched(record["scores"]), selected=unpack(record["selected"]))
             record["key"] = (l, tag)
             record["mask"] = mask  # the router loss averages real tokens only
-            moe.log_fallbacks(record)
             records.append(record)
             if routed is not None:
                 pool_mix = cls_rows(pool_mix)
@@ -348,7 +343,6 @@ def encode_base(ids, mask, weights: EncoderWeights,
 
 
 def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: int,
-                        combine_mode: str,
                         embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
     """Forward with LoRA expert deltas on the adapted projections; returns
     the [B, d] [CLS] rows and one routing record per pool, in sorted key
@@ -360,7 +354,7 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: in
     record carries the attention mask as its row mask. The last block's `q`
     router scores every token, but only the [CLS] row's delta is applied.
     """
-    return _forward(ids, mask, weights, pools, cls, topk, combine_mode, embed_noise)
+    return _forward(ids, mask, weights, pools, cls, topk, embed_noise)
 
 
 # Largest number of rows per frozen or evaluation forward pass. Instances

@@ -50,7 +50,7 @@ ABLATIONS = {
 def _set(resolved: dict, values: dict) -> dict:
     out = copy.deepcopy(resolved)
     for section, keys in values.items():
-        out[section].update(keys)
+        out.setdefault(section, {}).update(keys)  # `check` refuses a new section
     return cfgmod.check(out)
 
 

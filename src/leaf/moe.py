@@ -3,7 +3,7 @@
 Each adapted attention projection carries a pool of M low-rank experts
 plus an M x d routing matrix. Scores are dot products between routing
 rows and the frozen-backbone [CLS] vector; the top-K experts by score
-are combined with normalized weights. A per-token routing mode is kept
+are mixed by a softmax over their scores. A per-token routing mode is kept
 around as a comparison baseline. Both route a whole batch at once: one
 score matmul, top-K mask and combine per pool, on [B, d] [CLS] rows or
 [B, S, d] hidden states alike.
@@ -11,15 +11,12 @@ score matmul, top-K mask and combine per pool, on [B, d] [CLS] rows or
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-logger = logging.getLogger(__name__)
 
 INIT_SD = 0.02  # A factors and routing rows; B stays zero so the initial delta is zero
 
@@ -83,78 +80,32 @@ def select_topk(scores, K: int) -> np.ndarray:
     return selected
 
 
-def combine_weights(scores: Tensor, selected: np.ndarray,
-                    mode: str = "softmax") -> tuple[Tensor, np.ndarray]:
-    """Normalize the selected raw scores of every row into mix weights,
-    zero off the selection.
-
-    "softmax": softmax over the selected scores. "paper-literal":
-    s_k / sum(s_k'), falling back to softmax for a row when any of its
-    selected scores is <= 0 or the denominator is tiny. Returns
-    (mix [..., M], per-row fallback flags [...]).
-    """
-    if mode not in ("softmax", "paper-literal"):
-        raise ValueError(f"unknown combine mode {mode!r}")
-    soft = T.softmax(scores, axis=-1, bias=np.where(selected, 0.0, T.MASK_BIAS))
-    if mode == "softmax":
-        return soft, np.zeros(selected.shape[:-1], dtype=bool)
-    s = scores.data
-    sums = np.where(selected, s, 0.0).sum(axis=-1, keepdims=True)
-    ok = ~((np.where(selected, s, np.inf) <= 0).any(axis=-1, keepdims=True) | (sums < 1e-6))
-    # zero out degenerate rows before dividing so no NaN enters the graph
-    fallback = Tensor(1.0 - ok.astype(float))
-    numer = T.mul(scores, Tensor((selected & ok).astype(float)))
-    denom = T.add(T.tsum(numer, axis=-1, keepdims=True), fallback)
-    mix = T.add(T.div(numer, denom), T.mul(soft, fallback))
-    return mix, ~ok[..., 0]
-
-
-def log_fallbacks(record) -> None:
-    """Log (INFO) how many real rows of a routing record, those its `mask`
-    marks, fell back to softmax under paper-literal combining."""
-    if record["fallback"].any():
-        n = int((record["fallback"] & (record["mask"] == 1)).sum())
-        if n:
-            logger.info("paper-literal normalizer degenerate for %d rows of pool %s; "
-                        "softmax fallback", n, record["key"])
-
-
-def _route(pool: ExpertPool, h: Tensor, K: int, mode: str) -> tuple[Tensor, dict]:
+def _route(pool: ExpertPool, h: Tensor, K: int) -> tuple[Tensor, dict]:
     scores = T.scores(h, pool.routing)  # [..., M]
     selected = select_topk(scores, K)
-    mix, fallback = combine_weights(scores, selected, mode)
-    return mix, {"scores": scores, "selected": selected,
-                 "mask": np.ones(selected.shape[:-1]), "fallback": fallback}
+    # softmax over the selected scores, zero off the selection
+    mix = T.softmax(scores, axis=-1, bias=np.where(selected, 0.0, T.MASK_BIAS))
+    return mix, {"scores": scores, "selected": selected, "mask": np.ones(selected.shape[:-1])}
 
 
-def route_instance(pools, cls, K: int, mode: str = "softmax") -> tuple[dict, list[dict]]:
-    """Score -> top-K -> weights for every pool from the frozen [CLS] rows.
-
-    cls is [B, d]; returns per pool a [B, M] mix tensor, and one record per
-    pool, in sorted key order, of its `key`, the raw scores and selections
-    (for the router loss) and the per-row paper-literal fallback flags
-    (`fallback`, [B] bool).
-    """
+def route_instance(pools, cls, K: int) -> tuple[dict, list[dict]]:
+    """Score -> top-K -> weights for every pool from the frozen [B, d] [CLS]
+    rows `cls`: per pool a [B, M] mix tensor, and one record per pool, in
+    sorted key order, of its `key`, raw scores and selections."""
     cls = T.as_tensor(cls)
     mix, records = {}, []
     for key in sorted(pools):
-        mix[key], record = _route(pools[key], cls, K, mode)
+        mix[key], record = _route(pools[key], cls, K)
         record["key"] = key
-        log_fallbacks(record)
         records.append(record)
     return mix, records
 
 
-def token_mix_weights(pool: ExpertPool, x: Tensor, K: int,
-                      mode: str = "softmax") -> tuple[Tensor, dict]:
-    """Per-token routing from the block's incoming hidden states.
-
-    x is [B, S, d]; returns a [B, S, M] mix tensor plus a record of the
-    raw scores and per-token selections for the router loss, and the
-    per-token fallback flags ([B, S], padded positions included). The
-    encoder sets the record's `key` and its token `mask`.
-    """
-    return _route(pool, x, K, mode)
+def token_mix_weights(pool: ExpertPool, x: Tensor, K: int) -> tuple[Tensor, dict]:
+    """Per-token routing from the block's incoming [B, S, d] hidden states
+    x: a [B, S, M] mix tensor and a record of the raw scores and per-token
+    selections, whose `key` and token `mask` the encoder sets."""
+    return _route(pool, x, K)
 
 
 def pool_delta(pool: ExpertPool, x: Tensor, mix: Tensor) -> Tensor:

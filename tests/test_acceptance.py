@@ -123,7 +123,7 @@ def test_acceptance_3_zero_delta_equivalence():
             text = " ".join(f"w{rng.integers(60)}" for _ in range(n))
             ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
             base = encoder.encode_base(ids, mask, weights)
-            out, _ = encoder.encode_with_experts(ids, mask, weights, pools, base, 2, "softmax")
+            out, _ = encoder.encode_with_experts(ids, mask, weights, pools, base, 2)
             worst = max(worst, float(np.abs(out.data - base.data).max()))
     assert worst <= 1e-12, f"max abs diff {worst:.3e}"
 
@@ -159,8 +159,7 @@ def test_acceptance_4_single_expert_weight_merge():
             text = " ".join(f"w{rng.integers(40)}" for _ in range(n))
             ids, mask = (arr[None] for arr in encoder.tokenize(text, vocab, cfg.max_seq_len))
             cls = encoder.encode_base(ids, mask, weights)
-            expert_out, _ = encoder.encode_with_experts(ids, mask, weights, pools, cls, 1,
-                                                        "softmax")
+            expert_out, _ = encoder.encode_with_experts(ids, mask, weights, pools, cls, 1)
             merged_out = encoder.encode_base(ids, mask, merged)
             worst = max(worst, float(np.abs(expert_out.data - merged_out.data).max()))
     assert worst <= 1e-10, f"max abs diff {worst:.3e}"

@@ -312,8 +312,9 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config error" in err
         key = line.split(" =")[0]
-        if key in ("layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_copies"):
-            # settings that became constants: any value is an unknown key
+        if key in ("layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_copies",
+                   "combine_mode"):
+            # settings that became constants or were removed: any value is an unknown key
             assert f"unknown config key [{section}] {key}" in err
         assert not out.exists()
 
@@ -756,17 +757,21 @@ class TestLogLevel:
         assert len(lines) == 2 and lines[0] == "training mode=leaf seed=0"
         assert lines[1].startswith("final cumulative micro-F1: ")
 
-    def test_info_prints_the_paper_literal_fallbacks(self, workspace):
+    def test_level_filters_the_loader_warnings(self, workspace):
+        """A descriptions file that repeats a line warns at the default
+        level; `--log-level ERROR` silences the warning, not the run."""
         root, cfg = workspace
-        literal = config_with(cfg, "moe", "combine_mode = paper-literal",
-                              root / "paper_literal.ini")
-        assert "paper-literal" not in self.train(workspace, "log_warning", config=literal)
-        err = self.train(workspace, "log_info", "--log-level", "INFO", config=literal)
-        counts = re.findall(r"^INFO:leaf\.moe:paper-literal normalizer degenerate for (\d+) "
-                            r"rows of pool \(\d, '[qkvo]'\); softmax fallback$", err, re.M)
-        assert counts and err.count("INFO:") == len(counts)
-        # instance routing: one row per instance of a batch or EVAL_CHUNK slice
-        assert all(1 <= int(n) <= encoder.EVAL_CHUNK for n in counts)
+        data = root / "data" / "descriptions.tsv"
+        lines = data.read_text().splitlines()
+        repeated = root / "repeated_descriptions.tsv"
+        repeated.write_text("\n".join(lines + lines[:1]) + "\n")
+        config = config_with(cfg, "paths", f"descriptions = {repeated}",
+                             root / "repeated_desc.ini")
+        warned = self.train(workspace, "log_warning", config=config)
+        assert re.search(r"^WARNING:leaf\.descriptions:.*duplicate description", warned, re.M)
+        quiet = self.train(workspace, "log_error", "--log-level", "ERROR", config=config)
+        assert "WARNING:" not in quiet
+        assert quiet.splitlines()[-1].startswith("final cumulative micro-F1: ")
 
     def test_unknown_level_is_usage_error(self, capsys):
         assert main(["--log-level", "TRACE", "gradcheck"]) == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaf import config as cfgmod
+from leaf import harness
 from leaf.cli import main as cli_main
 
 # Settings no run moved, now constants: `continual.ROUTING_L2`, `SIGMA_AUG`
@@ -20,7 +21,6 @@ CONSTANT_NOW = {"layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_
 BAD_VALUES = [
     ("moe", "routing", "nope"),
     ("moe", "routing", "Instance"),
-    ("moe", "combine_mode", "bogus"),
     ("moe", "projections", "x, y"),
     ("moe", "projections", "q, w"),
     ("moe", "projections", ","),
@@ -64,7 +64,6 @@ BAD_COMBINATIONS = [
 GOOD_VALUES = [
     ("moe", "routing", "token", "token"),
     ("moe", "routing", "instance", "instance"),
-    ("moe", "combine_mode", "paper-literal", "paper-literal"),
     ("run", "base_epochs", "0", 0),
     ("moe", "rank", "64", 64),
     ("moe", "topk", "4", 4),
@@ -141,10 +140,31 @@ def test_good_value_accepted(tmp_path, section, key, value, parsed):
     assert resolved[section][key] == parsed
 
 
-@pytest.mark.parametrize("key", ["mlp_head", "label_scale", "label_infonce"])
-def test_removed_option_is_unknown_key(tmp_path, key):
-    with pytest.raises(cfgmod.ConfigError, match=rf"unknown config key \[losses\] {key}"):
-        cfgmod.parse_config(write_ini(tmp_path, "losses", key, "false"))
+REMOVED = [("losses", "mlp_head"), ("losses", "label_scale"), ("losses", "label_infonce"),
+           ("moe", "combine_mode")]
+
+
+@pytest.mark.parametrize("section,key", REMOVED, ids=[key for _, key in REMOVED])
+def test_removed_option_is_unknown_key(tmp_path, section, key):
+    with pytest.raises(cfgmod.ConfigError, match=rf"unknown config key \[{section}\] {key}"):
+        cfgmod.parse_config(write_ini(tmp_path, section, key, "false"))
+
+
+@pytest.mark.parametrize("schema,values,message", [
+    (cfgmod.SCHEMA, {"moe": {"num_expert": 8}}, r"unknown config key \[moe\] num_expert"),
+    (cfgmod.SCHEMA, {"moe": {"combine_mode": "softmax"}},
+     r"unknown config key \[moe\] combine_mode"),
+    (cfgmod.SCHEMA, {"continual": {"epoch": 1}}, r"unknown config key \[continual\] epoch"),
+    (cfgmod.SCHEMA, {"encoder": {"dim": 32}}, r"unknown config key \[encoder\] dim"),
+    (cfgmod.SCHEMA, {"optimizer": {"lr": 0.1}}, r"unknown config section \[optimizer\]"),
+    (cfgmod.GENERATOR_SCHEMA, {"generator": {"n_label": 4}},
+     r"unknown config key \[generator\] n_label")],
+    ids=["num_expert", "combine_mode", "epoch", "encoder-key", "section", "generator-key"])
+def test_derived_config_rejects_what_the_schema_lacks(schema, values, message):
+    """A config derived in code (`config.check`, as a mode preset or an
+    ablation setting runs it), not parsed, is held to the schema too."""
+    with pytest.raises(cfgmod.ConfigError, match=message):
+        harness._set(cfgmod.defaults(schema), values)
 
 
 # -------------------------------------------------------------- round trip
@@ -171,7 +191,6 @@ def ints(lo, hi):
 # num_heads divides model_dim, rank <= model_dim, the generator's word
 # pools fit its vocabulary and its trigger counts leave room for context).
 BY_KEY = {
-    "combine_mode": (st.sampled_from(["softmax", "paper-literal"]), str),
     "routing": (st.sampled_from(["instance", "token"]), str),
     "num_layers": ints(1, 4),
     "model_dim": (st.sampled_from([16, 32, 64]), str),

@@ -741,13 +741,12 @@ class TestTraining:
 
 # ------------------------------------------------------ run-level exactness
 
-@pytest.mark.parametrize("mode,combine,n_way,num_tasks,dim,experts", [
-    pytest.param("leaf", "softmax", 2, 2, 16, 3, id="leaf-softmax"),
-    pytest.param("leaf", "paper-literal", 2, 2, 16, 3, id="leaf-paper-literal"),
-    pytest.param("mole-token", "softmax", 2, 2, 16, 3, id="mole-token-softmax"),
-    pytest.param("leaf", "softmax", 4, 3, 64, 4, id="leaf-softmax-12-classes")])
-def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, combine,
-                                                      n_way, num_tasks, dim, experts):
+@pytest.mark.parametrize("mode,n_way,num_tasks,dim,experts", [
+    pytest.param("leaf", 2, 2, 16, 3, id="leaf-softmax"),
+    pytest.param("mole-token", 2, 2, 16, 3, id="mole-token-softmax"),
+    pytest.param("leaf", 4, 3, 64, 4, id="leaf-softmax-12-classes")])
+def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mode, n_way,
+                                                      num_tasks, dim, experts):
     """A whole run (2 epochs) writes the same bytes, checkpoints
     included, when the expert pools, router scores, masked softmax, the
     log-sum-exps and the five loss terms with their weighted total run as
@@ -769,7 +768,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     weights = E.init_encoder_weights(ecfg, np.random.default_rng(0))
     weights.freeze()
     resolved = cfgmod.defaults()
-    resolved["moe"].update(num_experts=experts, topk=2, rank=2, combine_mode=combine)
+    resolved["moe"].update(num_experts=experts, topk=2, rank=2)
     # lr 1e-2: at the default 1e-3 the tiny model gives most test rows one
     # label, and F1 cannot show a prediction written into the wrong row
     resolved["continual"].update(n_way=n_way, k_shot=3, num_tasks=num_tasks, epochs=2,

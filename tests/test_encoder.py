@@ -127,7 +127,7 @@ class TestForward:
         assert cls.data.shape == (1, cfg.model_dim)
         # the batch runs at the width it comes in: [CLS] alpha beta, then padding
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
-        _, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+        _, records = E.encode_with_experts(ids, mask, w, pools, None, 2)
         assert all(record["mask"].tolist() == [[1, 1, 1] + [0] * (cfg.max_seq_len - 3)]
                    for record in records)
 
@@ -146,7 +146,7 @@ class TestForward:
             E.encode_base(ids, mask, w)
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, np.random.default_rng(1))
         with pytest.raises(T.ShapeError, match=r"\[B, S\]"):
-            E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+            E.encode_with_experts(ids, mask, w, pools, None, 2)
 
     def test_batch_row_matches_single(self):
         w, vocab, cfg = make_weights()
@@ -196,7 +196,7 @@ class TestExpertForward:
                                rank=4, rng=np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta gamma", vocab, cfg)
         cls = E.encode_base(ids, mask, w)
-        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2, "softmax")
+        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2)
         np.testing.assert_allclose(out.data, cls.data, atol=1e-12)
 
     def test_nonzero_experts_change_output(self):
@@ -207,27 +207,26 @@ class TestExpertForward:
             pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
         cls = E.encode_base(ids, mask, w)
-        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2, "softmax")
+        out, _ = E.encode_with_experts(ids, mask, w, pools, cls, 2)
         assert np.abs(out.data - cls.data).max() > 1e-8
 
-    @pytest.mark.parametrize("mode", ["softmax", "paper-literal"])
-    def test_instance_records_are_route_instance_records(self, mode):
+    def test_instance_records_are_route_instance_records(self):
         """Given [CLS] rows, the forward routes every pool once per instance
         and returns `moe.route_instance`'s records: one per pool, in sorted
-        key order, each with its key, scores, selection, mask and flags."""
+        key order, each with its key, scores, selection and mask."""
         w, vocab, cfg = make_weights(vocab_tokens=[f"w{i}" for i in range(12)])
         pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(2), vocab, (2, 5, 3)), 5)
         with T.no_grad():
             cls = E.encode_base(ids, mask, w)
-            _, records = E.encode_with_experts(ids, mask, w, pools, cls, 2, mode)
-            _, expected = moe.route_instance(pools, cls, 2, mode)
+            _, records = E.encode_with_experts(ids, mask, w, pools, cls, 2)
+            _, expected = moe.route_instance(pools, cls, 2)
         assert [record["key"] for record in records] == sorted(pools)
         assert len(records) == len(expected)
         for got, ref in zip(records, expected):
             assert got.keys() == ref.keys() and got["key"] == ref["key"]
             assert got["scores"].data.tobytes() == ref["scores"].data.tobytes()
-            for field in ("selected", "mask", "fallback"):
+            for field in ("selected", "mask"):
                 np.testing.assert_array_equal(got[field], ref[field])
             assert got["mask"].shape == (3,)
 
@@ -236,7 +235,7 @@ class TestExpertForward:
         pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4,
                                np.random.default_rng(1))
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
-        out, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+        out, records = E.encode_with_experts(ids, mask, w, pools, None, 2)
         assert out.data.shape == (1, cfg.model_dim)
         assert len(records) == len(pools)
 
@@ -277,8 +276,8 @@ def encodings(rows, width, w, pools, noise):
     n = noise[:, :width]
     with T.no_grad():
         base = E.encode_base(ids, mask, w, embed_noise=n)
-        inst, _ = E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax", n)
-        tok, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax", n)
+        inst, _ = E.encode_with_experts(ids, mask, w, pools, base, 2, n)
+        tok, records = E.encode_with_experts(ids, mask, w, pools, None, 2, n)
         loss = float(moe.router_loss(records).data)
     return base.data, inst.data, tok.data, loss
 
@@ -346,7 +345,7 @@ class TestTrimmedPadding:
         target = rng.normal(size=(len(rows), cfg.model_dim))
 
         def loss_fn():
-            cls, records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+            cls, records = E.encode_with_experts(ids, mask, w, pools, None, 2)
             assert all(record["mask"].shape == (3, cfg.max_seq_len) for record in records)
             fit = T.tsum(T.mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
             return T.add(fit, moe.router_loss(records))
@@ -366,10 +365,10 @@ class TestPackedLayout:
         """Without a graph the forward packs the real tokens into slices of
         S rows; with one it keeps [B, S]. Both give the same [CLS] bytes and
         the same routing records at every real position, and the same router
-        loss: instance and token routing, softmax and paper-literal, with and
-        without noise, on ragged batches of 1-100 rows that mix one-word
-        rows with full-width ones, with pools of 4 experts of rank 4 or 8
-        (packed) or 3 of rank 2 (too narrow to pack). The encoder has the
+        loss: instance and token routing, with and without noise, on ragged
+        batches of 1-100 rows that mix one-word rows with full-width ones,
+        with pools of 4 experts of rank 4 or 8 (packed) or 3 of rank 2 (too
+        narrow to pack). The encoder has the
         reference size: at d = 16 a matmul row's bits do not depend on the
         rows per call."""
         vocab = E.Vocab([f"w{i}" for i in range(12)])
@@ -384,7 +383,6 @@ class TestPackedLayout:
         lengths = data.draw(st.lists(st.just(2) | st.just(width) | st.integers(1, width),
                                      min_size=1, max_size=100), label="lengths")
         routing = data.draw(st.sampled_from(["instance", "token"]), label="routing")
-        mode = data.draw(st.sampled_from(["softmax", "paper-literal"]), label="combine")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
         ids, mask = padded(ragged_rows(rng, vocab, lengths), width)
         noise = None
@@ -395,7 +393,7 @@ class TestPackedLayout:
         def encode():
             base = E.encode_base(ids, mask, w, embed_noise=noise)
             cls = base.data if routing == "instance" else None
-            out, records = E.encode_with_experts(ids, mask, w, pools, cls, 2, mode, noise)
+            out, records = E.encode_with_experts(ids, mask, w, pools, cls, 2, noise)
             return base.data, out.data, records, moe.router_loss(records).data
 
         with T.no_grad():
@@ -410,38 +408,8 @@ class TestPackedLayout:
             real = ref["mask"] == 1
             assert got["scores"].shape == ref["scores"].shape
             assert got["scores"].data[real].tobytes() == ref["scores"].data[real].tobytes()
-            for field in ("selected", "fallback"):
-                assert got[field].shape == ref[field].shape
-                np.testing.assert_array_equal(got[field][real], ref[field][real])
-
-    def test_fallback_log_counts_real_rows_only(self, caplog):
-        """The INFO line of paper-literal fallbacks counts the real tokens of
-        each token-routed pool, the same number in both layouts: neither
-        padded positions nor the packed layout's fill rows."""
-        vocab = E.Vocab([f"w{i}" for i in range(12)])
-        cfg = E.EncoderConfig(vocab_size=len(vocab))
-        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        pools = moe.init_pools(cfg.num_layers, cfg.model_dim, 4, 4, rng)
-        for pool in pools.values():
-            pool.B.data[:] = rng.normal(0, 0.05, pool.B.shape)
-        ids, mask = padded(ragged_rows(rng, vocab, [2, 9, 4, 1, 9, 6, 3]), 9)
-
-        def logged_counts():
-            caplog.clear()
-            with caplog.at_level("INFO", logger="leaf.moe"):
-                _, records = E.encode_with_experts(ids, mask, w, pools, None, 2,
-                                                   "paper-literal")
-            counts = {r.args[1]: r.args[0] for r in caplog.records}
-            real = {r["key"]: int((r["fallback"] & (mask == 1)).sum()) for r in records}
-            return counts, {key: n for key, n in real.items() if n}, records
-
-        with T.no_grad():
-            packed, packed_real, _ = logged_counts()
-        graph, graph_real, records = logged_counts()
-        padded_flags = sum(int((r["fallback"] & (mask == 0)).sum()) for r in records)
-        assert packed == packed_real == graph == graph_real
-        assert len(graph) >= 2 and padded_flags > 0  # both kinds of row occur
+            assert got["selected"].shape == ref["selected"].shape
+            np.testing.assert_array_equal(got["selected"][real], ref["selected"][real])
 
     def test_cls_must_be_real(self):
         w, vocab, cfg = make_weights()
@@ -473,11 +441,11 @@ class TestLastBlockClsOnly:
         with T.no_grad():
             base = E.encode_base(ids, mask, w, embed_noise=noise).data
             base_ref, _ = full_width_forward(ids, mask, w, embed_noise=noise)
-            inst = E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax",
+            inst = E.encode_with_experts(ids, mask, w, pools, base, 2,
                                          noise)[0].data
             inst_ref, _ = full_width_forward(ids, mask, w, pools, cls=base, topk=2,
                                              embed_noise=noise)
-            tok, tok_records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax",
+            tok, tok_records = E.encode_with_experts(ids, mask, w, pools, None, 2,
                                                      noise)
             tok_ref, records = full_width_forward(ids, mask, w, pools, topk=2,
                                                   embed_noise=noise)
@@ -505,7 +473,7 @@ class TestLastBlockClsOnly:
         def loss_fn():
             cls, records = E.encode_with_experts(ids, mask, w, pools,
                                                  base if routing == "instance" else None,
-                                                 2, "softmax")
+                                                 2)
             diff = T.add(cls, T.mul(target, -1.0))
             return T.add(T.tsum(T.mul(diff, diff)), moe.router_loss(records))
 
@@ -530,9 +498,9 @@ class TestLastBlockClsOnly:
         if routing == "base":
             E.encode_base(ids, mask, w)
         elif routing == "instance":
-            E.encode_with_experts(ids, mask, w, pools, base, 2, "softmax")
+            E.encode_with_experts(ids, mask, w, pools, base, 2)
         else:
-            E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+            E.encode_with_experts(ids, mask, w, pools, None, 2)
         assert shapes == [(2, cfg.max_seq_len, cfg.ffn_dim), (2, 1, cfg.ffn_dim)]
 
     def test_token_routed_last_q_pool_records_the_full_mask(self):
@@ -543,7 +511,7 @@ class TestLastBlockClsOnly:
         pools = pools_on(cfg, live=True)
         ids, mask = padded(ragged_rows(np.random.default_rng(6), vocab, (2, 5, 3)),
                            cfg.max_seq_len)
-        _, token_records = E.encode_with_experts(ids, mask, w, pools, None, 2, "softmax")
+        _, token_records = E.encode_with_experts(ids, mask, w, pools, None, 2)
         records = {record["key"]: record for record in token_records}
         assert sorted(records) == sorted(pools)
         for record in records.values():

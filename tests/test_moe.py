@@ -112,34 +112,13 @@ def test_select_topk_output_sorted_and_validated():
 
 
 def test_combine_weights_softmax_oracle():
-    scores = Tensor(np.array([0.9, 0.1, 0.5]))
-    w, fallback = moe.combine_weights(scores, np.array([True, False, True]), mode="softmax")
+    pool = make_pool(M=3, d=3, r=1)
+    pool.routing.data[...] = np.eye(3)  # scores = cls exactly
+    mix, records = moe.route_instance({(0, "q"): pool}, np.array([[0.9, 0.1, 0.5]]), K=2)
+    assert records[0]["selected"].tolist() == [[True, False, True]]
     e = np.exp([0.9, 0.5])
-    np.testing.assert_allclose(w.data, [e[0] / e.sum(), 0.0, e[1] / e.sum()], atol=1e-12)
-    assert not fallback
-
-
-def test_combine_weights_paper_literal():
-    scores = Tensor(np.array([3.0, 1.0, 4.0]))
-    w, fallback = moe.combine_weights(scores, np.array([True, False, True]),
-                                      mode="paper-literal")
-    np.testing.assert_allclose(w.data, [3 / 7, 0.0, 4 / 7], atol=1e-12)
-    assert not fallback
-
-
-def test_combine_weights_paper_literal_fallback_on_nonpositive():
-    scores = Tensor(np.array([[-1.0, 2.0], [1.0, 3.0]]))
-    w, fallback = moe.combine_weights(scores, np.ones((2, 2), dtype=bool),
-                                      mode="paper-literal")
-    assert fallback.tolist() == [True, False]
-    e = np.exp([-1.0, 2.0])
-    np.testing.assert_allclose(w.data[0], e / e.sum(), atol=1e-12)
-    np.testing.assert_allclose(w.data[1], [0.25, 0.75], atol=1e-12)
-
-
-def test_combine_weights_unknown_mode():
-    with pytest.raises(ValueError):
-        moe.combine_weights(Tensor(np.ones(2)), np.array([True, False]), mode="mystery")
+    np.testing.assert_allclose(mix[(0, "q")].data[0], [e[0] / e.sum(), 0.0, e[1] / e.sum()],
+                               atol=1e-12)
 
 
 def test_route_instance_entries():
@@ -291,22 +270,6 @@ def test_router_loss_refuses_mask_of_another_shape():
     assert np.isfinite(float(moe.router_loss([record]).data))
 
 
-def test_routing_record_keeps_paper_literal_fallback_flags():
-    """Row 0's selected scores are negative, so its s/sum normalizer is
-    degenerate and it falls back to softmax; rows 1 and 2 are not."""
-    pool = make_pool(M=3, d=3, r=1)
-    pool.routing.data[...] = np.eye(3)  # scores = cls exactly
-    cls = np.array([[-1.0, -2.0, -3.0], [1.0, 2.0, 0.5], [3.0, 0.5, 1.0]])
-    _, records = moe.route_instance({(0, "q"): pool}, cls, K=2, mode="paper-literal")
-    fallback = records[0]["fallback"]
-    assert fallback.dtype == bool and fallback.shape == records[0]["selected"].shape[:-1]
-    assert fallback.tolist() == [True, False, False]
-    _, records = moe.route_instance({(0, "q"): pool}, cls, K=2, mode="softmax")
-    assert records[0]["fallback"].tolist() == [False, False, False]
-    _, record = moe.token_mix_weights(pool, Tensor(cls[None]), 2, mode="paper-literal")
-    assert record["fallback"].tolist() == [[True, False, False]]
-
-
 def test_router_loss_empty():
     assert float(moe.router_loss([]).data) == 0.0
 
@@ -314,23 +277,20 @@ def test_router_loss_empty():
 # ---------------------------------------------------------------- properties
 
 
-def _row_oracle(s, K, mode):
-    """Per-row reference: exhaustive top-K, then softmax or s/sum with the
-    softmax fallback, scattered into a length-M row."""
+def _row_oracle(s, K):
+    """Per-row reference: exhaustive top-K, then softmax over the selected
+    scores, scattered into a length-M row."""
     idx = exhaustive_best_subset(s, K)
     sel = s[idx]
     soft = np.exp(sel - sel.max())
-    soft /= soft.sum()
-    fallback = mode == "paper-literal" and ((sel <= 0).any() or sel.sum() < 1e-6)
-    w = sel / sel.sum() if mode == "paper-literal" and not fallback else soft
     row = np.zeros(len(s))
-    row[idx] = w
-    return idx, row, fallback
+    row[idx] = soft / soft.sum()
+    return idx, row
 
 
 @settings(max_examples=200)
-@given(data=st.data(), mode=st.sampled_from(["softmax", "paper-literal"]))
-def test_batched_router_matches_per_row_oracle(data, mode):
+@given(data=st.data())
+def test_batched_router_matches_per_row_oracle(data):
     B = data.draw(st.integers(1, 6), label="B")
     M = data.draw(st.integers(1, 6), label="M")
     K = data.draw(st.integers(1, M), label="K")
@@ -340,14 +300,11 @@ def test_batched_router_matches_per_row_oracle(data, mode):
                                          min_size=B, max_size=B), label="scores"))
     pool = make_pool(M=M, d=M, r=1)
     pool.routing.data[...] = np.eye(M)  # scores = cls exactly
-    mix, records = moe.route_instance({(0, "q"): pool}, scores, K, mode)
-    _, fallback = moe.combine_weights(records[0]["scores"], records[0]["selected"], mode)
-    np.testing.assert_array_equal(records[0]["fallback"], fallback)
+    mix, records = moe.route_instance({(0, "q"): pool}, scores, K)
     for b in range(B):
-        idx, row, fb = _row_oracle(scores[b], K, mode)
+        idx, row = _row_oracle(scores[b], K)
         assert np.flatnonzero(records[0]["selected"][b]).tolist() == idx
         np.testing.assert_allclose(mix[(0, "q")].data[b], row, rtol=0.0, atol=1e-12)
-        assert bool(fallback[b]) == fb
 
 
 def _values_and_grads(loss_fn, params):
@@ -363,8 +320,8 @@ def _values_and_grads(loss_fn, params):
 
 @settings(max_examples=60)
 @given(data=st.data(), kind=st.sampled_from(["instance", "token", "cls-row"]),
-       mode=st.sampled_from(["softmax", "paper-literal"]), seed=st.integers(0, 2**16))
-def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, mode, seed):
+       seed=st.integers(0, 2**16))
+def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, seed):
     """Routing, pool delta and router loss give the value and every gradient
     of the compositions the fused nodes replaced, bit for bit: an instance
     mix [B, M] from [CLS] rows, a token mix [B, S, M] with padded positions,
@@ -386,10 +343,10 @@ def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, mode, se
 
     def loss():
         if kind == "instance":
-            mixes, records = moe.route_instance({(0, "q"): pool}, cls, K, mode)
+            mixes, records = moe.route_instance({(0, "q"): pool}, cls, K)
             mix, rows = mixes[(0, "q")], x
         else:
-            mix, record = moe.token_mix_weights(pool, x, K, mode)
+            mix, record = moe.token_mix_weights(pool, x, K)
             record["mask"], records, rows = mask, [record], x
             if kind == "cls-row":
                 mix, rows = T.take(mix, [0], axis=1), T.take(x, [0], axis=1)
@@ -408,8 +365,8 @@ def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, mode, se
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(["instance", "token"]),
-       mode=st.sampled_from(["softmax", "paper-literal"]), seed=st.integers(0, 2**16))
-def test_router_loss_matches_composition_bit_for_bit(data, kind, mode, seed):
+       seed=st.integers(0, 2**16))
+def test_router_loss_matches_composition_bit_for_bit(data, kind, seed):
     """The router loss over every pool gives the value and every gradient of
     the chain it replaced, bit for bit, while each pool's scores also feed
     its mix: instance records, and token records whose mask leaves out
@@ -433,11 +390,11 @@ def test_router_loss_matches_composition_bit_for_bit(data, kind, mode, seed):
 
     def loss():
         if kind == "instance":
-            mixes, records = moe.route_instance(pools, cls, K, mode)
+            mixes, records = moe.route_instance(pools, cls, K)
         else:
             mixes, records = {}, []
             for key in sorted(pools):
-                mixes[key], record = moe.token_mix_weights(pools[key], x, K, mode)
+                mixes[key], record = moe.token_mix_weights(pools[key], x, K)
                 record["key"], record["mask"] = key, mask
                 records.append(record)
         fit = None
