@@ -163,10 +163,23 @@ def _check_keys(sections: dict, schema) -> None:
 
 
 def check(resolved: dict) -> dict:
-    """Return `resolved` once its sections and keys are the schema's and the
-    dataclasses it feeds accept it; raise ConfigError if not. Runs at parse
-    time and on every derived config."""
-    _check_keys(resolved, GENERATOR_SCHEMA if "generator" in resolved else SCHEMA)
+    """Return `resolved` once its sections and keys are the schema's, each
+    value is one its key's converter returns unchanged and the dataclasses it
+    feeds accept it; raise ConfigError if not. Runs at parse time and on every
+    derived config."""
+    schema = GENERATOR_SCHEMA if "generator" in resolved else SCHEMA
+    _check_keys(resolved, schema)
+    for sec, keys in schema.items():
+        for key, (conv, _) in keys.items():
+            if key not in resolved.get(sec, {}):
+                raise ConfigError(f"missing config key [{sec}] {key}")
+            value = resolved[sec][key]
+            try:
+                read = conv(value)
+            except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
+                raise ConfigError(f"bad value for [{sec}] {key}: {value!r} ({exc})") from exc
+            if repr(read) != repr(value):  # type and value: `True` is no int; NaN passes
+                raise ConfigError(f"bad value for [{sec}] {key}: {value!r} (reads as {read!r})")
     try:
         if "generator" in resolved:
             generator_spec(resolved)

@@ -84,6 +84,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.topk > self.num_experts:
             raise ValueError("topk cannot exceed num_experts")
+        if self.routing not in ("instance", "token"):
+            raise ValueError(f"routing must be 'instance' or 'token', got {self.routing!r}")
+        for name in ("lr", "temperature"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass

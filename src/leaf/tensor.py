@@ -30,10 +30,39 @@ that the reductions and matmuls that read it sum in one fixed order.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf(special_dirs=None):
+    """`scipy.special.erf`, loaded alone from its extension, `_special_ufuncs`,
+    which links only the C and C++ runtimes; `scipy.special`'s `__init__`
+    loads every extension, SciPy's own OpenBLAS among them (about 15 MB). It
+    is loaded under its own name, so a later `import scipy.special` reuses it.
+    A SciPy without it, or whose copy lacks `erf`, takes the package import."""
+    name = "scipy.special._special_ufuncs"
+    if special_dirs is None:
+        special_dirs = [os.path.join(d, "special")
+                        for d in importlib.util.find_spec("scipy").submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_special_ufuncs", special_dirs)
+    if found is not None:
+        module = sys.modules.get(name)
+        if module is None:
+            spec = importlib.util.spec_from_file_location(name, found.origin)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        if hasattr(module, "erf"):
+            return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)

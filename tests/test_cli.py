@@ -697,6 +697,26 @@ for lib in map(ctypes.CDLL, libs):
 print(-1)
 """
 
+# Imports the CLI's module the same way, then prints as JSON whether the
+# whole of `scipy.special` came with it (its `__init__` loads SciPy's own
+# OpenBLAS), the `scipy.libs` libraries mapped into the process (null without
+# /proc/self/maps), and whether `leaf`'s erf is the package's once the
+# package is imported.
+SCIPY_PROBE = """
+import json, os, sys
+import leaf.cli
+maps = "/proc/self/maps"
+report = {
+    "modules": sorted({"scipy.special", "scipy.special._ufuncs"} & set(sys.modules)),
+    "libs": sorted({line.split()[-1] for line in open(maps) if "scipy.libs" in line})
+            if os.path.exists(maps) else None,
+}
+import scipy.special
+import leaf.tensor
+report["same_erf"] = leaf.tensor.erf is scipy.special.erf
+print(json.dumps(report))
+"""
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -722,6 +742,18 @@ def test_leaf_process_runs_one_blas_thread_unless_set_outside():
     assert threads == 1
     if (os.cpu_count() or 1) >= 2:  # OpenBLAS caps the count at the CPUs it sees
         assert blas_threads(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_leaf_process_loads_scipys_erf_alone():
+    """`leaf` takes SciPy's erf without `scipy.special` and the libraries
+    that package loads, and the package exports that same ufunc."""
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=leaf_env(),
+                          capture_output=True, text=True, check=True, timeout=60)
+    report = json.loads(proc.stdout)
+    assert report["modules"] == []
+    if report["libs"] is not None:
+        assert report["libs"] == []
+    assert report["same_erf"]
 
 
 def test_blas_thread_count_does_not_move_bytes(workspace):

@@ -158,13 +158,51 @@ def test_removed_option_is_unknown_key(tmp_path, section, key):
     (cfgmod.SCHEMA, {"encoder": {"dim": 32}}, r"unknown config key \[encoder\] dim"),
     (cfgmod.SCHEMA, {"optimizer": {"lr": 0.1}}, r"unknown config section \[optimizer\]"),
     (cfgmod.GENERATOR_SCHEMA, {"generator": {"n_label": 4}},
-     r"unknown config key \[generator\] n_label")],
-    ids=["num_expert", "combine_mode", "epoch", "encoder-key", "section", "generator-key"])
+     r"unknown config key \[generator\] n_label"),
+    # a value its key's converter refuses or changes
+    (cfgmod.SCHEMA, {"moe": {"topk": "2"}}, r"bad value for \[moe\] topk: '2' \(reads as 2\)"),
+    (cfgmod.SCHEMA, {"moe": {"topk": True}}, r"bad value for \[moe\] topk: True"),
+    (cfgmod.SCHEMA, {"moe": {"topk": 2.0}}, r"bad value for \[moe\] topk: 2.0"),
+    (cfgmod.SCHEMA, {"continual": {"augment": "yes"}},
+     r"bad value for \[continual\] augment: 'yes' \(reads as True\)"),
+    (cfgmod.SCHEMA, {"continual": {"augment": 1}}, r"bad value for \[continual\] augment: 1"),
+    (cfgmod.SCHEMA, {"moe": {"routing": "tokens"}},
+     r"bad value for \[moe\] routing: 'tokens' \(must be one of instance, token\)"),
+    (cfgmod.SCHEMA, {"losses": {"alpha_fd": 1}}, r"bad value for \[losses\] alpha_fd: 1"),
+    (cfgmod.SCHEMA, {"continual": {"lr": 0.0}}, r"bad value for \[continual\] lr: 0.0"),
+    (cfgmod.SCHEMA, {"paths": {"weights": None}}, r"bad value for \[paths\] weights: None"),
+    (cfgmod.SCHEMA, {"run": {"seed": None}}, r"bad value for \[run\] seed: None"),
+    (cfgmod.GENERATOR_SCHEMA, {"generator": {"seed": -1}},
+     r"bad value for \[generator\] seed: -1"),
+    # a NaN passes the converter; the dataclass refuses it
+    (cfgmod.SCHEMA, {"losses": {"alpha_label": float("nan")}}, "alpha_label must be finite")],
+    ids=["num_expert", "combine_mode", "epoch", "encoder-key", "section", "generator-key",
+         "topk-str", "topk-bool", "topk-float", "augment-str", "augment-int", "routing",
+         "alpha-int", "lr-zero", "path-none", "seed-none", "generator-seed", "alpha-nan"])
 def test_derived_config_rejects_what_the_schema_lacks(schema, values, message):
     """A config derived in code (`config.check`, as a mode preset or an
-    ablation setting runs it), not parsed, is held to the schema too."""
+    ablation setting runs it), not parsed, is held to the schema too: its
+    keys, and values its converters return unchanged."""
     with pytest.raises(cfgmod.ConfigError, match=message):
         harness._set(cfgmod.defaults(schema), values)
+
+
+@pytest.mark.parametrize("schema,section,key", [
+    (cfgmod.SCHEMA, "moe", "routing"),
+    (cfgmod.SCHEMA, "run", None),
+    (cfgmod.SCHEMA, "paths", "weights"),
+    (cfgmod.GENERATOR_SCHEMA, "generator", "seed")],
+    ids=["routing", "run-section", "weights", "generator-seed"])
+def test_derived_config_without_a_schema_key_is_config_error(schema, section, key):
+    """Not a KeyError from the dataclass builders."""
+    resolved = cfgmod.defaults(schema)
+    missing = key or next(iter(schema[section]))
+    if key is None:
+        del resolved[section]
+    else:
+        del resolved[section][key]
+    with pytest.raises(cfgmod.ConfigError, match=rf"missing config key \[{section}\] {missing}"):
+        cfgmod.check(resolved)
 
 
 # -------------------------------------------------------------- round trip

@@ -738,6 +738,15 @@ class TestTraining:
         with pytest.raises(ValueError):
             C.TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("routing", "tokens"), ("routing", "Instance"), ("temperature", 0.0),
+        ("temperature", float("inf")), ("temperature", -1.0), ("lr", 0.0), ("lr", float("nan"))])
+    def test_config_refuses_what_the_parser_refuses(self, field, value):
+        """A library caller gets the checks `parse_config` makes: a zero
+        temperature is a usage error here, not a non-finite loss later."""
+        with pytest.raises(ValueError, match=rf"{field} must be .*, got '?{value}"):
+            C.TrainConfig(**{field: value})
+
 
 # ------------------------------------------------------ run-level exactness
 

@@ -158,6 +158,33 @@ def test_gelu_erf_reference():
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, ref, atol=1e-12)
 
 
+def test_erf_is_scipys_byte_for_byte():
+    """`T.erf`, loaded from SciPy's one extension module, against the
+    package's export: edge values, then 10⁶ normal draws per scale."""
+    from scipy.special import erf
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 8.0, -8.0, np.inf, -np.inf, np.nan, 5e-324,
+                      -5e-324, 30.0, -30.0, 1e300, -1e300])
+    rng = np.random.default_rng(27)
+    for x in (edges, *(scale * rng.standard_normal(10**6) for scale in (0.5, 2.0, 10.0))):
+        np.testing.assert_array_equal(T.erf(x).view(np.int64), erf(x).view(np.int64))
+
+
+def test_erf_loader_falls_back_to_the_package_import(tmp_path, monkeypatch):
+    import importlib
+    import sys
+
+    import scipy.special
+    # a directory without the extension
+    assert T._load_erf([str(tmp_path)]) is scipy.special.erf
+    # an extension without `erf`, loaded as the process's first copy
+    (tmp_path / "_special_ufuncs.py").write_text("")
+    importlib.invalidate_caches()
+    monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs")
+    assert T._load_erf([str(tmp_path)]) is scipy.special.erf
+    assert sys.modules["scipy.special._special_ufuncs"].__file__ == str(
+        tmp_path / "_special_ufuncs.py")
+
+
 def test_take_gathers_along_axis():
     a = Tensor(np.arange(10.0).reshape(2, 5))
     np.testing.assert_array_equal(T.take(a, [3, 1], axis=1).data, [[3.0, 1.0], [8.0, 6.0]])
