@@ -112,8 +112,9 @@ def generate(spec: GeneratorSpec) -> Dataset:
         length = int(rng.integers(spec.sentence_len[0], spec.sentence_len[1] + 1))
         t_lo, t_hi = spec.triggers_per_sentence
         n_trig = int(rng.integers(t_lo, t_hi + 1))
-        toks = list(rng.choice(triggers[y], size=n_trig, replace=False))
-        toks += list(rng.choice(pools[y], size=length - n_trig, replace=True))
+        trig, pool = triggers[y], pools[y]  # drawn by index: the same draws, no str arrays
+        toks = [trig[i] for i in rng.choice(len(trig), size=n_trig, replace=False)]
+        toks += [pool[i] for i in rng.choice(len(pool), size=length - n_trig, replace=True)]
         rng.shuffle(toks)
         return " ".join(toks)
 

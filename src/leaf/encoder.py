@@ -10,6 +10,7 @@ as constants.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -186,15 +187,29 @@ def tokenize_set(texts, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndar
     return np.stack(ids), np.stack(mask)
 
 
-def _token_widths(cfg: EncoderConfig, pools, cls) -> list[int]:
-    """Output widths of the matmuls that a forward runs per token: the
-    projections and the FFN, each pool's LoRA down-projection (M·r) and,
-    under token routing, its router scores (M)."""
-    widths = [cfg.model_dim, cfg.ffn_dim]
+def _token_matmuls(cfg: EncoderConfig, pools, cls) -> set[tuple[int, int]]:
+    """(d_in, d_out) of every `x @ Wᵀ` that a packed forward runs per token:
+    the projections and the FFN, each pool's LoRA down- and up-projection
+    and, under token routing, its router."""
+    d = cfg.model_dim
+    shapes = {(d, d), (d, cfg.ffn_dim), (cfg.ffn_dim, d)}
     for pool in (pools or {}).values():
         M, _, r = pool.A.shape
-        widths += [M * r] if cls is not None else [M * r, M]
-    return widths
+        shapes |= {(d, M * r), (M * r, d)} | ({(d, M)} if cls is None else set())
+    return shapes
+
+
+@functools.cache
+def _rows_stand_alone(rows: int, d_in: int, d_out: int) -> bool:
+    """Whether this process's BLAS gives every row of `x @ Wᵀ`, x
+    [P, rows, d_in] and W [d_out, d_in], the same bits at every place in
+    its call and among any neighbours: one 3-D call holds `rows` rotations
+    of random rows, so each row sits once at each place, compared bit for
+    bit."""
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(rows, d_in)), rng.normal(size=(d_out, d_in))
+    y = np.matmul(np.stack([np.roll(x, -p, axis=0) for p in range(rows)]), w.T)
+    return y.tobytes() == np.stack([np.roll(y[0], -p, axis=0) for p in range(rows)]).tobytes()
 
 
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
@@ -225,13 +240,12 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     position holding a copy of its row's [CLS], and its context is
     gathered back. The bits are those of the padded layout, because
     - a matmul row depends only on that row and on the rows per call, S in
-      both layouts, when the output width is a multiple of 4 (measured with
-      scipy-openblas 0.3.31, SkylakeX kernels: widths 4 to 160, 2 to 24
-      rows per call); at widths such as 3, 6 or 10 it also depends on the
-      row's index in the call, so a forward with such a width
-      (`_token_widths`) stays padded. Rows of different sentences share a
-      call, so batch invariance here rests on this property of the BLAS
-      kernel, not on one call per sentence as under a graph;
+      both layouts, if the BLAS kernel gives a row the same bits wherever
+      it sits in the call. `_rows_stand_alone` probes that once per process
+      for each shape the packed forward multiplies (`_token_matmuls`); a
+      forward with a shape that fails stays padded. Rows of different
+      sentences share a call, so batch invariance here rests on this
+      property of the kernel, not on one call per sentence as under a graph;
     - a padded key gets exactly zero attention weight, whatever its value,
       and no real position reads a padded query's output;
     - layer norm, GELU and the adds act per row or per element.
@@ -258,7 +272,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     mix, records = (None, []) if cls is None else moe.route_instance(pools, cls, topk)
     bsz, width = ids.shape
     packed = (not T.grad_enabled() and not mask.all()
-              and all(n % 4 == 0 for n in _token_widths(cfg, pools, cls)))
+              and all(_rows_stand_alone(width, *s) for s in _token_matmuls(cfg, pools, cls)))
     if packed:
         real = np.flatnonzero(mask == 1)  # flat position of every real token, row by row
         owner = real // width  # the row of each real token
@@ -399,11 +413,17 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
     weights = init_encoder_weights(config, rng)
     head = DetectorHead(config.model_dim, rng)
     head.grow(range(n_classes))
-    opt = T.Adam(weights.params(), lr=lr)
     opt_head = T.Adam(head.params(), lr=head_lr)
 
     ids_all, mask_all = tokenize_set([text for text, _ in instances], vocab,
                                      config.max_seq_len)
+    # Train only the embedding rows the texts use. Another row's gradient is
+    # exactly zero at every step, so Adam would leave its bits as they are.
+    used, inverse = np.unique(ids_all, return_inverse=True)
+    ids_all = inverse.reshape(ids_all.shape)  # NumPy 1.x returns it flat
+    full = weights.tensors["tok_emb"]
+    weights.tensors["tok_emb"] = Tensor(full.data[used], requires_grad=True)
+    opt = T.Adam(weights.params(), lr=lr)
     labels = np.asarray([c for _, c in instances], dtype=np.int64)
     n = len(instances)
     for _ in range(epochs):
@@ -419,6 +439,8 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
             loss.backward()
             opt.step()
             opt_head.step()
+    full.data[used] = weights.tensors["tok_emb"].data
+    weights.tensors["tok_emb"] = full
     weights.freeze()
     return weights
 

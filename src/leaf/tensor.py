@@ -62,7 +62,7 @@ def _load_erf(special_dirs=None):
     return erf
 
 
-erf = _load_erf()
+erf = _load_erf()  # never pass where=: with SciPy 1.17.1 it then corrupts the heap or crashes
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -598,6 +598,10 @@ def weighted_sum(first, terms: Sequence[Tensor], weights: Sequence[float]) -> Te
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per `Adam._update` call: the six arrays it streams over, 1.5 MB
+# per block, fit in a core's 2 MB L2. The continual optimizer (18 708
+# elements at the reference config) still updates in one call.
+ADAM_BLOCK = 32768
 
 
 class Adam:
@@ -631,8 +635,8 @@ class Adam:
                for p, (lo, hi) in zip(self.params, self._spans)]
         n = sum(p.data.size for p in params)
         self._flat = np.zeros(n)
-        # m, v, the gathered gradient and two scratch rows for the update
-        self._m, self._v, self._g, self._tmp_a, self._tmp_b = np.zeros((5, n))
+        self._m, self._v, self._g = np.zeros((3, n))  # m, v, the gathered gradient
+        self._tmp_a, self._tmp_b = np.zeros((2, min(n, ADAM_BLOCK)))  # the update's scratch
         self._decay = [p for p in params if any(p is d for d in self._decay)]
         self.params, self._spans = params, []
         start = 0
@@ -667,14 +671,16 @@ class Adam:
             else:
                 runs.append([lo, hi])
         for lo, hi in runs:
-            self._update(slice(lo, hi), bc1, bc2)
+            for start in range(lo, hi, ADAM_BLOCK):
+                self._update(start, min(start + ADAM_BLOCK, hi), bc1, bc2)
 
-    def _update(self, s: slice, bc1: float, bc2: float) -> None:
-        """In place over buffer range s, with the rounding of
+    def _update(self, lo: int, hi: int, bc1: float, bc2: float) -> None:
+        """In place over buffer range [lo, hi), with the rounding of
         m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g·g;
-        p −= lr·(m/bc1) / (sqrt(v/bc2) + eps)."""
-        p, m, v, g, a, b = (buf[s] for buf in (self._flat, self._m, self._v, self._g,
-                                               self._tmp_a, self._tmp_b))
+        p −= lr·(m/bc1) / (sqrt(v/bc2) + eps).
+        Elementwise, so the blocks a range is cut into change no bit."""
+        p, m, v, g = (buf[lo:hi] for buf in (self._flat, self._m, self._v, self._g))
+        a, b = self._tmp_a[:hi - lo], self._tmp_b[:hi - lo]
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a

@@ -9,6 +9,7 @@ import leaf.continual as C
 import leaf.encoder as E
 import leaf.moe as moe
 import leaf.tensor as T
+from leaf.objectives import DetectorHead, ce_loss
 
 # ---------------------------------------------------------------------------
 # Primitive nodes that the library's fused nodes replaced, kept here to build
@@ -255,6 +256,32 @@ def full_width_forward(ids, mask, weights, pools=None, cls=None, topk=None,
         x = T.layer_norm(T.add(x, ff), w[f"layer{l}.ln2.gain"], w[f"layer{l}.ln2.bias"],
                          cfg.layernorm_eps)
     return x, records
+
+
+def full_table_train_base_task(instances, config, vocab, rng, *, epochs, lr,
+                               batch_size=16, head_lr=1e-2):
+    """`leaf.encoder.train_base_task` with Adam over the whole `tok_emb`,
+    every row of the vocabulary, not only the rows the texts use."""
+    n_classes = max(c for _, c in instances) + 1
+    weights = E.init_encoder_weights(config, rng)
+    head = DetectorHead(config.model_dim, rng)
+    head.grow(range(n_classes))
+    opt = T.Adam(weights.params(), lr=lr)
+    opt_head = T.Adam(head.params(), lr=head_lr)
+    ids_all, mask_all = E.tokenize_set([text for text, _ in instances], vocab,
+                                       config.max_seq_len)
+    labels = np.asarray([c for _, c in instances], dtype=np.int64)
+    n = len(instances)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            sel = order[start:start + batch_size]
+            ce_loss(head, E.encode_base(ids_all[sel], mask_all[sel], weights),
+                    labels[sel]).backward()
+            opt.step()
+            opt_head.step()
+    weights.freeze()
+    return weights
 
 
 def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:

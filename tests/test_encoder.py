@@ -16,7 +16,7 @@ from leaf.gradcheck import TINY
 from leaf.objectives import DetectorHead, ce_loss
 from leaf import tensor as T
 from leaf.tensor import Tensor
-from oracles import full_width_forward
+from oracles import full_table_train_base_task, full_width_forward
 
 
 def small_config(vocab_size):
@@ -411,6 +411,42 @@ class TestPackedLayout:
             assert got["selected"].shape == ref["selected"].shape
             np.testing.assert_array_equal(got["selected"][real], ref["selected"][real])
 
+    def test_a_shape_that_fails_the_row_probe_keeps_the_padded_layout(self, monkeypatch):
+        """With the BLAS row probe forced to fail, a no-grad forward keeps
+        [B, S] (every linear sees the B rows) and gives the graph's bytes."""
+        vocab = E.Vocab([f"w{i}" for i in range(12)])
+        cfg = E.EncoderConfig(vocab_size=len(vocab))
+        w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        pools = pools_on(cfg, live=True)
+        ids, mask = padded(ragged_rows(np.random.default_rng(2), vocab, [1, 2, 9, 3, 1, 2]), 9)
+        probed, leading, linear = [], [], T.linear
+        monkeypatch.setattr(E, "_rows_stand_alone", lambda *shape: probed.append(shape) or False)
+        monkeypatch.setattr(T, "linear", lambda x, *a: leading.append(x.shape[0]) or linear(x, *a))
+
+        def encode():
+            base = E.encode_base(ids, mask, w)
+            out, records = E.encode_with_experts(ids, mask, w, pools, None, 2)
+            return [t.data.tobytes() for t in (base, out, moe.router_loss(records))]
+
+        with T.no_grad():
+            no_grad = encode()
+        assert probed and set(leading) == {len(ids)}
+        assert no_grad == encode()
+
+    def test_row_probe_fails_a_kernel_whose_rows_depend_on_their_place(self, monkeypatch):
+        """The probe passes a matmul that computes each row in its own call
+        and fails one whose bits also depend on the row's index in the call."""
+        def per_row(a, b):
+            rows = a.reshape(-1, a.shape[-1])
+            return np.stack([row @ b for row in rows]).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def by_index(a, b):
+            return per_row(a, b) + np.arange(a.shape[-2])[:, None] * 2.0 ** -30
+
+        for fake, stands_alone in ((per_row, True), (by_index, False)):
+            monkeypatch.setattr(np, "matmul", fake)
+            assert E._rows_stand_alone.__wrapped__(6, 8, 3) is stands_alone
+
     def test_cls_must_be_real(self):
         w, vocab, cfg = make_weights()
         ids, mask = batch_of_one("alpha beta", vocab, cfg)
@@ -544,6 +580,29 @@ class TestBaseTraining:
                                 np.stack([e[1] for e in encoded]), w)
         accuracy = np.mean(heads[0].predict(cls) == [c for _, c in instances])
         assert len(heads) == 1 and accuracy >= 0.95
+
+    def test_trains_only_used_rows_as_the_full_table_oracle_does(self):
+        """Pretraining trains a table of the embedding rows its texts use.
+        With words no instance uses (and [UNK]) in the vocabulary, every
+        weight is byte-identical to the oracle's, which trains all rows; an
+        unused row keeps its initial bits; `tok_emb` keeps its full shape."""
+        vocab = E.Vocab(["red", "never", "blue", "stone", "unseen", "cloud", "green"])
+        cfg = small_config(len(vocab))
+        instances = [("red stone", 0), ("blue cloud green", 1), ("red cloud stone", 0),
+                     ("blue green", 1), ("stone red red cloud", 0)] * 3
+        kw = dict(epochs=3, batch_size=4, lr=1e-2, head_lr=1e-2)
+        got = E.train_base_task(instances, cfg, vocab, np.random.default_rng(3), **kw)
+        ref = full_table_train_base_task(instances, cfg, vocab, np.random.default_rng(3), **kw)
+        assert got.frozen and list(got.tensors) == list(ref.tensors)
+        for name, t in ref.tensors.items():
+            assert got.tensors[name].data.tobytes() == t.data.tobytes(), name
+        emb = got.tensors["tok_emb"].data
+        assert emb.shape == (len(vocab), cfg.model_dim)
+        init = E.init_encoder_weights(cfg, np.random.default_rng(3)).tensors["tok_emb"].data
+        unused = [E.UNK_ID, vocab.get("never"), vocab.get("unseen")]
+        assert emb[unused].tobytes() == init[unused].tobytes()
+        used = [vocab.get(word) for word in ("red", "blue", "stone", "cloud", "green")]
+        assert (emb[used] != init[used]).all(axis=1).all()
 
     def test_base_loss_gradients_of_every_encoder_tensor(self):
         """Finite differences of the base-pretraining loss (ce through the

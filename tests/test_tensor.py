@@ -656,11 +656,16 @@ def reference_adam_step(p, g, m, v, t, lr, decay=0.0):
     p -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
 
 
-def test_flat_adam_matches_per_parameter_reference_bit_for_bit():
+@pytest.mark.parametrize("block", [3, 5, None], ids=["block-3", "block-5", "default"])
+def test_flat_adam_matches_per_parameter_reference_bit_for_bit(block, monkeypatch):
     """Decay on "d"; "idle" has no gradient until step 5, so it keeps its
     value and zero moments until then; "head" is replaced at step 3 through
     `set_params`, as head growth does: the grown head starts from zero
-    moments, the other parameters keep theirs, and "d" keeps its decay."""
+    moments, the other parameters keep theirs, and "d" keeps its decay.
+    Updated in blocks of 3 or 5 elements, block edges fall inside a
+    parameter and next to the idle one."""
+    if block is not None:
+        monkeypatch.setattr(T, "ADAM_BLOCK", block)
     rng = np.random.default_rng(11)
     shapes = {"w": (3, 4), "d": (5,), "idle": (2, 2), "head": (2, 3)}
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
