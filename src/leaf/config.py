@@ -94,7 +94,6 @@ SCHEMA = {
         "seed": (_nonneg_int, 0),
         "n_seeds": (_at_least(int, 2), 5),  # `leaf ablate` aggregates over seeds
         "base_epochs": (_nonneg_int, 12),
-        "base_lr": (_pos_float, 3e-4),
         "n_base_labels": (_pos_int, 8),
     },
     "paths": {
@@ -110,14 +109,11 @@ GENERATOR_SCHEMA = {
         "instances_per_label": (_pos_int, 40),
         "test_per_label": (_pos_int, 12),
         "vocab_size": (_pos_int, 2000),
-        "trigger_words_per_label": (_pos_int, 5),
         "confusability": (float, 0.5),
-        "context_pool_size": (_pos_int, 30),
         "sentence_len_min": (int, 5),
         "sentence_len_max": (int, 8),
         "triggers_min": (int, 2),
         "triggers_max": (int, 4),
-        "descriptions_per_label": (int, 6),
         "seed": (_nonneg_int, 0),
     },
 }
@@ -219,8 +215,6 @@ def generator_spec(resolved: dict) -> GeneratorSpec:
     return GeneratorSpec(
         n_labels=g["n_labels"], instances_per_label=g["instances_per_label"],
         test_per_label=g["test_per_label"], vocab_size=g["vocab_size"],
-        trigger_words_per_label=g["trigger_words_per_label"],
-        confusability=g["confusability"], context_pool_size=g["context_pool_size"],
+        confusability=g["confusability"],
         sentence_len=(g["sentence_len_min"], g["sentence_len_max"]),
-        triggers_per_sentence=(g["triggers_min"], g["triggers_max"]),
-        descriptions_per_label=g["descriptions_per_label"], seed=g["seed"])
+        triggers_per_sentence=(g["triggers_min"], g["triggers_max"]), seed=g["seed"])

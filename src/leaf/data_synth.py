@@ -24,18 +24,20 @@ class DatasetFormatError(ValueError):
     pass
 
 
+TRIGGER_WORDS_PER_LABEL = 5
+CONTEXT_POOL_SIZE = 30          # each label's context pool, and the shared pool
+DESCRIPTIONS_PER_LABEL = 6      # room for the 1/3/5 description sweep
+
+
 @dataclass
 class GeneratorSpec:
     n_labels: int = 28
     instances_per_label: int = 40      # train split; test split is test_per_label
     test_per_label: int = 12
     vocab_size: int = 2000
-    trigger_words_per_label: int = 5
     confusability: float = 0.5         # rho: shared fraction of each context pool
-    context_pool_size: int = 30
     sentence_len: tuple[int, int] = (5, 8)
     triggers_per_sentence: tuple[int, int] = (2, 4)
-    descriptions_per_label: int = 6
     seed: int = 0
 
     def __post_init__(self):
@@ -44,14 +46,12 @@ class GeneratorSpec:
         if self.sentence_len[0] < 3 or self.sentence_len[1] < self.sentence_len[0]:
             raise ValueError(f"bad sentence_len range {self.sentence_len}")
         t_lo, t_hi = self.triggers_per_sentence
-        if t_lo < 1 or t_hi < t_lo or t_hi > self.trigger_words_per_label:
+        if t_lo < 1 or t_hi < t_lo or t_hi > TRIGGER_WORDS_PER_LABEL:
             raise ValueError(f"bad triggers_per_sentence range {self.triggers_per_sentence}")
         if t_hi >= self.sentence_len[0]:
             raise ValueError("triggers_per_sentence must leave room for context words")
-        if self.descriptions_per_label < 5:
-            raise ValueError("need >= 5 descriptions per label for the 1/3/5 sweep")
-        need = self.n_labels * (self.trigger_words_per_label + self.context_pool_size) \
-            + self.context_pool_size  # triggers, own context pools, one shared pool
+        need = self.n_labels * (TRIGGER_WORDS_PER_LABEL + CONTEXT_POOL_SIZE) \
+            + CONTEXT_POOL_SIZE  # triggers, own context pools, one shared pool
         if need > self.vocab_size:
             raise ValueError(f"vocab_size {self.vocab_size} too small: pools need {need} words")
 
@@ -88,7 +88,6 @@ def generate(spec: GeneratorSpec) -> Dataset:
     """Build the corpus; fully determined by (spec, spec.seed)."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_labels
-    shared_size = spec.context_pool_size
     words = [f"w{i:04d}" for i in range(spec.vocab_size)]
     order = rng.permutation(spec.vocab_size)
     cursor = 0
@@ -99,12 +98,12 @@ def generate(spec: GeneratorSpec) -> Dataset:
         cursor += count
         return out
 
-    triggers = {y: grab(spec.trigger_words_per_label) for y in range(n)}
-    shared_pool = grab(shared_size)
-    n_shared = int(round(spec.confusability * spec.context_pool_size))
+    triggers = {y: grab(TRIGGER_WORDS_PER_LABEL) for y in range(n)}
+    shared_pool = grab(CONTEXT_POOL_SIZE)
+    n_shared = int(round(spec.confusability * CONTEXT_POOL_SIZE))
     pools = {}
     for y in range(n):
-        own = grab(spec.context_pool_size - n_shared)
+        own = grab(CONTEXT_POOL_SIZE - n_shared)
         borrowed = list(rng.choice(shared_pool, size=n_shared, replace=False)) if n_shared else []
         pools[y] = own + borrowed
 
@@ -136,7 +135,7 @@ def generate(spec: GeneratorSpec) -> Dataset:
     for y in range(n):
         t = triggers[y]
         descs = []
-        for i in range(spec.descriptions_per_label):
+        for i in range(DESCRIPTIONS_PER_LABEL):
             tpl = _DESCRIPTION_TEMPLATES[i % len(_DESCRIPTION_TEMPLATES)]
             a, b, c = t[i % len(t)], t[(i + 1) % len(t)], t[(i + 2) % len(t)]
             descs.append(tpl.format(a=a, b=b, c=c))

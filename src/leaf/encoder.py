@@ -396,9 +396,12 @@ def frozen_cls(ids, mask, weights: EncoderWeights,
                      len(ids), ids, mask, embed_noise)
 
 
+BASE_HEAD_LR = 1e-2  # learning rate of base pretraining's detector head
+
+
 def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
                     rng: np.random.Generator, *, epochs: int, lr: float,
-                    batch_size: int = 16, head_lr: float = 1e-2) -> EncoderWeights:
+                    batch_size: int = 16) -> EncoderWeights:
     """Train the encoder plus a throwaway detector head, then freeze.
 
     `instances` are (text, class_index) pairs with a dense 0-based class
@@ -413,7 +416,7 @@ def train_base_task(instances, config: EncoderConfig, vocab: Vocab,
     weights = init_encoder_weights(config, rng)
     head = DetectorHead(config.model_dim, rng)
     head.grow(range(n_classes))
-    opt_head = T.Adam(head.params(), lr=head_lr)
+    opt_head = T.Adam(head.params(), lr=BASE_HEAD_LR)
 
     ids_all, mask_all = tokenize_set([text for text, _ in instances], vocab,
                                      config.max_seq_len)

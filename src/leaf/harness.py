@@ -124,6 +124,9 @@ def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: in
                 f"{n_desc} descriptions of label {name!r}")
 
 
+BASE_LR = 3e-4  # encoder learning rate of base pretraining
+
+
 def pretrain_base(dataset, resolved: dict, seed: int):
     """Phase 1: train the encoder on held-out base labels, then freeze.
 
@@ -140,8 +143,7 @@ def pretrain_base(dataset, resolved: dict, seed: int):
     cfg = cfgmod.encoder_config(resolved, vocab_size=len(vocab))
     rng = np.random.default_rng(seed)
     weights = encoder.train_base_task(pairs, cfg, vocab, rng,
-                                      epochs=resolved["run"]["base_epochs"],
-                                      lr=resolved["run"]["base_lr"])
+                                      epochs=resolved["run"]["base_epochs"], lr=BASE_LR)
     return weights, vocab, base_names
 
 

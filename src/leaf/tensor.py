@@ -212,32 +212,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data ** 2), b.shape))
-
-    return _node(data, (a, b), bw)
-
-
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU."""
     a = as_tensor(a)
@@ -381,19 +355,6 @@ def lora(x, A, B, mix) -> Tensor:
             B.accumulate_grad(gdown.T.reshape(M, r, d))
 
     return _node(data, (x, A, B, mix), bw)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a.accumulate_grad(np.broadcast_to(gg, a.shape))
-
-    return _node(data, (a,), bw)
 
 
 def take(a, indices, axis: int = 0) -> Tensor:
@@ -609,10 +570,10 @@ class Adam:
 
     Parameters and their first and second moments each live in one flat
     buffer, and every parameter's `.data` is a view into the parameter
-    buffer: write into `p.data` in place, never rebind it. A parameter
-    whose grad is None at a step keeps its value and its moments.
-    Parameters in `decay` receive decoupled L2 weight decay of strength
-    `weight_decay` at each step.
+    buffer: write into `p.data` in place, never rebind it. Every parameter
+    needs a gradient at every step; step() raises GraphError, before it
+    moves anything, if one has none. Parameters in `decay` receive
+    decoupled L2 weight decay of strength `weight_decay` at each step.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -652,27 +613,22 @@ class Adam:
             start = stop
 
     def step(self) -> None:
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise GraphError(f"Adam.step: parameter {i} (shape {p.shape}) has no gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         if self.weight_decay > 0.0:
             for p in self._decay:
-                if p.grad is not None:
-                    p.data -= self.lr * self.weight_decay * p.data
-        runs: list[list[int]] = []  # buffer ranges of adjacent params that have a grad
+                p.data -= self.lr * self.weight_decay * p.data
         for p, (lo, hi) in zip(self.params, self._spans):
-            if p.grad is None:
-                continue
             self._g[lo:hi].reshape(p.data.shape)[...] = p.grad
             p.grad = None
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-        for lo, hi in runs:
-            for start in range(lo, hi, ADAM_BLOCK):
-                self._update(start, min(start + ADAM_BLOCK, hi), bc1, bc2)
+        n = self._flat.size
+        for start in range(0, n, ADAM_BLOCK):
+            self._update(start, min(start + ADAM_BLOCK, n), bc1, bc2)
 
     def _update(self, lo: int, hi: int, bc1: float, bc2: float) -> None:
         """In place over buffer range [lo, hi), with the rounding of

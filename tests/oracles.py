@@ -12,8 +12,9 @@ import leaf.tensor as T
 from leaf.objectives import DetectorHead, ce_loss
 
 # ---------------------------------------------------------------------------
-# Primitive nodes that the library's fused nodes replaced, kept here to build
-# the compositions those nodes must match bit for bit.
+# Primitive nodes that no `leaf` command runs, most of them replaced by the
+# library's fused nodes, kept here to build the compositions those nodes must
+# match bit for bit and the tests' own objectives.
 
 
 def matmul(a, b) -> T.Tensor:
@@ -63,6 +64,45 @@ def sqrt(a) -> T.Tensor:
     a = T.as_tensor(a)
     data = np.sqrt(a.data)
     return T._node(data, (a,), lambda g: a.accumulate_grad(g * 0.5 / data))
+
+
+def mul(a, b) -> T.Tensor:
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    data = a.data * b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(T._unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(T._unbroadcast(g * a.data, b.shape))
+
+    return T._node(data, (a, b), bw)
+
+
+def div(a, b) -> T.Tensor:
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    data = a.data / b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(T._unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(T._unbroadcast(-g * a.data / (b.data ** 2), b.shape))
+
+    return T._node(data, (a, b), bw)
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> T.Tensor:
+    a = T.as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        gg = np.asarray(g)
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(gg, axis)
+        a.accumulate_grad(np.broadcast_to(gg, a.shape))
+
+    return T._node(data, (a,), bw)
 
 
 def log_softmax(a, axis: int = -1) -> T.Tensor:
@@ -117,7 +157,7 @@ def composed_logsumexp(a, axis=-1, bias=None) -> T.Tensor:
     if bias is not None:
         a = T.add(a, T.Tensor(bias))
     m = a.data.max(axis=axis, keepdims=True)
-    inner = T.tsum(exp(T.add(a, T.Tensor(-m))), axis=axis)
+    inner = tsum(exp(T.add(a, T.Tensor(-m))), axis=axis)
     return T.add(log(inner), T.Tensor(np.squeeze(m, axis=axis)))
 
 
@@ -129,7 +169,7 @@ def pool_delta(pool, x, mix) -> T.Tensor:
     up = reshape(transpose(pool.A, (1, 0, 2)), (d, M * r))              # [d, M*r]
     low = matmul(x, transpose(down))                                    # [B, S, M*r]
     w = reshape(mix, (x.shape[0], -1, M, 1))                            # [B, 1|S, M, 1]
-    scaled = T.mul(reshape(low, low.shape[:-1] + (M, r)), w)            # [B, S, M, r]
+    scaled = mul(reshape(low, low.shape[:-1] + (M, r)), w)              # [B, S, M, r]
     return matmul(reshape(scaled, low.shape), transpose(up))
 
 
@@ -139,26 +179,26 @@ def soft_ce(logits, target, cols=None, scale=1.0) -> T.Tensor:
     if cols is not None:
         logits = T.take(logits, cols, axis=1)
     if scale != 1.0 or cols is not None:
-        logits = T.mul(logits, scale)
+        logits = mul(logits, scale)
     logp = log_softmax(logits, axis=-1)
-    return T.mul(T.tsum(T.mul(logp, T.Tensor(target))), -1.0 / target.shape[0])
+    return mul(tsum(mul(logp, T.Tensor(target))), -1.0 / target.shape[0])
 
 
 def lse_gap(a, member) -> T.Tensor:
     """`T.lse_gap`: two masked log-sum-exps, their difference and its mean."""
     inside = logsumexp(a, axis=-1, bias=np.where(member, 0.0, T.MASK_BIAS))
     outside = logsumexp(a, axis=-1, bias=np.where(member, T.MASK_BIAS, 0.0))
-    return T.mul(T.tsum(T.add(outside, T.mul(inside, -1.0))), 1.0 / a.shape[0])
+    return mul(tsum(T.add(outside, mul(inside, -1.0))), 1.0 / a.shape[0])
 
 
 def unit_distance(x, ref) -> T.Tensor:
     """`T.unit_distance`: the row norms, x over them, the offset, the square
     and the mean as primitive nodes."""
-    norm = sqrt(T.tsum(T.mul(x, x), axis=-1, keepdims=True))
+    norm = sqrt(tsum(mul(x, x), axis=-1, keepdims=True))
     if norm.data.min() < T.EPS_NORM:
         raise T.DegenerateVectorError(f"unit_distance: row norm below {T.EPS_NORM}")
-    diff = T.add(T.div(x, norm), T.Tensor(ref))
-    return T.mul(T.tsum(T.mul(diff, diff)), 0.5 / x.shape[0])
+    diff = T.add(div(x, norm), T.Tensor(ref))
+    return mul(tsum(mul(diff, diff)), 0.5 / x.shape[0])
 
 
 def masked_sums(tensors, weights, scales, coef) -> T.Tensor:
@@ -166,16 +206,16 @@ def masked_sums(tensors, weights, scales, coef) -> T.Tensor:
     added left to right, then scaled by `coef`."""
     total = None
     for t, w, c in zip(tensors, weights, scales):
-        term = T.mul(T.tsum(T.tsum(T.mul(t, T.Tensor(w)), axis=-1)), c)
+        term = mul(tsum(tsum(mul(t, T.Tensor(w)), axis=-1)), c)
         total = term if total is None else T.add(total, term)
-    return T.mul(total, coef)
+    return mul(total, coef)
 
 
 def weighted_sum(first, terms, weights) -> T.Tensor:
     """`T.weighted_sum`: a mul and an add node per weighted term."""
     total = T.as_tensor(first)
     for t, w in zip(terms, weights):
-        total = T.add(total, T.mul(t, w))
+        total = T.add(total, mul(t, w))
     return total
 
 
@@ -207,9 +247,9 @@ def cosine_similarity(u, v, eps_norm: float = T.EPS_NORM) -> T.Tensor:
             f"cosine_similarity: vector norm below {eps_norm} (|u|={nu:.3g}, |v|={nv:.3g})")
 
     def dot(a, b):
-        return T.tsum(T.mul(a, b))
+        return tsum(mul(a, b))
 
-    return T.div(dot(u, v), T.mul(sqrt(dot(u, u)), sqrt(dot(v, v))))
+    return div(dot(u, v), mul(sqrt(dot(u, u)), sqrt(dot(v, v))))
 
 
 def full_width_forward(ids, mask, weights, pools=None, cls=None, topk=None,
@@ -259,7 +299,7 @@ def full_width_forward(ids, mask, weights, pools=None, cls=None, topk=None,
 
 
 def full_table_train_base_task(instances, config, vocab, rng, *, epochs, lr,
-                               batch_size=16, head_lr=1e-2):
+                               batch_size=16):
     """`leaf.encoder.train_base_task` with Adam over the whole `tok_emb`,
     every row of the vocabulary, not only the rows the texts use."""
     n_classes = max(c for _, c in instances) + 1
@@ -267,7 +307,7 @@ def full_table_train_base_task(instances, config, vocab, rng, *, epochs, lr,
     head = DetectorHead(config.model_dim, rng)
     head.grow(range(n_classes))
     opt = T.Adam(weights.params(), lr=lr)
-    opt_head = T.Adam(head.params(), lr=head_lr)
+    opt_head = T.Adam(head.params(), lr=E.BASE_HEAD_LR)
     ids_all, mask_all = E.tokenize_set([text for text, _ in instances], vocab,
                                        config.max_seq_len)
     labels = np.asarray([c for _, c in instances], dtype=np.int64)

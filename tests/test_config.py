@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from leaf import config as cfgmod
 from leaf import harness
 from leaf.cli import main as cli_main
+from leaf.continual import TrainConfig
+from leaf.data_synth import GeneratorSpec
+from leaf.encoder import EncoderConfig
 
 # Settings no run moved, now constants: `continual.ROUTING_L2`, `SIGMA_AUG`
-# and `AUG_COPIES`, the q/v pools of `moe.init_pools` and the default
-# `EncoderConfig.layernorm_eps`. A config that sets one is refused as
-# setting an unknown key, whatever the value.
-CONSTANT_NOW = {"layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_copies"}
+# and `AUG_COPIES`, the q/v pools of `moe.init_pools`, the default
+# `EncoderConfig.layernorm_eps` and `harness.BASE_LR`. A config that sets one
+# is refused as setting an unknown key, whatever the value.
+CONSTANT_NOW = {"layernorm_eps", "projections", "routing_l2", "sigma_aug", "aug_copies",
+                "base_lr"}
 
 BAD_VALUES = [
     ("moe", "routing", "nope"),
@@ -82,6 +86,33 @@ def test_defaults_pass_their_own_checks(tmp_path):
     assert cfgmod.parse_config(path) == cfgmod.defaults()
 
 
+def test_schema_defaults_equal_the_dataclass_defaults():
+    """Each default lives in the schema and in a dataclass; a change to one
+    home only would give the CLI and the library different defaults."""
+    assert cfgmod.train_config(cfgmod.defaults()) == TrainConfig()
+    assert cfgmod.encoder_config(cfgmod.defaults(), vocab_size=0) == EncoderConfig()
+    assert cfgmod.generator_spec(cfgmod.defaults(cfgmod.GENERATOR_SCHEMA)) == GeneratorSpec()
+
+
+def test_schema_keys_are_the_settable_surface():
+    """Every settable key, listed: adding or removing a knob updates this list."""
+    assert [(sec, key) for sec, keys in cfgmod.SCHEMA.items() for key in keys] == [
+        ("encoder", "num_layers"), ("encoder", "model_dim"), ("encoder", "num_heads"),
+        ("encoder", "ffn_dim"), ("encoder", "max_seq_len"),
+        ("moe", "num_experts"), ("moe", "topk"), ("moe", "rank"), ("moe", "routing"),
+        ("losses", "alpha_router"), ("losses", "alpha_label"), ("losses", "alpha_fd"),
+        ("losses", "alpha_pd"), ("losses", "temperature"),
+        ("continual", "n_way"), ("continual", "k_shot"), ("continual", "num_tasks"),
+        ("continual", "epochs"), ("continual", "batch_size"), ("continual", "lr"),
+        ("continual", "augment"), ("continual", "n_descriptions"),
+        ("run", "seed"), ("run", "n_seeds"), ("run", "base_epochs"), ("run", "n_base_labels"),
+        ("paths", "dataset"), ("paths", "descriptions"), ("paths", "weights")]
+    assert list(cfgmod.GENERATOR_SCHEMA) == ["generator"]
+    assert list(cfgmod.GENERATOR_SCHEMA["generator"]) == [
+        "n_labels", "instances_per_label", "test_per_label", "vocab_size", "confusability",
+        "sentence_len_min", "sentence_len_max", "triggers_min", "triggers_max", "seed"]
+
+
 @pytest.mark.parametrize("section,key,value", BAD_VALUES)
 def test_bad_value_rejected_at_parse_time(tmp_path, section, key, value):
     error = "unknown config key" if key in CONSTANT_NOW else "bad value for"
@@ -140,14 +171,18 @@ def test_good_value_accepted(tmp_path, section, key, value, parsed):
     assert resolved[section][key] == parsed
 
 
-REMOVED = [("losses", "mlp_head"), ("losses", "label_scale"), ("losses", "label_infonce"),
-           ("moe", "combine_mode")]
+REMOVED = [(cfgmod.SCHEMA, "losses", "mlp_head"), (cfgmod.SCHEMA, "losses", "label_scale"),
+           (cfgmod.SCHEMA, "losses", "label_infonce"), (cfgmod.SCHEMA, "moe", "combine_mode"),
+           # `data_synth.TRIGGER_WORDS_PER_LABEL`, `CONTEXT_POOL_SIZE` and
+           # `DESCRIPTIONS_PER_LABEL`
+           *((cfgmod.GENERATOR_SCHEMA, "generator", key) for key in (
+               "trigger_words_per_label", "context_pool_size", "descriptions_per_label"))]
 
 
-@pytest.mark.parametrize("section,key", REMOVED, ids=[key for _, key in REMOVED])
-def test_removed_option_is_unknown_key(tmp_path, section, key):
+@pytest.mark.parametrize("schema,section,key", REMOVED, ids=[key for _, _, key in REMOVED])
+def test_removed_option_is_unknown_key(tmp_path, schema, section, key):
     with pytest.raises(cfgmod.ConfigError, match=rf"unknown config key \[{section}\] {key}"):
-        cfgmod.parse_config(write_ini(tmp_path, section, key, "false"))
+        cfgmod.parse_config(write_ini(tmp_path, section, key, "false"), schema=schema)
 
 
 @pytest.mark.parametrize("schema,values,message", [
@@ -243,15 +278,12 @@ BY_KEY = {
     **{k: (FINITE.map(abs), repr)
        for k in ("alpha_router", "alpha_label", "alpha_fd", "alpha_pd")},
     "n_labels": ints(1, 28),
-    "trigger_words_per_label": ints(4, 10),
-    "context_pool_size": ints(1, 30),
-    "vocab_size": ints(28 * (10 + 30) + 30, 10**9),
+    "vocab_size": ints(28 * (5 + 30) + 30, 10**9),
     "confusability": (st.floats(0.0, 1.0), repr),
     "sentence_len_min": ints(5, 8),
     "sentence_len_max": ints(8, 12),
     "triggers_min": ints(1, 2),
     "triggers_max": ints(2, 4),
-    "descriptions_per_label": ints(5, 10**9),
     "n_seeds": ints(2, 10**9),
 }
 

@@ -33,16 +33,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(triggers_per_sentence=(3, 2))
     with pytest.raises(ValueError):
-        GeneratorSpec(triggers_per_sentence=(1, 9))  # > trigger_words_per_label
+        GeneratorSpec(triggers_per_sentence=(1, 9))  # > TRIGGER_WORDS_PER_LABEL
     with pytest.raises(ValueError):
         GeneratorSpec(sentence_len=(4, 6), triggers_per_sentence=(1, 4))
-    with pytest.raises(ValueError):
-        GeneratorSpec(descriptions_per_label=3)
 
 
 def test_generate_rejects_too_small_vocab():
     with pytest.raises(ValueError):
         ds_mod.generate(GeneratorSpec(vocab_size=50))  # pools cannot fit
+    need = 6 * (ds_mod.TRIGGER_WORDS_PER_LABEL + ds_mod.CONTEXT_POOL_SIZE) \
+        + ds_mod.CONTEXT_POOL_SIZE
+    small_spec(vocab_size=need)
+    with pytest.raises(ValueError, match=f"pools need {need} words"):
+        small_spec(vocab_size=need - 1)
 
 
 # ---------------------------------------------------------------- generate
@@ -78,7 +81,7 @@ def test_generate_counts_and_lengths():
             n = len(text.split())
             assert spec.sentence_len[0] <= n <= spec.sentence_len[1]
     for name in ds.label_names:
-        assert len(ds.descriptions[name]) == spec.descriptions_per_label
+        assert len(ds.descriptions[name]) == ds_mod.DESCRIPTIONS_PER_LABEL
 
 
 def test_generate_train_test_disjoint():
@@ -168,7 +171,7 @@ def test_descriptions_tsv_written(tmp_path):
     path = tmp_path / "desc.tsv"
     ds_mod.write_descriptions_tsv(ds, path)
     lines = path.read_text().strip().split("\n")
-    assert len(lines) == ds.n_labels * small_spec().descriptions_per_label
+    assert len(lines) == ds.n_labels * ds_mod.DESCRIPTIONS_PER_LABEL
     name, text = lines[0].split("\t")
     assert name == ds.label_names[0]
     assert text == ds.descriptions[name][0]

@@ -16,7 +16,7 @@ from leaf.gradcheck import TINY
 from leaf.objectives import DetectorHead, ce_loss
 from leaf import tensor as T
 from leaf.tensor import Tensor
-from oracles import full_table_train_base_task, full_width_forward
+from oracles import full_table_train_base_task, full_width_forward, mul, tsum
 
 
 def small_config(vocab_size):
@@ -347,7 +347,7 @@ class TestTrimmedPadding:
         def loss_fn():
             cls, records = E.encode_with_experts(ids, mask, w, pools, None, 2)
             assert all(record["mask"].shape == (3, cfg.max_seq_len) for record in records)
-            fit = T.tsum(T.mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
+            fit = tsum(mul(T.add(cls, Tensor(-target)), T.add(cls, Tensor(-target))))
             return T.add(fit, moe.router_loss(records))
 
         err = T.grad_check(loss_fn, moe.pool_params(pools), max_coords=12,
@@ -510,8 +510,8 @@ class TestLastBlockClsOnly:
             cls, records = E.encode_with_experts(ids, mask, w, pools,
                                                  base if routing == "instance" else None,
                                                  2)
-            diff = T.add(cls, T.mul(target, -1.0))
-            return T.add(T.tsum(T.mul(diff, diff)), moe.router_loss(records))
+            diff = T.add(cls, mul(target, -1.0))
+            return T.add(tsum(mul(diff, diff)), moe.router_loss(records))
 
         last = [t for name, t in w.tensors.items()
                 if name.startswith(f"layer{cfg.num_layers - 1}.") or name == "tok_emb"]
@@ -571,7 +571,7 @@ class TestBaseTraining:
                             lambda *a: heads.append(DetectorHead(*a)) or heads[-1])
         w = E.train_base_task(instances, cfg, vocab,
                               np.random.default_rng(0), epochs=6,
-                              batch_size=8, lr=3e-4, head_lr=1e-2)
+                              batch_size=8, lr=3e-4)
         assert w.frozen
         assert all(not t.requires_grad for t in w.tensors.values())
         encoded = [E.tokenize(text, vocab, cfg.max_seq_len) for text, _ in instances]
@@ -590,7 +590,7 @@ class TestBaseTraining:
         cfg = small_config(len(vocab))
         instances = [("red stone", 0), ("blue cloud green", 1), ("red cloud stone", 0),
                      ("blue green", 1), ("stone red red cloud", 0)] * 3
-        kw = dict(epochs=3, batch_size=4, lr=1e-2, head_lr=1e-2)
+        kw = dict(epochs=3, batch_size=4, lr=1e-2)
         got = E.train_base_task(instances, cfg, vocab, np.random.default_rng(3), **kw)
         ref = full_table_train_base_task(instances, cfg, vocab, np.random.default_rng(3), **kw)
         assert got.frozen and list(got.tensors) == list(ref.tensors)

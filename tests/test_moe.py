@@ -12,6 +12,7 @@ import leaf.moe as moe
 import leaf.tensor as T
 import oracles
 from leaf.tensor import Tensor
+from oracles import mul, tsum
 
 
 RNG = np.random.default_rng(11)
@@ -189,7 +190,7 @@ def test_pool_delta_gradcheck(mix_shape):
     probe = RNG.normal(size=(2, 4, 5))
 
     def f():
-        return T.tsum(T.mul(moe.pool_delta(pool, x, mix), Tensor(probe)))
+        return tsum(mul(moe.pool_delta(pool, x, mix), Tensor(probe)))
 
     err = T.grad_check(f, [pool.A, pool.B, mix], rng=np.random.default_rng(0))
     assert err < 1e-7
@@ -351,7 +352,7 @@ def test_routed_pool_delta_matches_compositions_bit_for_bit(data, kind, seed):
             if kind == "cls-row":
                 mix, rows = T.take(mix, [0], axis=1), T.take(x, [0], axis=1)
         delta = moe.pool_delta(pool, rows, mix)
-        return T.add(T.tsum(T.mul(delta, probe)), moe.router_loss(records))
+        return T.add(tsum(mul(delta, probe)), moe.router_loss(records))
 
     params = [x, cls, pool.A, pool.B, pool.routing]
     value, grads = _values_and_grads(loss, params)
@@ -399,7 +400,7 @@ def test_router_loss_matches_composition_bit_for_bit(data, kind, seed):
                 records.append(record)
         fit = None
         for key in sorted(pools):
-            term = T.tsum(T.mul(moe.pool_delta(pools[key], x, mixes[key]), probe))
+            term = tsum(mul(moe.pool_delta(pools[key], x, mixes[key]), probe))
             fit = term if fit is None else T.add(fit, term)
         router = moe.router_loss(records)
         return T.add(fit, router) if router_last else T.add(router, fit)

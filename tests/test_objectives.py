@@ -14,7 +14,7 @@ import leaf.tensor as T
 import oracles
 from leaf.descriptions import DescriptionBank
 from leaf.tensor import Tensor
-from oracles import cosine_similarity
+from oracles import cosine_similarity, mul
 
 
 RNG = np.random.default_rng(5)
@@ -313,7 +313,7 @@ def test_total_loss_breakdown_matches_hand_weighted_sum():
 def test_total_loss_skips_zero_weight_terms_exactly():
     w = obj.LossWeights(alpha_router=0.0, alpha_label=0.0, alpha_fd=0.0, alpha_pd=0.0)
     ce = Tensor(np.array(2.0), requires_grad=True)
-    label = T.mul(Tensor(np.array(1.0), requires_grad=True), 3.0)
+    label = mul(Tensor(np.array(1.0), requires_grad=True), 3.0)
     total, breakdown = obj.total_loss({"ce": ce, "label": label}, w)
     total.backward()
     assert float(ce.grad) == 1.0

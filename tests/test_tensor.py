@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 import leaf.tensor as T
 import oracles
 from leaf.tensor import Tensor
-from oracles import (cosine_similarity, exp, log, log_softmax, matmul, reshape, sqrt,
-                     transpose)
+from oracles import (cosine_similarity, div, exp, log, log_softmax, matmul, mul, reshape,
+                     sqrt, transpose, tsum)
 
 
 RNG = np.random.default_rng(7)
@@ -204,13 +204,13 @@ def test_embedding_lookup():
 def test_grad_add_mul_broadcast():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(4,)), requires_grad=True)
-    assert_grads_match(lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b])
+    assert_grads_match(lambda: tsum(mul(T.add(a, b), T.add(a, b))), [a, b])
 
 
 def test_grad_matmul():
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-    assert_grads_match(lambda: T.tsum(matmul(a, b)), [a, b])
+    assert_grads_match(lambda: tsum(matmul(a, b)), [a, b])
 
 
 def test_grad_softmax_hand_derived():
@@ -229,7 +229,7 @@ def test_grad_log_softmax_and_embedding():
 
     def f():
         emb = T.take(table, ids)
-        return T.tsum(log_softmax(T.tsum(emb, axis=1), axis=-1))
+        return tsum(log_softmax(tsum(emb, axis=1), axis=-1))
 
     assert_grads_match(f, [table])
 
@@ -239,7 +239,7 @@ def test_grad_layer_norm():
     gain = Tensor(RNG.normal(size=5), requires_grad=True)
     bias = Tensor(RNG.normal(size=5), requires_grad=True)
     assert_grads_match(
-        lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias))),
+        lambda: tsum(mul(T.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias))),
         [x, gain, bias], tol=1e-5)
 
 
@@ -249,11 +249,11 @@ def test_grad_gelu_exp_log_sqrt_div():
 
     def f():
         out = T.gelu(x)
-        out = T.add(out, T.gelu(T.mul(y, -1.0)))
-        out = T.add(out, T.div(exp(T.mul(x, 0.1)), y))
+        out = T.add(out, T.gelu(mul(y, -1.0)))
+        out = T.add(out, div(exp(mul(x, 0.1)), y))
         out = T.add(out, log(T.add(x, 1.0)))
         out = T.add(out, sqrt(y))
-        return T.tsum(T.mul(out, out))
+        return tsum(mul(out, out))
 
     assert_grads_match(f, [x, y], tol=1e-5)
 
@@ -265,7 +265,7 @@ def test_grad_cosine_and_take():
     def f():
         picked = T.take(u, [0, 2, 2, 3])  # a repeated index accumulates
         return T.add(cosine_similarity(u, v),
-                     T.tsum(T.mul(picked, v)))
+                     tsum(mul(picked, v)))
 
     assert_grads_match(f, [u, v], tol=1e-5)
 
@@ -277,7 +277,7 @@ def test_grad_cosine_and_take():
 
 def weighted_sum(out: Tensor, seed: int) -> Tensor:
     w = np.random.default_rng(seed).normal(size=out.shape)
-    return T.tsum(T.mul(out, Tensor(w)))
+    return tsum(mul(out, Tensor(w)))
 
 
 def random_param(shape, seed: int, away_from_zero: bool = False) -> Tensor:
@@ -294,7 +294,7 @@ def test_grad_elementwise_under_broadcasting(shapes, op, seed):
     a_shape, b_shape = shapes.input_shapes
     a = random_param(a_shape, seed)
     b = random_param(b_shape, seed + 1, away_from_zero=op == "div")
-    fn = getattr(T, op)
+    fn = {"add": T.add, "mul": mul, "div": div}[op]
     out = fn(a, b)
     assert out.shape == shapes.result_shape
     assert T.grad_check(lambda: weighted_sum(fn(a, b), seed), [a, b]) <= 1e-6
@@ -366,7 +366,7 @@ def unfused_attention(q, k, v, key_bias, heads):
         return transpose(reshape(t, (bsz, t.shape[1], heads, hd)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     att = T.softmax(T.add(scores, Tensor(key_bias)), axis=-1)
     return reshape(transpose(matmul(att, vh), (0, 2, 1, 3)), (bsz, q_len, d))
 
@@ -489,7 +489,7 @@ def test_grad_check_utility_on_composite():
 
     def f():
         logits = T.add(matmul(Tensor(x), transpose(w)), b)
-        return T.mul(T.tsum(log_softmax(logits, axis=-1)), -1.0)
+        return mul(tsum(log_softmax(logits, axis=-1)), -1.0)
 
     assert T.grad_check(f, [w, b]) <= 1e-6
 
@@ -501,19 +501,19 @@ def test_grad_check_raises_on_non_finite_gradient_or_difference():
     bad = np.array([2.0, np.nan, 2.0])
 
     def nan_gradient():
-        return T.tsum(T._node(2.0 * x.data, (x,), lambda g: x.accumulate_grad(g * bad)))
+        return tsum(T._node(2.0 * x.data, (x,), lambda g: x.accumulate_grad(g * bad)))
 
     with pytest.raises(T.NumericalError, match="gradient nan"):
         T.grad_check(nan_gradient, [x])
     y = Tensor(np.array([1.0, 1e-6]), requires_grad=True)  # sqrt(1e-6 - h) is NaN
     with np.errstate(invalid="ignore"), pytest.raises(T.NumericalError, match="difference nan"):
-        T.grad_check(lambda: T.tsum(sqrt(y)), [y])
+        T.grad_check(lambda: tsum(sqrt(y)), [y])
 
 
 def test_grad_check_rejects_bad_h():
     x = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ValueError):
-        T.grad_check(lambda: T.tsum(x), [x], h=1e-2)
+        T.grad_check(lambda: tsum(x), [x], h=1e-2)
 
 
 # ---------------------------------------------------------------- graph
@@ -522,12 +522,12 @@ def test_grad_check_rejects_bad_h():
 def test_no_grad_records_nothing():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
-        y = T.mul(x, 2.0)
+        y = mul(x, 2.0)
     assert y._parents == () and y._backward_fn is None
 
 
 def test_no_graph_when_inputs_need_no_grad():
-    y = T.mul(Tensor(np.ones(3)), Tensor(np.ones(3)))
+    y = mul(Tensor(np.ones(3)), Tensor(np.ones(3)))
     assert y._parents == ()
 
 
@@ -540,8 +540,8 @@ def test_backward_skips_operands_that_need_no_grad(op):
               for s in [(4, 4), (4,), (2, 3, 4), (2, 4, 3), (2, 2)]]
     call = {
         "add": lambda: T.add(x, consts[1]),
-        "mul": lambda: T.mul(consts[1], x),
-        "div": lambda: T.div(x, consts[1]),
+        "mul": lambda: mul(consts[1], x),
+        "div": lambda: div(x, consts[1]),
         "matmul": lambda: matmul(x, consts[0]),
         "linear": lambda: T.linear(x, consts[0], consts[1]),
         "scores": lambda: T.scores(x, consts[0]),
@@ -549,21 +549,21 @@ def test_backward_skips_operands_that_need_no_grad(op):
         "attention": lambda: T.attention(consts[2], x, consts[2], np.zeros((2, 1, 1, 3)), 2),
         "layer_norm": lambda: T.layer_norm(x, consts[1], consts[1]),
     }[op]
-    T.tsum(call()).backward()
+    tsum(call()).backward()
     assert x.grad is not None and x.grad.shape == x.shape
     assert all(c.grad is None for c in consts)
 
 
 def test_backward_accumulates_through_shared_node():
     x = Tensor(np.array(2.0), requires_grad=True)
-    y = T.mul(x, x)          # x appears twice
+    y = mul(x, x)          # x appears twice
     y.backward()
     assert abs(float(x.grad) - 4.0) <= 1e-12
 
 
 def test_double_backward_raises():
     x = Tensor(np.array(2.0), requires_grad=True)
-    y = T.mul(x, x)
+    y = mul(x, x)
     y.backward()
     with pytest.raises(T.GraphError):
         y.backward()
@@ -572,7 +572,7 @@ def test_double_backward_raises():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(T.ShapeError):
-        T.mul(x, 2.0).backward()
+        mul(x, 2.0).backward()
 
 
 def test_float64_everywhere():
@@ -625,11 +625,21 @@ def test_adam_decoupled_weight_decay_only_on_marked_params():
     np.testing.assert_allclose(b.data, [1.0], atol=1e-12)
 
 
-def test_adam_skips_params_without_grad():
-    a = Tensor(np.array([1.0]), requires_grad=True)
-    opt = T.Adam([a], lr=0.1)
+def test_adam_refuses_a_param_without_grad():
+    """A missing gradient raises before the step count, a value (decay
+    included) or a moment moves."""
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0]), requires_grad=True)
+    opt = T.Adam([a, b], lr=0.1, weight_decay=0.5, decay=[a])
+    a.grad, b.grad = np.array([0.5, -1.0]), np.array([2.0])
     opt.step()
-    np.testing.assert_allclose(a.data, [1.0], atol=1e-15)
+    before = [opt.step_count, a.data.copy(), b.data.copy(), opt._m.copy(), opt._v.copy()]
+    a.grad = np.array([1.0, 1.0])
+    with pytest.raises(T.GraphError, match=r"parameter 1 \(shape \(1,\)\) has no gradient"):
+        opt.step()
+    assert opt.step_count == before[0]
+    for got, want in zip([a.data, b.data, opt._m, opt._v], before[1:]):
+        assert np.array_equal(got, want)
 
 
 def test_adam_replace_param():
@@ -642,6 +652,7 @@ def test_adam_replace_param():
     opt.step()
     assert b.data[0] != 2.0
     a.grad = np.array([1.0])
+    b.grad = np.array([1.0])
     opt.step()
     np.testing.assert_allclose(a.data, [1.0], atol=1e-15)  # a no longer managed
 
@@ -658,8 +669,9 @@ def reference_adam_step(p, g, m, v, t, lr, decay=0.0):
 
 @pytest.mark.parametrize("block", [3, 5, None], ids=["block-3", "block-5", "default"])
 def test_flat_adam_matches_per_parameter_reference_bit_for_bit(block, monkeypatch):
-    """Decay on "d"; "idle" has no gradient until step 5, so it keeps its
-    value and zero moments until then; "head" is replaced at step 3 through
+    """Decay on "d"; "idle" has an all-zero gradient until step 5, as a
+    single expert's routing row has, so it keeps its value and zero moments
+    until then; "head" is replaced at step 3 through
     `set_params`, as head growth does: the grown head starts from zero
     moments, the other parameters keep theirs, and "d" keeps its decay.
     Updated in blocks of 3 or 5 elements, block edges fall inside a
@@ -679,9 +691,7 @@ def test_flat_adam_matches_per_parameter_reference_bit_for_bit(block, monkeypatc
             opt.set_params(params.values())
             ref["head"] = [grown.data.copy(), np.zeros((3, 3)), np.zeros((3, 3))]
         for name, p in params.items():
-            if name == "idle" and t < 5:
-                continue
-            p.grad = rng.normal(size=p.shape)
+            p.grad = np.zeros(p.shape) if name == "idle" and t < 5 else rng.normal(size=p.shape)
             ref_p, m, v = ref[name]
             reference_adam_step(ref_p, p.grad, m, v, t, 0.05, 0.3 if name == "d" else 0.0)
         opt.step()
