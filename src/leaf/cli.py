@@ -3,8 +3,8 @@ runs, ablation sweeps, gradient checking, and report aggregation.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error (also a
 seed that is negative or not an integer, and a config value the dataset
-cannot satisfy), 3 numerical failure. The LEAF_SEED environment variable
-overrides the config seed; an explicit --seed flag overrides both.
+cannot satisfy), 3 numerical failure. The seed is the config's [run]
+seed unless a --seed flag gives one.
 `--log-level` (before the command) sets the least severe log record
 printed to stderr.
 """
@@ -34,20 +34,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _seed(source: str, value) -> int:
-    """A seed from `source` through the same check as the [run] seed key."""
+def _seed(value) -> int:
+    """A --seed value through the same check as the [run] seed key."""
     try:
         return cfgmod.SCHEMA["run"]["seed"][0](value)
     except ValueError as exc:  # ConfigError is one
-        raise cfgmod.ConfigError(f"bad {source} {value!r} ({exc})") from exc
+        raise cfgmod.ConfigError(f"bad --seed {value!r} ({exc})") from exc
 
 
 def _resolve_seed(resolved: dict, flag_seed: int | None) -> int:
     if flag_seed is not None:
-        return _seed("--seed", flag_seed)
-    env = os.environ.get("LEAF_SEED")
-    if env is not None:
-        return _seed("LEAF_SEED", env)
+        return _seed(flag_seed)
     return resolved["run"]["seed"]
 
 
@@ -71,18 +68,17 @@ def _load_inputs(resolved):
         if not os.path.exists(paths[key]):
             raise FileNotFoundError(f"[paths] {key}: no such file {paths[key]}")
     ds = data_synth.load_jsonl(paths["dataset"])
-    desc_raw = descriptions.load_descriptions(paths["descriptions"],
-                                              known_labels=set(ds.label_names))
     # Description text participates in vocabulary construction, so the
     # tokenizer covers it whether descriptions arrive in-memory or from disk.
-    ds.descriptions = {k: list(v) for k, v in desc_raw.items()}
-    return ds, desc_raw
+    ds.descriptions = descriptions.load_descriptions(paths["descriptions"],
+                                                     set(ds.label_names))
+    return ds
 
 
 def cmd_pretrain_base(args) -> int:
     resolved = cfgmod.parse_config(args.config)
     seed = _resolve_seed(resolved, args.seed)
-    ds, _ = _load_inputs(resolved)
+    ds = _load_inputs(resolved)
     _log(f"pretraining base encoder (seed {seed})...")
     weights, vocab, base_names = harness.pretrain_base(ds, resolved, seed)
     os.makedirs(args.out, exist_ok=True)
@@ -129,12 +125,12 @@ def cmd_train(args) -> int:
     _check_out(args.out)
     resolved = cfgmod.parse_config(args.config)
     seed = _resolve_seed(resolved, args.seed)
-    ds, desc_raw = _load_inputs(resolved)
+    ds = _load_inputs(resolved)
     weights, vocab, base_names = _load_weights(resolved)
     mode_cfg = harness.apply_mode(resolved, args.mode)
     _log(f"training mode={args.mode} seed={seed}")
-    matrix = harness.run_once(ds, desc_raw, weights, vocab, base_names,
-                              mode_cfg, seed, out_dir=args.out)
+    matrix = harness.run_once(ds, weights, vocab, base_names, mode_cfg, seed,
+                              out_dir=args.out)
     _log(f"final cumulative micro-F1: {matrix.final_cumulative_micro():.4f}")
     return EXIT_OK
 
@@ -143,18 +139,18 @@ def cmd_ablate(args) -> int:
     _check_out(args.out)
     resolved = cfgmod.parse_config(args.config)
     base_seed = _resolve_seed(resolved, args.seed)
-    ds, desc_raw = _load_inputs(resolved)
+    ds = _load_inputs(resolved)
     weights, vocab, base_names = _load_weights(resolved)
     settings = harness.ablation(resolved, args.axis)
     for _, cfg in settings:
-        harness.check_data(cfg, ds, desc_raw, base_seed, base_names)
+        harness.check_data(cfg, ds, ds.descriptions, base_names)
 
     os.makedirs(args.out, exist_ok=True)
     runs = []
     for name, cfg in settings:
         for seed in range(base_seed, base_seed + resolved["run"]["n_seeds"]):
             _log(f"ablate {args.axis}: setting={name} seed={seed}")
-            matrix = harness.run_once(ds, desc_raw, weights, vocab, base_names, cfg, seed,
+            matrix = harness.run_once(ds, weights, vocab, base_names, cfg, seed,
                                       out_dir=os.path.join(args.out, f"{name}_seed{seed}"))
             runs.append((name, seed, matrix))
     harness.write_grid_csv(os.path.join(args.out, "grid.csv"), runs)
@@ -166,12 +162,14 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
-    err = run_gradcheck(seed=7 if args.seed is None else _seed("--seed", args.seed))
+    err = run_gradcheck(seed=7 if args.seed is None else _seed(args.seed))
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err <= 1e-4 else EXIT_RUNTIME
 
 
 def cmd_report(args) -> int:
+    if len(args.runs) < 2:  # `metrics.final_row_cells` aggregates over runs
+        raise cfgmod.ConfigError(f"--runs needs at least 2 run dirs, got {len(args.runs)}")
     mats = [harness.load_run_matrix(run_dir) for run_dir in args.runs]
     row = metrics.final_row_cells(mats)
     with encoder.atomic_open(args.out) as fh:

@@ -97,7 +97,7 @@ class ModelState:
     vocab: enc.Vocab
     pools: dict
     head: obj.DetectorHead
-    bank: DescriptionBank | None
+    bank: DescriptionBank
     config: TrainConfig
     rng: np.random.Generator
     buffer: dict[int, Instance] = field(default_factory=dict)  # one exemplar per seen label
@@ -117,11 +117,10 @@ class ModelState:
 
 
 def init_state(weights: enc.EncoderWeights, vocab: enc.Vocab,
-               bank: DescriptionBank | None, config: TrainConfig) -> ModelState:
+               bank: DescriptionBank, config: TrainConfig) -> ModelState:
     if not weights.frozen:
         raise ValueError("continual training requires a frozen encoder")
-    if bank is not None:
-        bank.check_fingerprint(weights)
+    bank.check_fingerprint(weights)
     rng = np.random.default_rng(config.seed)
     pools = moe.init_pools(weights.config.num_layers, weights.config.model_dim,
                            config.num_experts, config.rank, rng)
@@ -270,7 +269,7 @@ def task_label_rows(state: ModelState, t: int, stream: TaskStream):
     """`obj.label_rows` of the labels seen through task `t`, or None when the
     label term is off."""
     seen = stream.seen_labels(t)
-    if state.config.loss_weights.alpha_label > 0 and len(seen) >= 2 and state.bank is not None:
+    if state.config.loss_weights.alpha_label > 0 and len(seen) >= 2:
         return obj.label_rows(state.bank, seen)
     return None
 

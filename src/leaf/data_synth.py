@@ -1,11 +1,12 @@
 """Deterministic synthetic event-detection corpus generator.
 
-Each label owns a unique set of trigger words; sentences mix 1-2
-triggers into context words drawn from a label pool whose overlap with
-other labels is controlled by the confusability knob rho (0 = disjoint
-context pools, 1 = one fully shared pool). Descriptions are emitted
-mechanically from the trigger lists so the whole pipeline runs without
-any external generation step.
+Each label owns a unique set of trigger words; sentences mix 2-4
+triggers by default (`GeneratorSpec.triggers_per_sentence`) into context
+words drawn from a label pool whose overlap with other labels is
+controlled by the confusability knob rho (0 = disjoint context pools,
+1 = one fully shared pool). Descriptions are emitted mechanically from
+the trigger lists so the whole pipeline runs without any external
+generation step.
 
 Also provides a normalized JSONL loader for externally prepared data.
 """

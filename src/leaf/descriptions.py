@@ -42,8 +42,9 @@ class DescriptionBank:
                 f"(bank {self.encoder_fingerprint[:12]}..., active {fp[:12]}...)")
 
 
-def load_descriptions(path, known_labels=None) -> dict[str, list[str]]:
-    """Parse a `label<TAB>description` file into a label -> descriptions map.
+def load_descriptions(path, known_labels) -> dict[str, list[str]]:
+    """Parse a `label<TAB>description` file into a label -> descriptions map;
+    every label must be one of `known_labels`.
 
     Duplicate (label, description) pairs are dropped with a warning.
     """
@@ -60,7 +61,7 @@ def load_descriptions(path, known_labels=None) -> dict[str, list[str]]:
             label, text = label.strip(), text.strip()
             if not label or not text:
                 raise DescriptionFileError(f"{path}:{lineno}: empty label or description")
-            if known_labels is not None and label not in known_labels:
+            if label not in known_labels:
                 raise DescriptionFileError(f"{path}:{lineno}: unknown label {label!r}")
             if (label, text) in seen:
                 logger.warning("%s:%d: duplicate description for %r ignored", path, lineno, label)

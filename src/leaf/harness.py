@@ -74,29 +74,17 @@ def pick_base_labels(dataset, n_base: int, seed: int) -> list[str]:
     return sorted(names[i] for i in picks)
 
 
-def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]], seed: int,
-               base_names: list[str] | None = None) -> None:
+def check_data(resolved: dict, dataset, desc_raw: dict[str, list[str]],
+               base_names: list[str]) -> None:
     """Raise ConfigError for the config values only the data can refute.
 
-    `base_names` are a frozen encoder's base labels, each a dataset label;
-    without them, the labels `pretrain_base` picks for `seed` stand in:
-    there must be fewer of them than labels, and each needs a train
-    instance to pretrain on. The labels left must fill
+    `base_names` are the base labels, each a dataset label (`pretrain_base`
+    checks its own picks before it calls this). The labels left must fill
     n_way x num_tasks, and each must have k_shot train instances and a test
     instance. Every label must have n_descriptions descriptions.
     """
     names = dataset.label_names
     cont = resolved["continual"]
-    if base_names is None:
-        n_base = resolved["run"]["n_base_labels"]
-        if n_base >= len(names):
-            raise cfgmod.ConfigError(
-                f"[run] n_base_labels {n_base} >= the {len(names)} labels of the dataset")
-        base_names = pick_base_labels(dataset, n_base, seed)
-        for name in base_names:
-            if not dataset.train.get(names.index(name)):
-                raise cfgmod.ConfigError(f"base label {name!r}, picked for seed {seed}, "
-                                         "has no train instances to pretrain on")
     base = set(base_names)
     unknown = sorted(base - set(names))
     if unknown:
@@ -130,12 +118,23 @@ BASE_LR = 3e-4  # encoder learning rate of base pretraining
 def pretrain_base(dataset, resolved: dict, seed: int):
     """Phase 1: train the encoder on held-out base labels, then freeze.
 
-    Returns (weights, vocab, base_label_names).
+    Returns (weights, vocab, base_label_names). ConfigError unless there
+    are fewer base labels than labels, each picked one has a train
+    instance to pretrain on, and the rest pass `check_data`.
     """
-    check_data(resolved, dataset, dataset.descriptions, seed)
+    names = dataset.label_names
+    n_base = resolved["run"]["n_base_labels"]
+    if n_base >= len(names):
+        raise cfgmod.ConfigError(
+            f"[run] n_base_labels {n_base} >= the {len(names)} labels of the dataset")
+    base_names = pick_base_labels(dataset, n_base, seed)
+    name_to_id = {n: i for i, n in enumerate(names)}
+    for name in base_names:
+        if not dataset.train.get(name_to_id[name]):
+            raise cfgmod.ConfigError(f"base label {name!r}, picked for seed {seed}, "
+                                     "has no train instances to pretrain on")
+    check_data(resolved, dataset, dataset.descriptions, base_names)
     vocab = encoder.Vocab(data_synth.build_vocab_tokens(dataset))
-    base_names = pick_base_labels(dataset, resolved["run"]["n_base_labels"], seed)
-    name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
     pairs = []
     for local, name in enumerate(base_names):
         for text in dataset.train[name_to_id[name]]:
@@ -149,7 +148,7 @@ def pretrain_base(dataset, resolved: dict, seed: int):
 
 def setup_run(dataset, desc_raw, weights, vocab, base_names, resolved, seed):
     """Build the stream, description bank, and fresh model state for one run."""
-    check_data(resolved, dataset, desc_raw, seed, base_names)
+    check_data(resolved, dataset, desc_raw, base_names)
     name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
     stream_labels = [name_to_id[n] for n in dataset.label_names if n not in set(base_names)]
     cont = resolved["continual"]
@@ -162,10 +161,11 @@ def setup_run(dataset, desc_raw, weights, vocab, base_names, resolved, seed):
     return stream, state
 
 
-def run_once(dataset, desc_raw, weights, vocab, base_names, resolved, seed,
+def run_once(dataset, weights, vocab, base_names, resolved, seed,
              out_dir=None) -> metrics.MetricMatrix:
-    """One full continual run; optionally writes the run directory."""
-    stream, state = setup_run(dataset, desc_raw, weights, vocab, base_names,
+    """One full continual run on `dataset` and its descriptions; optionally
+    writes the run directory."""
+    stream, state = setup_run(dataset, dataset.descriptions, weights, vocab, base_names,
                               resolved, seed)
     after_task = None
     if out_dir is not None:

@@ -237,8 +237,8 @@ REFERENCE_WORKERS = 2
 
 
 def _reference_run(shared, cfg, seed):
-    """One reference run on `shared` (dataset, descriptions, weights, vocab,
-    base labels): (final micro-F1, mean forgetting, seconds taken)."""
+    """One reference run on `shared` (dataset, weights, vocab, base labels):
+    (final micro-F1, mean forgetting, seconds taken)."""
     start = time.monotonic()
     matrix = harness.run_once(*shared, cfg, seed)
     return (matrix.final_cumulative_micro(), metrics.forgetting(matrix)[1],
@@ -251,8 +251,7 @@ def reference_runs():
     gen = cfgmod.parse_config(GENERATOR_INI, schema=cfgmod.GENERATOR_SCHEMA)
     ds = data_synth.generate(cfgmod.generator_spec(gen))
     weights, vocab, base_names = harness.pretrain_base(ds, resolved, seed=0)
-    desc_raw = {k: list(v) for k, v in ds.descriptions.items()}
-    shared = (ds, desc_raw, weights, vocab, base_names)
+    shared = (ds, weights, vocab, base_names)
 
     settings = harness.ablation(resolved, "components")
     assert tuple(step for step, _ in settings) == LADDER

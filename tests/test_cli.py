@@ -2,12 +2,15 @@
 base pretraining, continual training, ablation sweeps, reporting, seed
 precedence, exit codes, and run-directory determinism."""
 
+import argparse
+import ast
 import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,22 +195,21 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--mode", "bogus",
                      "--out", str(root / "x")]) == 2
 
-    def test_seed_precedence(self, workspace, det_runs, monkeypatch):
+    def test_seed_precedence(self, workspace, det_runs):
         root, cfg = workspace
-        env_out = root / "seed_env"
-        monkeypatch.setenv("LEAF_SEED", "1")
-        assert main(["train", "--config", str(cfg), "--mode",
-                     "baseline-single-lora", "--out", str(env_out)]) == 0
-        env_payload = json.loads((env_out / "metrics.json").read_text())
-        assert env_payload["seed"] == 1
-        # --seed beats LEAF_SEED
+        seed_1 = config_with(cfg, "run", "seed = 1", root / "seed_1.ini")
+        config_out = root / "seed_config"
+        assert main(["train", "--config", str(seed_1), "--mode",
+                     "baseline-single-lora", "--out", str(config_out)]) == 0
+        assert json.loads((config_out / "metrics.json").read_text())["seed"] == 1
+        # --seed beats [run] seed
         flag_out = root / "seed_flag"
-        assert main(["train", "--config", str(cfg), "--mode",
+        assert main(["train", "--config", str(seed_1), "--mode",
                      "baseline-single-lora", "--out", str(flag_out),
                      "--seed", "2"]) == 0
         assert json.loads((flag_out / "metrics.json").read_text())["seed"] == 2
-        # env seed 1 matches an explicit --seed 1 run bit for bit
-        assert (env_out / "metrics.json").read_bytes() == \
+        # [run] seed 1 matches an explicit --seed 1 run bit for bit
+        assert (config_out / "metrics.json").read_bytes() == \
             (det_runs[0] / "metrics.json").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -331,21 +333,11 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_env_seed_is_usage_error(self, workspace, monkeypatch):
+    def test_negative_seed_is_usage_error(self, workspace, capsys):
         root, cfg = workspace
-        monkeypatch.setenv("LEAF_SEED", "seven")
-        assert main(["train", "--config", str(cfg), "--mode", "leaf",
-                     "--out", str(root / "y")]) == 2
-
-    @pytest.mark.parametrize("where", ["flag", "env"])
-    def test_negative_seed_is_usage_error(self, workspace, monkeypatch, capsys, where):
-        root, cfg = workspace
-        out = root / f"negative_seed_{where}"
-        argv = ["train", "--config", str(cfg), "--mode", "leaf", "--out", str(out)]
-        if where == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv("LEAF_SEED", "-1")
+        out = root / "negative_seed_flag"
+        argv = ["train", "--config", str(cfg), "--mode", "leaf", "--out", str(out),
+                "--seed", "-1"]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -516,8 +508,16 @@ class TestGradcheckAndReport:
         assert all(c.endswith("±0.0") for c in cells)
 
     def test_report_missing_dir_is_runtime_error(self, tmp_path):
-        assert main(["report", "--runs", str(tmp_path / "nope"),
+        assert main(["report", "--runs", str(tmp_path / "nope"), str(tmp_path / "nope2"),
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+    def test_report_of_one_run_is_usage_error_before_any_read(self, tmp_path, capsys):
+        """A mean±std needs two runs, as `[run] n_seeds` does: one `--runs`
+        dir exits 2 before it is read (this one does not exist)."""
+        out = tmp_path / "r.csv"
+        assert main(["report", "--runs", str(tmp_path / "nope"), "--out", str(out)]) == 2
+        assert "--runs needs at least 2 run dirs, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", ['{"seed": 0}', "[1, 2]", '"matrix"',
                                          '{"matrix": [[0.5]]}', '{"matrix": {}}',
@@ -530,7 +530,7 @@ class TestGradcheckAndReport:
         run.mkdir()
         (run / "metrics.json").write_text(payload + "\n")
         out = tmp_path / "r.csv"
-        assert main(["report", "--runs", str(run), "--out", str(out)]) == 1
+        assert main(["report", "--runs", str(run), str(run), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{run}: metrics.json holds no metric matrix" in err
         assert "Traceback" not in err
@@ -807,3 +807,46 @@ class TestLogLevel:
     def test_unknown_level_is_usage_error(self, capsys):
         assert main(["--log-level", "TRACE", "gradcheck"]) == 2
         assert "invalid choice: 'TRACE'" in capsys.readouterr().err
+
+
+# Every subcommand with its option strings, in `build_parser` order.
+CLI_SURFACE = {
+    "gen-data": ["--spec", "--out"],
+    "pretrain-base": ["--config", "--out", "--seed"],
+    "train": ["--config", "--out", "--mode", "--seed"],
+    "ablate": ["--config", "--axis", "--out", "--seed"],
+    "gradcheck": ["--seed"],
+    "report": ["--runs", "--out"],
+}
+
+
+def option_strings(parser: argparse.ArgumentParser) -> list[str]:
+    return [s for action in parser._actions for s in action.option_strings
+            if s not in ("-h", "--help")]
+
+
+def env_reads(tree: ast.AST) -> list[int]:
+    """Lines of `os.getenv` and of every `os.environ` use but a
+    `.setdefault` write (`.get`, `[...]`, `in`, iteration)."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os" and node.attr in ("environ", "getenv")
+            and not (node.attr == "environ" and isinstance(parent[node], ast.Attribute)
+                     and parent[node].attr == "setdefault")]
+
+
+def test_cli_flags_and_environment_are_the_settable_surface():
+    """The commands, their options and the global `--log-level` are the
+    listed ones, and no module reads an environment variable (the BLAS
+    pins are `setdefault` writes), so a new flag or variable shows in the
+    test diff, as a new config key does in `test_config`."""
+    parser = leaf_cli.build_parser()
+    assert option_strings(parser) == ["--log-level"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: option_strings(p) for name, p in sub.choices.items()} == CLI_SURFACE
+    assert list(sub.choices) == list(CLI_SURFACE)
+    reads = {path.name: env_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(Path(leaf_cli.__file__).parent.glob("*.py"))}
+    assert {"__init__.py", "cli.py"} <= reads.keys()
+    assert {name: lines for name, lines in reads.items() if lines} == {}

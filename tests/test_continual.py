@@ -33,17 +33,14 @@ def tiny_dataset(n_labels=8, per_label=6, test_per_label=2, seed=0, vocab_size=4
     return DS.generate(spec)
 
 
-def tiny_state(dataset, epochs=2, augment=False, alpha_label=0.0,
-               with_bank=True, seed=0, **cfg_kw):
+def tiny_state(dataset, epochs=2, augment=False, alpha_label=0.0, seed=0, **cfg_kw):
     vocab = E.Vocab(DS.build_vocab_tokens(dataset))
     ecfg = E.EncoderConfig(num_layers=1, model_dim=16, num_heads=2, ffn_dim=32,
                            max_seq_len=12, vocab_size=len(vocab))
     weights = E.init_encoder_weights(ecfg, np.random.default_rng(0))
     weights.freeze()
-    bank = None
-    if with_bank:
-        name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
-        bank = D.encode_bank(dataset.descriptions, weights, vocab, name_to_id)
+    name_to_id = {n: i for i, n in enumerate(dataset.label_names)}
+    bank = D.encode_bank(dataset.descriptions, weights, vocab, name_to_id)
     weights_cfg = obj.LossWeights(alpha_label=alpha_label)
     tc = C.TrainConfig(epochs=epochs, batch_size=4, num_experts=2, rank=2,
                        topk=1, augment=augment, loss_weights=weights_cfg,
@@ -64,7 +61,7 @@ def check_stream_data(dataset, n_way, k_shot, num_tasks):
     resolved = cfgmod.defaults()
     resolved["continual"].update(n_way=n_way, k_shot=k_shot, num_tasks=num_tasks,
                                  n_descriptions=1)
-    harness.check_data(resolved, dataset, dataset.descriptions, seed=0, base_names=[])
+    harness.check_data(resolved, dataset, dataset.descriptions, base_names=[])
 
 
 # --------------------------------------------------------------- task stream
@@ -732,6 +729,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             C.init_state(w, vocab, None, C.TrainConfig(epochs=1))
 
+    def test_bank_of_other_weights_rejected(self):
+        """`init_state` checks the bank's fingerprint against the weights."""
+        state = tiny_state(tiny_dataset())
+        other = E.init_encoder_weights(state.weights.config, np.random.default_rng(1))
+        other.freeze()
+        with pytest.raises(D.FingerprintMismatchError):
+            C.init_state(other, state.vocab, state.bank, state.config)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             C.TrainConfig(topk=3, num_experts=2)
@@ -785,7 +790,7 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     resolved = harness.apply_mode(resolved, mode)
 
     def run(name):
-        harness.run_once(ds, ds.descriptions, weights, vocab, [], resolved, seed=0,
+        harness.run_once(ds, weights, vocab, [], resolved, seed=0,
                          out_dir=str(tmp_path / name))
         return run_files(tmp_path / name)
 

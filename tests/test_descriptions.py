@@ -31,34 +31,36 @@ class TestLoadDescriptions:
     def test_basic_parse(self, tmp_path):
         p = write_desc(tmp_path, ["attack\ta sudden strike", "attack\tviolence done",
                                   "trade\tgoods change hands"])
-        raw = D.load_descriptions(p)
+        raw = D.load_descriptions(p, {"attack", "trade"})
         assert raw == {"attack": ["a sudden strike", "violence done"],
                        "trade": ["goods change hands"]}
 
     def test_blank_lines_skipped(self, tmp_path):
         p = write_desc(tmp_path, ["a\tx", "", "   ", "b\ty"])
-        assert set(D.load_descriptions(p)) == {"a", "b"}
+        assert set(D.load_descriptions(p, {"a", "b"})) == {"a", "b"}
 
     def test_missing_tab_raises(self, tmp_path):
         p = write_desc(tmp_path, ["attack a sudden strike"])
         with pytest.raises(D.DescriptionFileError):
-            D.load_descriptions(p)
+            D.load_descriptions(p, {"attack"})
 
     def test_empty_label_or_text_raises(self, tmp_path):
         with pytest.raises(D.DescriptionFileError):
-            D.load_descriptions(write_desc(tmp_path, ["\tx"]))
+            D.load_descriptions(write_desc(tmp_path, ["\tx"]), {"a"})
         with pytest.raises(D.DescriptionFileError):
-            D.load_descriptions(write_desc(tmp_path, ["a\t  "], name="e.tsv"))
+            D.load_descriptions(write_desc(tmp_path, ["a\t  "], name="e.tsv"), {"a"})
 
     def test_unknown_label_raises(self, tmp_path):
         p = write_desc(tmp_path, ["attack\tx", "ghost\ty"])
         with pytest.raises(D.DescriptionFileError):
             D.load_descriptions(p, known_labels={"attack"})
+        with pytest.raises(TypeError):  # the label check is not optional
+            D.load_descriptions(p)
 
     def test_duplicates_dropped_with_warning(self, tmp_path, caplog):
         p = write_desc(tmp_path, ["a\tsame text", "a\tsame text", "a\tother"])
         with caplog.at_level("WARNING"):
-            raw = D.load_descriptions(p)
+            raw = D.load_descriptions(p, {"a"})
         assert raw["a"] == ["same text", "other"]
         assert any("duplicate" in r.message for r in caplog.records)
 
@@ -66,7 +68,7 @@ class TestLoadDescriptions:
         p = tmp_path / "empty.tsv"
         p.write_text("\n\n", encoding="utf-8")
         with pytest.raises(D.DescriptionFileError):
-            D.load_descriptions(p)
+            D.load_descriptions(p, {"a"})
 
 
 class TestEncodeBank:
@@ -155,10 +157,10 @@ class TestSubsetBank:
         desc = {name: [f"text {name} {i}" for i in range(2)] for name in ds.label_names}
         resolved = cfgmod.defaults()
         resolved["continual"].update(n_way=1, k_shot=1, num_tasks=2, n_descriptions=2)
-        harness.check_data(resolved, ds, desc, seed=0, base_names=[])
+        harness.check_data(resolved, ds, desc, base_names=[])
         resolved["continual"]["n_descriptions"] = 3
         with pytest.raises(cfgmod.ConfigError, match="n_descriptions 3"):
-            harness.check_data(resolved, ds, desc, seed=0, base_names=[])
+            harness.check_data(resolved, ds, desc, base_names=[])
 
     def test_draws_per_label_in_ascending_label_order(self):
         """One draw of n row positions per label, labels in ascending order,

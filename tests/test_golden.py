@@ -106,7 +106,7 @@ def run_digests(root, seed: int) -> dict:
     out = {}
     for mode in ("leaf", "mole-token"):
         run_dir = root / f"{mode}_{seed}"
-        harness.run_once(dataset, dataset.descriptions, weights, vocab, base_names,
+        harness.run_once(dataset, weights, vocab, base_names,
                          harness.apply_mode(resolved, mode), seed, out_dir=str(run_dir))
         files = ["metrics.json", "losses.csv"] + sorted(
             f"checkpoints/{p.name}" for p in (run_dir / "checkpoints").iterdir())

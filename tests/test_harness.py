@@ -6,7 +6,7 @@ import copy
 import pytest
 
 from leaf import config as cfgmod
-from leaf import harness
+from leaf import data_synth, harness
 
 LEAF = {("continual", "augment"): True}
 
@@ -82,3 +82,26 @@ def test_ablation_settings_names_and_values(axis):
     assert [name for name, _ in settings] == [name for name, _ in EXPECTED_AXES[axis]]
     for (name, cfg), (_, expected) in zip(settings, EXPECTED_AXES[axis]):
         assert typed(changes(before, cfg)) == typed(expected), name
+
+
+def test_pretrain_base_draws_the_base_labels_once(monkeypatch):
+    """`pretrain_base` picks its base labels with one draw, checks them
+    and pretrains on them; `check_data` takes them and draws none."""
+    ds = data_synth.generate(data_synth.GeneratorSpec(
+        n_labels=8, instances_per_label=6, test_per_label=2, vocab_size=400,
+        sentence_len=(4, 6), triggers_per_sentence=(1, 2), seed=0))
+    resolved = cfgmod.defaults()
+    resolved["encoder"].update(num_layers=1, model_dim=16, num_heads=2, ffn_dim=32,
+                               max_seq_len=12)
+    resolved["run"].update(n_base_labels=4, base_epochs=0)
+    resolved["continual"].update(n_way=2, k_shot=3, num_tasks=2, n_descriptions=2)
+    draws, real = [], harness.pick_base_labels
+
+    def counted(*args):
+        draws.append(real(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(harness, "pick_base_labels", counted)
+    weights, _, base_names = harness.pretrain_base(ds, resolved, seed=3)
+    assert draws == [base_names] and len(base_names) == 4
+    assert weights.frozen
