@@ -129,7 +129,7 @@ def parse_config(path, schema=SCHEMA) -> dict:
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: `100%` too
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:  # duplicate keys or sections, syntax
+    except (configparser.Error, UnicodeDecodeError) as exc:  # syntax, duplicates, not UTF-8
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

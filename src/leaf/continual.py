@@ -158,9 +158,9 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 def index_texts(state: ModelState, texts) -> None:
     """Build the state's `TextTable` of `texts`: each distinct text once, in
     first-appearance order, padded to their one length (`enc.tokenize_set`).
-    Under instance routing the noise-free [CLS] rows are encoded too
-    (`enc.frozen_cls`). Every instance a forward pass sees must be in the
-    table."""
+    Under instance routing the noise-free [CLS] rows are taken too
+    (`enc.frozen_cls`, which encodes only the rows the weights do not keep
+    yet). Every instance a forward pass sees must be in the table."""
     row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     ids, mask = enc.tokenize_set(list(row), state.vocab, state.weights.config.max_seq_len)
     cls = None if state.config.routing == "token" else enc.frozen_cls(ids, mask, state.weights)

@@ -167,32 +167,31 @@ def load_jsonl(path) -> Dataset:
     idx: dict[str, int] = {}
     train: dict[int, list[str]] = {}
     test: dict[int, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise DatasetFormatError(f"{path}:{lineno}: not a JSON object")
-            for key in ("text", "label", "split"):
-                if key not in rec:
-                    raise DatasetFormatError(f"{path}:{lineno}: missing key {key!r}")
-            if rec["split"] not in ("train", "test"):
-                raise DatasetFormatError(f"{path}:{lineno}: bad split {rec['split']!r}")
-            if not isinstance(rec["text"], str) or not rec["text"].split():
-                raise DatasetFormatError(f"{path}:{lineno}: text {rec['text']!r} has no word")
-            label = rec["label"]
-            if not isinstance(label, str) or not label.strip():
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: label {label!r} is not a non-blank string")
-            if label not in idx:
-                idx[label] = len(names)
-                names.append(label)
-            table = train if rec["split"] == "train" else test
-            table.setdefault(idx[label], []).append(rec["text"])
+    for lineno, line in enc.text_lines(path, DatasetFormatError):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DatasetFormatError(f"{path}:{lineno}: not a JSON object")
+        for key in ("text", "label", "split"):
+            if key not in rec:
+                raise DatasetFormatError(f"{path}:{lineno}: missing key {key!r}")
+        if rec["split"] not in ("train", "test"):
+            raise DatasetFormatError(f"{path}:{lineno}: bad split {rec['split']!r}")
+        if not isinstance(rec["text"], str) or not rec["text"].split():
+            raise DatasetFormatError(f"{path}:{lineno}: text {rec['text']!r} has no word")
+        label = rec["label"]
+        if not isinstance(label, str) or not label.strip():
+            raise DatasetFormatError(
+                f"{path}:{lineno}: label {label!r} is not a non-blank string")
+        if label not in idx:
+            idx[label] = len(names)
+            names.append(label)
+        table = train if rec["split"] == "train" else test
+        table.setdefault(idx[label], []).append(rec["text"])
     return Dataset(label_names=names, train=train, test=test)
 
 

@@ -50,24 +50,23 @@ def load_descriptions(path, known_labels) -> dict[str, list[str]]:
     """
     raw: dict[str, list[str]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise DescriptionFileError(f"{path}:{lineno}: expected label<TAB>description")
-            label, text = line.split("\t", 1)
-            label, text = label.strip(), text.strip()
-            if not label or not text:
-                raise DescriptionFileError(f"{path}:{lineno}: empty label or description")
-            if label not in known_labels:
-                raise DescriptionFileError(f"{path}:{lineno}: unknown label {label!r}")
-            if (label, text) in seen:
-                logger.warning("%s:%d: duplicate description for %r ignored", path, lineno, label)
-                continue
-            seen.add((label, text))
-            raw.setdefault(label, []).append(text)
+    for lineno, line in enc.text_lines(path, DescriptionFileError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise DescriptionFileError(f"{path}:{lineno}: expected label<TAB>description")
+        label, text = line.split("\t", 1)
+        label, text = label.strip(), text.strip()
+        if not label or not text:
+            raise DescriptionFileError(f"{path}:{lineno}: empty label or description")
+        if label not in known_labels:
+            raise DescriptionFileError(f"{path}:{lineno}: unknown label {label!r}")
+        if (label, text) in seen:
+            logger.warning("%s:%d: duplicate description for %r ignored", path, lineno, label)
+            continue
+        seen.add((label, text))
+        raw.setdefault(label, []).append(text)
     if not raw:
         raise DescriptionFileError(f"{path}: no descriptions found")
     return raw

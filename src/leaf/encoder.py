@@ -107,6 +107,11 @@ class EncoderWeights:
     config: EncoderConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
     frozen: bool = False
+    # `frozen_cls`'s kept rows, encoded under the fingerprint `kept_fingerprint`:
+    # the bytes of an input row's ids and mask -> its row of `kept_cls` [K, d]
+    kept_at: dict[bytes, int] = field(default_factory=dict, repr=False, compare=False)
+    kept_cls: np.ndarray | None = field(default=None, repr=False, compare=False)
+    kept_fingerprint: str = field(default="", repr=False, compare=False)
 
     def params(self) -> list[Tensor]:
         return list(self.tensors.values())
@@ -212,6 +217,14 @@ def _rows_stand_alone(rows: int, d_in: int, d_out: int) -> bool:
     return y.tobytes() == np.stack([np.roll(y[0], -p, axis=0) for p in range(rows)]).tobytes()
 
 
+def _batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
+    """`ids` and `mask` as int64 arrays; ShapeError unless both are [B, S]."""
+    ids, mask = np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=np.int64)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise T.ShapeError(f"ids and mask must both be [B, S], got {ids.shape} and {mask.shape}")
+    return ids, mask
+
+
 def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=None,
              cls=None, topk: int | None = None,
              embed_noise: np.ndarray | None = None) -> tuple[Tensor, list[dict]]:
@@ -260,10 +273,7 @@ def _forward(ids: np.ndarray, mask: np.ndarray, weights: EncoderWeights, pools=N
     elimination. Its `q` token router still scores every position; only the
     [CLS] row's delta applies."""
     cfg = weights.config
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
-    if ids.ndim != 2 or mask.shape != ids.shape:
-        raise T.ShapeError(f"ids and mask must both be [B, S], got {ids.shape} and {mask.shape}")
+    ids, mask = _batch(ids, mask)
     if ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id {int(ids.max())} >= vocab_size {cfg.vocab_size}")
     if not (mask[:, 0] == 1).all():
@@ -391,9 +401,38 @@ def frozen_cls(ids, mask, weights: EncoderWeights,
                embed_noise: np.ndarray | None = None) -> np.ndarray:
     """[N, d] frozen [CLS] rows of tokenized rows (`tokenize_set`), encoded
     without a graph, EVAL_CHUNK rows per pass. `embed_noise` ([N, S, d]),
-    when given, is sliced with them: the noisy memory copies of an epoch."""
-    return in_chunks(lambda i, m, noise: encode_base(i, m, weights, noise).data,
-                     len(ids), ids, mask, embed_noise)
+    when given, is sliced with them: the noisy memory copies of an epoch.
+
+    Frozen weights keep the rows of noise-free calls (`kept_at`, `kept_cls`),
+    keyed by the bytes of a row's ids and mask, so by its padded width too;
+    only rows not kept yet are encoded. A row's [CLS] bits depend only on that
+    row and its width (`_forward`), so a kept row equals a fresh one. The
+    kept rows hold for the fingerprint they were encoded under: weights
+    written in place start them afresh. Noisy rows are never kept. A call
+    whose rows are kept rows in their kept order gets a read-only view of
+    them, not a copy; `kept_cls` is replaced, never written, so the view
+    stays valid."""
+    if embed_noise is not None or not weights.frozen:
+        return in_chunks(lambda i, m, noise: encode_base(i, m, weights, noise).data,
+                         len(ids), ids, mask, embed_noise)
+    fingerprint = weights.fingerprint()
+    if fingerprint != weights.kept_fingerprint:
+        weights.kept_at, weights.kept_fingerprint = {}, fingerprint
+        weights.kept_cls = np.empty((0, weights.config.model_dim))
+    ids, mask = _batch(ids, mask)
+    kept, keys = weights.kept_at, [row.tobytes() for row in np.concatenate([ids, mask], 1)]
+    new = {key: i for i, key in enumerate(keys) if key not in kept}  # each row not kept, once
+    if new:
+        at = np.fromiter(new.values(), np.int64, len(new))
+        rows = in_chunks(lambda i, m: encode_base(i, m, weights).data, len(at), ids[at], mask[at])
+        kept.update(zip(new, range(len(kept), len(kept) + len(new))))  # once all are encoded
+        weights.kept_cls = np.concatenate([weights.kept_cls, rows])
+    at = np.fromiter((kept[key] for key in keys), np.int64, len(keys))
+    if len(at) and (np.diff(at) == 1).all():
+        view = weights.kept_cls[at[0]:at[-1] + 1]
+        view.flags.writeable = False
+        return view
+    return weights.kept_cls[at]
 
 
 BASE_HEAD_LR = 1e-2  # learning rate of base pretraining's detector head
@@ -469,6 +508,16 @@ def atomic_open(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def text_lines(path, error: type[Exception]):
+    """(line number, line) of each line of the UTF-8 text file `path`;
+    `error` naming the file if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def save_tensors(tensors: dict[str, np.ndarray], path, meta: dict | None = None) -> None:

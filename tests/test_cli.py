@@ -414,6 +414,30 @@ class TestTrain:
         code, err, where = self.bad_record_run(workspace, capsys, "train", "label", label)
         assert code == 1 and f"{where}: label {label!r} is not a non-blank string" in err
 
+    def test_config_that_is_not_utf8_is_usage_error(self, workspace, capsys):
+        root, cfg = workspace
+        bad = root / "not_utf8.ini"
+        bad.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        out = root / "not_utf8_out"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: malformed config {bad}: 'utf-8' codec can't decode" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,name", [("dataset", "dataset.jsonl"),
+                                          ("descriptions", "descriptions.tsv")])
+    def test_input_that_is_not_utf8_is_runtime_error_naming_the_file(self, workspace, capsys,
+                                                                     key, name):
+        root, cfg = workspace
+        bad = root / f"not_utf8_{name}"
+        bad.write_bytes((root / "data" / name).read_bytes() + b"\xff\n")
+        conf = config_with(cfg, "paths", f"{key} = {bad}", root / f"not_utf8_{key}.ini")
+        out = root / f"not_utf8_{key}_out"
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff" in err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_components_grid_shape(self, workspace):
@@ -506,6 +530,21 @@ class TestGradcheckAndReport:
         assert all("±" in c for c in cells)
         # identical runs aggregate with zero spread
         assert all(c.endswith("±0.0") for c in cells)
+
+    def test_report_of_one_dir_twice_is_usage_error(self, det_runs, tmp_path, capsys):
+        """Every run is read first; then a dir named twice, by any path, exits 2."""
+        run, other = det_runs
+        link = tmp_path / "link"
+        link.symlink_to(run)
+        out = tmp_path / "r.csv"
+        for again in (str(run), f"{run}/", str(run.parent / "." / run.name), str(link)):
+            assert main(["report", "--runs", str(run), str(other), again,
+                         "--out", str(out)]) == 2
+            assert (f"config error: --runs names the directory {os.path.realpath(run)} twice "
+                    f"({run} and {again})") in capsys.readouterr().err
+        assert main(["report", "--runs", str(run), str(run), str(tmp_path / "nope"),
+                     "--out", str(out)]) == 1  # a run that cannot be read answers first
+        assert not out.exists()
 
     def test_report_missing_dir_is_runtime_error(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "nope"), str(tmp_path / "nope2"),

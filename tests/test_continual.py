@@ -334,6 +334,9 @@ class TestFrozenCache:
     def test_table_cls_matches_encode_base_in_batches_of_1_and_8(self, monkeypatch):
         ds = tiny_dataset()
         state = tiny_state(ds)
+        # the same tensors on a new object, which keeps no [CLS] rows yet
+        # (`frozen_cls`), so that every row is encoded again
+        state.weights = E.EncoderWeights(state.weights.config, state.weights.tensors, frozen=True)
         monkeypatch.setattr(E, "EVAL_CHUNK", 5)
         calls = record_encodes(monkeypatch)
         C.index_texts(state, dataset_texts(ds))

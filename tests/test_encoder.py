@@ -556,6 +556,102 @@ class TestLastBlockClsOnly:
         assert np.isfinite(float(moe.router_loss(token_records).data))
 
 
+# --------------------------------------------------- frozen_cls's kept rows
+
+
+def count_encoded_rows(monkeypatch) -> list:
+    """Patch `encoder.encode_base` to log the row count of each call."""
+    calls, real = [], E.encode_base
+    monkeypatch.setattr(E, "encode_base", lambda ids, *a, **k: calls.append(len(ids))
+                        or real(ids, *a, **k))
+    return calls
+
+
+class TestFrozenClsKeptRows:
+    """`frozen_cls` keeps the [CLS] rows of noise-free calls on frozen weights."""
+
+    @staticmethod
+    def frozen():
+        w, vocab, cfg = make_weights()
+        w.freeze()
+        texts = ["alpha beta", "gamma", "delta alpha beta gamma", "beta"]
+        return w, vocab, cfg, E.tokenize_set(texts, vocab, cfg.max_seq_len)
+
+    @staticmethod
+    def fresh(ids, mask, w) -> np.ndarray:
+        """`frozen_cls` of the same tensors on a new weights object, which
+        keeps no rows yet."""
+        return E.frozen_cls(ids, mask, E.EncoderWeights(w.config, w.tensors, frozen=True))
+
+    def test_second_call_returns_the_same_bytes_without_a_pass(self, monkeypatch):
+        w, vocab, cfg, (ids, mask) = self.frozen()
+        with T.no_grad():
+            direct = E.encode_base(ids, mask, w).data
+        calls = count_encoded_rows(monkeypatch)
+        first = E.frozen_cls(ids, mask, w)
+        assert calls == [4] and len(w.kept_at) == 4
+        assert first.tobytes() == direct.tobytes()
+        # rows in their kept order share the kept rows, read-only
+        assert np.shares_memory(first, w.kept_cls) and not first.flags.writeable
+        order = [3, 1, 1, 0, 2]  # any order, a row twice
+        again = E.frozen_cls(ids[order], mask[order], w)
+        assert again.tobytes() == first[order].tobytes()
+        assert not np.shares_memory(again, w.kept_cls) and again.flags.writeable
+        assert calls == [4]
+        # the same texts padded to another width are other rows; only rows
+        # not kept are encoded, each once
+        width = ids.shape[1] + 2
+        texts = ["alpha beta", "gamma", "delta alpha beta gamma", "beta", "gamma", "beta delta"]
+        wide = [np.stack(a) for a in zip(*(E.tokenize(text, vocab, width) for text in texts))]
+        got = E.frozen_cls(*wide, w)
+        assert calls == [4, 5] and len(w.kept_at) == 9
+        assert got.tobytes() == self.fresh(*wide, w).tobytes()
+        assert got[4].tobytes() == got[1].tobytes()
+        # the same ids under another mask are another row
+        short = mask[[2]].copy()
+        short[0, -1] = 0
+        assert E.frozen_cls(ids[[2]], short, w).tobytes() != first[2].tobytes()
+        assert calls[-1] == 1 and len(w.kept_at) == 10
+        # noisy rows are encoded every time and never kept
+        noise = np.zeros(ids.shape + (cfg.model_dim,))
+        for _ in range(2):
+            E.frozen_cls(ids, mask, w, noise)
+        assert calls[-2:] == [4, 4] and len(w.kept_at) == 10
+
+    def test_writing_into_frozen_weights_forces_a_recompute(self, monkeypatch):
+        w, _, _, (ids, mask) = self.frozen()
+        first = E.frozen_cls(ids, mask, w)
+        calls = count_encoded_rows(monkeypatch)
+        w.tensors["layer0.q.weight"].data[0, 0] += 1.0
+        again = E.frozen_cls(ids, mask, w)
+        assert calls == [4]
+        assert again.tobytes() != first.tobytes()
+        assert again.tobytes() == self.fresh(ids, mask, w).tobytes()
+        assert len(w.kept_at) == 4 and w.kept_fingerprint == w.fingerprint()
+
+    def test_a_call_that_raises_keeps_none_of_its_rows(self, monkeypatch):
+        w, _, cfg, (ids, mask) = self.frozen()
+        bad = ids.copy()
+        bad[3, 1] = cfg.vocab_size  # encoded in the call's second pass
+        monkeypatch.setattr(E, "EVAL_CHUNK", 2)
+        with pytest.raises(ValueError, match="vocab_size"):
+            E.frozen_cls(bad, mask, w)
+        assert w.kept_at == {} and len(w.kept_cls) == 0
+        assert E.frozen_cls(ids, mask, w).tobytes() == self.fresh(ids, mask, w).tobytes()
+
+    def test_unfrozen_weights_are_never_served_from_kept_rows(self, monkeypatch):
+        w, _, _, (ids, mask) = self.frozen()
+        E.frozen_cls(ids, mask, w)
+        kept, calls = w.kept_cls, count_encoded_rows(monkeypatch)
+        w.frozen = False
+        for _ in range(2):
+            E.frozen_cls(ids, mask, w)
+        assert calls == [4, 4] and w.kept_cls is kept and len(w.kept_at) == 4
+        never, _, _ = make_weights()  # never frozen: nothing is kept
+        E.frozen_cls(ids, mask, never)
+        assert never.kept_at == {} and never.kept_cls is None and never.kept_fingerprint == ""
+
+
 # ----------------------------------------------------------- base training
 
 class TestBaseTraining:
