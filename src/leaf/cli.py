@@ -170,7 +170,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     if len(args.runs) < 2:  # `metrics.final_row_cells` aggregates over runs
         raise cfgmod.ConfigError(f"--runs needs at least 2 run dirs, got {len(args.runs)}")
-    mats = [harness.load_run_matrix(run_dir) for run_dir in args.runs]
+    mats, configs = zip(*(harness.load_run(run_dir) for run_dir in args.runs))
     named: dict[str, str] = {}
     for run_dir in args.runs:  # a run counted twice would shrink the std
         real = os.path.realpath(run_dir)
@@ -178,6 +178,10 @@ def cmd_report(args) -> int:
             raise cfgmod.ConfigError(f"--runs names the directory {real} twice "
                                      f"({named[real]} and {run_dir})")
         named[real] = run_dir
+    for run_dir, cfg in zip(args.runs, configs):  # seeds of one system only
+        if cfg != configs[0]:
+            raise cfgmod.ConfigError(f"--runs {args.runs[0]} and {run_dir} ran different "
+                                     "configs (config.snapshot.json beyond [run] seed)")
     row = metrics.final_row_cells(mats)
     with encoder.atomic_open(args.out) as fh:
         writer = csv.writer(fh)

@@ -43,10 +43,7 @@ class TaskStream:
 
     def seen_labels(self, upto: int) -> list[int]:
         """Cumulative label set through task index `upto` (inclusive)."""
-        out = []
-        for task in self.tasks[:upto + 1]:
-            out.extend(task.labels)
-        return out
+        return [y for task in self.tasks[:upto + 1] for y in task.labels]
 
 
 @dataclass

@@ -76,9 +76,7 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 vocab: enc.Vocab, label_ids: dict[str, int]) -> DescriptionBank:
     """Encode every description with the frozen encoder, padded to the
     descriptions' own length (`enc.tokenize_set`); vector = [CLS] state
-    (`enc.frozen_cls`)."""
-    if not weights.frozen:
-        raise ValueError("encode_bank requires a frozen encoder")
+    (`enc.frozen_cls`, which raises ValueError for weights not frozen)."""
     max_len = weights.config.max_seq_len
     names = sorted(raw, key=lambda s: label_ids[s])
     texts = []

@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,24 +106,39 @@ class Vocab:
 @dataclass
 class EncoderWeights:
     config: EncoderConfig
-    tensors: dict[str, Tensor] = field(default_factory=dict)
+    tensors: dict[str, Tensor] | MappingProxyType = field(default_factory=dict)  # once frozen
     frozen: bool = False
-    # `frozen_cls`'s kept rows, encoded under the fingerprint `kept_fingerprint`:
-    # the bytes of an input row's ids and mask -> its row of `kept_cls` [K, d]
+    # `frozen_cls`'s kept rows: the bytes of a row's ids and mask -> its row of `kept_cls`
     kept_at: dict[bytes, int] = field(default_factory=dict, repr=False, compare=False)
-    kept_cls: np.ndarray | None = field(default=None, repr=False, compare=False)
-    kept_fingerprint: str = field(default="", repr=False, compare=False)
+    kept_cls: np.ndarray = field(init=False, repr=False, compare=False)
+    _fingerprint: str = field(default="", init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.kept_cls = np.empty((0, self.config.model_dim))
+        if self.frozen:
+            self.freeze()
+
+    def __reduce__(self):  # a mappingproxy does not pickle; the copy is frozen afresh
+        return EncoderWeights, (self.config, dict(self.tensors), self.frozen)
 
     def params(self) -> list[Tensor]:
         return list(self.tensors.values())
 
     def freeze(self) -> None:
-        self.frozen = True
+        """Make the weights constants for good: no tensor requires grad,
+        every array is read-only (writing into one raises ValueError), so is
+        the tensor map (assigning into it raises TypeError), and the
+        fingerprint is taken once, here. The one write this cannot refuse is
+        rebinding a tensor's `data` (`t.data = x`); no code does it."""
         for t in self.tensors.values():
-            t.requires_grad = False
-            t.grad = None
+            t.requires_grad, t.grad = False, None
+            t.data.flags.writeable = False
+        self.tensors = MappingProxyType(dict(self.tensors))
+        self.frozen, self._fingerprint = True, self.fingerprint()
 
     def fingerprint(self) -> str:
+        if self.frozen and self._fingerprint:  # taken by `freeze`
+            return self._fingerprint
         h = hashlib.sha256()
         for name in sorted(self.tensors):
             h.update(name.encode())
@@ -403,22 +419,19 @@ def frozen_cls(ids, mask, weights: EncoderWeights,
     without a graph, EVAL_CHUNK rows per pass. `embed_noise` ([N, S, d]),
     when given, is sliced with them: the noisy memory copies of an epoch.
 
-    Frozen weights keep the rows of noise-free calls (`kept_at`, `kept_cls`),
-    keyed by the bytes of a row's ids and mask, so by its padded width too;
-    only rows not kept yet are encoded. A row's [CLS] bits depend only on that
-    row and its width (`_forward`), so a kept row equals a fresh one. The
-    kept rows hold for the fingerprint they were encoded under: weights
-    written in place start them afresh. Noisy rows are never kept. A call
-    whose rows are kept rows in their kept order gets a read-only view of
-    them, not a copy; `kept_cls` is replaced, never written, so the view
-    stays valid."""
-    if embed_noise is not None or not weights.frozen:
+    The weights must be frozen (ValueError if not), so they cannot change
+    (`EncoderWeights.freeze`) and keep the rows of noise-free calls
+    (`kept_at`, `kept_cls`) as long as they live, keyed by the bytes of a
+    row's ids and mask, so by its padded width too. Only rows not kept yet
+    are encoded: a row's [CLS] bits depend only on that row and its width
+    (`_forward`). Noisy rows are never kept. A call whose rows are kept rows
+    in their kept order gets a read-only view of them, not a copy;
+    `kept_cls` is replaced, never written, so the view stays valid."""
+    if not weights.frozen:
+        raise ValueError("frozen_cls needs frozen weights (EncoderWeights.freeze)")
+    if embed_noise is not None:
         return in_chunks(lambda i, m, noise: encode_base(i, m, weights, noise).data,
                          len(ids), ids, mask, embed_noise)
-    fingerprint = weights.fingerprint()
-    if fingerprint != weights.kept_fingerprint:
-        weights.kept_at, weights.kept_fingerprint = {}, fingerprint
-        weights.kept_cls = np.empty((0, weights.config.model_dim))
     ids, mask = _batch(ids, mask)
     kept, keys = weights.kept_at, [row.tobytes() for row in np.concatenate([ids, mask], 1)]
     new = {key: i for i, key in enumerate(keys) if key not in kept}  # each row not kept, once
@@ -629,7 +642,4 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     if type(frozen) is not bool:
         raise WeightsFormatError(f"{path}: frozen is {frozen!r}, not a bool")
     tensors = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
-    weights = EncoderWeights(config=cfg, tensors=tensors)
-    if frozen:
-        weights.freeze()
-    return weights, Vocab.from_list(tokens), meta
+    return EncoderWeights(cfg, tensors, frozen), Vocab.from_list(tokens), meta

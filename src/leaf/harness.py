@@ -236,15 +236,20 @@ def _save_checkpoint(state: continual.ModelState, path) -> None:
     encoder.save_tensors(tensors, path, meta={"class_order": state.head.class_order})
 
 
-def load_run_matrix(run_dir) -> metrics.MetricMatrix:
-    """The metric matrix of a run's metrics.json; ValueError naming
-    `run_dir` unless the file is JSON holding a complete one
-    (`MetricMatrix.from_dict`)."""
-    with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
-        try:
-            return metrics.MetricMatrix.from_dict(json.load(fh)["matrix"])
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is one
-            raise ValueError(f"{run_dir}: metrics.json holds no metric matrix ({exc})") from exc
+def load_run(run_dir) -> tuple[metrics.MetricMatrix, dict]:
+    """A run's complete metric matrix (`MetricMatrix.from_dict`), then its
+    config snapshot with `[run] seed` blanked; ValueError naming `run_dir`
+    and the file unless each file is JSON holding one."""
+    def read(name, what, take):
+        with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
+            try:
+                return take(json.load(fh))
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is one
+                raise ValueError(f"{run_dir}: {name} holds no {what} ({exc})") from exc
+    return (read("metrics.json", "metric matrix",
+                 lambda d: metrics.MetricMatrix.from_dict(d["matrix"])),
+            read("config.snapshot.json", "config snapshot",
+                 lambda d: {**d, "run": {**d["run"], "seed": None}}))
 
 
 def _task_fields(runs) -> list[str]:

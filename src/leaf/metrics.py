@@ -62,16 +62,12 @@ class MetricMatrix:
     cumulative_micro: np.ndarray = field(default=None)
     cumulative_macro: np.ndarray = field(default=None)
 
-    def __post_init__(self):
+    def __post_init__(self):  # a field not given starts all NaN
         T = self.num_tasks
-        if self.micro is None:
-            self.micro = np.full((T, T), np.nan)
-        if self.macro is None:
-            self.macro = np.full((T, T), np.nan)
-        if self.cumulative_micro is None:
-            self.cumulative_micro = np.full(T, np.nan)
-        if self.cumulative_macro is None:
-            self.cumulative_macro = np.full(T, np.nan)
+        for name, shape in (("micro", (T, T)), ("macro", (T, T)),
+                            ("cumulative_micro", T), ("cumulative_macro", T)):
+            if getattr(self, name) is None:
+                setattr(self, name, np.full(shape, np.nan))
 
     def record(self, after_task: int, task: int, micro: float, macro: float) -> None:
         if task > after_task:
@@ -125,10 +121,8 @@ def forgetting(matrix: MetricMatrix) -> tuple[list[float], float]:
     T = matrix.num_tasks
     if np.isnan(matrix.micro[np.tril_indices(T)]).any():
         raise ValueError("metric matrix incomplete")
-    per_task = []
-    for i in range(T - 1):
-        best = float(np.nanmax(matrix.micro[i:, i]))
-        per_task.append(best - float(matrix.micro[T - 1, i]))
+    per_task = [float(np.nanmax(matrix.micro[i:, i])) - float(matrix.micro[T - 1, i])
+                for i in range(T - 1)]  # best-ever minus final
     mean = float(np.mean(per_task)) if per_task else 0.0
     return per_task, mean
 

@@ -49,10 +49,7 @@ def init_pools(num_layers: int, d: int, num_experts: int, rank: int,
 
 
 def pool_params(pools) -> list[Tensor]:
-    out = []
-    for key in sorted(pools):
-        out.extend(pools[key].params())
-    return out
+    return [p for key in sorted(pools) for p in pools[key].params()]
 
 
 def routing_params(pools) -> list[Tensor]:

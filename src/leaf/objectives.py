@@ -7,6 +7,7 @@ batch size. Snapshot inputs are always detached constants.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -83,13 +84,10 @@ class DetectorHead:
         return np.asarray(self.class_order, dtype=np.int64)[rows]
 
     def copy(self) -> "DetectorHead":
-        dup = DetectorHead.__new__(DetectorHead)
-        dup.model_dim = self.model_dim
-        dup.class_order = list(self.class_order)
-        dup._row = dict(self._row)
-        dup.weight = Tensor(self.weight.data.copy())
-        dup.bias = Tensor(self.bias.data.copy())
-        dup._rng = self._rng
+        """A copy with detached tensors that shares the rng."""
+        dup = copy.copy(self)
+        dup.class_order, dup._row = list(self.class_order), dict(self._row)
+        dup.weight, dup.bias = Tensor(self.weight.data.copy()), Tensor(self.bias.data.copy())
         return dup
 
 

@@ -596,11 +596,38 @@ class TestGradcheckAndReport:
         for run in runs:
             run.mkdir()
             (run / "metrics.json").write_text(json.dumps({"matrix": matrix}) + "\n")
+            cfgmod.write_snapshot(cfgmod.defaults(), run / "config.snapshot.json")
         out = tmp_path / "r.csv"
         assert main(["report", "--runs", *map(str, runs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{runs[0]}: metrics.json holds no metric matrix" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_report_refuses_runs_of_different_configs(self, tmp_path, capsys):
+        """Runs whose config snapshots differ beyond `[run] seed` are not
+        seeds of one system: exit 2 naming both. A run dir without a
+        readable snapshot exits 1 naming the file."""
+        leaf, seed1, base = (str(tmp_path / name) for name in ("leaf", "seed1", "base"))
+        for run, mode, seed in ((leaf, "leaf", 0), (seed1, "leaf", 1),
+                                (base, "baseline-single-lora", 0)):
+            harness.write_run_dir(run, harness.apply_mode(cfgmod.defaults(), mode), seed,
+                                  matrix_of())
+        out = tmp_path / "r.csv"
+        assert main(["report", "--runs", leaf, seed1, "--out", str(out)]) == 0
+        out.unlink()
+        assert main(["report", "--runs", leaf, seed1, base, "--out", str(out)]) == 2
+        assert (f"config error: --runs {leaf} and {base} ran different configs "
+                "(config.snapshot.json beyond [run] seed)") in capsys.readouterr().err
+        assert not out.exists()
+        snapshot = os.path.join(base, "config.snapshot.json")
+        with open(snapshot, "w") as fh:
+            fh.write("[1]\n")
+        assert main(["report", "--runs", leaf, base, "--out", str(out)]) == 1
+        assert f"{base}: config.snapshot.json holds no config snapshot" in capsys.readouterr().err
+        os.remove(snapshot)
+        assert main(["report", "--runs", leaf, base, "--out", str(out)]) == 1
+        assert f"No such file or directory: '{snapshot}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_command_is_usage_error(self):

@@ -123,9 +123,11 @@ class TestEncodeBank:
         w, vocab = frozen_encoder()
         bank = D.encode_bank({"a": ["loud noise"]}, w, vocab, {"a": 0})
         bank.check_fingerprint(w)  # matching encoder passes
-        next(iter(w.tensors.values())).data[0] += 1.0
+        bank.check_fingerprint(E.EncoderWeights(w.config, w.tensors, frozen=True))
+        other = E.init_encoder_weights(w.config, np.random.default_rng(1))
+        other.freeze()
         with pytest.raises(D.FingerprintMismatchError):
-            bank.check_fingerprint(w)
+            bank.check_fingerprint(other)
 
 
 class TestSubsetBank:

@@ -2,8 +2,10 @@
 base-task training, and the versioned weight container."""
 
 import json
+import pickle
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -618,16 +620,18 @@ class TestFrozenClsKeptRows:
             E.frozen_cls(ids, mask, w, noise)
         assert calls[-2:] == [4, 4] and len(w.kept_at) == 10
 
-    def test_writing_into_frozen_weights_forces_a_recompute(self, monkeypatch):
+    def test_kept_rows_stay_valid_because_writes_are_refused(self, monkeypatch):
+        """Frozen weights cannot change, so no call encodes a kept row again."""
         w, _, _, (ids, mask) = self.frozen()
         first = E.frozen_cls(ids, mask, w)
         calls = count_encoded_rows(monkeypatch)
-        w.tensors["layer0.q.weight"].data[0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.tensors["layer0.q.weight"].data[0, 0] += 1.0
+        with pytest.raises(TypeError):
+            w.tensors["layer0.q.weight"] = Tensor(np.zeros((16, 16)))
         again = E.frozen_cls(ids, mask, w)
-        assert calls == [4]
-        assert again.tobytes() != first.tobytes()
+        assert calls == [] and again.tobytes() == first.tobytes()
         assert again.tobytes() == self.fresh(ids, mask, w).tobytes()
-        assert len(w.kept_at) == 4 and w.kept_fingerprint == w.fingerprint()
 
     def test_a_call_that_raises_keeps_none_of_its_rows(self, monkeypatch):
         w, _, cfg, (ids, mask) = self.frozen()
@@ -639,17 +643,18 @@ class TestFrozenClsKeptRows:
         assert w.kept_at == {} and len(w.kept_cls) == 0
         assert E.frozen_cls(ids, mask, w).tobytes() == self.fresh(ids, mask, w).tobytes()
 
-    def test_unfrozen_weights_are_never_served_from_kept_rows(self, monkeypatch):
-        w, _, _, (ids, mask) = self.frozen()
+    def test_unfrozen_weights_are_refused(self, monkeypatch):
+        w, _, cfg, (ids, mask) = self.frozen()
         E.frozen_cls(ids, mask, w)
         kept, calls = w.kept_cls, count_encoded_rows(monkeypatch)
+        never, _, _ = make_weights()  # never frozen
         w.frozen = False
-        for _ in range(2):
-            E.frozen_cls(ids, mask, w)
-        assert calls == [4, 4] and w.kept_cls is kept and len(w.kept_at) == 4
-        never, _, _ = make_weights()  # never frozen: nothing is kept
-        E.frozen_cls(ids, mask, never)
-        assert never.kept_at == {} and never.kept_cls is None and never.kept_fingerprint == ""
+        noise = np.zeros(ids.shape + (cfg.model_dim,))
+        for weights, args in ((w, ()), (w, (noise,)), (never, ()), (never, (noise,))):
+            with pytest.raises(ValueError, match="frozen_cls needs frozen weights"):
+                E.frozen_cls(ids, mask, weights, *args)
+        assert calls == [] and w.kept_cls is kept and len(w.kept_at) == 4
+        assert never.kept_at == {} and len(never.kept_cls) == 0
 
 
 # ----------------------------------------------------------- base training
@@ -727,6 +732,46 @@ class TestBaseTraining:
         first.grad = np.ones_like(first.data)
         w.freeze()
         assert first.grad is None and not first.requires_grad
+
+
+class TestFrozenWeights:
+    """`freeze` makes the weights read-only, and `frozen=True` goes through it."""
+
+    def test_frozen_at_construction_holds_no_trainable_or_writable_tensor(self):
+        w, _, cfg = make_weights()  # fresh tensors require grad
+        frozen = E.EncoderWeights(cfg, dict(w.tensors), frozen=True)
+        assert frozen.frozen and frozen.fingerprint() == w.fingerprint()
+        assert not any(t.requires_grad or t.data.flags.writeable
+                       for t in frozen.tensors.values())
+
+    def test_writes_into_frozen_weights_raise(self):
+        w, _, _ = make_weights()
+        w.freeze()
+        for name, t in w.tensors.items():
+            with pytest.raises(ValueError, match="read-only"):
+                t.data[...] = 0.0
+            with pytest.raises(TypeError):
+                w.tensors[name] = Tensor(np.zeros(t.shape))
+        with pytest.raises(TypeError):
+            del w.tensors["tok_emb"]
+
+    def test_pickled_frozen_weights_come_back_frozen(self):
+        """Spawned workers get the weights by pickle (the acceptance fixture)."""
+        w, _, _ = make_weights()
+        w.freeze()
+        again = pickle.loads(pickle.dumps(w))
+        assert again.frozen and again.fingerprint() == w.fingerprint()
+        assert not any(t.requires_grad or t.data.flags.writeable
+                       for t in again.tensors.values())
+
+    def test_fingerprint_is_taken_once_per_freeze(self, monkeypatch):
+        w, _, _ = make_weights()
+        hashes, sha256 = [], E.hashlib.sha256
+        monkeypatch.setattr(E, "hashlib", SimpleNamespace(
+            sha256=lambda: hashes.append(1) or sha256()))
+        before = w.fingerprint()  # unfrozen weights hash on every call
+        w.freeze()
+        assert [w.fingerprint() for _ in range(3)] == [before] * 3 and len(hashes) == 2
 
 
 # --------------------------------------------------------- weight container
