@@ -58,7 +58,7 @@ class TextTable:
     row: dict[str, int]       # text -> its row
     ids: np.ndarray           # [N, S] token ids (`enc.tokenize_set`)
     mask: np.ndarray          # [N, S]
-    cls: np.ndarray | None    # [N, d] noise-free [CLS]; None under token routing
+    kept: np.ndarray | None   # [N] rows of `weights.kept_cls`; None under token routing
 
 
 @dataclass
@@ -155,13 +155,13 @@ def build_stream(dataset: Dataset, n_way: int, k_shot: int, num_tasks: int,
 def index_texts(state: ModelState, texts) -> None:
     """Build the state's `TextTable` of `texts`: each distinct text once, in
     first-appearance order, padded to their one length (`enc.tokenize_set`).
-    Under instance routing the noise-free [CLS] rows are taken too
-    (`enc.frozen_cls`, which encodes only the rows the weights do not keep
-    yet). Every instance a forward pass sees must be in the table."""
+    Under instance routing it holds each text's row of the weights'
+    `kept_cls` (`enc.kept_rows`), not its [CLS] vector. Every instance a
+    forward pass sees must be in the table."""
     row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     ids, mask = enc.tokenize_set(list(row), state.vocab, state.weights.config.max_seq_len)
-    cls = None if state.config.routing == "token" else enc.frozen_cls(ids, mask, state.weights)
-    state.table = TextTable(row, ids, mask, cls)
+    kept = None if state.config.routing == "token" else enc.kept_rows(ids, mask, state.weights)
+    state.table = TextTable(row, ids, mask, kept)
 
 
 def forward_features(state: ModelState, instances, pools=None,
@@ -170,13 +170,13 @@ def forward_features(state: ModelState, instances, pools=None,
     """Two-stage forward for a batch: frozen [CLS] -> routing -> expert
     forward (`enc.encode_with_experts`). Returns (features [B, d] Tensor,
     per-pool routing records). A batch with `embed_noise` comes with its
-    noisy [CLS] rows as `cls`; noise-free ones are looked up in the table."""
+    noisy [CLS] rows as `cls`; noise-free ones come from `weights.kept_cls`."""
     cfg = state.config
     pools = state.pools if pools is None else pools
     rows = np.array([state.table.row[inst.text] for inst in instances])
     ids, mask = state.table.ids[rows], state.table.mask[rows]
     if cls is None and cfg.routing != "token":
-        cls = state.table.cls[rows]
+        cls = state.weights.kept_cls[state.table.kept[rows]]
     return enc.encode_with_experts(ids, mask, state.weights, pools, cls, cfg.topk,
                                    embed_noise)
 
@@ -301,17 +301,18 @@ def train_task(t: int, stream: TaskStream, state: ModelState) -> None:
         order = state.rng.permutation(len(data))
         # The epoch's noisy rows, in the order its batches meet them: one
         # [max_seq_len, d] draw each, cut to the table's width, and one
-        # frozen [CLS] pass for all of them.
+        # frozen [CLS] pass for all of them, whose rows are never kept.
         rows, noisy = table_rows[order], augmented[order]
-        cls = None if table.cls is None else table.cls[rows]
-        noise = None
-        if noisy.any():
+        cls = None if table.kept is None else state.weights.kept_cls[table.kept[rows]]
+        noise, n_noisy = None, int(noisy.sum())
+        if n_noisy:
             noise = np.zeros((len(data), width, ecfg.model_dim))
             noise[noisy] = state.rng.normal(0.0, SIGMA_AUG, (
-                int(noisy.sum()), ecfg.max_seq_len, ecfg.model_dim))[:, :width]
+                n_noisy, ecfg.max_seq_len, ecfg.model_dim))[:, :width]
             if cls is not None:
-                cls[noisy] = enc.frozen_cls(table.ids[rows[noisy]], table.mask[rows[noisy]],
-                                            state.weights, noise[noisy])
+                cls[noisy] = enc.in_chunks(
+                    lambda i, m, n: enc.encode_base(i, m, state.weights, n).data, n_noisy,
+                    table.ids[rows[noisy]], table.mask[rows[noisy]], noise[noisy])
         # the snapshot is frozen for the task: its rows for the whole epoch
         # in one no-grad pass, on the noisy view the student sees
         epoch_data = [data[i] for i in order]

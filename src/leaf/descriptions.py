@@ -75,8 +75,9 @@ def load_descriptions(path, known_labels) -> dict[str, list[str]]:
 def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
                 vocab: enc.Vocab, label_ids: dict[str, int]) -> DescriptionBank:
     """Encode every description with the frozen encoder, padded to the
-    descriptions' own length (`enc.tokenize_set`); vector = [CLS] state
-    (`enc.frozen_cls`, which raises ValueError for weights not frozen)."""
+    descriptions' own length (`enc.tokenize_set`); vector = [CLS] state,
+    copied from the weights' `kept_cls` at the rows `enc.kept_rows` gives
+    (which raises ValueError for weights not frozen)."""
     max_len = weights.config.max_seq_len
     names = sorted(raw, key=lambda s: label_ids[s])
     texts = []
@@ -85,10 +86,10 @@ def encode_bank(raw: dict[str, list[str]], weights: enc.EncoderWeights,
             if len(text.split()) + 1 > max_len:
                 logger.warning("description for %r exceeds max_seq_len; truncated", name)
             texts.append(text)
-    cls = enc.frozen_cls(*enc.tokenize_set(texts, vocab, max_len), weights)
+    at = enc.kept_rows(*enc.tokenize_set(texts, vocab, max_len), weights)
     return DescriptionBank(texts,
                            np.asarray([label_ids[name] for name in names for _ in raw[name]]),
-                           cls, weights.fingerprint())
+                           weights.kept_cls[at], weights.fingerprint())
 
 
 def subset_bank(bank: DescriptionBank, n_descriptions: int, seed: int) -> DescriptionBank:

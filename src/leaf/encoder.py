@@ -108,7 +108,7 @@ class EncoderWeights:
     config: EncoderConfig
     tensors: dict[str, Tensor] | MappingProxyType = field(default_factory=dict)  # once frozen
     frozen: bool = False
-    # `frozen_cls`'s kept rows: the bytes of a row's ids and mask -> its row of `kept_cls`
+    # `kept_rows`' store: the bytes of a row's ids and mask -> its row of `kept_cls`
     kept_at: dict[bytes, int] = field(default_factory=dict, repr=False, compare=False)
     kept_cls: np.ndarray = field(init=False, repr=False, compare=False)
     _fingerprint: str = field(default="", init=False, repr=False, compare=False)
@@ -413,25 +413,16 @@ def in_chunks(fn, n: int, *arrays) -> np.ndarray:
                                for s in range(0, n, EVAL_CHUNK)])
 
 
-def frozen_cls(ids, mask, weights: EncoderWeights,
-               embed_noise: np.ndarray | None = None) -> np.ndarray:
-    """[N, d] frozen [CLS] rows of tokenized rows (`tokenize_set`), encoded
-    without a graph, EVAL_CHUNK rows per pass. `embed_noise` ([N, S, d]),
-    when given, is sliced with them: the noisy memory copies of an epoch.
-
-    The weights must be frozen (ValueError if not), so they cannot change
-    (`EncoderWeights.freeze`) and keep the rows of noise-free calls
-    (`kept_at`, `kept_cls`) as long as they live, keyed by the bytes of a
-    row's ids and mask, so by its padded width too. Only rows not kept yet
-    are encoded: a row's [CLS] bits depend only on that row and its width
-    (`_forward`). Noisy rows are never kept. A call whose rows are kept rows
-    in their kept order gets a read-only view of them, not a copy;
-    `kept_cls` is replaced, never written, so the view stays valid."""
+def kept_rows(ids, mask, weights: EncoderWeights) -> np.ndarray:
+    """The [N] rows of `weights.kept_cls` holding the noise-free frozen [CLS]
+    vectors of tokenized rows (`tokenize_set`). Rows not kept yet are
+    encoded without a graph, EVAL_CHUNK rows per pass, and appended, so read
+    `kept_cls` after this returns. A row's key is the bytes of its ids and
+    mask, so its width too: its [CLS] bits depend only on the row and its
+    width (`_forward`). The weights must be frozen (ValueError if not), so a
+    kept row stays valid while they live. Noisy rows are never kept."""
     if not weights.frozen:
-        raise ValueError("frozen_cls needs frozen weights (EncoderWeights.freeze)")
-    if embed_noise is not None:
-        return in_chunks(lambda i, m, noise: encode_base(i, m, weights, noise).data,
-                         len(ids), ids, mask, embed_noise)
+        raise ValueError("kept_rows needs frozen weights (EncoderWeights.freeze)")
     ids, mask = _batch(ids, mask)
     kept, keys = weights.kept_at, [row.tobytes() for row in np.concatenate([ids, mask], 1)]
     new = {key: i for i, key in enumerate(keys) if key not in kept}  # each row not kept, once
@@ -440,12 +431,7 @@ def frozen_cls(ids, mask, weights: EncoderWeights,
         rows = in_chunks(lambda i, m: encode_base(i, m, weights).data, len(at), ids[at], mask[at])
         kept.update(zip(new, range(len(kept), len(kept) + len(new))))  # once all are encoded
         weights.kept_cls = np.concatenate([weights.kept_cls, rows])
-    at = np.fromiter((kept[key] for key in keys), np.int64, len(keys))
-    if len(at) and (np.diff(at) == 1).all():
-        view = weights.kept_cls[at[0]:at[-1] + 1]
-        view.flags.writeable = False
-        return view
-    return weights.kept_cls[at]
+    return np.fromiter((kept[key] for key in keys), np.int64, len(keys))
 
 
 BASE_HEAD_LR = 1e-2  # learning rate of base pretraining's detector head
@@ -641,5 +627,5 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
     frozen = meta.get("frozen")
     if type(frozen) is not bool:
         raise WeightsFormatError(f"{path}: frozen is {frozen!r}, not a bool")
-    tensors = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in arrays.items()}
+    tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     return EncoderWeights(cfg, tensors, frozen), Vocab.from_list(tokens), meta

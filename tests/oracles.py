@@ -334,13 +334,11 @@ def dataset_order_predict(state, instances, chunk: int = 32) -> list[int]:
     return preds
 
 
-def one_row_frozen_cls(ids, mask, weights, embed_noise=None):
-    """`leaf.encoder.frozen_cls` one row per pass, not EVAL_CHUNK rows."""
+def one_row_in_chunks(fn, n, *arrays):
+    """`leaf.encoder.in_chunks` one row per pass, not EVAL_CHUNK rows."""
     with T.no_grad():
-        return np.concatenate([
-            E.encode_base(ids[i:i + 1], mask[i:i + 1], weights,
-                          None if embed_noise is None else embed_noise[i:i + 1]).data
-            for i in range(len(ids))])
+        return np.concatenate([fn(*(None if a is None else a[i:i + 1] for a in arrays))
+                               for i in range(n)])
 
 
 def per_batch_teacher(state, instances, pools, noise=None, cls=None):

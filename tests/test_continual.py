@@ -2,7 +2,7 @@
 memory, snapshots, head growth, and the end-to-end training loop — all on
 a deliberately tiny configuration so the suite stays fast."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +21,7 @@ from leaf import objectives as obj
 from leaf import tensor as T
 from leaf.gradcheck import build_tiny_problem
 import oracles
-from oracles import (dataset_order_predict, one_row_frozen_cls, per_batch_teacher,
+from oracles import (dataset_order_predict, one_row_in_chunks, per_batch_teacher,
                      per_label_exemplars, run_files)
 
 
@@ -319,7 +319,9 @@ class TestFrozenCache:
         assert again.table.row == {"b c": 0, "a": 1}
         assert again.table.ids.shape == again.table.mask.shape == (2, 3)
         assert again.table.mask.tolist() == [[1, 1, 1], [1, 1, 0]]
-        assert again.table.cls.shape == (2, again.weights.config.model_dim)
+        assert again.table.kept.shape == (2,) and again.table.kept.dtype == np.int64
+        assert again.weights.kept_cls[again.table.kept].shape == (
+            2, again.weights.config.model_dim)
 
     def test_run_indexes_its_stream_at_its_length(self):
         ds = tiny_dataset()
@@ -335,18 +337,19 @@ class TestFrozenCache:
         ds = tiny_dataset()
         state = tiny_state(ds)
         # the same tensors on a new object, which keeps no [CLS] rows yet
-        # (`frozen_cls`), so that every row is encoded again
+        # (`kept_rows`), so that every row is encoded again
         state.weights = E.EncoderWeights(state.weights.config, state.weights.tensors, frozen=True)
         monkeypatch.setattr(E, "EVAL_CHUNK", 5)
         calls = record_encodes(monkeypatch)
         C.index_texts(state, dataset_texts(ds))
         table, n = state.table, len(state.table.row)
         assert calls == [min(5, n - s) for s in range(0, n, 5)]  # never all rows at once
+        table_cls = state.weights.kept_cls[table.kept]
         for size in (1, 8):
             with T.no_grad():
                 rows = [E.encode_base(table.ids[s:s + size], table.mask[s:s + size],
                                       state.weights).data for s in range(0, n, size)]
-            assert np.concatenate(rows).tobytes() == table.cls.tobytes()
+            assert np.concatenate(rows).tobytes() == table_cls.tobytes()
         batch = [DS.Instance(text=t, label=y) for y in (1, 0) for t in ds.train[y][:3]]
         routed, real = [], E.encode_with_experts
 
@@ -359,14 +362,42 @@ class TestFrozenCache:
         C.forward_features(state, batch)
         assert calls == []  # noise-free rows are looked up
         assert len(routed) == 1
-        assert routed[0].tobytes() == table.cls[[table.row[i.text] for i in batch]].tobytes()
+        assert routed[0].tobytes() == table_cls[[table.row[i.text] for i in batch]].tobytes()
+
+    def test_a_run_at_another_seed_keeps_no_cls_rows_of_its_own(self, monkeypatch):
+        """A second run on the same weights at another seed meets the same
+        texts in another order than the weights keep them. Its table holds
+        their rows of `kept_cls`, no float array, it encodes nothing, and
+        each step's [CLS] rows are byte-equal to fresh `encode_base` rows."""
+        ds = tiny_dataset()
+        state = tiny_state(ds, epochs=1)
+
+        def stream(seed):  # 4 tasks x 2 ways take all 8 labels: the same texts
+            return C.build_stream(ds, n_way=2, k_shot=3, num_tasks=4, seed=seed)
+
+        C.run_experiment(stream(0), state)
+        again = C.init_state(state.weights, state.vocab, state.bank,
+                             replace(state.config, seed=1))
+        calls, steps = record_encodes(monkeypatch), record_steps(monkeypatch)
+        C.run_experiment(stream(1), again)
+        table = again.table
+        assert table.row.keys() == state.table.row.keys() and calls == []
+        assert list(table.row) != list(state.table.row) and (np.diff(table.kept) != 1).any()
+        values = [getattr(table, f.name) for f in fields(table)]
+        assert not [v for v in values if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+        assert steps
+        for batch, _, cls in steps:
+            rows = [table.row[inst.text] for inst in batch]
+            with T.no_grad():
+                fresh = E.encode_base(table.ids[rows], table.mask[rows], again.weights).data
+            assert cls.tobytes() == fresh.tobytes()
 
     def test_token_routing_builds_no_cls(self, monkeypatch):
         ds = tiny_dataset()
         state = tiny_state(ds, routing="token")
         calls = record_encodes(monkeypatch)
         C.index_texts(state, dataset_texts(ds))
-        assert state.table.cls is None and calls == []
+        assert state.table.kept is None and calls == []
         assert state.table.ids.shape[0] == len(state.table.row)
 
     def test_augmented_rows_never_cached(self, monkeypatch):
@@ -377,23 +408,26 @@ class TestFrozenCache:
         state = tiny_state(ds, augment=True, epochs=1)
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=2, seed=0)
         C.train_task(0, stream, state)
-        table = state.table
-        stored = [table.ids.tobytes(), table.mask.tobytes(), table.cls.tobytes()]
+        table, w = state.table, state.weights
+        stored = [table.ids.tobytes(), table.mask.tobytes(), table.kept.tobytes(),
+                  w.kept_cls.tobytes(), len(w.kept_at)]
         steps = record_steps(monkeypatch)
         C.train_task(1, stream, state)
-        assert [table.ids.tobytes(), table.mask.tobytes(), table.cls.tobytes()] == stored
+        assert [table.ids.tobytes(), table.mask.tobytes(), table.kept.tobytes(),
+                w.kept_cls.tobytes(), len(w.kept_at)] == stored
+        table_cls = w.kept_cls[table.kept]
         n_noisy = 0
         for batch, noise, cls in steps:
             for i, row in enumerate(table.row[inst.text] for inst in batch):
                 if noise is None or not noise[i].any():
-                    assert cls[i].tobytes() == table.cls[row].tobytes()
+                    assert cls[i].tobytes() == table_cls[row].tobytes()
                     continue
                 n_noisy += 1
                 with T.no_grad():
                     alone = E.encode_base(table.ids[[row]], table.mask[[row]], state.weights,
                                           embed_noise=noise[[i]]).data
                 assert cls[i].tobytes() == alone[0].tobytes()
-                assert np.abs(cls[i] - table.cls[row]).max() > 0.0
+                assert np.abs(cls[i] - table_cls[row]).max() > 0.0
         assert n_noisy == C.AUG_COPIES * len(stream.tasks[0].labels)
 
     def test_noise_keeps_full_width_rng_stream(self, monkeypatch):
@@ -441,9 +475,9 @@ class TestFrozenCache:
 
     def test_teacher_call_does_not_encode(self, monkeypatch):
         """No forward pass, student or teacher, calls `encode_base`: each
-        epoch's noisy rows go through `frozen_cls` once, EVAL_CHUNK rows per
-        call. The teacher runs once per epoch too, EVAL_CHUNK rows per
-        call, and never inside `batch_loss`."""
+        epoch's noisy rows go through one `encoder.in_chunks` call,
+        EVAL_CHUNK rows per pass. The teacher runs once per epoch too,
+        EVAL_CHUNK rows per call, and never inside `batch_loss`."""
         ds = tiny_dataset()
         state = tiny_state(ds, augment=True)
         stream = C.build_stream(ds, n_way=2, k_shot=3, num_tasks=3, seed=0)
@@ -773,11 +807,11 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
     bank, each epoch's noisy rows) is encoded in a batch of one, the
     teacher runs one training batch per pass and every step takes the
     label rows and the teacher's soft targets itself. Both runs share the
-    base weights. The 12-class run (3 tasks of 4 labels, reference model
-    width) has rows of 8 old classes and more, where a sum over a row in
-    another order than the chain's moves bits, and at d = 64 a matmul row
-    depends on the rows per call, so a head matmul over more rows does too
-    (at d = 16 it does not)."""
+    base weights' tensors. The 12-class run (3 tasks of 4 labels,
+    reference model width) has rows of 8 old classes and more, where a sum
+    over a row in another order than the chain's moves bits, and at d = 64
+    a matmul row depends on the rows per call, so a head matmul over more
+    rows does too (at d = 16 it does not)."""
     ds = tiny_dataset(n_labels=n_way * num_tasks, vocab_size=600)
     vocab = E.Vocab(DS.build_vocab_tokens(ds))
     ecfg = E.EncoderConfig(num_layers=2, model_dim=dim, num_heads=2, ffn_dim=2 * dim,
@@ -792,16 +826,16 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
                                  batch_size=4, lr=1e-2, n_descriptions=2)
     resolved = harness.apply_mode(resolved, mode)
 
-    def run(name):
-        harness.run_once(ds, weights, vocab, [], resolved, seed=0,
-                         out_dir=str(tmp_path / name))
+    def run(name, w):
+        harness.run_once(ds, w, vocab, [], resolved, seed=0, out_dir=str(tmp_path / name))
         return run_files(tmp_path / name)
 
-    fused = run("fused")
+    fused = run("fused", weights)
     monkeypatch.setattr(C, "predict", dataset_order_predict)
     monkeypatch.setattr(C, "select_exemplar", per_label_exemplars)
-    monkeypatch.setattr(E, "frozen_cls", one_row_frozen_cls)
     monkeypatch.setattr(C, "features", per_batch_teacher)  # the teacher is its one caller
+    # left to `in_chunks`: the bank's and the table's kept rows and the noisy rows
+    monkeypatch.setattr(E, "in_chunks", one_row_in_chunks)
     real_loss = C.batch_loss   # without the task's label rows
 
     def per_step_label_rows(st, batch, t, stream, labels, *args):
@@ -809,8 +843,8 @@ def test_run_outputs_match_composed_ops_byte_for_byte(tmp_path, monkeypatch, mod
 
     monkeypatch.setattr(C, "batch_loss", per_step_label_rows)
     monkeypatch.setattr(obj, "prediction_distill_loss", oracles.per_step_prediction_distill)
-    with oracles.composed_ops():
-        composed = run("composed")
+    with oracles.composed_ops():  # on weights that keep no [CLS] rows yet
+        composed = run("composed", E.EncoderWeights(ecfg, weights.tensors, frozen=True))
     assert {"metrics.json", "losses.csv", "checkpoints/task_2.bin"} <= set(fused)
     assert fused.keys() == composed.keys()
     for name in fused:

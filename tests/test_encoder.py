@@ -558,7 +558,7 @@ class TestLastBlockClsOnly:
         assert np.isfinite(float(moe.router_loss(token_records).data))
 
 
-# --------------------------------------------------- frozen_cls's kept rows
+# ------------------------------------------------- kept_rows' one store
 
 
 def count_encoded_rows(monkeypatch) -> list:
@@ -569,8 +569,14 @@ def count_encoded_rows(monkeypatch) -> list:
     return calls
 
 
+def kept_cls(ids, mask, w) -> np.ndarray:
+    """The [CLS] rows `kept_rows` keeps for `ids` and `mask`, gathered."""
+    at = E.kept_rows(ids, mask, w)
+    return w.kept_cls[at]
+
+
 class TestFrozenClsKeptRows:
-    """`frozen_cls` keeps the [CLS] rows of noise-free calls on frozen weights."""
+    """`kept_rows` keeps the noise-free [CLS] rows of frozen weights, once."""
 
     @staticmethod
     def frozen():
@@ -581,55 +587,64 @@ class TestFrozenClsKeptRows:
 
     @staticmethod
     def fresh(ids, mask, w) -> np.ndarray:
-        """`frozen_cls` of the same tensors on a new weights object, which
+        """The kept rows of the same tensors on a new weights object, which
         keeps no rows yet."""
-        return E.frozen_cls(ids, mask, E.EncoderWeights(w.config, w.tensors, frozen=True))
+        return kept_cls(ids, mask, E.EncoderWeights(w.config, w.tensors, frozen=True))
 
     def test_second_call_returns_the_same_bytes_without_a_pass(self, monkeypatch):
         w, vocab, cfg, (ids, mask) = self.frozen()
         with T.no_grad():
             direct = E.encode_base(ids, mask, w).data
         calls = count_encoded_rows(monkeypatch)
-        first = E.frozen_cls(ids, mask, w)
+        at = E.kept_rows(ids, mask, w)
         assert calls == [4] and len(w.kept_at) == 4
+        assert at.dtype == np.int64 and at.tolist() == [0, 1, 2, 3]
+        first = w.kept_cls[at]
         assert first.tobytes() == direct.tobytes()
-        # rows in their kept order share the kept rows, read-only
-        assert np.shares_memory(first, w.kept_cls) and not first.flags.writeable
+        # the same rows again give the same indices and encode nothing
+        assert E.kept_rows(ids, mask, w).tolist() == at.tolist() and calls == [4]
         order = [3, 1, 1, 0, 2]  # any order, a row twice
-        again = E.frozen_cls(ids[order], mask[order], w)
+        again = kept_cls(ids[order], mask[order], w)
         assert again.tobytes() == first[order].tobytes()
-        assert not np.shares_memory(again, w.kept_cls) and again.flags.writeable
         assert calls == [4]
         # the same texts padded to another width are other rows; only rows
         # not kept are encoded, each once
         width = ids.shape[1] + 2
         texts = ["alpha beta", "gamma", "delta alpha beta gamma", "beta", "gamma", "beta delta"]
         wide = [np.stack(a) for a in zip(*(E.tokenize(text, vocab, width) for text in texts))]
-        got = E.frozen_cls(*wide, w)
+        got = kept_cls(*wide, w)
         assert calls == [4, 5] and len(w.kept_at) == 9
         assert got.tobytes() == self.fresh(*wide, w).tobytes()
         assert got[4].tobytes() == got[1].tobytes()
         # the same ids under another mask are another row
         short = mask[[2]].copy()
         short[0, -1] = 0
-        assert E.frozen_cls(ids[[2]], short, w).tobytes() != first[2].tobytes()
+        assert kept_cls(ids[[2]], short, w).tobytes() != first[2].tobytes()
         assert calls[-1] == 1 and len(w.kept_at) == 10
-        # noisy rows are encoded every time and never kept
-        noise = np.zeros(ids.shape + (cfg.model_dim,))
-        for _ in range(2):
-            E.frozen_cls(ids, mask, w, noise)
-        assert calls[-2:] == [4, 4] and len(w.kept_at) == 10
+        # kept rows are not moved by later calls
+        assert w.kept_cls[at].tobytes() == first.tobytes()
+
+    def test_two_calls_on_the_same_rows_return_equal_indices(self, monkeypatch):
+        w, _, _, (ids, mask) = self.frozen()
+        first = E.kept_rows(ids, mask, w)
+        kept = w.kept_cls
+        calls = count_encoded_rows(monkeypatch)
+        again = E.kept_rows(ids, mask, w)
+        assert calls == [] and np.array_equal(again, first) and again is not first
+        assert w.kept_cls is kept  # nothing appended
+        with pytest.raises(TypeError):  # noisy rows have no way in
+            E.kept_rows(ids, mask, w, np.zeros(ids.shape + (w.config.model_dim,)))
 
     def test_kept_rows_stay_valid_because_writes_are_refused(self, monkeypatch):
         """Frozen weights cannot change, so no call encodes a kept row again."""
         w, _, _, (ids, mask) = self.frozen()
-        first = E.frozen_cls(ids, mask, w)
+        first = kept_cls(ids, mask, w)
         calls = count_encoded_rows(monkeypatch)
         with pytest.raises(ValueError, match="read-only"):
             w.tensors["layer0.q.weight"].data[0, 0] += 1.0
         with pytest.raises(TypeError):
             w.tensors["layer0.q.weight"] = Tensor(np.zeros((16, 16)))
-        again = E.frozen_cls(ids, mask, w)
+        again = kept_cls(ids, mask, w)
         assert calls == [] and again.tobytes() == first.tobytes()
         assert again.tobytes() == self.fresh(ids, mask, w).tobytes()
 
@@ -639,20 +654,19 @@ class TestFrozenClsKeptRows:
         bad[3, 1] = cfg.vocab_size  # encoded in the call's second pass
         monkeypatch.setattr(E, "EVAL_CHUNK", 2)
         with pytest.raises(ValueError, match="vocab_size"):
-            E.frozen_cls(bad, mask, w)
+            E.kept_rows(bad, mask, w)
         assert w.kept_at == {} and len(w.kept_cls) == 0
-        assert E.frozen_cls(ids, mask, w).tobytes() == self.fresh(ids, mask, w).tobytes()
+        assert kept_cls(ids, mask, w).tobytes() == self.fresh(ids, mask, w).tobytes()
 
     def test_unfrozen_weights_are_refused(self, monkeypatch):
         w, _, cfg, (ids, mask) = self.frozen()
-        E.frozen_cls(ids, mask, w)
+        E.kept_rows(ids, mask, w)
         kept, calls = w.kept_cls, count_encoded_rows(monkeypatch)
         never, _, _ = make_weights()  # never frozen
         w.frozen = False
-        noise = np.zeros(ids.shape + (cfg.model_dim,))
-        for weights, args in ((w, ()), (w, (noise,)), (never, ()), (never, (noise,))):
-            with pytest.raises(ValueError, match="frozen_cls needs frozen weights"):
-                E.frozen_cls(ids, mask, weights, *args)
+        for weights in (w, never):
+            with pytest.raises(ValueError, match="kept_rows needs frozen weights"):
+                E.kept_rows(ids, mask, weights)
         assert calls == [] and w.kept_cls is kept and len(w.kept_at) == 4
         assert never.kept_at == {} and len(never.kept_cls) == 0
 
@@ -788,6 +802,27 @@ class TestWeightContainer:
         assert vocab2.token_to_id == vocab.token_to_id
         assert meta["config"]["model_dim"] == cfg.model_dim
         assert w2.config == cfg
+
+    def test_loaded_tensors_are_the_read_arrays(self, tmp_path, monkeypatch):
+        """`load_tensors` returns arrays of their own, so the loaded tensors
+        hold them without a second copy, read-only once frozen."""
+        w, vocab, _ = make_weights()
+        w.freeze()
+        path = tmp_path / "w.leafwt"
+        E.save_weights(w, path, vocab=vocab)
+        read, real = {}, E.load_tensors
+
+        def load_tensors(p):
+            arrays, meta = real(p)
+            read.update(arrays)
+            return arrays, meta
+
+        monkeypatch.setattr(E, "load_tensors", load_tensors)
+        w2, _, _ = E.load_weights(path)
+        assert len(read) == len(w2.tensors)
+        for name, t in w2.tensors.items():
+            assert np.shares_memory(t.data, read[f"encoder/{name}"]), name
+            assert not t.data.flags.writeable and not read[f"encoder/{name}"].flags.writeable
 
     def test_load_weights_rejects_container_without_encoder_config(self, tmp_path):
         """A run checkpoint (pool and head tensors, no encoder config) is

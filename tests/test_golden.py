@@ -10,6 +10,7 @@ table of tests 6 and 7.
 The digests depend on the NumPy and BLAS build and on the CPU, so a
 failure prints both."""
 
+import ast
 import hashlib
 import json
 import os
@@ -104,7 +105,7 @@ def run_digests(root, seed: int) -> dict:
     resolved["continual"]["epochs"] = 1
     weights, vocab, base_names = harness.pretrain_base(dataset, resolved, seed)
     out = {}
-    for mode in ("leaf", "mole-token"):
+    for mode in sorted({mode for mode, _, _ in GOLDEN}):
         run_dir = root / f"{mode}_{seed}"
         harness.run_once(dataset, weights, vocab, base_names,
                          harness.apply_mode(resolved, mode), seed, out_dir=str(run_dir))
@@ -123,3 +124,29 @@ def test_benchmark_runs_match_golden_digests(tmp_path, seed):
                      if got.get((m, s, f)) != want.get((m, s, f)))
     assert not changed, (f"{len(changed)} run files differ from their golden digests: "
                          f"{changed}; built with {build_environment()}")
+
+
+def benchmark_modes() -> dict:
+    """{workload: mode} of every workload `BENCHMARK.json` names, mapped by
+    `perfbench/run.py`'s `WORKLOADS`, which is read, not run."""
+    with open(os.path.join(REPO, "perfbench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    workloads = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"])
+    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    assert set(names) <= workloads.keys(), f"workloads perfbench/run.py lacks: {names}"
+    return {name: workloads[name] for name in names}
+
+
+def test_every_benchmark_workload_is_pinned():
+    """A workload the benchmark adds gets golden digests for its mode, at
+    both seeds, in the same change."""
+    modes = benchmark_modes()
+    assert modes
+    for workload, mode in modes.items():
+        for seed in (0, 21):
+            files = {f for m, s, f in GOLDEN if (m, s) == (mode, seed)}
+            assert {"metrics.json", "losses.csv", "checkpoints/task_1.bin"} <= files, (
+                f"workload {workload} (mode {mode}) has no golden digests at seed {seed}")

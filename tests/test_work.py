@@ -8,7 +8,8 @@ moves the work changes a pin here, in its own diff.
   rows carry embedding noise (the augmented memory copies of each epoch).
 - The graph nodes of a training step, the rows through the matmul-bearing
   ops per step and per no-grad pass, and the no-grad passes per epoch and
-  per task (`Work`).
+  per task (`Work`), for task 2 of a `leaf` and of a `mole-token` run.
+- The graph nodes, rows and Adam updates of a base pretraining step.
 - The SHA-256 passes over the base weights per set-up and per run."""
 
 import collections
@@ -145,10 +146,11 @@ class Work:
     """What one run does, in order, filed under the task whose `train_task`
     ran last: each training step (`continual.batch_loss`, under a graph)
     with the graph nodes it records, by op, and each no-grad pass (one
-    `encoder.in_chunks` call) by kind: `noisy` (the memory copies' [CLS]
-    rows), `teacher`, `exemplars`, `evaluation`, or `cls` (the bank's and
-    the table's noise-free rows). Both count the rows through each
-    matmul-bearing op."""
+    `encoder.in_chunks` call) by kind: `cls` (the bank's and the table's
+    noise-free rows, `encoder.kept_rows`), `teacher`, `exemplars`,
+    `evaluation`, or else `noisy` (`train_task`'s pass over the memory
+    copies' [CLS] rows). Both count the rows through each matmul-bearing
+    op."""
 
     OPS = ("linear", "lora", "attention")
 
@@ -157,12 +159,12 @@ class Work:
         self.log = collections.defaultdict(list)  # task -> [(kind or "step", rows, nodes)]
         wrap = functools.partial(self.wrap, monkeypatch)
         wrap(continual, "train_task", before=lambda t, *_: setattr(self, "task", t + 1))
-        wrap(encoder, "frozen_cls", kind=lambda *args: "noisy" if len(args) > 3 else "cls")
+        wrap(encoder, "kept_rows", kind=lambda *args: "cls")
         wrap(continual, "features", kind=lambda *args: self.kind or "teacher")
         wrap(continual, "select_exemplar", kind=lambda *args: "exemplars")
         wrap(continual, "predict", kind=lambda *args: "evaluation")
         wrap(continual, "batch_loss", kind=lambda *args: "step", counted=True)
-        wrap(encoder, "in_chunks", counted=True)
+        wrap(encoder, "in_chunks", kind=lambda *args: self.kind or "noisy", counted=True)
         for op in self.OPS:
             wrap(T, op, before=lambda x, *_, op=op: self.count(op, x))
         real_node = T._node
@@ -221,13 +223,18 @@ EPOCH_PASSES = {"noisy": 1, "teacher": 1}
 TASK_PASSES = {"noisy": 2, "teacher": 2, "exemplars": 1, "evaluation": 2}
 
 
-def test_work_of_a_leaf_task_2(base, monkeypatch):
+def task_2(base, monkeypatch, mode: str) -> list:
+    """`Work`'s log of task 2 of a `mode` run of 2 tasks x 2 epochs."""
     dataset, weights, vocab, base_names = base
-    resolved = harness.apply_mode(small_config(), "leaf")
+    resolved = harness.apply_mode(small_config(), mode)
     resolved["continual"]["epochs"] = 2
     work = Work(monkeypatch)
     harness.run_once(dataset, weights, vocab, base_names, resolved, seed=0)
-    log = work.log[2]
+    return work.log[2]
+
+
+def test_work_of_a_leaf_task_2(base, monkeypatch):
+    log = task_2(base, monkeypatch, "leaf")
     steps = [{"nodes": nodes, "rows": rows} for kind, rows, nodes in log if kind == "step"]
     assert steps == [STEP] * 8
     for kind, rows, nodes in log:
@@ -239,6 +246,83 @@ def test_work_of_a_leaf_task_2(base, monkeypatch):
                if not is_step]
     assert between[:2] == [EPOCH_PASSES] * 2
     assert collections.Counter(kind for kind, _, _ in log if kind != "step") == TASK_PASSES
+
+
+# Task 2 of a `mole-token` run: no augmentation and no teacher, so 4 steps
+# (2 epochs of 16 rows in batches of 8), each routing every token in the
+# graph, then exemplar selection and the evaluation of tasks 1 and 2.
+TOKEN_STEP = {"nodes": {"add": 8, "attention": 2, "gelu": 2, "layer_norm": 4, "linear": 10,
+                        "lora": 4, "masked_sums": 1, "scores": 4, "soft_ce": 1, "softmax": 4,
+                        "take": 3, "weighted_sum": 1},
+              "rows": {"linear": 616, "lora": 224, "attention": 80}}
+TOKEN_PASS_ROWS = {"exemplars": {"linear": 840, "lora": 309, "attention": 120},
+                   "evaluation": {"linear": 1840, "lora": 676, "attention": 280}}
+
+
+def test_work_of_a_mole_token_task_2(base, monkeypatch):
+    log = task_2(base, monkeypatch, "mole-token")
+    steps = [{"nodes": nodes, "rows": rows} for kind, rows, nodes in log if kind == "step"]
+    assert steps == [TOKEN_STEP] * 4
+    passes = [(kind, rows, nodes) for kind, rows, nodes in log if kind != "step"]
+    assert passes == [(kind, TOKEN_PASS_ROWS[kind], {})
+                      for kind in ("exemplars", "evaluation", "evaluation")]
+    assert [kind for kind, _, _ in log] == ["step"] * 4 + [kind for kind, _, _ in passes]
+
+
+def pretraining_steps(monkeypatch) -> list:
+    """Patch the autodiff core to log each graph step: the nodes its forward
+    records, by op, and the rows through `linear` and `attention` (both
+    noted until its `backward`), then the elements of each `Adam._update`
+    call after it."""
+    steps, nodes, rows = [], collections.Counter(), collections.Counter()
+
+    def counted(op, real):
+        def wrapped(x, *args, **kwargs):
+            rows[op] += x.data.size // x.data.shape[-1]
+            return real(x, *args, **kwargs)
+        return wrapped
+
+    for op in ("linear", "attention"):
+        monkeypatch.setattr(T, op, counted(op, getattr(T, op)))
+    real_node, real_backward, real_update = T._node, T.Tensor.backward, T.Adam._update
+
+    def node(*args):
+        out = real_node(*args)
+        if out.requires_grad:
+            nodes[sys._getframe(1).f_code.co_name] += 1
+        return out
+
+    def backward(self):
+        steps.append({"nodes": dict(nodes), "rows": dict(rows), "updates": []})
+        nodes.clear()
+        rows.clear()
+        return real_backward(self)
+
+    def update(self, lo, hi, *args):
+        steps[-1]["updates"].append(hi - lo)
+        return real_update(self, lo, hi, *args)
+
+    monkeypatch.setattr(T, "_node", node)
+    monkeypatch.setattr(T.Tensor, "backward", backward)
+    monkeypatch.setattr(T.Adam, "_update", update)
+    return steps
+
+
+# One step of base pretraining on the file's corpus (4 base labels x 8 train
+# texts, one epoch: 2 steps of 16 rows): the nodes of its forward, the rows
+# through `linear` and `attention`, and the elements of each Adam update: the
+# encoder's 73 792 (the embedding rows its texts use, and the rest) in
+# `tensor.ADAM_BLOCK` blocks, then the 4-label head's 260.
+BASE_STEP = {"nodes": {"add": 5, "attention": 2, "gelu": 2, "layer_norm": 4, "linear": 13,
+                       "soft_ce": 1, "take": 4},
+             "rows": {"linear": 1232, "attention": 160},
+             "updates": [32768, 32768, 8256, 260]}
+
+
+def test_work_of_a_base_pretraining_step(base, monkeypatch):
+    steps = pretraining_steps(monkeypatch)
+    harness.pretrain_base(base[0], small_config(), seed=0)
+    assert steps == [BASE_STEP] * 2
 
 
 # SHA-256 passes over the base weights: in a benchmark set-up
