@@ -92,14 +92,12 @@ def cmd_pretrain_base(args) -> int:
 
 
 def _load_weights(resolved):
-    """Base weights, vocabulary and base labels; ConfigError unless the
-    weights are frozen and were trained with the config's `[encoder]`."""
+    """Base weights (frozen by loading), vocabulary and base labels;
+    ConfigError unless the weights were trained with the config's `[encoder]`."""
     path = resolved["paths"]["weights"]
     if not path:
         raise cfgmod.ConfigError("[paths] weights is required")
     weights, vocab, meta = encoder.load_weights(path)
-    if not weights.frozen:
-        raise cfgmod.ConfigError("weights container is not frozen (run pretrain-base)")
     for key, value in resolved["encoder"].items():
         if getattr(weights.config, key) != value:
             raise cfgmod.ConfigError(f"[encoder] {key} = {value}, but the base weights "
@@ -248,7 +246,7 @@ def main(argv=None) -> int:
     except cfgmod.ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_USAGE
-    except (NumericalError, FloatingPointError) as exc:
+    except NumericalError as exc:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -398,10 +398,11 @@ def encode_with_experts(ids, mask, weights: EncoderWeights, pools, cls, topk: in
 
 
 # Largest number of rows per frozen or evaluation forward pass. Instances
-# per second over leaf-ref's five test sets (188 rows each, 9 wide) after
-# task 5, by chunk size (median of 15, interleaved, seed 21, 2-core host):
-# 32: 7319, 64: 8247, 96: 8641, 128: 8310, 188: 7226. Smaller chunks pay each
-# block's fixed NumPy call cost too often; larger ones outgrow a core's 2 MB L2.
+# per second over the five test sets after task 5, by chunk size (packed
+# layout, median of 15 shuffled in-process reps, 2-core host): leaf-ref
+# 64: 9403, 96: 10064, 128: 9679; mole-token 64: 8158, 96: 7758, 128: 7431,
+# its lead at 64 inside the spread (IQRs [7694, 8407] and [7516, 7824]).
+# Every size gave the same bytes.
 EVAL_CHUNK = 96
 
 
@@ -582,8 +583,7 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
 
 def save_weights(weights: EncoderWeights, path, vocab: Vocab,
                  extra_meta: dict | None = None) -> None:
-    meta = {"config": asdict(weights.config), "frozen": weights.frozen,
-            "vocab": vocab.to_list()}
+    meta = {"config": asdict(weights.config), "vocab": vocab.to_list()}
     if extra_meta:
         meta.update(extra_meta)
     save_tensors({f"encoder/{k}": v.data for k, v in weights.tensors.items()}, path,
@@ -591,12 +591,13 @@ def save_weights(weights: EncoderWeights, path, vocab: Vocab,
 
 
 def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
-    """Returns (weights, vocab, meta). Raises WeightsFormatError for a
-    container that does not hold encoder weights alone (a checkpoint, say),
-    whose tensors are not exactly those `weight_shapes` names for its
-    config, each at its shape, whose config sizes are not integers or whose
-    `layernorm_eps` is not a finite number > 0, whose `frozen` is not a
-    bool, or whose vocabulary is not the token list `Vocab.to_list` writes,
+    """Returns (weights, vocab, meta); loading freezes the weights (a
+    `frozen` key in an older container's meta is ignored). Raises
+    WeightsFormatError for a container that does not hold encoder weights
+    alone (a checkpoint, say), whose tensors are not exactly those
+    `weight_shapes` names for its config, each at its shape, whose config
+    sizes are not integers or whose `layernorm_eps` is not a finite number
+    > 0, or whose vocabulary is not the token list `Vocab.to_list` writes,
     with `vocab_size` tokens."""
     arrays, meta = load_tensors(path)
     if not isinstance(meta.get("config"), dict):
@@ -624,8 +625,5 @@ def load_weights(path) -> tuple[EncoderWeights, Vocab, dict]:
             and len(tokens) == cfg.vocab_size and Vocab.from_list(tokens).to_list() == tokens):
         raise WeightsFormatError(f"{path}: the vocabulary is not a list of {cfg.vocab_size} "
                                  "distinct tokens that starts with the reserved ones")
-    frozen = meta.get("frozen")
-    if type(frozen) is not bool:
-        raise WeightsFormatError(f"{path}: frozen is {frozen!r}, not a bool")
-    tensors = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-    return EncoderWeights(cfg, tensors, frozen), Vocab.from_list(tokens), meta
+    tensors = {name: Tensor(arr) for name, arr in arrays.items()}
+    return EncoderWeights(cfg, tensors, frozen=True), Vocab.from_list(tokens), meta

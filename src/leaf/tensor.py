@@ -248,14 +248,29 @@ def linear(x, weight, bias) -> Tensor:
     return _node(data, (x, weight, bias), bw)
 
 
+SCORES_ROWS = 8  # rows per matmul call of a 2-D `scores`
+
+
 def scores(x, weight) -> Tensor:
     """x @ weightᵀ as one node: the dot products of x's rows [..., d] with the
-    rows of weight [n, d]. The weight gradient is one matmul per leading
-    index of x, summed over that axis."""
+    rows of weight [n, d]. A 2-D x is multiplied SCORES_ROWS rows per call,
+    the last call zero-filled, so a row's bits do not depend on how many
+    rows its batch holds (a one-row matmul is a matrix-vector product, with
+    other bits). The weight gradient is one matmul per leading index of x,
+    summed over that axis."""
     x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[-1] != weight.shape[-1]:
         raise ShapeError(f"scores shapes differ: x {x.shape}, weight {weight.shape}")
-    data = np.matmul(x.data, weight.data.T)
+    if x.data.ndim == 2:
+        (rows, d), calls = x.shape, -(-x.shape[0] // SCORES_ROWS)
+        filled = x.data
+        if rows % SCORES_ROWS:  # whole calls need no copy
+            filled = np.zeros((calls * SCORES_ROWS, d))
+            filled[:rows] = x.data
+        data = np.matmul(filled.reshape(calls, SCORES_ROWS, d), weight.data.T)
+        data = data.reshape(len(filled), len(weight.data))[:rows]
+    else:
+        data = np.matmul(x.data, weight.data.T)
 
     def bw(g):
         if x.requires_grad:

@@ -143,8 +143,18 @@ _softmax = T.softmax
 
 
 def scores(x, weight) -> T.Tensor:
-    """`T.scores`: x @ weightᵀ."""
-    return matmul(x, transpose(weight))
+    """`T.scores`: x @ weightᵀ. The gradient is the plain composition's; a
+    2-D x's values are one 2-D matmul per `T.SCORES_ROWS`-row slice, each
+    zero-filled to that height."""
+    x, weight = T.as_tensor(x), T.as_tensor(weight)
+    out = matmul(x, transpose(weight))
+    if x.data.ndim == 2:
+        (rows, d), k = x.shape, T.SCORES_ROWS
+        filled = np.zeros((-(-rows // k) * k, d))
+        filled[:rows] = x.data
+        out.data = np.concatenate([np.matmul(filled[s:s + k], weight.data.T)
+                                   for s in range(0, rows, k)])[:rows]
+    return out
 
 
 def softmax(a, axis=-1, bias=None) -> T.Tensor:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaf import cli
 from leaf import encoder as E
 from leaf import moe
 from leaf.gradcheck import TINY
@@ -320,21 +321,39 @@ class TestTrimmedPadding:
         """At one padded length a row's [CLS] bytes are the same alone and
         among 4, 7 or 95 other rows, in shuffled batches: the reference-size
         encoder at the padded length of 96 texts of 1-8 words."""
+        self.check_rows_alone_and_in_batches(routed=False)
+
+    def test_routed_rows_do_not_depend_on_their_batch(self):
+        """The same with live pools routed per instance: a row routed alone
+        (an epoch's last batch of one, an EVAL_CHUNK remainder of one) gets
+        its bytes from any larger batch."""
+        self.check_rows_alone_and_in_batches(routed=True)
+
+    @staticmethod
+    def check_rows_alone_and_in_batches(routed):
         vocab = E.Vocab([f"w{i}" for i in range(50)])
         cfg = E.EncoderConfig(vocab_size=len(vocab))
         w = E.init_encoder_weights(cfg, np.random.default_rng(0))
+        pools = pools_on(cfg, live=True) if routed else None
         rng = np.random.default_rng(1)
         texts = [" ".join(rng.choice(vocab.to_list()[3:], size=n))
                  for n in [8, *rng.integers(1, 9, 95)]]
         ids, mask = E.tokenize_set(texts, vocab, cfg.max_seq_len)
         assert ids.shape == (96, 9)
+
+        def encode(rows):
+            cls = E.encode_base(ids[rows], mask[rows], w).data
+            if pools:
+                cls = E.encode_with_experts(ids[rows], mask[rows], w, pools, cls, 2)[0].data
+            return cls
+
         with T.no_grad():
-            ref = E.encode_base(ids, mask, w).data
+            ref = encode(np.arange(len(texts)))
             for size in (1, 5, 8, 96):
                 order, got = rng.permutation(len(texts)), np.empty_like(ref)
                 for start in range(0, len(texts), size):
                     rows = order[start:start + size]
-                    got[rows] = E.encode_base(ids[rows], mask[rows], w).data
+                    got[rows] = encode(rows)
                 assert got.tobytes() == ref.tobytes(), f"batches of {size}"
 
     def test_token_routing_ragged_gradcheck(self):
@@ -907,18 +926,23 @@ class TestWeightContainer:
                            match="bad encoder config: num_heads must be >= 1"):
             E.load_weights(path)
 
-    @pytest.mark.parametrize("frozen", ["no", "yes", 0, 1, None])
-    def test_load_weights_requires_a_bool_frozen(self, tmp_path, frozen):
-        """A truthy string such as "no" must not freeze the weights."""
-        w, vocab, _ = make_weights()
+    @pytest.mark.parametrize("stored", [None, True, False], ids=["absent", "true", "false"])
+    def test_loading_freezes_whatever_the_meta_says(self, tmp_path, stored):
+        """`save_weights` writes no `frozen` key; a container written before
+        it stopped doing so may hold one, and loading ignores it. The CLI
+        takes such a container too."""
+        w, vocab, _ = make_weights()  # not frozen: the file says nothing either way
         path = tmp_path / "w.leafwt"
-        E.save_weights(w, path, vocab=vocab)
+        E.save_weights(w, path, vocab=vocab, extra_meta={"base_labels": ["a"]})
         arrays, meta = E.load_tensors(path)
-        meta["frozen"] = frozen
-        E.save_tensors(arrays, path, meta=meta)
-        with pytest.raises(E.WeightsFormatError,
-                           match=re.escape(f"{path}: frozen is {frozen!r}, not a bool")):
-            E.load_weights(path)
+        assert "frozen" not in meta
+        if stored is not None:
+            E.save_tensors(arrays, path, meta={**meta, "frozen": stored})
+        w2, _, _ = E.load_weights(path)
+        assert w2.frozen and w2.fingerprint() == w.fingerprint()
+        assert not any(t.requires_grad or t.data.flags.writeable for t in w2.tensors.values())
+        w3, _, base_names = cli._load_weights({"paths": {"weights": str(path)}, "encoder": {}})
+        assert w3.frozen and base_names == ["a"]
 
     def test_weight_shapes_are_the_initialized_ones(self):
         w, _, cfg = make_weights()

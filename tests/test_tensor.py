@@ -463,6 +463,19 @@ def test_scores_matches_composition_and_grad(lead, dims, seed):
     assert T.grad_check(lambda: weighted_sum(T.scores(x, w), seed), [x, w]) <= 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 200), n=st.integers(1, 40), d=st.sampled_from([4, 16, 64]),
+       seed=st.integers(0, 2**16))
+def test_scores_rows_do_not_depend_on_the_batch(rows, n, d, seed):
+    """Each row's scores are its single-row scores, byte for byte."""
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=(rows, d)), rng.normal(size=(n, d))
+    batch = T.scores(x, w).data
+    assert batch.shape == (rows, n)
+    for i in range(rows):
+        assert T.scores(x[i:i + 1], w).data.tobytes() == batch[i].tobytes(), i
+
+
 @settings(max_examples=60)
 @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5)),
        op=st.sampled_from(["softmax", "logsumexp"]), masked=st.booleans(),
